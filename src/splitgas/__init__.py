@@ -12,7 +12,26 @@ Library layout:
   contrast and recurrences.
 - :mod:`splitgas.oracle` - Monte-Carlo sampling of the same statistics.
 - :mod:`splitgas.cli` - scenario-driven command line front end.
+
+Set SPLITGAS_THREADS to cap the linear-algebra thread pool; the cap is
+applied here, before numpy is first imported, and never overrides an
+explicit OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or
+NUMEXPR_NUM_THREADS.
 """
+
+
+def _cap_threads() -> None:
+    import os
+
+    cap = os.environ.get("SPLITGAS_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
+
+
+_cap_threads()
 
 from .errors import ConfigError, ConvergenceError, DetectionError, SplitGasError
 from .params import (

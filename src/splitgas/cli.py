@@ -13,7 +13,6 @@ Set SPLITGAS_THREADS to cap the linear-algebra thread pool.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 EXIT_OK = 0
@@ -23,15 +22,6 @@ EXIT_DETECTION = 4
 
 UM = 1e-6
 MS = 1e-3
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("SPLITGAS_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -360,7 +350,11 @@ def _contrast_times(sc, args):
     import numpy as np
 
     t_max = sc.t_max
-    if getattr(args, "t_max", None):
+    if args.t_max is not None:
+        if not 0.0 < args.t_max < float("inf"):
+            from .errors import ConfigError
+
+            raise ConfigError(f"--t-max must be a positive number of ms, got {args.t_max}")
         t_max = args.t_max * MS
     return np.arange(0.0, t_max + 0.25 * MS, 0.5 * MS)
 
@@ -459,7 +453,8 @@ def _cmd_oracle(sc, args) -> int:
     from .trapped import trapped_variance_field
 
     params = derive_params(sc.config)
-    realizations = args.realizations or sc.oracle_realizations
+    realizations = (args.realizations if args.realizations is not None
+                    else sc.oracle_realizations)
     seed = args.seed if args.seed is not None else sc.oracle_seed
     spec = EnsembleSpec(realizations=realizations, master_seed=seed,
                         include_initial_phase_noise=sc.oracle_phase_noise)
@@ -484,19 +479,22 @@ def _cmd_oracle(sc, args) -> int:
         pos_name = "zbar_um"
     stats = estimate_pcf(spec, modes, z, times, zprime=0.0)
     analytic = np.exp(-analytic_field.values / 2.0)
+    se, imag_se = stats.stderr, stats.imag_stderr
+    z_score = np.zeros_like(se)
+    np.divide(stats.mean - analytic, se, out=z_score, where=se > 0)
+    imag_z = np.abs(stats.imag_mean[imag_se > 0] / imag_se[imag_se > 0])
     columns = [pos_name, "t_ms", "C_analytic", "C_mc", "stderr", "z_score"]
-    rows = []
-    for it in range(len(times)):
-        for iz in range(len(z)):
-            se = stats.stderr[it, iz]
-            zs = (stats.mean[it, iz] - analytic[it, iz]) / se if se > 0 else 0.0
-            rows.append([z[iz] / UM, times[it] / MS, analytic[it, iz],
-                         stats.mean[it, iz], se, zs])
+    rows = [[z[iz] / UM, times[it] / MS, analytic[it, iz], stats.mean[it, iz],
+             se[it, iz], z_score[it, iz]]
+            for it in range(len(times)) for iz in range(len(z))]
     table = ResultTable(columns, rows, _provenance("oracle", sc, [
         ("regime", sc.config.regime.value),
         ("seed", str(seed)),
         ("realizations", str(realizations)),
         ("rng", "philox4x64 keyed by (seed, realization)"),
+        ("z_abs_lt3_frac", format(np.mean(np.abs(z_score) < 3.0), ".12g")),
+        ("max_abs_z", format(np.max(np.abs(z_score)), ".12g")),
+        ("max_imag_z", format(imag_z.max(initial=0.0), ".12g")),
     ]))
     _emit(table, args)
     return EXIT_OK
@@ -514,7 +512,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = _build_parser().parse_args(argv)
     from .errors import ConfigError, ConvergenceError, DetectionError
 

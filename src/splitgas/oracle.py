@@ -8,13 +8,27 @@ Gaussian phases this expectation equals exp(-variance/2), so the estimator
 checks the analytic mode sums end to end; the ensemble mean of
 sin(phi - phi') must vanish and is recorded as a sanity channel.
 
+The field is linear in the draws, so each ensemble builds one basis of
+shape (M, nt*nz): row m is the field that a unit value of draw m produces
+on the flattened (t, z) grid, with the draw's standard deviation, its
+harmonic factor sin or cos(omega t) and the mode function folded in.  For
+the estimator the mode functions are differenced against z' inside the
+basis, so the degenerate point z = z' is exactly zero.  Realizations are
+synthesised in blocks of ``_BLOCK``: the block's draws X (B x M) times the
+basis give all its phase differences in one matrix product; the block mean
+and centred sum of squares of cos and sin are then merged into the running
+totals in index order with the pairwise update of Chan, Golub & LeVeque
+(1983).  ``sample_realization`` is one row of the same synthesis against
+the undifferenced basis.
+
 Randomness is counter-based and splittable: realization ``i`` of an
 ensemble with master seed ``s`` uses a Philox stream keyed by (s, i), and
-draws its mode amplitudes from that stream in a fixed documented order
+draws its M mode amplitudes from that stream in a fixed documented order
 (density quadrature first, then the phase quadrature when present, both
-ordered by mode index).  Results are therefore bit-identical for a fixed
-(seed, spec) regardless of how realizations are scheduled; accumulation
-sums fixed-size realization blocks in index order.
+ordered by mode index; for plane waves the real part of each mode before
+its imaginary part).  The draws are therefore the same however
+realizations are grouped, and reruns at a fixed seed, spec, grid and
+linear-algebra thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from .trapped import LegendreModeSet, legendre_f_table
 __all__ = ["EnsembleSpec", "EnsembleStats", "sample_realization", "estimate_pcf"]
 
 _BLOCK = 256
+_SEED_END = 2**64   # Philox keys are unsigned 64-bit words
 
 
 @dataclass(frozen=True)
@@ -46,6 +61,11 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.realizations < 2:
             raise ConfigError("need at least 2 realizations for a standard error")
+        seed = self.master_seed
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or not 0 <= seed < _SEED_END):
+            raise ConfigError(
+                f"master seed must be an integer in [0, 2**64), got {seed!r}")
         if self.kind not in ("split", "thermal"):
             raise ConfigError(f"unknown initial-condition kind: {self.kind!r}")
         if self.kind == "thermal" and (self.temperature is None or self.temperature <= 0):
@@ -86,56 +106,66 @@ def _quadrature_sigmas(spec: EnsembleSpec, modes) -> tuple[np.ndarray, np.ndarra
     return np.sqrt(var_n), None if var_phi is None else np.sqrt(var_phi)
 
 
+def _basis(spec: EnsembleSpec, modes, z, times, zprime: float | None = None) -> np.ndarray:
+    """Field per unit draw, shape (M, nt*nz), rows in draw order.
+
+    With ``zprime`` every mode function is differenced against its value at
+    zprime, so the rows synthesise phi(z, t) - phi(zprime, t).
+    """
+    pts = z if zprime is None else np.concatenate([z, [zprime]])
+    sig_n, sig_phi = _quadrature_sigmas(spec, modes)
+    if isinstance(modes, PlaneWaveModeSet):
+        # complex amplitudes: independent re/im parts each carrying half the
+        # variance; phi(z) = (2/sqrt(L)) sum_p [cos(k z) Re phi_p - sin(k z) Im phi_p]
+        scale = 2.0 / np.sqrt(modes.L) / np.sqrt(2.0)
+        kz = modes.k[:, None] * pts[None, :]
+        u = np.stack([np.cos(kz), -np.sin(kz)], axis=1)      # (P, 2, npts)
+        omega = modes.omega
+        amp_n = -modes.phi_amplitude() * sig_n * scale
+        amp_phi = None if sig_phi is None else sig_phi * scale
+    elif isinstance(modes, LegendreModeSet):
+        if np.any(np.abs(pts) > modes.radius):
+            raise ConfigError("points must lie inside the cloud (|z| <= R)")
+        u = legendre_f_table(modes.j_max, pts / modes.radius)[:, None, :]  # (J, 1, npts)
+        omega = modes.omega_j
+        amp_n = -(pi * modes.v_N / modes.omega_j) * sig_n
+        amp_phi = sig_phi
+    else:
+        raise ConfigError(f"unsupported mode set type: {type(modes).__name__}")
+    if zprime is not None:
+        u = u[..., :-1] - u[..., -1:]
+    wt = omega[:, None] * times[None, :]
+    harmonics = [amp_n[:, None] * np.sin(wt)]
+    if amp_phi is not None:
+        harmonics.append(amp_phi[:, None] * np.cos(wt))
+    rows = [h[:, None, :, None] * u[:, :, None, :] for h in harmonics]
+    return np.concatenate(rows).reshape(-1, times.size * z.size)
+
+
 def sample_realization(index: int, spec: EnsembleSpec, modes, z, times) -> np.ndarray:
     """Relative-phase field phi(z, t) of one realization, shape (nt, nz)."""
-    if index >= spec.realizations:
+    if not 0 <= index < spec.realizations:
         raise ConfigError("realization index out of range")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    rng = _rng_for(spec, index)
-    if isinstance(modes, PlaneWaveModeSet):
-        return _sample_plane_wave(rng, spec, modes, z, times)
-    if isinstance(modes, LegendreModeSet):
-        return _sample_legendre(rng, spec, modes, z, times)
-    raise ConfigError(f"unsupported mode set type: {type(modes).__name__}")
+    basis = _basis(spec, modes, z, times)
+    draws = _rng_for(spec, index).standard_normal(basis.shape[0])
+    return (draws @ basis).reshape(times.size, z.size)
 
 
-def _sample_plane_wave(rng, spec, modes: PlaneWaveModeSet, z, times) -> np.ndarray:
-    P = modes.p_max
-    sig_n, sig_phi = _quadrature_sigmas(spec, modes)
-    # complex amplitudes: indepenent re/im parts each carrying half the variance
-    xn = rng.standard_normal((P, 2)) * (sig_n[:, None] / np.sqrt(2.0))
-    xphi = None
-    if sig_phi is not None:
-        xphi = rng.standard_normal((P, 2)) * (sig_phi[:, None] / np.sqrt(2.0))
-    wt = modes.omega[:, None] * times[None, :]
-    sin_t, cos_t = np.sin(wt), np.cos(wt)
-    amp = modes.phi_amplitude()[:, None]             # pi/(k K)
-    re = -amp * xn[:, :1] * sin_t                     # (P, nt)
-    im = -amp * xn[:, 1:] * sin_t
-    if xphi is not None:
-        re = re + xphi[:, :1] * cos_t
-        im = im + xphi[:, 1:] * cos_t
-    kz = modes.k[None, :] * z[:, None]                # (nz, P)
-    cos_z, sin_z = np.cos(kz), np.sin(kz)
-    field = (2.0 / np.sqrt(modes.L)) * (cos_z @ re - sin_z @ im)  # (nz, nt)
-    return field.T
+def _merge(mean: np.ndarray, m2: np.ndarray, n_a: int, block: np.ndarray) -> None:
+    """Fold the rows of ``block`` into the running (mean, m2) of ``n_a`` samples.
 
-
-def _sample_legendre(rng, spec, modes: LegendreModeSet, z, times) -> np.ndarray:
-    J = modes.j_max
-    if np.any(np.abs(z) > modes.radius):
-        raise ConfigError("points must lie inside the cloud (|z| <= R)")
-    sig_n, sig_phi = _quadrature_sigmas(spec, modes)
-    xn = rng.standard_normal(J) * sig_n
-    xphi = rng.standard_normal(J) * sig_phi if sig_phi is not None else None
-    wt = modes.omega_j[:, None] * times[None, :]
-    coef = pi * modes.v_N / modes.omega_j[:, None]
-    phi_t = -coef * xn[:, None] * np.sin(wt)          # (J, nt)
-    if xphi is not None:
-        phi_t = phi_t + xphi[:, None] * np.cos(wt)
-    f = legendre_f_table(J, z / modes.radius)         # (J, nz)
-    return (phi_t.T @ f)                              # (nt, nz)
+    Pairwise update of Chan, Golub & LeVeque; ``block`` is overwritten.
+    """
+    n_b = block.shape[0]
+    n = n_a + n_b
+    mean_b = block.mean(axis=0)
+    block -= mean_b
+    block *= block
+    delta = mean_b - mean
+    mean += delta * (n_b / n)
+    m2 += block.sum(axis=0) + delta**2 * (n_a * n_b / n)
 
 
 def estimate_pcf(spec: EnsembleSpec, modes, z, times, zprime: float = 0.0) -> EnsembleStats:
@@ -147,33 +177,30 @@ def estimate_pcf(spec: EnsembleSpec, modes, z, times, zprime: float = 0.0) -> En
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    pts = np.concatenate([z, [zprime]])
+    basis = _basis(spec, modes, z, times, zprime)
     n = spec.realizations
-    shape = (times.size, z.size)
-    s_cos = np.zeros(shape)
-    s_cos2 = np.zeros(shape)
-    s_sin = np.zeros(shape)
-    s_sin2 = np.zeros(shape)
+    cells = basis.shape[1]
+    mean_cos, m2_cos = np.zeros(cells), np.zeros(cells)
+    mean_sin, m2_sin = np.zeros(cells), np.zeros(cells)
+    rows = min(_BLOCK, n)
+    draws = np.empty((rows, basis.shape[0]))
+    dphi_buf, cos_buf = np.empty((rows, cells)), np.empty((rows, cells))
     for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        blk_cos = np.empty((stop - start,) + shape)
-        blk_sin = np.empty((stop - start,) + shape)
-        for i in range(start, stop):
-            fld = sample_realization(i, spec, modes, pts, times)
-            dphi = fld[:, :-1] - fld[:, -1:]
-            blk_cos[i - start] = np.cos(dphi)
-            blk_sin[i - start] = np.sin(dphi)
-        s_cos += blk_cos.sum(axis=0)
-        s_cos2 += (blk_cos**2).sum(axis=0)
-        s_sin += blk_sin.sum(axis=0)
-        s_sin2 += (blk_sin**2).sum(axis=0)
-    mean = s_cos / n
-    var = np.maximum(s_cos2 - n * mean**2, 0.0) / (n - 1)
-    imag_mean = s_sin / n
-    imag_var = np.maximum(s_sin2 - n * imag_mean**2, 0.0) / (n - 1)
+        b = min(_BLOCK, n - start)
+        x, dphi, cos = draws[:b], dphi_buf[:b], cos_buf[:b]
+        for r in range(b):
+            _rng_for(spec, start + r).standard_normal(out=x[r])
+        np.matmul(x, basis, out=dphi)
+        np.cos(dphi, out=cos)
+        sin = np.sin(dphi, out=dphi)
+        _merge(mean_cos, m2_cos, start, cos)
+        _merge(mean_sin, m2_sin, start, sin)
+    shape = (times.size, z.size)
     return EnsembleStats(
         positions=z, zprime=zprime, times=times,
-        mean=mean, stderr=np.sqrt(var / n),
-        imag_mean=imag_mean, imag_stderr=np.sqrt(imag_var / n),
+        mean=mean_cos.reshape(shape),
+        stderr=np.sqrt(m2_cos / (n - 1) / n).reshape(shape),
+        imag_mean=mean_sin.reshape(shape),
+        imag_stderr=np.sqrt(m2_sin / (n - 1) / n).reshape(shape),
         realizations=n,
     )

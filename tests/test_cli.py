@@ -305,3 +305,69 @@ def test_presets_run(tmp_path):
         preset_scenario(name)
     out = str(tmp_path / "fig4.csv")
     assert main(["params", "--preset", "fig4", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_oracle_seed_out_of_range(trapped_file, capsys, seed):
+    assert main(["oracle", "--config", trapped_file, "--realizations", "10",
+                 "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and seed in err
+
+
+def test_oracle_zero_realizations_rejected(trapped_file, capsys):
+    # 0 is an explicit request, not a fallback to the scenario's count
+    assert main(["oracle", "--config", trapped_file, "--realizations", "0"]) == 2
+    assert "at least 2 realizations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["contrast", "recurrence"])
+@pytest.mark.parametrize("t_max", ["0", "-5"])
+def test_nonpositive_t_max_rejected(trapped_file, capsys, command, t_max):
+    assert main([command, "--config", trapped_file, "--t-max", t_max]) == 2
+    assert "--t-max" in capsys.readouterr().err
+
+
+def test_oracle_trust_provenance(trapped_file, tmp_path):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        assert main(["oracle", "--config", trapped_file, "--realizations", "400",
+                     "--seed", "7", "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    prov = _prov(str(paths[0]))
+    _, columns, rows = read_table(str(paths[0]))
+    zscores = np.abs(np.asarray(rows)[:, columns.index("z_score")])
+    frac = float(prov["z_abs_lt3_frac"])
+    assert 0.0 <= frac <= 1.0
+    assert frac == pytest.approx(np.mean(zscores < 3.0))
+    assert float(prov["max_abs_z"]) == pytest.approx(zscores.max(), rel=1e-11)
+    assert 0.0 <= float(prov["max_imag_z"]) < 10.0
+
+
+def test_splitgas_threads_caps_blas_pool(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import splitgas
+
+    if not Path("/proc/self/status").exists():
+        pytest.skip("thread count is read from /proc/self/status")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["SPLITGAS_THREADS"] = "1"
+    src = str(Path(splitgas.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = (
+        "import splitgas, numpy as np\n"
+        "a = np.random.default_rng(0).standard_normal((300, 300))\n"
+        "(a @ a).sum()\n"
+        "for line in open('/proc/self/status'):\n"
+        "    if line.startswith('Threads:'):\n"
+        "        print(line.split()[1])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["1"]
