@@ -213,11 +213,11 @@ def _cmd_pcf(sc, args) -> int:
 
 def _front_for_system(params, modes, fit_window, homogeneous: bool, L=None):
     import numpy as np
-    from scipy.constants import hbar, pi
 
     from .errors import DetectionError
     from .homogeneous import variance_field
     from .observables import extract_front, fit_velocity
+    from .params import hbar, pi
     from .trapped import trapped_variance_field
 
     t_hi = fit_window[1]
@@ -419,9 +419,8 @@ def _cmd_contrast(sc, args) -> int:
 
 def _cmd_squeezing_map(sc, args) -> int:
     import numpy as np
-    from scipy.constants import pi
 
-    from .params import squeezing_map
+    from .params import pi, squeezing_map
     from .tables import ResultTable
 
     omegas = sc.map_nu_perp

@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B, pi
 
 from .errors import ConfigError, ConvergenceError
 from .fields import PairVarianceField, VarianceField
-from .params import PhysicalParams
+from .params import PhysicalParams, hbar, k_B, pi
 
 __all__ = [
     "PlaneWaveModeSet",

@@ -15,9 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.ndimage import gaussian_filter1d
-from scipy.signal import find_peaks
 
 from .errors import ConfigError, DetectionError
 from .fields import (
@@ -30,6 +27,7 @@ from .fields import (
     VelocityFit,
 )
 from .homogeneous import PlaneWaveModeSet, phase_variance, recurrence_time, _grid_values
+from .params import hbar
 from .trapped import LegendreModeSet, legendre_f_table
 
 __all__ = [
@@ -74,6 +72,95 @@ def _front_search_limit(field: VarianceField) -> float:
     if field.regime != "homogeneous" and "R_eff" in field.meta:
         return EDGE_SEARCH_FRACTION * field.meta["R_eff"]
     return float(field.positions[-1])
+
+
+def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian smoothing along the last axis, edges extended by their end value.
+
+    The kernel is truncated at radius int(4*sigma + 0.5) and normalised to
+    unit sum.  Each output starts from the centre term and adds the
+    symmetric pairs from the outermost inwards.  That summation order is
+    part of the contract: it is the one of the standard symmetric
+    correlation loop, and the tests require bit-equal results with it.
+    """
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    n = a.shape[-1]
+    p = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(r, r)], mode="edge")
+    out = p[..., r:r + n] * w[r]
+    for j in range(r, 0, -1):
+        out += (p[..., r - j:r - j + n] + p[..., r + j:r + j + n]) * w[r - j]
+    return out
+
+
+def _peak_prominences(x: np.ndarray):
+    """Local maxima of every row of a 2-D array, with their prominences.
+
+    A peak is a run of equal samples with a strictly lower sample on each
+    side, reported at the middle index (start + end) // 2 of the run.  Its
+    prominence is its height above the higher of two minima: on each side,
+    the lowest sample between the peak and the nearest strictly higher
+    sample (or the end of the row).  These are the usual signal-processing
+    definitions, and the tests require bit-equal results with the
+    reference peak finder.
+
+    Each row is compressed to its turning points: the runs that are peaks or
+    valleys, plus the first and last run.  Samples in between lie on a
+    monotone stretch, so they can be neither the nearest higher sample nor
+    a minimum.  The turning points of all rows form one sequence, with +inf
+    before, between and after the rows, so every search stops at the ends
+    of its row.  Windowed maxima and minima of that sequence over lengths
+    2**j (a sparse table) then give every peak's two stops by binary
+    lifting and its two minima by two overlapping windows, for all peaks
+    at once.  Returns flat arrays (row, index, prominence) in row-major
+    order.
+    """
+    nrow, n = x.shape
+    start = np.ones((nrow, n), dtype=bool)
+    start[:, 1:] = x[:, 1:] != x[:, :-1]
+    flat = np.flatnonzero(start)               # run starts, row-major flat index
+    v = x.ravel()[flat]
+    first = flat % n == 0
+    last = np.roll(first, -1)
+    lower_before = np.zeros(v.size, dtype=bool)
+    lower_before[1:] = v[:-1] < v[1:]
+    lower_after = np.zeros(v.size, dtype=bool)
+    lower_after[:-1] = v[1:] < v[:-1]
+    inner = ~first & ~last
+    peak = inner & lower_before & lower_after
+    keep = first | last | peak | (inner & ~lower_before & ~lower_after)
+
+    row = flat[keep] // n
+    pos = np.arange(1, row.size + 1) + row     # one sentinel per row boundary
+    seq = np.full(pos.size + nrow + 1, np.inf)
+    seq[pos] = v[keep]
+    levels = max(int(np.bincount(row).max(initial=1)).bit_length(), 1)
+    top = np.full((levels, seq.size), np.inf)   # top[j, i] = max(seq[i:i + 2**j])
+    bottom = top.copy()                         # bottom[j, i] = min(seq[i:i + 2**j])
+    top[0] = bottom[0] = seq
+    for j in range(1, levels):
+        w = 1 << (j - 1)
+        top[j, :-w] = np.maximum(top[j - 1, :-w], top[j - 1, w:])
+        bottom[j, :-w] = np.minimum(bottom[j - 1, :-w], bottom[j - 1, w:])
+
+    q = pos[peak[keep]]
+    h = seq[q]
+    left, right = q.copy(), q + 1               # seq[left:right] <= h
+    for j in reversed(range(levels)):
+        w = 1 << j
+        left -= w * (top[j, np.maximum(left - w, 0)] <= h)
+        right += w * (top[j, right] <= h)
+
+    def window_min(a, b):
+        j = np.frexp(b - a)[1] - 1              # floor(log2(b - a))
+        return np.minimum(bottom[j, a], bottom[j, b - (1 << j)])
+
+    prom = h - np.maximum(window_min(left, q + 1), window_min(q, right))
+    head = np.flatnonzero(peak)
+    mid = (flat[head] + flat[head + 1] - 1) // 2   # a peak run never ends its row
+    return mid // n, mid % n, prom
 
 
 def _refine_peak(row: np.ndarray, idx: int, dz: float) -> float:
@@ -124,23 +211,21 @@ def extract_front(
 
     if method == "mixed_derivative":
         M = np.gradient(dVdt, z, axis=1)
-        M = gaussian_filter1d(M, smoothing_sigma / dz, axis=1, mode="nearest")
-        for i in range(ts.size):
-            row = np.abs(M[i, :imax])
-            seg = row[guard:-guard]
-            if seg.size < 4:
-                break
-            rng = float(seg.max() - seg.min())
-            if rng <= deriv_floor:
-                diagnostics["dropped"] += 1
-                continue
-            peaks, props = find_peaks(seg, prominence=prominence_rel * rng)
-            if peaks.size == 0:
-                diagnostics["dropped"] += 1
-                continue
-            best = int(peaks[np.argmax(props["prominences"])]) + guard
-            positions.append(z[best] + _refine_peak(row, best, dz))
-            times.append(ts[i])
+        rows = np.abs(_gaussian_smooth(M, smoothing_sigma / dz)[:, :imax])
+        seg = rows[:, guard:-guard]
+        if seg.shape[1] >= 4:
+            rng = seg.max(axis=1) - seg.min(axis=1)
+            row, idx, prom = _peak_prominences(seg)
+            ok = (prom >= prominence_rel * rng[row]) & (rng[row] > deriv_floor)
+            row, idx, prom = row[ok], idx[ok], prom[ok]
+            # per row the most prominent peak, the leftmost of equals
+            order = np.lexsort((idx, -prom, row))
+            lead = np.ones(order.size, dtype=bool)
+            lead[1:] = row[order[1:]] != row[order[:-1]]
+            for i, j in zip(row[order[lead]], idx[order[lead]] + guard):
+                positions.append(z[j] + _refine_peak(rows[i], j, dz))
+                times.append(ts[i])
+            diagnostics["dropped"] = ts.size - len(times)
     elif method == "half_plateau":
         n_dec = max(2, (imax - 2 * guard) // 10)
         for i in range(ts.size):
@@ -331,8 +416,8 @@ def recurrence_scan(
     if turn.size == 0:
         return []
     imin = int(turn[0])
-    peaks, _ = find_peaks(vals[imin:], prominence=min_prominence)
-    peaks = peaks + imin
+    _, peaks, prom = _peak_prominences(vals[None, imin:])
+    peaks = peaks[prom >= min_prominence] + imin
     results = []
     dt = ts[1] - ts[0]
     for idx in peaks:

@@ -36,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import pi
 
 from .errors import ConfigError
 from .homogeneous import PlaneWaveModeSet
+from .params import pi
 from .trapped import LegendreModeSet, legendre_f_table
 
 __all__ = ["EnsembleSpec", "EnsembleStats", "sample_realization", "estimate_pcf"]
@@ -90,9 +90,29 @@ class EnsembleStats:
     realizations: int
 
 
-def _rng_for(spec: EnsembleSpec, index: int) -> np.random.Generator:
-    key = np.array([spec.master_seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _rekey(gen: np.random.Generator, seed: int, index: int) -> np.random.Generator:
+    """Restart ``gen`` at the head of the Philox stream keyed by (seed, index).
+
+    Zero counter and empty buffer: the draws equal those of a fresh
+    ``Generator(Philox(key=[seed, index]))``, without building a bit
+    generator per realization (each build reads OS entropy for a seed
+    sequence that the key leaves unused).
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, index], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
+def _generator() -> np.random.Generator:
+    """A Philox generator to be positioned by :func:`_rekey`."""
+    return np.random.Generator(np.random.Philox(0))
 
 
 def _quadrature_sigmas(spec: EnsembleSpec, modes) -> tuple[np.ndarray, np.ndarray | None]:
@@ -149,7 +169,7 @@ def sample_realization(index: int, spec: EnsembleSpec, modes, z, times) -> np.nd
     z = np.atleast_1d(np.asarray(z, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
     basis = _basis(spec, modes, z, times)
-    draws = _rng_for(spec, index).standard_normal(basis.shape[0])
+    draws = _rekey(_generator(), spec.master_seed, index).standard_normal(basis.shape[0])
     return (draws @ basis).reshape(times.size, z.size)
 
 
@@ -185,11 +205,12 @@ def estimate_pcf(spec: EnsembleSpec, modes, z, times, zprime: float = 0.0) -> En
     rows = min(_BLOCK, n)
     draws = np.empty((rows, basis.shape[0]))
     dphi_buf, cos_buf = np.empty((rows, cells)), np.empty((rows, cells))
+    gen = _generator()
     for start in range(0, n, _BLOCK):
         b = min(_BLOCK, n - start)
         x, dphi, cos = draws[:b], dphi_buf[:b], cos_buf[:b]
         for r in range(b):
-            _rng_for(spec, start + r).standard_normal(out=x[r])
+            _rekey(gen, spec.master_seed, start + r).standard_normal(out=x[r])
         np.matmul(x, basis, out=dphi)
         np.cos(dphi, out=cos)
         sin = np.sin(dphi, out=dphi)

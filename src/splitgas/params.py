@@ -16,11 +16,12 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from scipy.constants import hbar, k as k_B, pi
-
 from .errors import ConfigError
 
 __all__ = [
+    "pi",
+    "hbar",
+    "k_B",
     "Regime",
     "SpeciesPreset",
     "RB87",
@@ -34,6 +35,13 @@ __all__ = [
     "squeezing_limit",
     "squeezing_map",
 ]
+
+
+#: Physical constants.  h = 6.62607015e-34 J s and k_B = 1.380649e-23 J/K
+#: are exact in the SI since 2019.
+pi = math.pi
+hbar = 6.62607015e-34 / (2 * pi)
+k_B = 1.380649e-23
 
 
 class Regime(str, enum.Enum):

@@ -15,14 +15,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from scipy.constants import hbar, pi
 
 from .errors import ConfigError
-from .params import RB87, Regime, SpeciesPreset, TrapConfig
+from .params import RB87, Regime, SpeciesPreset, TrapConfig, hbar, pi
 
 __all__ = ["Scenario", "load_scenario", "preset_scenario", "PRESET_NAMES"]
 
@@ -36,6 +36,12 @@ NM = 1e-9
 def _require_number(value, where, positive=True, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:   # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if positive and value <= 0:

@@ -4,12 +4,14 @@ Every emitted file is a CSV with a leading provenance comment block (tool
 version, command, config hash, truncation, seed, row/column counts) and a
 header row whose column names carry their units.  Formatting is fixed at
 12 significant digits, so identical inputs produce byte-identical files.
-A JSON mirror with the same provenance and rows can be written alongside.
+A JSON mirror with the same provenance and rows can be written alongside;
+it is strict JSON, with null for the cells the CSV prints as nan or inf.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,11 @@ def _fmt(x: float) -> str:
     if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
         return "nan" if np.isnan(x) else ("inf" if x > 0 else "-inf")
     return format(float(x), ".12g")
+
+
+def _json_cell(x: float) -> float | None:
+    value = float(_fmt(x))
+    return value if math.isfinite(value) else None
 
 
 @dataclass
@@ -53,9 +60,9 @@ class ResultTable:
         payload = {
             "provenance": {k: v for k, v in self.provenance},
             "columns": list(self.columns),
-            "rows": [[float(_fmt(x)) for x in row] for row in self.rows],
+            "rows": [[_json_cell(x) for x in row] for row in self.rows],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_table(table: ResultTable, path: str, json_mirror: bool = False) -> None:

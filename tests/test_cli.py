@@ -371,3 +371,39 @@ def test_splitgas_threads_caps_blas_pool(tmp_path):
     out = subprocess.run([sys.executable, "-c", child], env=env, cwd=tmp_path,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == ["1"]
+
+
+@pytest.mark.parametrize("density,length,key", [
+    (".nan", "100.0", "trap.peak_density_per_um"),
+    ("46.0", ".inf", "trap.system_length_um"),
+    ("1" + "0" * 400, "100.0", "trap.peak_density_per_um"),   # beyond the float range
+])
+def test_nonfinite_trap_number_rejected(tmp_path, capsys, density, length, key):
+    path = tmp_path / "nonfinite.yaml"
+    path.write_text("trap:\n  species: rb87\n  nu_perp_hz: 1400.0\n"
+                    "  regime: homogeneous\n"
+                    f"  peak_density_per_um: {density}\n  system_length_um: {length}\n")
+    assert main(["params", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_infinite_t_max_rejected(tmp_path, capsys):
+    path = tmp_path / "tmax.yaml"
+    path.write_text(REF_TRAPPED + "analysis:\n  t_max_ms: .inf\n")
+    assert main(["contrast", "--config", str(path)]) == 2
+    assert "analysis.t_max_ms" in capsys.readouterr().err
+
+
+def test_json_mirror_is_strict(homog_file, tmp_path):
+    import json
+
+    out = tmp_path / "h.csv"
+    assert main(["params", "--config", homog_file, "--out", str(out), "--json"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads((tmp_path / "h.csv.json").read_text(), parse_constant=reject)
+    row = payload["rows"][0]
+    assert row[payload["columns"].index("R_um")] is None   # homogeneous: no radius
+    assert row[payload["columns"].index("c_mm_per_s")] == pytest.approx(1.75, rel=0.02)

@@ -95,3 +95,21 @@ def test_draw_order_pinned(request, geometry, phase_noise):
         assert got.shape == (times.size, pts.size)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
+
+
+def test_rekeyed_generator_equals_fresh_philox():
+    from splitgas.oracle import _generator, _rekey
+
+    gen = _generator()
+    for seed in (0, 1, 2**64 - 1):
+        for index in (0, 1, 255, 9999, 2**40):
+            got = _rekey(gen, seed, index)
+            key = np.array([seed, index], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
+            assert np.array_equal(got.integers(0, 1000, 5, dtype=np.uint32),
+                                  want.integers(0, 1000, 5, dtype=np.uint32))
+            assert np.array_equal(got.random(3), want.random(3))
+            # leave a partly used Philox block and a cached 32-bit half behind
+            gen.integers(0, 1000, dtype=np.uint32)
+            gen.standard_normal(2)
