@@ -71,6 +71,7 @@ from .trapped import (
     trapped_variance_field,
 )
 from .observables import (
+    contrast_evaluator,
     contrast_trace,
     extract_front,
     fit_velocity,

@@ -372,20 +372,15 @@ def _contrast_model(sc):
 
 def _cmd_recurrence(sc, args) -> int:
     from .errors import DetectionError
-    from .observables import contrast_trace, recurrence_scan
+    from .observables import contrast_evaluator, recurrence_scan
     from .tables import ResultTable
 
     params, modes = _contrast_model(sc)
     length = sc.contrast_lengths[0] if sc.contrast_lengths else 50e-6
     times = _contrast_times(sc, args)
-    trace = contrast_trace(modes, length, times)
-
-    def refine(t: float) -> float:
-        from .observables import contrast_trace as ct
-
-        return float(ct(modes, length, [t]).values[0])
-
-    found = recurrence_scan(trace, refine_fn=refine)
+    contrast = contrast_evaluator(modes, length)
+    trace = contrast.trace(times)
+    found = recurrence_scan(trace, refine_fn=lambda t: float(contrast([t])[0]))
     if not found:
         raise DetectionError("no recurrence found in the scan range")
     prov = [("regime", sc.config.regime.value),

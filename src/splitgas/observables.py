@@ -13,6 +13,8 @@ trace.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "extract_front",
     "fit_velocity",
     "mean_squared_contrast",
+    "contrast_evaluator",
     "contrast_trace",
     "recurrence_scan",
     "mode_amplitude_trace",
@@ -44,6 +47,9 @@ __all__ = [
 DEFAULT_FIT_WINDOW = (0.0, 10e-3)
 DEFAULT_PROMINENCE_REL = 0.25
 EDGE_SEARCH_FRACTION = 0.9   # trapped fronts are searched for within 0.9 R
+# time samples per block of the trapped contrast kernel: about this many
+# float64 values (4 MB) per (block, m, m) temporary
+_CONTRAST_BLOCK_ELEMENTS = 2**19
 
 
 def pcf(variance):
@@ -308,6 +314,13 @@ def mean_squared_contrast(corr: PairCorrelationField, length: float, t: float) -
     return float(total / ((z[-1] - z[0]) * (zp[-1] - zp[0])))
 
 
+def _window_points(length: float, dz: float) -> int:
+    n = int(round(length / dz)) + 1
+    if n < 2:
+        raise ConfigError("integration window contains fewer than 2 grid points")
+    return n
+
+
 def _homog_pair_weights(n: int, dz: float) -> np.ndarray:
     """Collapse the 2D trapezoid over equal uniform grids to separation lags."""
     w = np.full(n, dz)
@@ -317,61 +330,129 @@ def _homog_pair_weights(n: int, dz: float) -> np.ndarray:
     return c
 
 
-def _homog_contrast_values(modes: PlaneWaveModeSet, length: float, times: np.ndarray,
-                           dz: float) -> np.ndarray:
-    n = int(round(length / dz)) + 1
+def _homog_contrast_kernel(modes: PlaneWaveModeSet, n: int, dz: float):
     seps = dz * np.arange(n)
     lag_w = _homog_pair_weights(n, dz)
-    var = _grid_values(modes, seps, times)             # (nt, n)
-    C = np.exp(-var / 2.0)
     span = dz * (n - 1)
-    return (C @ lag_w) / span**2
+
+    def values(times: np.ndarray) -> np.ndarray:
+        C = np.exp(-_grid_values(modes, seps, times) / 2.0)   # (nt, n)
+        return (C @ lag_w) / span**2
+
+    return values
 
 
-def contrast_trace(modes, length: float, times, dz: float | None = None,
-                   time_chunk: int = 64) -> ContrastTrace:
-    """Mean squared contrast C^2(t) for an observation window of size L.
+def _trapped_contrast_kernel(modes: LegendreModeSet, zg: np.ndarray):
+    """C^2(t) over the symmetric window grid ``zg`` from the half grid x >= 0.
 
-    The position grid step defaults to half the healing length, below
-    which the integral is converged at the 0.2% level.
+    With V = D_a + D_b - 2 G_ab, C_ab = exp(G_ab - h_a - h_b) where h = D/2.
+    Since f_j(-x) = (-1)^j f_j(x), G between two points of the half grid is
+    Ge + Go for equal signs and Ge - Go for opposite signs, with Ge and Go
+    the even- and odd-j parts of the mode sum.  Hence
+
+        sum_ab w_a w_b C_ab = 2 sum_{a,b>=0} u_a u_b
+                              [exp(Ge + Go - h_a - h_b) + exp(Ge - Go - h_a - h_b)]
+
+    with u = w on the half grid and the centre weight halved when the grid
+    has an odd number of points.  Ge and Go come from batched matrix
+    products over a block of times.  Every time goes through the same
+    per-time operations whatever the other times of the call, so a
+    single-time call is bit-equal to its entry in a bulk call.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    n = zg.size
+    m = (n + 1) // 2
+    step = zg[1] - zg[0]
+    span = zg[-1] - zg[0]
+    x = (np.arange(m) + (1 - n % 2) / 2.0) * step
+    f = legendre_f_table(modes.j_max, x / modes.radius)   # (J, m), rows j = 1..J
+    f_odd, f_even = f[0::2], f[1::2]
+    u = np.full(m, step)
+    u[-1] = step / 2.0
+    if n % 2:
+        u[0] = step / 2.0
+    omega = modes.omega_j
+    block = max(1, _CONTRAST_BLOCK_ELEMENTS // (m * m))
+
+    def values(times: np.ndarray) -> np.ndarray:
+        out = np.empty(times.size)
+        for start in range(0, times.size, block):
+            tt = times[start:start + block]
+            amp = modes.coefficient * np.sin(omega[None, :] * tt[:, None]) ** 2 / omega**2
+            ge = np.matmul(f_even.T, amp[:, 1::2, None] * f_even)   # (nt, m, m)
+            go = np.matmul(f_odd.T, amp[:, 0::2, None] * f_odd)
+            h = (np.diagonal(ge, axis1=1, axis2=2) + np.diagonal(go, axis1=1, axis2=2)) / 2.0
+            ge -= h[:, :, None]
+            ge -= h[:, None, :]
+            s = np.exp(ge + go)
+            ge -= go
+            s += np.exp(ge, out=ge)
+            out[start:start + block] = 2.0 * (np.matmul(s, u) * u).sum(axis=-1) / span**2
+        return out
+
+    return values
+
+
+@dataclass(frozen=True)
+class ContrastEvaluator:
+    """Mean squared contrast C^2(t) of one observation window.
+
+    Built once per (modes, window) by :func:`contrast_evaluator`; calling it
+    with an array of times returns C^2 at each of them.
+    """
+
+    length: float
+    regime: str
+    meta: dict
+    kernel: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, times) -> np.ndarray:
+        return self.kernel(np.atleast_1d(np.asarray(times, dtype=float)))
+
+    def trace(self, times) -> ContrastTrace:
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        return ContrastTrace(length=self.length, times=times, values=self.kernel(times),
+                             regime=self.regime, meta=dict(self.meta))
+
+
+def contrast_evaluator(modes, length: float, dz: float | None = None) -> ContrastEvaluator:
+    """Evaluator of C^2(t) for an observation window of size L.
+
+    The position grid step defaults to half the healing length (at the
+    cloud centre for trapped gases), below which the integral is converged
+    at the 0.2% level.  The window must fit inside the periodic box or the
+    cloud.
+    """
     if length <= 0:
         raise ConfigError("integration length must be strictly positive")
     if isinstance(modes, PlaneWaveModeSet):
+        if length > modes.L:
+            raise ConfigError(f"contrast window {length / 1e-6:.6g} um is longer than "
+                              f"the periodic box ({modes.L / 1e-6:.6g} um)")
         if dz is None:
             dz = modes.params.xi_h / 2.0
-        values = _homog_contrast_values(modes, length, times, dz)
-        regime = "homogeneous"
-        meta = {"dz": dz, "truncation": modes.p_max}
-    elif isinstance(modes, LegendreModeSet):
+        n = _window_points(length, dz)
+        return ContrastEvaluator(length, "homogeneous", {"dz": dz, "truncation": modes.p_max},
+                                 _homog_contrast_kernel(modes, n, dz))
+    if isinstance(modes, LegendreModeSet):
         R = modes.radius
         if length / 2.0 > R:
             raise ConfigError("integration region exceeds the cloud radius")
         if dz is None:
-            # half the healing length at the cloud centre
             dz = hbar / (modes.profile.mass * modes.profile.sound_speed_peak) / 2.0
-        n = int(round(length / dz)) + 1
-        zg = np.linspace(-length / 2.0, length / 2.0, n)
-        f = legendre_f_table(modes.j_max, zg / R)      # (J, n)
-        w = np.full(n, zg[1] - zg[0])
-        w[0] = w[-1] = (zg[1] - zg[0]) / 2.0
-        span = zg[-1] - zg[0]
-        values = np.empty(times.size)
-        for start in range(0, times.size, time_chunk):
-            tt = times[start:start + time_chunk]
-            amp = modes.coefficient * np.sin(modes.omega_j[None, :] * tt[:, None]) ** 2 / modes.omega_j**2
-            D = amp @ (f**2)                           # (nt, n)
-            G = np.einsum("tj,ja,jb->tab", amp, f, f, optimize=True)
-            V = D[:, :, None] + D[:, None, :] - 2.0 * G
-            C = np.exp(-V / 2.0)
-            values[start:start + time_chunk] = np.einsum("a,tab,b->t", w, C, w) / span**2
-        regime = modes.profile.kind
-        meta = {"dz": zg[1] - zg[0], "truncation": modes.j_max, "R_eff": R}
-    else:
-        raise ConfigError(f"unsupported mode set type: {type(modes).__name__}")
-    return ContrastTrace(length=length, times=times, values=values,
-                         regime=regime, meta=meta)
+        zg = np.linspace(-length / 2.0, length / 2.0, _window_points(length, dz))
+        return ContrastEvaluator(length, modes.profile.kind,
+                                 {"dz": zg[1] - zg[0], "truncation": modes.j_max, "R_eff": R},
+                                 _trapped_contrast_kernel(modes, zg))
+    raise ConfigError(f"unsupported mode set type: {type(modes).__name__}")
+
+
+def contrast_trace(modes, length: float, times, dz: float | None = None) -> ContrastTrace:
+    """Mean squared contrast C^2(t) for an observation window of size L.
+
+    One-shot form of :func:`contrast_evaluator`; build the evaluator once
+    instead when the same window is evaluated repeatedly.
+    """
+    return contrast_evaluator(modes, length, dz).trace(times)
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:

@@ -70,6 +70,13 @@ class SpeciesPreset:
 RB87 = SpeciesPreset(name="Rb87", mass=1.44316e-25, scattering_length=5.2e-9)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:      # an integer beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class TrapConfig:
     """User-facing description of one physical scenario.
@@ -91,6 +98,12 @@ class TrapConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "regime", Regime(self.regime))
+        for name in ("atomic_mass", "scattering_length", "omega_perp", "squeezing",
+                     "omega_long", "system_length", "atom_number_total",
+                     "peak_density_per_gas"):
+            value = getattr(self, name)
+            if value is not None and not _is_finite(value):
+                raise ConfigError(f"TrapConfig.{name} must be finite")
         for name in ("atomic_mass", "scattering_length", "omega_perp", "squeezing"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"TrapConfig.{name} must be strictly positive")

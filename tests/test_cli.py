@@ -407,3 +407,38 @@ def test_json_mirror_is_strict(homog_file, tmp_path):
     row = payload["rows"][0]
     assert row[payload["columns"].index("R_um")] is None   # homogeneous: no radius
     assert row[payload["columns"].index("c_mm_per_s")] == pytest.approx(1.75, rel=0.02)
+
+
+@pytest.mark.parametrize("command", ["contrast", "recurrence"])
+def test_contrast_window_longer_than_box_rejected(tmp_path, capsys, command):
+    # a window wider than the periodic box would wrap around it
+    path = tmp_path / "wide.yaml"
+    path.write_text(REF_HOMOG + "analysis:\n  contrast_lengths_um: [150.0]\n")
+    assert main([command, "--config", str(path), "--t-max", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "150 um" in err and "100 um" in err
+
+
+def test_contrast_tables_identical_across_threads_and_reruns(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import splitgas
+
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    src = str(Path(splitgas.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["contrast", "--preset", "fig8", "--t-max", "20"],
+                 ["recurrence", "--preset", "fig7"]):
+        tables = []
+        for run, threads in enumerate(["1", "2", "1"]):
+            out = tmp_path / f"{argv[0]}-{run}.csv"
+            subprocess.run([sys.executable, "-m", "splitgas.cli", *argv, "--out", str(out)],
+                           env={**env, "SPLITGAS_THREADS": threads}, cwd=tmp_path,
+                           timeout=300, check=True)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1] == tables[2], argv

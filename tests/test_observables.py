@@ -12,6 +12,7 @@ from splitgas import (
     DetectionError,
     build_modes,
     build_trapped_modes,
+    contrast_evaluator,
     contrast_trace,
     extract_front,
     fit_velocity,
@@ -24,7 +25,11 @@ from splitgas import (
 from splitgas.fields import FrontTrace, VarianceField
 from splitgas.homogeneous import pair_variance_field, variance_field
 from splitgas.observables import prethermal_pcf
-from splitgas.trapped import trapped_variance_field
+from splitgas.trapped import (
+    quasi1d_profile,
+    trapped_pair_variance_field,
+    trapped_variance_field,
+)
 
 
 # ---------------------------------------------------------------- pcf map
@@ -208,6 +213,74 @@ def test_contrast_ordering_in_length(trapped_modes):
 def test_contrast_window_exceeding_cloud(trapped_modes):
     with pytest.raises(ConfigError):
         contrast_trace(trapped_modes, 2.5 * trapped_modes.radius, [1e-3])
+
+
+@pytest.fixture(scope="module")
+def quasi1d_modes(quasi1d_config):
+    from splitgas import derive_params
+
+    params = derive_params(quasi1d_config)
+    return build_trapped_modes(quasi1d_profile(quasi1d_config, params), params)
+
+
+@pytest.mark.parametrize("regime", ["thomas_fermi", "quasi_1d"])
+@pytest.mark.parametrize("L,n", [(20e-6, 41), (20e-6, 42), (90e-6, 91), (90e-6, 92)])
+def test_contrast_evaluator_matches_dense_pair_field(trapped_modes, quasi1d_modes,
+                                                     regime, L, n):
+    """Parity-split kernel against the full (z, z') pair field on the same grid."""
+    modes = trapped_modes if regime == "thomas_fermi" else quasi1d_modes
+    ts = np.array([0.0, 1e-3, 7.5e-3, 60e-3, 202e-3])
+    evaluate = contrast_evaluator(modes, L, dz=L / (n - 1))
+    zg = np.linspace(-L / 2, L / 2, n)
+    field = trapped_pair_variance_field(modes, zg, zg, ts)
+    np.clip(field.values, 0.0, None, out=field.values)   # the diagonal rounds to ~-1e-15
+    corr = pcf(field)
+    dense = [mean_squared_contrast(corr, L, t) for t in ts]
+    np.testing.assert_allclose(evaluate(ts), dense, rtol=1e-12, atol=0)
+    assert evaluate(ts)[0] == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("L", [5e-6, 50e-6, 90e-6])
+def test_contrast_bulk_equals_single_time_calls(trapped_modes, L):
+    # recurrence refinement compares single-time values with bulk samples
+    ts = np.arange(0.0, 40e-3, 0.5e-3)       # several kernel blocks, a partial last one
+    evaluate = contrast_evaluator(trapped_modes, L)
+    bulk = evaluate(ts)
+    single = np.array([evaluate([t])[0] for t in ts])
+    assert np.array_equal(bulk, single)
+    assert np.array_equal(contrast_trace(trapped_modes, L, ts).values, bulk)
+
+
+def test_contrast_memory_bounded_per_window():
+    import tracemalloc
+
+    from splitgas import derive_params, tf_profile
+    from splitgas.scenario import preset_scenario
+
+    sc = preset_scenario("fig8")
+    params = derive_params(sc.config)
+    modes = build_trapped_modes(tf_profile(params), params, sc.j_max)
+    times = np.arange(0.0, 300.25e-3, 0.5e-3)
+    assert times.size == 601
+    tracemalloc.start()
+    try:
+        contrast_trace(modes, 90e-6, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_contrast_window_needs_two_grid_points(homog_modes, trapped_modes):
+    for modes in (homog_modes, trapped_modes):
+        with pytest.raises(ConfigError, match="fewer than 2 grid points"):
+            contrast_evaluator(modes, 1e-6, dz=3e-6)
+
+
+def test_contrast_window_longer_than_box(homog_modes):
+    contrast_evaluator(homog_modes, homog_modes.L)      # the whole ring is fine
+    with pytest.raises(ConfigError, match="periodic box"):
+        contrast_evaluator(homog_modes, 1.5 * homog_modes.L)
 
 
 # ------------------------------------------------------------ recurrences

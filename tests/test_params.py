@@ -225,3 +225,31 @@ def test_config_validation():
     with pytest.raises(ConfigError):  # non-positive dimensional field
         TrapConfig(**{**base, "omega_perp": -1.0}, atom_number_total=7000,
                    omega_long=1.0, regime="thomas_fermi")
+
+
+@pytest.mark.parametrize("trap", [
+    dict(atom_number_total=float("nan"), omega_long=2 * pi * 7.0, regime="thomas_fermi"),
+    dict(atom_number_total=7000.0, omega_long=float("inf"), regime="thomas_fermi"),
+    dict(atom_number_total=7000.0, omega_long=float("nan"), regime="quasi_1d"),
+    dict(atom_number_total=10**400, omega_long=2 * pi * 7.0, regime="thomas_fermi"),
+    dict(atomic_mass=float("nan"), peak_density_per_gas=46e6,
+         system_length=float("inf"), regime="homogeneous"),
+    dict(peak_density_per_gas=46e6, system_length=float("-inf"), regime="homogeneous"),
+    dict(squeezing=float("inf"), peak_density_per_gas=46e6, system_length=1e-4,
+         regime="homogeneous"),
+])
+def test_config_rejects_nonfinite(trap):
+    base = dict(atomic_mass=RB87.mass, scattering_length=RB87.scattering_length,
+                omega_perp=2 * pi * 1400.0)
+    with pytest.raises(ConfigError, match="finite"):
+        TrapConfig(**{**base, **trap})
+
+
+def test_config_zero_fields_stay_valid():
+    # omega_long = 0 (homogeneous) and system_length = 0 (trapped) are the defaults
+    base = dict(atomic_mass=RB87.mass, scattering_length=RB87.scattering_length,
+                omega_perp=2 * pi * 1400.0)
+    TrapConfig(**base, omega_long=0.0, peak_density_per_gas=46e6,
+               system_length=1e-4, regime="homogeneous")
+    TrapConfig(**base, omega_long=2 * pi * 7.0, atom_number_total=7000.0,
+               system_length=0.0, regime="thomas_fermi")
