@@ -238,10 +238,23 @@ def _front_for_system(params, modes, fit_window, homogeneous: bool, L=None):
         raise DetectionError("no correlation front detected "
                              f"(diagnostics: {trace.diagnostics})")
     fit = fit_velocity(trace, fit_window)
+    # a front that stands still (e.g. a truncation too coarse to carry one)
+    # fits a rounding-level slope; report it instead of a velocity
+    fitted = f"fitted front velocity {fit.speed / 1e-3:.6g} mm/s"
+    if not fit.speed > 0.0:
+        raise DetectionError(f"{fitted} is not positive")
+    sel = (trace.times > fit_window[0]) & (trace.times <= fit_window[1])
+    travel = float(np.ptp(trace.positions[sel]))
+    if travel < z[1] - z[0]:
+        raise DetectionError(
+            f"{fitted}: the detected front moves {travel / UM:.3g} um over the fit "
+            f"window, less than one grid step ({(z[1] - z[0]) / UM:.3g} um)")
     return trace, fit
 
 
 def _cmd_front(sc, args) -> int:
+    from dataclasses import replace
+
     from .params import derive_params
     from .tables import ResultTable
 
@@ -260,8 +273,7 @@ def _cmd_front(sc, args) -> int:
         for n_total in sc.scan_atom_numbers:
             cfg = sc.config.with_atom_number(n_total)
             params = derive_params(cfg)
-            scn = type(sc)(raw=sc.raw, config=cfg, j_max=sc.j_max)
-            profile, modes = _trapped_model(scn, params)
+            profile, modes = _trapped_model(replace(sc, config=cfg), params)
             trace, fit = _front_for_system(params, modes, sc.fit_window, False)
             prov_extra.append(
                 (f"velocity_N{int(n_total)}_mm_per_s", format(fit.speed / 1e-3, ".12g")))
@@ -297,40 +309,32 @@ def _cmd_front(sc, args) -> int:
 
 
 def _cmd_front_compare(sc, args) -> int:
+    from dataclasses import replace
+
     from .errors import ConfigError
-    from .params import Regime, TrapConfig, derive_params
-    from .scenario import Scenario
+    from .params import Regime, derive_params
     from .tables import ResultTable
 
     if not sc.config.regime.trapped:
         raise ConfigError("analysis.compare_regimes requires a trapped scenario")
     base = sc.config
-    params_tf = derive_params(
-        TrapConfig(base.atomic_mass, base.scattering_length, base.omega_perp,
-                   base.omega_long, base.atom_number_total,
-                   base.peak_density_per_gas, 0.0, base.squeezing,
-                   Regime.THOMAS_FERMI))
+    cfg_tf = replace(base, system_length=0.0, regime=Regime.THOMAS_FERMI)
+    params_tf = derive_params(cfg_tf)
     # homogeneous twin at the trapped peak density, box wide enough for the fit
     L_box = max(8.0 * params_tf.R, 400e-6)
-    cfg_h = TrapConfig(base.atomic_mass, base.scattering_length, base.omega_perp,
-                       0.0, None, params_tf.n_peak, L_box, base.squeezing,
-                       Regime.HOMOGENEOUS)
+    cfg_h = replace(base, omega_long=0.0, atom_number_total=None,
+                    peak_density_per_gas=params_tf.n_peak, system_length=L_box,
+                    regime=Regime.HOMOGENEOUS)
     params_h = derive_params(cfg_h)
-    sc_h = Scenario(raw=sc.raw, config=cfg_h, p_max=sc.p_max)
-    modes_h = _homogeneous_modes(sc_h, params_h)
+    modes_h = _homogeneous_modes(replace(sc, config=cfg_h), params_h)
     _, fit_h = _front_for_system(params_h, modes_h, sc.fit_window, True, L=L_box)
 
-    sc_tf = Scenario(raw=sc.raw, config=params_tf.config, j_max=sc.j_max)
-    _, modes_tf = _trapped_model(sc_tf, params_tf)
+    _, modes_tf = _trapped_model(replace(sc, config=cfg_tf), params_tf)
     _, fit_tf = _front_for_system(params_tf, modes_tf, sc.fit_window, False)
 
-    cfg_q = TrapConfig(base.atomic_mass, base.scattering_length, base.omega_perp,
-                       base.omega_long, base.atom_number_total,
-                       base.peak_density_per_gas, 0.0, base.squeezing,
-                       Regime.QUASI_1D)
+    cfg_q = replace(base, system_length=0.0, regime=Regime.QUASI_1D)
     params_q = derive_params(cfg_q)
-    sc_q = Scenario(raw=sc.raw, config=cfg_q, j_max=sc.j_max)
-    _, modes_q = _trapped_model(sc_q, params_q)
+    _, modes_q = _trapped_model(replace(sc, config=cfg_q), params_q)
     _, fit_q = _front_for_system(params_q, modes_q, sc.fit_window, False)
 
     columns = ["velocity_homogeneous_mm_per_s", "velocity_thomas_fermi_mm_per_s",

@@ -47,9 +47,16 @@ __all__ = [
 DEFAULT_FIT_WINDOW = (0.0, 10e-3)
 DEFAULT_PROMINENCE_REL = 0.25
 EDGE_SEARCH_FRACTION = 0.9   # trapped fronts are searched for within 0.9 R
-# time samples per block of the trapped contrast kernel: about this many
-# float64 values (4 MB) per (block, m, m) temporary
-_CONTRAST_BLOCK_ELEMENTS = 2**19
+# The trapped contrast kernel cuts the upper triangle of its m x m half grid
+# into row panels of equal height, at most this many rows each.  More panels
+# waste less of the diagonal squares but add per-call overhead, which the
+# single-time calls of recurrence refinement feel.
+_CONTRAST_PANEL_ROWS = 48
+# time samples per kernel block: at most about this many float64 values
+# (512 kB) per even-j operand (block x (J/2 + 2) x m) and per panel
+# temporary (block x panel height x m), so a panel's working set stays in
+# L2.  Fewer, larger blocks cut the per-block interpreter work.
+_CONTRAST_PANEL_ELEMENTS = 2**16
 
 
 def pcf(variance):
@@ -354,10 +361,18 @@ def _trapped_contrast_kernel(modes: LegendreModeSet, zg: np.ndarray):
                               [exp(Ge + Go - h_a - h_b) + exp(Ge - Go - h_a - h_b)]
 
     with u = w on the half grid and the centre weight halved when the grid
-    has an odd number of points.  Ge and Go come from batched matrix
-    products over a block of times.  Every time goes through the same
-    per-time operations whatever the other times of the call, so a
-    single-time call is bit-equal to its entry in a bulk call.
+    has an odd number of points.  The summand is symmetric in (a, b), so
+    only the upper triangle a <= b is evaluated, cut into row panels
+    [a0, a1) x [a0, m) of equal height: the square [a0, a1)^2 on the
+    diagonal carries the weights u_a u_b, the rectangle to its right
+    2 u_a u_b.  Per panel and block of times, Ge - h_a - h_b comes from one
+    batched matrix product whose operands carry two extra rows,
+    [amp f_e(a), 1, -h_a] . [f_e(b), -h_b, 1], and Go from a second; h is
+    half the mode sum of amp f^2.  The panel split and the time block
+    depend on the grid and mode counts only, never on the number of times,
+    so every time goes through the same per-time operations whatever the
+    other times of the call, and a single-time call is bit-equal to its
+    entry in a bulk call.
     """
     n = zg.size
     m = (n + 1) // 2
@@ -366,27 +381,52 @@ def _trapped_contrast_kernel(modes: LegendreModeSet, zg: np.ndarray):
     x = (np.arange(m) + (1 - n % 2) / 2.0) * step
     f = legendre_f_table(modes.j_max, x / modes.radius)   # (J, m), rows j = 1..J
     f_odd, f_even = f[0::2], f[1::2]
+    f2 = f * f
+    je = f_even.shape[0]
     u = np.full(m, step)
     u[-1] = step / 2.0
     if n % 2:
         u[0] = step / 2.0
     omega = modes.omega_j
-    block = max(1, _CONTRAST_BLOCK_ELEMENTS // (m * m))
+    count = -(-m // _CONTRAST_PANEL_ROWS)
+    height = -(-m // count)
+    block = max(1, _CONTRAST_PANEL_ELEMENTS // (max(height, je + 2) * m))
+    panels = []   # (a0, a1, even rows, odd rows, odd columns, weights)
+    for a0 in range(0, m, height):
+        a1 = min(a0 + height, m)
+        w = u[a0:a1, None] * u[a0:]
+        w[:, a1 - a0:] *= 2.0
+        panels.append((a0, a1, f_even[:, a0:a1].T, f_odd[:, a0:a1].T, f_odd[:, a0:],
+                       w.ravel()))
 
     def values(times: np.ndarray) -> np.ndarray:
         out = np.empty(times.size)
+        nb = min(block, times.size)
+        left = np.empty((nb, height, je + 2))
+        left[..., je] = 1.0
+        right = np.empty((nb, je + 2, m))
+        right[:, :je] = f_even
+        right[:, je + 1] = 1.0
         for start in range(0, times.size, block):
             tt = times[start:start + block]
+            k = tt.size
             amp = modes.coefficient * np.sin(omega[None, :] * tt[:, None]) ** 2 / omega**2
-            ge = np.matmul(f_even.T, amp[:, 1::2, None] * f_even)   # (nt, m, m)
-            go = np.matmul(f_odd.T, amp[:, 0::2, None] * f_odd)
-            h = (np.diagonal(ge, axis1=1, axis2=2) + np.diagonal(go, axis1=1, axis2=2)) / 2.0
-            ge -= h[:, :, None]
-            ge -= h[:, None, :]
-            s = np.exp(ge + go)
-            ge -= go
-            s += np.exp(ge, out=ge)
-            out[start:start + block] = 2.0 * (np.matmul(s, u) * u).sum(axis=-1) / span**2
+            mh = np.matmul(amp[:, None, :], f2)[:, 0] / -2.0            # -h, (k, m)
+            right[:k, je] = mh
+            amp_e, amp_o = amp[:, None, 1::2], amp[:, None, 0::2]
+            acc = np.zeros(k)
+            for a0, a1, fe_rows, fo_rows, fo_cols, w in panels:
+                lt = left[:k, :a1 - a0]
+                np.multiply(amp_e, fe_rows, out=lt[..., :je])
+                lt[..., je + 1] = mh[:, a0:a1]
+                e = np.matmul(lt, right[:k, :, a0:])                    # Ge - h_a - h_b
+                go = np.matmul(amp_o * fo_rows, fo_cols)
+                s = np.add(e, go)
+                np.exp(s, out=s)
+                e -= go
+                s += np.exp(e, out=e)
+                acc += np.matmul(s.reshape(k, 1, -1), w)[:, 0]
+            out[start:start + k] = 2.0 * acc / span**2
         return out
 
     return values

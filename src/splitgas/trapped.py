@@ -379,7 +379,9 @@ def trapped_pair_variance_field(
 
     Uses variance(z, z') = D(z) + D(z') - 2 G(z, z') with D the mode-summed
     diagonal and G the mode-summed cross term, one matrix product per time
-    chunk.
+    chunk.  The variance is a sum of non-negative terms
+    amp_j (f_j(z) - f_j(z'))^2, but D + D' - 2G rounds to about -1e-15
+    where z = z'; such negatives are clamped to 0.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     zprime = np.atleast_1d(np.asarray(zprime, dtype=float))
@@ -396,7 +398,8 @@ def trapped_pair_variance_field(
         Dz = amp @ (fz**2)                             # (nt, nz)
         Dzp = amp @ (fzp**2)                           # (nt, nzp)
         G = np.einsum("tj,ja,jb->tab", amp, fz, fzp, optimize=True)
-        values[start:start + time_chunk] = Dz[:, :, None] + Dzp[:, None, :] - 2.0 * G
+        np.maximum(Dz[:, :, None] + Dzp[:, None, :] - 2.0 * G, 0.0,
+                   out=values[start:start + time_chunk])
     return PairVarianceField(
         z=z, zprime=zprime, times=times, values=values,
         regime=modes.profile.kind, truncation=modes.j_max,

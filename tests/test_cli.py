@@ -138,6 +138,35 @@ def test_front_homogeneous_velocity(homog_file, tmp_path):
     assert v == pytest.approx(2 * c_mm, rel=0.02)
 
 
+def test_front_without_spreading_is_a_detection_failure(tmp_path, capsys):
+    # a single plane-wave mode carries no front: every detection sits at the
+    # same point and the fitted slope is rounding dust (-3.7e-13 mm/s)
+    path = tmp_path / "pmax1.yaml"
+    path.write_text(REF_HOMOG + "truncation:\n  p_max: 1\n")
+    out = tmp_path / "front.csv"
+    assert main(["front", "--config", str(path), "--out", str(out)]) == 4
+    assert "fitted front velocity -3.7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_front_moving_less_than_a_grid_step_is_a_detection_failure(
+        homog_file, monkeypatch, capsys):
+    import splitgas.observables as observables
+    from splitgas.fields import FrontTrace
+
+    def creeping_front(field):
+        ts = field.times
+        dz = field.positions[1] - field.positions[0]
+        return FrontTrace(times=ts, positions=20e-6 + 0.5 * dz * ts / ts[-1],
+                          method="mixed_derivative", smoothing_sigma=dz,
+                          prominence_rel=0.25)
+
+    monkeypatch.setattr(observables, "extract_front", creeping_front)
+    assert main(["front", "--config", homog_file]) == 4
+    err = capsys.readouterr().err
+    assert "fitted front velocity 0.00" in err and "less than one grid step" in err
+
+
 def test_front_atom_number_scan(tmp_path):
     doc = REF_TRAPPED + "analysis:\n  scan_atom_numbers: [3000, 6000, 9000]\n"
     cfg = tmp_path / "scan.yaml"

@@ -24,7 +24,7 @@ from splitgas import (
 )
 from splitgas.fields import FrontTrace, VarianceField
 from splitgas.homogeneous import pair_variance_field, variance_field
-from splitgas.observables import prethermal_pcf
+from splitgas.observables import _CONTRAST_PANEL_ROWS, prethermal_pcf
 from splitgas.trapped import (
     quasi1d_profile,
     trapped_pair_variance_field,
@@ -224,27 +224,45 @@ def quasi1d_modes(quasi1d_config):
 
 
 @pytest.mark.parametrize("regime", ["thomas_fermi", "quasi_1d"])
-@pytest.mark.parametrize("L,n", [(20e-6, 41), (20e-6, 42), (90e-6, 91), (90e-6, 92)])
+@pytest.mark.parametrize("L,n", [(20e-6, 41), (20e-6, 42), (90e-6, 91), (90e-6, 92),
+                                 (50e-6, None), (90e-6, None)])
 def test_contrast_evaluator_matches_dense_pair_field(trapped_modes, quasi1d_modes,
                                                      regime, L, n):
-    """Parity-split kernel against the full (z, z') pair field on the same grid."""
+    """Triangle-panel kernel against the full (z, z') pair field on the same grid.
+
+    ``n=None`` takes the default grid step.  Those grids span several row
+    panels: n = 242/435 (Thomas-Fermi) and 211/380 (quasi-1D) points, odd and
+    even, and none of their half grids splits evenly into the panels.
+    """
     modes = trapped_modes if regime == "thomas_fermi" else quasi1d_modes
     ts = np.array([0.0, 1e-3, 7.5e-3, 60e-3, 202e-3])
-    evaluate = contrast_evaluator(modes, L, dz=L / (n - 1))
+    t0_tol = 1e-14
+    if n is None:
+        evaluate = contrast_evaluator(modes, L)
+        n = round(L / evaluate.meta["dz"]) + 1
+        assert (n + 1) // 2 > _CONTRAST_PANEL_ROWS
+        # a step that does not divide L exactly: zg[1] - zg[0] carries a
+        # cancellation error of ~1e-14 relative, and C^2(0) = 1 only to that level
+        t0_tol = 1e-13
+    else:
+        evaluate = contrast_evaluator(modes, L, dz=L / (n - 1))
     zg = np.linspace(-L / 2, L / 2, n)
     field = trapped_pair_variance_field(modes, zg, zg, ts)
-    np.clip(field.values, 0.0, None, out=field.values)   # the diagonal rounds to ~-1e-15
+    assert field.values.min() >= 0.0
     corr = pcf(field)
     dense = [mean_squared_contrast(corr, L, t) for t in ts]
     np.testing.assert_allclose(evaluate(ts), dense, rtol=1e-12, atol=0)
-    assert evaluate(ts)[0] == pytest.approx(1.0, abs=1e-14)
+    assert evaluate(ts)[0] == pytest.approx(1.0, abs=t0_tol)
 
 
-@pytest.mark.parametrize("L", [5e-6, 50e-6, 90e-6])
+@pytest.mark.parametrize("L", [5e-6, 20e-6, 50e-6, 90e-6])
 def test_contrast_bulk_equals_single_time_calls(trapped_modes, L):
     # recurrence refinement compares single-time values with bulk samples
     ts = np.arange(0.0, 40e-3, 0.5e-3)       # several kernel blocks, a partial last one
     evaluate = contrast_evaluator(trapped_modes, L)
+    m = (round(L / evaluate.meta["dz"]) + 2) // 2      # half-grid points
+    panels = {5e-6: 1, 20e-6: 2, 50e-6: 3, 90e-6: 5}[L]
+    assert -(-m // _CONTRAST_PANEL_ROWS) == panels
     bulk = evaluate(ts)
     single = np.array([evaluate([t])[0] for t in ts])
     assert np.array_equal(bulk, single)
@@ -268,7 +286,7 @@ def test_contrast_memory_bounded_per_window():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_contrast_window_needs_two_grid_points(homog_modes, trapped_modes):
