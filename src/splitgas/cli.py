@@ -105,13 +105,12 @@ def _analysis_length(sc, params) -> float:
     return sc.config.system_length
 
 
-def _homogeneous_modes(sc, params):
-    from .homogeneous import build_modes
+def _modes(sc, params):
+    """The mode basis of the scenario's geometry."""
+    if not sc.config.regime.trapped:
+        from .homogeneous import build_modes
 
-    return build_modes(params, sc.config.system_length, sc.p_max)
-
-
-def _trapped_model(sc, params, j_max=None):
+        return build_modes(params, sc.config.system_length, sc.p_max)
     from .params import Regime
     from .trapped import build_trapped_modes, quasi1d_profile, tf_profile
 
@@ -119,7 +118,7 @@ def _trapped_model(sc, params, j_max=None):
         profile = quasi1d_profile(sc.config, params)
     else:
         profile = tf_profile(params)
-    return profile, build_trapped_modes(profile, params, j_max or sc.j_max)
+    return build_trapped_modes(profile, params, sc.j_max)
 
 
 def _cmd_params(sc, args) -> int:
@@ -175,35 +174,24 @@ def _pcf_grids(sc, params, modes, args):
 
 
 def _cmd_pcf(sc, args) -> int:
+    from .modes import variance_field
     from .observables import pcf
     from .params import derive_params
     from .tables import ResultTable
 
     params = derive_params(sc.config)
-    if sc.config.regime.trapped:
-        profile, modes = _trapped_model(sc, params)
-        z, times = _pcf_grids(sc, params, modes, args)
-        from .trapped import trapped_variance_field
-
-        field = trapped_variance_field(modes, z, times, zprime=0.0,
-                                       check_convergence=True)
-        pos_name = "z_um"
-        trunc = ("truncation", f"j_max={modes.j_max}")
-    else:
-        modes = _homogeneous_modes(sc, params)
-        z, times = _pcf_grids(sc, params, modes, args)
-        from .homogeneous import variance_field
-
-        field = variance_field(modes, z, times, check_convergence=True)
-        pos_name = "zbar_um"
-        trunc = ("truncation", f"p_max={modes.p_max}")
+    modes = _modes(sc, params)
+    z, times = _pcf_grids(sc, params, modes, args)
+    field = variance_field(modes, z, times, check_convergence=True)
+    trapped = sc.config.regime.trapped
     corr = pcf(field)
-    columns = [pos_name] + [f"C_t{_fmt_ms(t)}ms" for t in times]
+    columns = ["z_um" if trapped else "zbar_um"] + [f"C_t{_fmt_ms(t)}ms" for t in times]
     rows = [[z[i] / UM] + [corr.values[j, i] for j in range(len(times))]
             for i in range(len(z))]
     table = ResultTable(columns, rows, _provenance(
-        "pcf", sc, [("regime", sc.config.regime.value), trunc,
-                    ("zprime_um", "0" if sc.config.regime.trapped else "-"),
+        "pcf", sc, [("regime", sc.config.regime.value),
+                    ("truncation", f"{modes.truncation_name}={modes.truncation}"),
+                    ("zprime_um", "0" if trapped else "-"),
                     ("truncation_doubling_rel",
                      format(field.meta["doubling_dev"], ".3g")),
                     ("truncation_converged", str(field.converged).lower())]))
@@ -211,28 +199,24 @@ def _cmd_pcf(sc, args) -> int:
     return EXIT_OK
 
 
-def _front_for_system(params, modes, fit_window, homogeneous: bool, L=None):
+def _front_for_system(modes, fit_window):
     import numpy as np
 
     from .errors import DetectionError
-    from .homogeneous import variance_field
+    from .modes import variance_field
     from .observables import extract_front, fit_velocity
-    from .params import hbar, pi
-    from .trapped import trapped_variance_field
+    from .params import pi
 
     t_hi = fit_window[1]
     dt = (pi / modes.omega_max) / 20.0
     times = np.arange(dt, t_hi + 0.5 * dt, dt)
-    if homogeneous:
-        xi_h = params.xi_h
-        z_hi = min(0.45 * L, 2.0 * params.c * t_hi * 1.4 + 20.0 * xi_h)
-        z = np.arange(0.0, z_hi, xi_h / 4.0)
-        field = variance_field(modes, z, times)
+    xi_h = modes.xi_h
+    if modes.regime == "homogeneous":
+        z_hi = min(0.45 * modes.L, 2.0 * modes.params.c * t_hi * 1.4 + 20.0 * xi_h)
     else:
-        c_peak = modes.profile.sound_speed_peak
-        xi_h = hbar / (params.mass * c_peak)
-        z = np.arange(0.0, 0.985 * modes.radius, xi_h / 4.0)
-        field = trapped_variance_field(modes, z, times)
+        z_hi = 0.985 * modes.radius
+    field = variance_field(modes, np.arange(0.0, z_hi, xi_h / 4.0), times)
+    z = field.positions
     trace = extract_front(field)
     if len(trace) == 0:
         raise DetectionError("no correlation front detected "
@@ -273,8 +257,8 @@ def _cmd_front(sc, args) -> int:
         for n_total in sc.scan_atom_numbers:
             cfg = sc.config.with_atom_number(n_total)
             params = derive_params(cfg)
-            profile, modes = _trapped_model(replace(sc, config=cfg), params)
-            trace, fit = _front_for_system(params, modes, sc.fit_window, False)
+            modes = _modes(replace(sc, config=cfg), params)
+            trace, fit = _front_for_system(modes, sc.fit_window)
             prov_extra.append(
                 (f"velocity_N{int(n_total)}_mm_per_s", format(fit.speed / 1e-3, ".12g")))
             half = modes.radius / 2.0
@@ -284,20 +268,13 @@ def _cmd_front(sc, args) -> int:
         _emit(table, args)
         return EXIT_OK
 
-    params = derive_params(sc.config)
+    modes = _modes(sc, derive_params(sc.config))
+    trace, fit = _front_for_system(modes, sc.fit_window)
+    columns = ["t_ms", "zc_um"]
+    rows = [[t / MS, zc / UM] for t, zc in zip(trace.times, trace.positions)]
     if sc.config.regime.trapped:
-        profile, modes = _trapped_model(sc, params)
-        trace, fit = _front_for_system(params, modes, sc.fit_window, False)
-        half = modes.radius / 2.0
-        columns = ["t_ms", "zc_um", "R_half_um"]
-        rows = [[t / MS, zc / UM, half / UM]
-                for t, zc in zip(trace.times, trace.positions)]
-    else:
-        modes = _homogeneous_modes(sc, params)
-        trace, fit = _front_for_system(params, modes, sc.fit_window, True,
-                                       L=sc.config.system_length)
-        columns = ["t_ms", "zc_um"]
-        rows = [[t / MS, zc / UM] for t, zc in zip(trace.times, trace.positions)]
+        columns.append("R_half_um")
+        rows = [row + [modes.radius / 2.0 / UM] for row in rows]
     prov_extra.extend([
         ("velocity_mm_per_s", format(fit.speed / 1e-3, ".12g")),
         ("velocity_residual_rms_um", format(fit.residual_rms / UM, ".12g")),
@@ -326,16 +303,11 @@ def _cmd_front_compare(sc, args) -> int:
                     peak_density_per_gas=params_tf.n_peak, system_length=L_box,
                     regime=Regime.HOMOGENEOUS)
     params_h = derive_params(cfg_h)
-    modes_h = _homogeneous_modes(replace(sc, config=cfg_h), params_h)
-    _, fit_h = _front_for_system(params_h, modes_h, sc.fit_window, True, L=L_box)
-
-    _, modes_tf = _trapped_model(replace(sc, config=cfg_tf), params_tf)
-    _, fit_tf = _front_for_system(params_tf, modes_tf, sc.fit_window, False)
-
+    _, fit_h = _front_for_system(_modes(replace(sc, config=cfg_h), params_h), sc.fit_window)
+    _, fit_tf = _front_for_system(_modes(replace(sc, config=cfg_tf), params_tf), sc.fit_window)
     cfg_q = replace(base, system_length=0.0, regime=Regime.QUASI_1D)
-    params_q = derive_params(cfg_q)
-    _, modes_q = _trapped_model(replace(sc, config=cfg_q), params_q)
-    _, fit_q = _front_for_system(params_q, modes_q, sc.fit_window, False)
+    modes_q = _modes(replace(sc, config=cfg_q), derive_params(cfg_q))
+    _, fit_q = _front_for_system(modes_q, sc.fit_window)
 
     columns = ["velocity_homogeneous_mm_per_s", "velocity_thomas_fermi_mm_per_s",
                "velocity_quasi_1d_mm_per_s", "sound_speed_mm_per_s"]
@@ -363,23 +335,13 @@ def _contrast_times(sc, args):
     return np.arange(0.0, t_max + 0.25 * MS, 0.5 * MS)
 
 
-def _contrast_model(sc):
-    from .params import derive_params
-
-    params = derive_params(sc.config)
-    if sc.config.regime.trapped:
-        _, modes = _trapped_model(sc, params)
-    else:
-        modes = _homogeneous_modes(sc, params)
-    return params, modes
-
-
 def _cmd_recurrence(sc, args) -> int:
     from .errors import DetectionError
     from .observables import contrast_evaluator, recurrence_scan
+    from .params import derive_params
     from .tables import ResultTable
 
-    params, modes = _contrast_model(sc)
+    modes = _modes(sc, derive_params(sc.config))
     length = sc.contrast_lengths[0] if sc.contrast_lengths else 50e-6
     times = _contrast_times(sc, args)
     contrast = contrast_evaluator(modes, length)
@@ -401,9 +363,10 @@ def _cmd_recurrence(sc, args) -> int:
 
 def _cmd_contrast(sc, args) -> int:
     from .observables import contrast_trace
+    from .params import derive_params
     from .tables import ResultTable
 
-    params, modes = _contrast_model(sc)
+    modes = _modes(sc, derive_params(sc.config))
     lengths = sc.contrast_lengths or [50e-6]
     times = _contrast_times(sc, args)
     traces = [contrast_trace(modes, L, times) for L in lengths]
@@ -444,11 +407,11 @@ def _cmd_squeezing_map(sc, args) -> int:
 def _cmd_oracle(sc, args) -> int:
     import numpy as np
 
-    from .homogeneous import recurrence_time, variance_field
+    from .homogeneous import recurrence_time
+    from .modes import variance_field
     from .oracle import EnsembleSpec, estimate_pcf
     from .params import derive_params
     from .tables import ResultTable
-    from .trapped import trapped_variance_field
 
     params = derive_params(sc.config)
     realizations = (args.realizations if args.realizations is not None
@@ -456,32 +419,24 @@ def _cmd_oracle(sc, args) -> int:
     seed = args.seed if args.seed is not None else sc.oracle_seed
     spec = EnsembleSpec(realizations=realizations, master_seed=seed,
                         include_initial_phase_noise=sc.oracle_phase_noise)
+    modes = _modes(sc, params)
     if sc.config.regime.trapped:
-        _, modes = _trapped_model(sc, params)
-        R = modes.radius
-        z = sc.oracle_zbar if sc.oracle_zbar is not None \
-            else R * np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75])
-        times = sc.oracle_times if sc.oracle_times is not None \
-            else np.array([1.0, 2.0, 4.0, 6.0, 10.0]) * MS
-        analytic_field = trapped_variance_field(modes, z, times)
-        pos_name = "z_um"
+        z = modes.radius * np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75])
+        times = np.array([1.0, 2.0, 4.0, 6.0, 10.0]) * MS
     else:
-        modes = _homogeneous_modes(sc, params)
-        L = sc.config.system_length
-        z = sc.oracle_zbar if sc.oracle_zbar is not None \
-            else L * np.array([0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20, 0.25])
-        t_rev = recurrence_time(L, params.c)
-        times = sc.oracle_times if sc.oracle_times is not None \
-            else t_rev * np.array([0.04, 0.08, 0.12, 0.20, 0.30])
-        analytic_field = variance_field(modes, z, times)
-        pos_name = "zbar_um"
+        z = modes.L * np.array([0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20, 0.25])
+        times = recurrence_time(modes.L, params.c) * np.array([0.04, 0.08, 0.12, 0.20, 0.30])
+    z = sc.oracle_zbar if sc.oracle_zbar is not None else z
+    times = sc.oracle_times if sc.oracle_times is not None else times
+    analytic_field = variance_field(modes, z, times)
     stats = estimate_pcf(spec, modes, z, times, zprime=0.0)
     analytic = np.exp(-analytic_field.values / 2.0)
     se, imag_se = stats.stderr, stats.imag_stderr
     z_score = np.zeros_like(se)
     np.divide(stats.mean - analytic, se, out=z_score, where=se > 0)
     imag_z = np.abs(stats.imag_mean[imag_se > 0] / imag_se[imag_se > 0])
-    columns = [pos_name, "t_ms", "C_analytic", "C_mc", "stderr", "z_score"]
+    columns = ["z_um" if sc.config.regime.trapped else "zbar_um", "t_ms", "C_analytic",
+               "C_mc", "stderr", "z_score"]
     rows = [[z[iz] / UM, times[it] / MS, analytic[it, iz], stats.mean[it, iz],
              se[it, iz], z_score[it, iz]]
             for it in range(len(times)) for iz in range(len(z))]

@@ -26,8 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
-from .fields import PairVarianceField, VarianceField
+from . import modes as basis
+from .errors import ConfigError
+from .fields import VarianceField
+from .modes import CONVERGENCE_RTOL, ModeBasis, pair_variance_field
 from .params import PhysicalParams, hbar, k_B, pi
 
 __all__ = [
@@ -47,16 +49,14 @@ __all__ = [
     "convergence_check",
 ]
 
-#: relative tolerance of the truncation doubling test
-CONVERGENCE_RTOL = 5e-3
-
 
 @dataclass(frozen=True)
-class PlaneWaveModeSet:
+class PlaneWaveModeSet(ModeBasis):
     """Discrete plane-wave excitation basis of a box of size L.
 
     Arrays hold the positive-k half of the spectrum; the mirror modes are
-    folded into the prefactor of every mode sum.
+    folded into the prefactor of every mode sum.  Positions are
+    separations zbar = z - z'.
     """
 
     params: PhysicalParams
@@ -68,13 +68,46 @@ class PlaneWaveModeSet:
     occupation: np.ndarray  # (p_max,), k_B*T_eff/(hbar*omega_k)
     prefactor: float        # 2*pi^2*n*xi_n^2 / (L*K^2)
 
-    @property
-    def omega_max(self) -> float:
-        return float(self.omega[-1])
+    truncation_name = "p_max"
+    regime = "homogeneous"
+    time_norm = 1.0
 
     @property
-    def xi_n2(self) -> float:
-        return self.params.squeezing
+    def coefficient(self) -> float:
+        return self.prefactor
+
+    @property
+    def xi_h(self) -> float:
+        return self.params.xi_h
+
+    @property
+    def synthesis_scale(self) -> float:
+        """sqrt(2/L): the 2/sqrt(L) of the field expansion, with half the
+        variance on each of the independent real and imaginary parts."""
+        return 2.0 / np.sqrt(self.L) / np.sqrt(2.0)
+
+    def pair_terms(self, z, zprime) -> np.ndarray:
+        """(1 - cos(k zbar))/k^2 at zbar = |z - z'|, shape (modes, *points)."""
+        zbar = np.abs(z - zprime)
+        return np.moveaxis((1.0 - np.cos(self.k * zbar[..., None])) / self.k**2, -1, 0)
+
+    def functions(self, points) -> np.ndarray:
+        """(cos kz, -sin kz) per mode, shape (modes, 2, points)."""
+        kz = self.k[:, None] * points[None, :]
+        return np.stack([np.cos(kz), -np.sin(kz)], axis=1)
+
+    def check_points(self, points) -> None:
+        if np.any(np.abs(points) > self.L):
+            raise ConfigError(
+                f"separation {np.max(np.abs(points)) / 1e-6:.6g} um exceeds the "
+                f"periodic box ({self.L / 1e-6:.6g} um)")
+
+    def doubled(self) -> "PlaneWaveModeSet":
+        return build_modes(self.params, self.L, 2 * self.p_max)
+
+    def field_meta(self) -> dict:
+        p = self.params
+        return {"c": p.c, "l0": p.l0, "xi_h": self.xi_h, "L": self.L, "xi_n2": p.squeezing}
 
     def phi_amplitude(self) -> np.ndarray:
         """|phase amplitude| per unit initial density amplitude, pi/(k*K)."""
@@ -125,11 +158,6 @@ def build_modes(params: PhysicalParams, L: float, p_max: int | None = None) -> P
     )
 
 
-def _mode_sum(weights_t: np.ndarray, weights_z: np.ndarray) -> np.ndarray:
-    # weights_t: (..., P), weights_z: (..., P) broadcastable; sum over modes
-    return np.sum(weights_t * weights_z, axis=-1)
-
-
 def phase_variance(zbar, t, modes: PlaneWaveModeSet):
     """Two-point relative-phase variance <(phi(z) - phi(z'))^2> at zbar = z - z'.
 
@@ -137,12 +165,7 @@ def phase_variance(zbar, t, modes: PlaneWaveModeSet):
     so the symmetry is exact to the bit), non-negative term by term, and
     exactly zero at zbar = 0 and at multiples of the recurrence time.
     """
-    zbar = np.abs(np.asarray(zbar, dtype=float))
-    t = np.asarray(t, dtype=float)
-    s2 = np.sin(modes.omega * t[..., None]) ** 2
-    w = (1.0 - np.cos(modes.k * zbar[..., None])) / modes.k**2
-    out = modes.prefactor * _mode_sum(s2, w)
-    return out if out.ndim else float(out)
+    return basis.pointwise_variance(zbar, 0.0, t, modes)
 
 
 def phase_covariance(zbar, t, modes: PlaneWaveModeSet):
@@ -158,7 +181,7 @@ def phase_covariance(zbar, t, modes: PlaneWaveModeSet):
     t = np.asarray(t, dtype=float)
     s2 = np.sin(modes.omega * t[..., None]) ** 2
     w = np.cos(modes.k * zbar[..., None]) / modes.k**2
-    out = 0.5 * modes.prefactor * _mode_sum(s2, w)
+    out = 0.5 * modes.prefactor * np.sum(s2 * w, axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -258,35 +281,11 @@ def recurrence_time(L: float, c: float) -> float:
     return L / (2.0 * c)
 
 
-def _grid_values(modes: PlaneWaveModeSet, zbar: np.ndarray, times: np.ndarray) -> np.ndarray:
-    s2 = np.sin(modes.omega[None, :] * times[:, None]) ** 2          # (nt, P)
-    w = (1.0 - np.cos(modes.k[None, :] * np.abs(zbar)[:, None])) / modes.k**2  # (nz, P)
-    return modes.prefactor * (s2 @ w.T)                              # (nt, nz)
-
-
 def convergence_check(
     modes: PlaneWaveModeSet, zbar, times, rtol: float = CONVERGENCE_RTOL
 ) -> tuple[bool, float]:
-    """Doubling test: recompute the grid at 2*p_max and compare.
-
-    The deviation is max|fine - coarse| over the grid relative to the
-    field maximum, restricted to separations above 2*xi_h.  Below the
-    healing length the mode sum is genuinely cutoff-dominated (each extra
-    mode contributes ~zbar^2), so pointwise ratios there measure the
-    physical cutoff, not numerical convergence.  At the default phononic
-    truncation the deviation is at the percent level and falls off as
-    1/p_max.
-    """
-    zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    coarse = _grid_values(modes, zbar, times)
-    fine = _grid_values(build_modes(modes.params, modes.L, 2 * modes.p_max), zbar, times)
-    mask = np.abs(zbar) >= 2.0 * modes.params.xi_h
-    if not mask.any():
-        mask = np.ones_like(zbar, dtype=bool)
-    scale = max(float(np.abs(fine).max()), 1e-300)
-    dev = float(np.max(np.abs(fine - coarse)[:, mask]) / scale)
-    return dev < rtol, dev
+    """Doubling test at 2*p_max; see :func:`splitgas.modes.convergence_check`."""
+    return basis.convergence_check(modes, zbar, times, rtol=rtol)
 
 
 def variance_field(
@@ -296,45 +295,6 @@ def variance_field(
     check_convergence: bool = False,
     strict: bool = False,
 ) -> VarianceField:
-    """Evaluate the variance on a (times x zbar) grid.
-
-    With ``check_convergence`` the truncation doubling test runs and its
-    verdict lands in ``field.converged``; ``strict`` escalates a failed
-    test to :class:`ConvergenceError`.
-    """
-    zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    values = _grid_values(modes, zbar, times)
-    converged = None
-    dev = None
-    if check_convergence:
-        converged, dev = convergence_check(modes, zbar, times)
-        if strict and not converged:
-            raise ConvergenceError(
-                f"variance not converged at p_max={modes.p_max}: "
-                f"doubling deviation {dev:.2e} exceeds {CONVERGENCE_RTOL:.1e}"
-            )
-    p = modes.params
-    return VarianceField(
-        positions=zbar, times=times, values=values,
-        regime="homogeneous", truncation=modes.p_max, converged=converged,
-        meta={"c": p.c, "l0": p.l0, "xi_h": p.xi_h, "L": modes.L,
-              "xi_n2": p.squeezing, "doubling_dev": dev},
-    )
-
-
-def pair_variance_field(modes: PlaneWaveModeSet, z, zprime, times) -> PairVarianceField:
-    """Variance on a full (times x z x z') grid via unique separations."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    zprime = np.atleast_1d(np.asarray(zprime, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    seps = np.abs(z[:, None] - zprime[None, :])
-    uniq, inverse = np.unique(seps, return_inverse=True)
-    vals = _grid_values(modes, uniq, times)                 # (nt, nu)
-    values = vals[:, inverse].reshape(len(times), len(z), len(zprime))
-    p = modes.params
-    return PairVarianceField(
-        z=z, zprime=zprime, times=times, values=values,
-        regime="homogeneous", truncation=modes.p_max,
-        meta={"c": p.c, "l0": p.l0, "xi_h": p.xi_h, "L": modes.L},
-    )
+    """Variance on a (times x zbar) grid; see :func:`splitgas.modes.variance_field`."""
+    return basis.variance_field(modes, zbar, times, check_convergence=check_convergence,
+                                strict=strict)

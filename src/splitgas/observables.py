@@ -28,9 +28,9 @@ from .fields import (
     VarianceField,
     VelocityFit,
 )
-from .homogeneous import PlaneWaveModeSet, phase_variance, recurrence_time, _grid_values
-from .params import hbar
-from .trapped import LegendreModeSet, legendre_f_table
+from .homogeneous import PlaneWaveModeSet, recurrence_time
+from .modes import variance_field
+from .trapped import legendre_f_table
 
 __all__ = [
     "pcf",
@@ -337,19 +337,20 @@ def _homog_pair_weights(n: int, dz: float) -> np.ndarray:
     return c
 
 
-def _homog_contrast_kernel(modes: PlaneWaveModeSet, n: int, dz: float):
-    seps = dz * np.arange(n)
-    lag_w = _homog_pair_weights(n, dz)
-    span = dz * (n - 1)
+def _homog_contrast_kernel(modes: PlaneWaveModeSet, n: int, step: float):
+    seps = step * np.arange(n)
+    lag_w = _homog_pair_weights(n, step)
+    span = step * (n - 1)
 
     def values(times: np.ndarray) -> np.ndarray:
-        C = np.exp(-_grid_values(modes, seps, times) / 2.0)   # (nt, n)
+        var = modes.coefficient * (modes.time_factors(times) @ modes.pair_terms(seps, 0.0))
+        C = np.exp(-var / 2.0)                                        # (nt, n)
         return (C @ lag_w) / span**2
 
     return values
 
 
-def _trapped_contrast_kernel(modes: LegendreModeSet, zg: np.ndarray):
+def _trapped_contrast_kernel(modes, zg: np.ndarray):
     """C^2(t) over the symmetric window grid ``zg`` from the half grid x >= 0.
 
     With V = D_a + D_b - 2 G_ab, C_ab = exp(G_ab - h_a - h_b) where h = D/2.
@@ -464,26 +465,23 @@ def contrast_evaluator(modes, length: float, dz: float | None = None) -> Contras
     """
     if length <= 0:
         raise ConfigError("integration length must be strictly positive")
-    if isinstance(modes, PlaneWaveModeSet):
-        if length > modes.L:
-            raise ConfigError(f"contrast window {length / 1e-6:.6g} um is longer than "
-                              f"the periodic box ({modes.L / 1e-6:.6g} um)")
-        if dz is None:
-            dz = modes.params.xi_h / 2.0
-        n = _window_points(length, dz)
-        return ContrastEvaluator(length, "homogeneous", {"dz": dz, "truncation": modes.p_max},
+    homogeneous = isinstance(modes, PlaneWaveModeSet)
+    if homogeneous and length > modes.L:
+        raise ConfigError(f"contrast window {length / 1e-6:.6g} um is longer than "
+                          f"the periodic box ({modes.L / 1e-6:.6g} um)")
+    if not homogeneous and length / 2.0 > modes.radius:
+        raise ConfigError("integration region exceeds the cloud radius")
+    if dz is None:
+        dz = modes.xi_h / 2.0
+    n = _window_points(length, dz)
+    if homogeneous:
+        return ContrastEvaluator(length, modes.regime, {"dz": dz, "truncation": modes.truncation},
                                  _homog_contrast_kernel(modes, n, dz))
-    if isinstance(modes, LegendreModeSet):
-        R = modes.radius
-        if length / 2.0 > R:
-            raise ConfigError("integration region exceeds the cloud radius")
-        if dz is None:
-            dz = hbar / (modes.profile.mass * modes.profile.sound_speed_peak) / 2.0
-        zg = np.linspace(-length / 2.0, length / 2.0, _window_points(length, dz))
-        return ContrastEvaluator(length, modes.profile.kind,
-                                 {"dz": zg[1] - zg[0], "truncation": modes.j_max, "R_eff": R},
-                                 _trapped_contrast_kernel(modes, zg))
-    raise ConfigError(f"unsupported mode set type: {type(modes).__name__}")
+    zg = np.linspace(-length / 2.0, length / 2.0, n)
+    return ContrastEvaluator(length, modes.regime,
+                             {"dz": zg[1] - zg[0], "truncation": modes.truncation,
+                              "R_eff": modes.radius},
+                             _trapped_contrast_kernel(modes, zg))
 
 
 def contrast_trace(modes, length: float, times, dz: float | None = None) -> ContrastTrace:
@@ -557,8 +555,7 @@ def recurrence_scan(
 def mode_amplitude_trace(modes, t_grid) -> np.ndarray:
     """Per-mode amplitude factors (sin(omega_j t)/omega_j)^2, shape (modes, nt)."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    omega = modes.omega if isinstance(modes, PlaneWaveModeSet) else modes.omega_j
-    return (np.sin(omega[:, None] * t[None, :]) / omega[:, None]) ** 2
+    return (np.sin(modes.omega[:, None] * t[None, :]) / modes.omega[:, None]) ** 2
 
 
 def prethermal_pcf(modes: PlaneWaveModeSet, zbar, window: tuple = (0.30, 0.45),
@@ -580,5 +577,5 @@ def prethermal_pcf(modes: PlaneWaveModeSet, zbar, window: tuple = (0.30, 0.45),
     if zmax / (2.0 * modes.params.c) >= lo * t_rev:
         raise ConfigError("window opens before the cone reaches the largest separation")
     ts = np.linspace(lo * t_rev, hi * t_rev, samples)
-    var = _grid_values(modes, zbar, ts)
+    var = variance_field(modes, zbar, ts).values
     return np.exp(-var / 2.0).mean(axis=0)

@@ -38,9 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .homogeneous import PlaneWaveModeSet
-from .params import pi
-from .trapped import LegendreModeSet, legendre_f_table
 
 __all__ = ["EnsembleSpec", "EnsembleStats", "sample_realization", "estimate_pcf"]
 
@@ -133,25 +130,12 @@ def _basis(spec: EnsembleSpec, modes, z, times, zprime: float | None = None) -> 
     zprime, so the rows synthesise phi(z, t) - phi(zprime, t).
     """
     pts = z if zprime is None else np.concatenate([z, [zprime]])
+    modes.check_points(pts)
     sig_n, sig_phi = _quadrature_sigmas(spec, modes)
-    if isinstance(modes, PlaneWaveModeSet):
-        # complex amplitudes: independent re/im parts each carrying half the
-        # variance; phi(z) = (2/sqrt(L)) sum_p [cos(k z) Re phi_p - sin(k z) Im phi_p]
-        scale = 2.0 / np.sqrt(modes.L) / np.sqrt(2.0)
-        kz = modes.k[:, None] * pts[None, :]
-        u = np.stack([np.cos(kz), -np.sin(kz)], axis=1)      # (P, 2, npts)
-        omega = modes.omega
-        amp_n = -modes.phi_amplitude() * sig_n * scale
-        amp_phi = None if sig_phi is None else sig_phi * scale
-    elif isinstance(modes, LegendreModeSet):
-        if np.any(np.abs(pts) > modes.radius):
-            raise ConfigError("points must lie inside the cloud (|z| <= R)")
-        u = legendre_f_table(modes.j_max, pts / modes.radius)[:, None, :]  # (J, 1, npts)
-        omega = modes.omega_j
-        amp_n = -(pi * modes.v_N / modes.omega_j) * sig_n
-        amp_phi = sig_phi
-    else:
-        raise ConfigError(f"unsupported mode set type: {type(modes).__name__}")
+    u = modes.functions(pts)                                  # (M, components, npts)
+    omega = modes.omega
+    amp_n = -modes.phi_amplitude() * sig_n * modes.synthesis_scale
+    amp_phi = None if sig_phi is None else sig_phi * modes.synthesis_scale
     if zprime is not None:
         u = u[..., :-1] - u[..., -1:]
     wt = omega[:, None] * times[None, :]

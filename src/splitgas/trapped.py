@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import modes as basis
 from .errors import ConfigError, ConvergenceError
-from .fields import PairVarianceField, VarianceField
+from .modes import ModeBasis
 from .params import (PhysicalParams, Regime, TrapConfig, atom_number_from_peak_density,
                      derive_params, hbar, k_B, pi)
 
@@ -50,8 +51,6 @@ __all__ = [
     "trapped_pair_variance_field",
     "trapped_convergence_check",
 ]
-
-CONVERGENCE_RTOL = 5e-3
 
 
 def mode_frequency(j: int, omega: float):
@@ -200,7 +199,7 @@ def quasi1d_profile(
 
 
 @dataclass(frozen=True)
-class LegendreModeSet:
+class LegendreModeSet(ModeBasis):
     """Discrete Legendre excitation basis on a parabolic background."""
 
     params: PhysicalParams
@@ -211,17 +210,55 @@ class LegendreModeSet:
     v_N: float              # density velocity at the centre, m/s
     coefficient: float      # xi_n^2 * n_peak * pi^2 * v_N^2 / (2R)
 
+    truncation_name = "j_max"
+    synthesis_scale = 1.0
+
     @property
     def radius(self) -> float:
         return self.profile.radius
 
     @property
-    def omega_max(self) -> float:
-        return float(self.omega_j[-1])
+    def omega(self) -> np.ndarray:
+        return self.omega_j
 
     @property
-    def xi_n2(self) -> float:
-        return self.params.squeezing
+    def time_norm(self) -> np.ndarray:
+        return self.omega_j**2
+
+    @property
+    def regime(self) -> str:
+        return self.profile.kind
+
+    @property
+    def xi_h(self) -> float:
+        """Healing length at the cloud centre."""
+        return hbar / (self.profile.mass * self.profile.sound_speed_peak)
+
+    def functions(self, points) -> np.ndarray:
+        """f_j(z/R), shape (modes, 1, *points)."""
+        points = np.asarray(points, dtype=float)
+        f = legendre_f_table(self.j_max, points.ravel() / self.radius)
+        return f.reshape(self.j_max, 1, *points.shape)
+
+    def pair_terms(self, z, zprime) -> np.ndarray:
+        """(f_j(z/R) - f_j(z'/R))^2, shape (modes, *points)."""
+        return (self.functions(z)[:, 0] - self.functions(zprime)[:, 0]) ** 2
+
+    def phi_amplitude(self) -> np.ndarray:
+        """|phase amplitude| per unit initial density amplitude, pi*v_N/omega_j."""
+        return pi * self.v_N / self.omega_j
+
+    def check_points(self, points) -> None:
+        if np.any(np.abs(points) > self.radius):
+            raise ConfigError("points must lie inside the cloud (|z| <= R)")
+
+    def doubled(self) -> "LegendreModeSet":
+        return build_trapped_modes(self.profile, self.params, 2 * self.j_max)
+
+    def field_meta(self) -> dict:
+        return {"c": self.profile.sound_speed_peak, "l0": self.params.l0, "xi_h": self.xi_h,
+                "R_eff": self.radius, "n_peak_eff": self.profile.n_peak,
+                "xi_n2": self.params.squeezing}
 
     def split_density_variance(self) -> np.ndarray:
         """<n_j^2> right after splitting: uniform xi_n^2*n_peak/(2R)."""
@@ -281,127 +318,7 @@ def build_trapped_modes(
     )
 
 
-def trapped_phase_variance(z, zprime, t, modes: LegendreModeSet):
-    """Two-point phase variance between z and z' inside the cloud.
-
-    Broadcasts over all three arguments; both points must satisfy
-    |z| <= R.  Zero at z = z' and at t = 0; every summand is non-negative.
-    """
-    R = modes.radius
-    z = np.asarray(z, dtype=float)
-    zprime = np.asarray(zprime, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(z) > R) or np.any(np.abs(zprime) > R):
-        raise ConfigError("points must lie inside the cloud (|z| <= R)")
-    zb, zpb, tb = np.broadcast_arrays(z, zprime, t)
-    shape = zb.shape
-    xu, inv = np.unique(np.concatenate([zb.ravel(), zpb.ravel()]) / R, return_inverse=True)
-    f = legendre_f_table(modes.j_max, xu)                      # (J, nu)
-    npts = zb.size
-    fz = f[:, inv[:npts]]
-    fzp = f[:, inv[npts:]]
-    d2 = (fz - fzp) ** 2                                       # (J, n)
-    amp = np.sin(modes.omega_j[:, None] * tb.ravel()[None, :]) ** 2 / modes.omega_j[:, None] ** 2
-    out = modes.coefficient * np.sum(amp * d2, axis=0).reshape(shape)
-    return out if out.ndim else float(out)
-
-
-def _grid_values(modes: LegendreModeSet, z: np.ndarray, times: np.ndarray, zprime: float) -> np.ndarray:
-    f = legendre_f_table(modes.j_max, z / modes.radius)                    # (J, nz)
-    f0 = legendre_f_table(modes.j_max, np.array([zprime / modes.radius]))  # (J, 1)
-    d2 = (f - f0) ** 2
-    amp = np.sin(modes.omega_j[None, :] * times[:, None]) ** 2 / modes.omega_j**2  # (nt, J)
-    return modes.coefficient * (amp @ d2)
-
-
-def trapped_convergence_check(
-    modes: LegendreModeSet, z, times, zprime: float = 0.0, rtol: float = CONVERGENCE_RTOL
-) -> tuple[bool, float]:
-    """Doubling test in j_max, same field-scale convention as the plane waves.
-
-    Point separations below twice the healing length at the cloud centre
-    are excluded: there the sum is cutoff-dominated by construction.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    coarse = _grid_values(modes, z, times, zprime)
-    fine_modes = build_trapped_modes(modes.profile, modes.params, 2 * modes.j_max)
-    fine = _grid_values(fine_modes, z, times, zprime)
-    xi_h = hbar / (modes.profile.mass * modes.profile.sound_speed_peak)
-    mask = np.abs(z - zprime) >= 2.0 * xi_h
-    if not mask.any():
-        mask = np.ones_like(z, dtype=bool)
-    scale = max(float(np.abs(fine).max()), 1e-300)
-    dev = float(np.max(np.abs(fine - coarse)[:, mask]) / scale)
-    return dev < rtol, dev
-
-
-def trapped_variance_field(
-    modes: LegendreModeSet,
-    z,
-    times,
-    zprime: float = 0.0,
-    check_convergence: bool = False,
-    strict: bool = False,
-) -> VarianceField:
-    """Variance on a (times x z) grid with the second point fixed at zprime."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    R = modes.radius
-    if np.any(np.abs(z) > R) or abs(zprime) > R:
-        raise ConfigError("points must lie inside the cloud (|z| <= R)")
-    values = _grid_values(modes, z, times, zprime)
-    converged = None
-    dev = None
-    if check_convergence:
-        converged, dev = trapped_convergence_check(modes, z, times, zprime)
-        if strict and not converged:
-            raise ConvergenceError(
-                f"variance not converged at j_max={modes.j_max}: "
-                f"doubling deviation {dev:.2e} exceeds {CONVERGENCE_RTOL:.1e}"
-            )
-    p = modes.params
-    c_peak = modes.profile.sound_speed_peak
-    return VarianceField(
-        positions=z, times=times, values=values,
-        regime=modes.profile.kind, truncation=modes.j_max,
-        zprime=zprime, converged=converged,
-        meta={"c": c_peak, "l0": p.l0, "xi_h": hbar / (p.mass * c_peak),
-              "R_eff": R, "n_peak_eff": modes.profile.n_peak,
-              "xi_n2": p.squeezing, "doubling_dev": dev},
-    )
-
-
-def trapped_pair_variance_field(
-    modes: LegendreModeSet, z, zprime, times, time_chunk: int = 64
-) -> PairVarianceField:
-    """Variance on a full (times x z x z') grid.
-
-    Uses variance(z, z') = D(z) + D(z') - 2 G(z, z') with D the mode-summed
-    diagonal and G the mode-summed cross term, one matrix product per time
-    chunk.  The variance is a sum of non-negative terms
-    amp_j (f_j(z) - f_j(z'))^2, but D + D' - 2G rounds to about -1e-15
-    where z = z'; such negatives are clamped to 0.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    zprime = np.atleast_1d(np.asarray(zprime, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    R = modes.radius
-    if np.any(np.abs(z) > R) or np.any(np.abs(zprime) > R):
-        raise ConfigError("points must lie inside the cloud (|z| <= R)")
-    fz = legendre_f_table(modes.j_max, z / R)          # (J, nz)
-    fzp = legendre_f_table(modes.j_max, zprime / R)    # (J, nzp)
-    values = np.empty((times.size, z.size, zprime.size))
-    for start in range(0, times.size, time_chunk):
-        tt = times[start:start + time_chunk]
-        amp = modes.coefficient * np.sin(modes.omega_j[None, :] * tt[:, None]) ** 2 / modes.omega_j**2
-        Dz = amp @ (fz**2)                             # (nt, nz)
-        Dzp = amp @ (fzp**2)                           # (nt, nzp)
-        G = np.einsum("tj,ja,jb->tab", amp, fz, fzp, optimize=True)
-        np.maximum(Dz[:, :, None] + Dzp[:, None, :] - 2.0 * G, 0.0,
-                   out=values[start:start + time_chunk])
-    return PairVarianceField(
-        z=z, zprime=zprime, times=times, values=values,
-        regime=modes.profile.kind, truncation=modes.j_max,
-        meta={"R_eff": R, "n_peak_eff": modes.profile.n_peak},
-    )
+trapped_phase_variance = basis.pointwise_variance
+trapped_convergence_check = basis.convergence_check
+trapped_variance_field = basis.variance_field
+trapped_pair_variance_field = basis.pair_variance_field
