@@ -4,6 +4,7 @@ Library layout:
 
 - :mod:`splitgas.params` - scalar physics of a scenario (coupling, sound
   speed, Luttinger parameter, interferometry criteria).
+- :mod:`splitgas.modes` - the mode basis and mode sums both geometries share.
 - :mod:`splitgas.homogeneous` - plane-wave modes and phase statistics of
   the boxed gas.
 - :mod:`splitgas.trapped` - density profiles and Legendre modes of the

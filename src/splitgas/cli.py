@@ -155,10 +155,14 @@ def _cmd_params(sc, args) -> int:
     return EXIT_OK
 
 
-def _pcf_grids(sc, params, modes, args):
+def _pcf_grids(sc, modes, args):
     import numpy as np
 
     if getattr(args, "times", None):
+        if not all(0.0 <= t < float("inf") for t in args.times):
+            from .errors import ConfigError
+
+            raise ConfigError(f"--times must be finite non-negative ms, got {args.times}")
         times = np.asarray(sorted(args.times), dtype=float) * MS
     elif sc.times is not None:
         times = sc.times
@@ -166,7 +170,7 @@ def _pcf_grids(sc, params, modes, args):
         times = np.linspace(0.0, 10.0, 11) * MS
     if sc.zbar is not None:
         z = sc.zbar
-    elif params.R is not None:
+    elif sc.config.regime.trapped:
         z = np.linspace(0.0, 0.999 * modes.radius, 241)
     else:
         z = np.linspace(0.0, sc.config.system_length / 4.0, 201)
@@ -179,9 +183,8 @@ def _cmd_pcf(sc, args) -> int:
     from .params import derive_params
     from .tables import ResultTable
 
-    params = derive_params(sc.config)
-    modes = _modes(sc, params)
-    z, times = _pcf_grids(sc, params, modes, args)
+    modes = _modes(sc, derive_params(sc.config))
+    z, times = _pcf_grids(sc, modes, args)
     field = variance_field(modes, z, times, check_convergence=True)
     trapped = sc.config.regime.trapped
     corr = pcf(field)
@@ -256,8 +259,7 @@ def _cmd_front(sc, args) -> int:
         rows = []
         for n_total in sc.scan_atom_numbers:
             cfg = sc.config.with_atom_number(n_total)
-            params = derive_params(cfg)
-            modes = _modes(replace(sc, config=cfg), params)
+            modes = _modes(replace(sc, config=cfg), derive_params(cfg))
             trace, fit = _front_for_system(modes, sc.fit_window)
             prov_extra.append(
                 (f"velocity_N{int(n_total)}_mm_per_s", format(fit.speed / 1e-3, ".12g")))
@@ -302,12 +304,10 @@ def _cmd_front_compare(sc, args) -> int:
     cfg_h = replace(base, omega_long=0.0, atom_number_total=None,
                     peak_density_per_gas=params_tf.n_peak, system_length=L_box,
                     regime=Regime.HOMOGENEOUS)
-    params_h = derive_params(cfg_h)
-    _, fit_h = _front_for_system(_modes(replace(sc, config=cfg_h), params_h), sc.fit_window)
-    _, fit_tf = _front_for_system(_modes(replace(sc, config=cfg_tf), params_tf), sc.fit_window)
     cfg_q = replace(base, system_length=0.0, regime=Regime.QUASI_1D)
-    modes_q = _modes(replace(sc, config=cfg_q), derive_params(cfg_q))
-    _, fit_q = _front_for_system(modes_q, sc.fit_window)
+    fit_h, fit_tf, fit_q = [
+        _front_for_system(_modes(replace(sc, config=cfg), derive_params(cfg)), sc.fit_window)[1]
+        for cfg in (cfg_h, cfg_tf, cfg_q)]
 
     columns = ["velocity_homogeneous_mm_per_s", "velocity_thomas_fermi_mm_per_s",
                "velocity_quasi_1d_mm_per_s", "sound_speed_mm_per_s"]
@@ -413,19 +413,18 @@ def _cmd_oracle(sc, args) -> int:
     from .params import derive_params
     from .tables import ResultTable
 
-    params = derive_params(sc.config)
+    modes = _modes(sc, derive_params(sc.config))
     realizations = (args.realizations if args.realizations is not None
                     else sc.oracle_realizations)
     seed = args.seed if args.seed is not None else sc.oracle_seed
     spec = EnsembleSpec(realizations=realizations, master_seed=seed,
                         include_initial_phase_noise=sc.oracle_phase_noise)
-    modes = _modes(sc, params)
     if sc.config.regime.trapped:
         z = modes.radius * np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75])
         times = np.array([1.0, 2.0, 4.0, 6.0, 10.0]) * MS
     else:
         z = modes.L * np.array([0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20, 0.25])
-        times = recurrence_time(modes.L, params.c) * np.array([0.04, 0.08, 0.12, 0.20, 0.30])
+        times = recurrence_time(modes.L, modes.params.c) * np.array([0.04, 0.08, 0.12, 0.20, 0.30])
     z = sc.oracle_zbar if sc.oracle_zbar is not None else z
     times = sc.oracle_times if sc.oracle_times is not None else times
     analytic_field = variance_field(modes, z, times)

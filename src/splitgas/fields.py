@@ -1,9 +1,9 @@
 """Grid-valued results: variance/correlation fields, front traces, contrast.
 
 Two grid layouts are used.  A plain field holds values on (time x position)
-where "position" is either a separation z-bar (homogeneous) or a point z
-with the second point pinned at ``zprime`` (trapped).  A pair field holds
-values on (time x z x z') and feeds the contrast integrals.
+where "position" is a point z with the second point pinned at ``zprime``
+(for the homogeneous gas z - zprime is the separation z-bar).  A pair field
+holds values on (time x z x z') and feeds the contrast integrals.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ __all__ = [
 class VarianceField:
     """Two-point relative-phase variance on a (time x position) grid."""
 
-    positions: np.ndarray   # m; separations, or z with fixed zprime
+    positions: np.ndarray   # m; z with fixed zprime (separations from it in a box)
     times: np.ndarray       # s
     values: np.ndarray      # (len(times), len(positions)), dimensionless
     regime: str
     truncation: int
-    zprime: float | None = None     # fixed second point (trapped), else None
+    zprime: float | None = None     # fixed second point
     converged: bool | None = None   # doubling-test verdict, None = not checked
     meta: dict = field(default_factory=dict)  # c, l0, xi_h, R_eff, ...
 

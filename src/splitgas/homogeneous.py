@@ -82,8 +82,7 @@ class PlaneWaveModeSet(ModeBasis):
 
     @property
     def synthesis_scale(self) -> float:
-        """sqrt(2/L): the 2/sqrt(L) of the field expansion, with half the
-        variance on each of the independent real and imaginary parts."""
+        """(2/sqrt(L)) / sqrt(2): Re and Im parts each carry half the variance."""
         return 2.0 / np.sqrt(self.L) / np.sqrt(2.0)
 
     def pair_terms(self, z, zprime) -> np.ndarray:
@@ -92,22 +91,22 @@ class PlaneWaveModeSet(ModeBasis):
         return np.moveaxis((1.0 - np.cos(self.k * zbar[..., None])) / self.k**2, -1, 0)
 
     def functions(self, points) -> np.ndarray:
-        """(cos kz, -sin kz) per mode, shape (modes, 2, points)."""
+        """(cos kz, -sin kz), shape (modes, 2, points): the factors of Re and Im
+        phi_p in phi(z) = (2/sqrt(L)) sum_p [cos(kz) Re phi_p - sin(kz) Im phi_p]."""
         kz = self.k[:, None] * points[None, :]
         return np.stack([np.cos(kz), -np.sin(kz)], axis=1)
 
     def check_points(self, points) -> None:
         if np.any(np.abs(points) > self.L):
-            raise ConfigError(
-                f"separation {np.max(np.abs(points)) / 1e-6:.6g} um exceeds the "
-                f"periodic box ({self.L / 1e-6:.6g} um)")
+            raise ConfigError(f"separation {np.max(np.abs(points)) / 1e-6:.6g} um exceeds "
+                              f"the periodic box ({self.L / 1e-6:.6g} um)")
 
     def doubled(self) -> "PlaneWaveModeSet":
         return build_modes(self.params, self.L, 2 * self.p_max)
 
     def field_meta(self) -> dict:
         p = self.params
-        return {"c": p.c, "l0": p.l0, "xi_h": self.xi_h, "L": self.L, "xi_n2": p.squeezing}
+        return {"c": p.c, "l0": p.l0, "xi_h": self.xi_h, "L": self.L, "xi_n2": self.xi_n2}
 
     def phi_amplitude(self) -> np.ndarray:
         """|phase amplitude| per unit initial density amplitude, pi/(k*K)."""

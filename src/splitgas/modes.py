@@ -31,8 +31,7 @@ __all__ = [
 #: relative tolerance of the truncation doubling test
 CONVERGENCE_RTOL = 5e-3
 
-# the pair field evaluates its pair terms in blocks of z' columns of at
-# most about this many float64 values (16 MB)
+# pair-field terms are evaluated in z' column blocks of about this many floats
 _PAIR_BLOCK_ELEMENTS = 2**21
 
 
@@ -62,24 +61,18 @@ class ModeBasis:
         return np.sin(self.omega[None, :] * times[:, None]) ** 2 / self.time_norm
 
 
-def _grid_values(modes: ModeBasis, points: np.ndarray, times: np.ndarray,
-                 zprime: float) -> np.ndarray:
-    terms = modes.pair_terms(points, np.array([zprime]))              # (M, npts)
-    return modes.coefficient * (modes.time_factors(times) @ terms)   # (nt, npts)
-
-
 def pointwise_variance(z, zprime, t, modes: ModeBasis):
     """Two-point phase variance between z and z' at time t.
 
-    Broadcasts over all three arguments; both points must lie in the
-    domain of the mode set (for the box z - z' is the separation).  Zero
-    at z = z' and at t = 0; every summand is non-negative.
+    Broadcasts over all three arguments (for the box z - z' is the
+    separation).  Zero at z = z' and at t = 0; every summand is non-negative.
     """
-    z, zprime, t = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (z, zprime, t)))
+    z, zprime = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(zprime, dtype=float))
+    t = np.asarray(t, dtype=float)
     modes.check_points(np.concatenate([z.ravel(), zprime.ravel()]))
-    terms = modes.pair_terms(z.ravel(), zprime.ravel())              # (M, n)
-    out = modes.coefficient * np.sum(modes.time_factors(t.ravel()) * terms.T, axis=-1)
-    out = out.reshape(z.shape)
+    terms = np.moveaxis(modes.pair_terms(z, zprime), 0, -1)         # (*points, M)
+    amp = modes.time_factors(t.ravel()).reshape(*t.shape, -1)      # (*t, M)
+    out = modes.coefficient * np.sum(amp * terms, axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -98,9 +91,8 @@ def convergence_check(
     truncation.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    coarse = _grid_values(modes, z, times, zprime)
-    fine = _grid_values(modes.doubled(), z, times, zprime)
+    coarse = variance_field(modes, z, times, zprime).values
+    fine = variance_field(modes.doubled(), z, times, zprime).values
     mask = np.abs(z - zprime) >= 2.0 * modes.xi_h
     if not mask.any():
         mask = np.ones_like(z, dtype=bool)
@@ -126,8 +118,11 @@ def variance_field(
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all((times >= 0.0) & (times < np.inf)):
+        raise ConfigError("evolution times must be finite and non-negative")
     modes.check_points(np.append(z, zprime))
-    values = _grid_values(modes, z, times, zprime)
+    terms = modes.pair_terms(z, np.array([zprime]))                   # (M, nz)
+    values = modes.coefficient * (modes.time_factors(times) @ terms)  # (nt, nz)
     converged = None
     dev = None
     if check_convergence:
@@ -157,7 +152,7 @@ def pair_variance_field(modes: ModeBasis, z, zprime, times) -> PairVarianceField
     modes.check_points(np.concatenate([z, zprime]))
     amp = modes.time_factors(times)                                   # (nt, M)
     values = np.empty((times.size, z.size, zprime.size))
-    width = max(1, _PAIR_BLOCK_ELEMENTS // (amp.shape[1] * z.size))
+    width = max(1, _PAIR_BLOCK_ELEMENTS // max(amp.shape[1] * z.size, 1))
     for start in range(0, zprime.size, width):
         terms = modes.pair_terms(z[:, None], zprime[None, start:start + width])
         values[:, :, start:start + width] = modes.coefficient * np.tensordot(amp, terms, 1)

@@ -321,13 +321,6 @@ def mean_squared_contrast(corr: PairCorrelationField, length: float, t: float) -
     return float(total / ((z[-1] - z[0]) * (zp[-1] - zp[0])))
 
 
-def _window_points(length: float, dz: float) -> int:
-    n = int(round(length / dz)) + 1
-    if n < 2:
-        raise ConfigError("integration window contains fewer than 2 grid points")
-    return n
-
-
 def _homog_pair_weights(n: int, dz: float) -> np.ndarray:
     """Collapse the 2D trapezoid over equal uniform grids to separation lags."""
     w = np.full(n, dz)
@@ -344,14 +337,14 @@ def _homog_contrast_kernel(modes: PlaneWaveModeSet, n: int, step: float):
 
     def values(times: np.ndarray) -> np.ndarray:
         var = modes.coefficient * (modes.time_factors(times) @ modes.pair_terms(seps, 0.0))
-        C = np.exp(-var / 2.0)                                        # (nt, n)
-        return (C @ lag_w) / span**2
+        return (np.exp(-var / 2.0) @ lag_w) / span**2
 
     return values
 
 
-def _trapped_contrast_kernel(modes, zg: np.ndarray):
-    """C^2(t) over the symmetric window grid ``zg`` from the half grid x >= 0.
+def _trapped_contrast_kernel(modes, n: int, step: float):
+    """C^2(t) over the symmetric n-point window grid of spacing ``step``, from
+    the half grid x >= 0.
 
     With V = D_a + D_b - 2 G_ab, C_ab = exp(G_ab - h_a - h_b) where h = D/2.
     Since f_j(-x) = (-1)^j f_j(x), G between two points of the half grid is
@@ -375,10 +368,8 @@ def _trapped_contrast_kernel(modes, zg: np.ndarray):
     other times of the call, and a single-time call is bit-equal to its
     entry in a bulk call.
     """
-    n = zg.size
     m = (n + 1) // 2
-    step = zg[1] - zg[0]
-    span = zg[-1] - zg[0]
+    span = step * (n - 1)
     x = (np.arange(m) + (1 - n % 2) / 2.0) * step
     f = legendre_f_table(modes.j_max, x / modes.radius)   # (J, m), rows j = 1..J
     f_odd, f_even = f[0::2], f[1::2]
@@ -460,28 +451,23 @@ def contrast_evaluator(modes, length: float, dz: float | None = None) -> Contras
 
     The position grid step defaults to half the healing length (at the
     cloud centre for trapped gases), below which the integral is converged
-    at the 0.2% level.  The window must fit inside the periodic box or the
-    cloud.
+    at the 0.2% level.  The grid has n = round(L/dz) + 1 points and spans
+    exactly L, with step L/(n - 1).  The window must fit inside the
+    periodic box or the cloud.
     """
     if length <= 0:
         raise ConfigError("integration length must be strictly positive")
     homogeneous = isinstance(modes, PlaneWaveModeSet)
-    if homogeneous and length > modes.L:
-        raise ConfigError(f"contrast window {length / 1e-6:.6g} um is longer than "
-                          f"the periodic box ({modes.L / 1e-6:.6g} um)")
-    if not homogeneous and length / 2.0 > modes.radius:
-        raise ConfigError("integration region exceeds the cloud radius")
-    if dz is None:
-        dz = modes.xi_h / 2.0
-    n = _window_points(length, dz)
-    if homogeneous:
-        return ContrastEvaluator(length, modes.regime, {"dz": dz, "truncation": modes.truncation},
-                                 _homog_contrast_kernel(modes, n, dz))
-    zg = np.linspace(-length / 2.0, length / 2.0, n)
+    # the box bounds the separations in the window, the cloud its points
+    modes.check_points(np.array([length if homogeneous else length / 2.0]))
+    n = int(round(length / (modes.xi_h / 2.0 if dz is None else dz))) + 1
+    if n < 2:
+        raise ConfigError("integration window contains fewer than 2 grid points")
+    step = length / (n - 1)
+    kernel = _homog_contrast_kernel if homogeneous else _trapped_contrast_kernel
     return ContrastEvaluator(length, modes.regime,
-                             {"dz": zg[1] - zg[0], "truncation": modes.truncation,
-                              "R_eff": modes.radius},
-                             _trapped_contrast_kernel(modes, zg))
+                             {"dz": step, "truncation": modes.truncation, **modes.field_meta()},
+                             kernel(modes, n, step))
 
 
 def contrast_trace(modes, length: float, times, dz: float | None = None) -> ContrastTrace:

@@ -61,7 +61,7 @@ def _check_keys(mapping: dict, allowed: set, where: str):
         raise ConfigError(f"{where}.{unknown[0]}: unknown key")
 
 
-def _grid(value, where, scale=1.0, allow_zero_start=True):
+def _grid(value, where, scale=1.0, nonnegative=False):
     """Accept an explicit list of numbers or {start, stop, num}."""
     if isinstance(value, list):
         if not value:
@@ -70,6 +70,8 @@ def _grid(value, where, scale=1.0, allow_zero_start=True):
             _require_number(v, f"{where}[{i}]", positive=False)
             for i, v in enumerate(value)
         ]
+        if nonnegative and min(vals) < 0:
+            raise ConfigError(f"{where}: times must be non-negative, got {min(vals)!r}")
         return np.asarray(vals, dtype=float) * scale
     if isinstance(value, dict):
         _check_keys(value, {"start", "stop", "num"}, where)
@@ -77,6 +79,8 @@ def _grid(value, where, scale=1.0, allow_zero_start=True):
             if key not in value:
                 raise ConfigError(f"{where}.{key}: required for a range grid")
         start = _require_number(value["start"], f"{where}.start", positive=False)
+        if nonnegative and start < 0:
+            raise ConfigError(f"{where}.start: times must be non-negative, got {start!r}")
         stop = _require_number(value["stop"], f"{where}.stop", positive=False)
         num = int(_require_number(value["num"], f"{where}.num", integer=True))
         if stop <= start:
@@ -202,7 +206,7 @@ def _build_scenario(doc: dict) -> Scenario:
     if "zbar_um" in grids:
         sc.zbar = _grid(grids["zbar_um"], "grids.zbar_um", scale=UM)
     if "times_ms" in grids:
-        sc.times = _grid(grids["times_ms"], "grids.times_ms", scale=MS)
+        sc.times = _grid(grids["times_ms"], "grids.times_ms", scale=MS, nonnegative=True)
 
     trunc = _require_mapping(doc.get("truncation", {}), "truncation")
     _check_keys(trunc, _TRUNC_KEYS, "truncation")
@@ -264,7 +268,7 @@ def _build_scenario(doc: dict) -> Scenario:
     if "zbar_um" in orc:
         sc.oracle_zbar = _grid(orc["zbar_um"], "oracle.zbar_um", scale=UM)
     if "times_ms" in orc:
-        sc.oracle_times = _grid(orc["times_ms"], "oracle.times_ms", scale=MS)
+        sc.oracle_times = _grid(orc["times_ms"], "oracle.times_ms", scale=MS, nonnegative=True)
 
     smap = _require_mapping(doc.get("squeezing_map", {}), "squeezing_map")
     _check_keys(smap, _MAP_KEYS, "squeezing_map")

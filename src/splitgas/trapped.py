@@ -31,9 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import modes as basis
 from .errors import ConfigError, ConvergenceError
-from .modes import ModeBasis
+from .modes import (ModeBasis, convergence_check as trapped_convergence_check,
+                    pair_variance_field as trapped_pair_variance_field,
+                    pointwise_variance as trapped_phase_variance,
+                    variance_field as trapped_variance_field)
 from .params import (PhysicalParams, Regime, TrapConfig, atom_number_from_peak_density,
                      derive_params, hbar, k_B, pi)
 
@@ -236,7 +238,6 @@ class LegendreModeSet(ModeBasis):
 
     def functions(self, points) -> np.ndarray:
         """f_j(z/R), shape (modes, 1, *points)."""
-        points = np.asarray(points, dtype=float)
         f = legendre_f_table(self.j_max, points.ravel() / self.radius)
         return f.reshape(self.j_max, 1, *points.shape)
 
@@ -250,15 +251,15 @@ class LegendreModeSet(ModeBasis):
 
     def check_points(self, points) -> None:
         if np.any(np.abs(points) > self.radius):
-            raise ConfigError("points must lie inside the cloud (|z| <= R)")
+            raise ConfigError(f"point {np.max(np.abs(points)) / 1e-6:.6g} um lies outside "
+                              f"the cloud (R = {self.radius / 1e-6:.6g} um)")
 
     def doubled(self) -> "LegendreModeSet":
         return build_trapped_modes(self.profile, self.params, 2 * self.j_max)
 
     def field_meta(self) -> dict:
         return {"c": self.profile.sound_speed_peak, "l0": self.params.l0, "xi_h": self.xi_h,
-                "R_eff": self.radius, "n_peak_eff": self.profile.n_peak,
-                "xi_n2": self.params.squeezing}
+                "xi_n2": self.xi_n2, "R_eff": self.radius, "n_peak_eff": self.profile.n_peak}
 
     def split_density_variance(self) -> np.ndarray:
         """<n_j^2> right after splitting: uniform xi_n^2*n_peak/(2R)."""
@@ -316,9 +317,3 @@ def build_trapped_modes(
         omega_scale=omega_scale, omega_j=omega_j, v_N=v_N,
         coefficient=coefficient,
     )
-
-
-trapped_phase_variance = basis.pointwise_variance
-trapped_convergence_check = basis.convergence_check
-trapped_variance_field = basis.variance_field
-trapped_pair_variance_field = basis.pair_variance_field

@@ -471,3 +471,30 @@ def test_contrast_tables_identical_across_threads_and_reruns(tmp_path):
                            timeout=300, check=True)
             tables.append(out.read_bytes())
         assert tables[0] == tables[1] == tables[2], argv
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+@pytest.mark.parametrize("times", [["-3", "2"], ["1", "nan"], ["1", "inf"]])
+def test_bad_times_flag_rejected(capsys, preset, times):
+    assert main(["pcf", "--preset", preset, "--times", *times]) == 2
+    assert "--times" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", [REF_HOMOG.split("grids:")[0], REF_TRAPPED])
+@pytest.mark.parametrize("command,section", [("pcf", "grids"), ("oracle", "oracle")])
+def test_negative_scenario_times_rejected(tmp_path, capsys, base, command, section):
+    path = tmp_path / "negative.yaml"
+    path.write_text(base + f"{section}:\n  times_ms: [-3, 2]\n")
+    assert main([command, "--config", str(path)]) == 2
+    assert f"{section}.times_ms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section", [("pcf", "grids"), ("oracle", "oracle")])
+def test_separation_beyond_box_rejected(tmp_path, capsys, command, section):
+    # a separation longer than the periodic box would wrap around it
+    path = tmp_path / "far.yaml"
+    path.write_text(REF_HOMOG.split("grids:")[0]
+                    + f"{section}:\n  zbar_um: [0, 10, 100, 150, 5000]\n")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "5000 um" in err and "periodic box (100 um)" in err

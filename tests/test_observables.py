@@ -241,9 +241,6 @@ def test_contrast_evaluator_matches_dense_pair_field(trapped_modes, quasi1d_mode
         evaluate = contrast_evaluator(modes, L)
         n = round(L / evaluate.meta["dz"]) + 1
         assert (n + 1) // 2 > _CONTRAST_PANEL_ROWS
-        # a step that does not divide L exactly: zg[1] - zg[0] carries a
-        # cancellation error of ~1e-14 relative, and C^2(0) = 1 only to that level
-        t0_tol = 1e-13
     else:
         evaluate = contrast_evaluator(modes, L, dz=L / (n - 1))
     zg = np.linspace(-L / 2, L / 2, n)

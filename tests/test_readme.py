@@ -1,0 +1,17 @@
+"""The documented library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_block_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    corr = namespace["corr"]
+    assert corr.values.shape == (11, 121)
+    assert corr.values.max() <= 1.0 and corr.values.min() > 0.0
