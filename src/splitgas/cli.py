@@ -71,22 +71,14 @@ def _load_scenario(args):
     return load_scenario(args.config) if args.config else preset_scenario(args.preset)
 
 
-def _provenance(command: str, sc, extra=()):
+def _write(sc, args, columns, rows, extra) -> None:
+    """Stamp a command's table (columns, rows, extra provenance lines) and write it."""
     from . import __version__
+    from .tables import ResultTable, write_table
 
-    rows = [("splitgas", __version__), ("command", command),
-            ("config_sha256", sc.sha256())]
-    rows.extend(extra)
-    return rows
-
-
-def _emit(table, args) -> None:
-    from .tables import write_table
-
-    if args.json and not args.out:
-        from .errors import ConfigError
-
-        raise ConfigError("--json requires --out")
+    table = ResultTable(columns, rows, [
+        ("splitgas", __version__), ("command", args.command),
+        ("config_sha256", sc.sha256()), *extra])
     if args.out:
         write_table(table, args.out, json_mirror=args.json)
     else:
@@ -121,12 +113,9 @@ def _modes(sc, params):
     return build_trapped_modes(profile, params, sc.j_max)
 
 
-def _cmd_params(sc, args) -> int:
-    import numpy as np
-
+def _cmd_params(sc, args):
     from .params import (dephasing_times, derive_params, multimode_condition,
                          squeezing_limit)
-    from .tables import ResultTable
 
     params = derive_params(sc.config)
     length = _analysis_length(sc, params)
@@ -149,10 +138,7 @@ def _cmd_params(sc, args) -> int:
         length / UM, tau0 / MS, tau / MS,
         float(multimode_condition(params, length, xi2)), lim, lim_db,
     ]
-    table = ResultTable(columns, [row], _provenance(
-        "params", sc, [("regime", sc.config.regime.value)]))
-    _emit(table, args)
-    return EXIT_OK
+    return columns, [row], [("regime", sc.config.regime.value)]
 
 
 def _pcf_grids(sc, modes, args):
@@ -177,11 +163,10 @@ def _pcf_grids(sc, modes, args):
     return z, times
 
 
-def _cmd_pcf(sc, args) -> int:
+def _cmd_pcf(sc, args):
     from .modes import variance_field
     from .observables import pcf
     from .params import derive_params
-    from .tables import ResultTable
 
     modes = _modes(sc, derive_params(sc.config))
     z, times = _pcf_grids(sc, modes, args)
@@ -191,15 +176,12 @@ def _cmd_pcf(sc, args) -> int:
     columns = ["z_um" if trapped else "zbar_um"] + [f"C_t{_fmt_ms(t)}ms" for t in times]
     rows = [[z[i] / UM] + [corr.values[j, i] for j in range(len(times))]
             for i in range(len(z))]
-    table = ResultTable(columns, rows, _provenance(
-        "pcf", sc, [("regime", sc.config.regime.value),
-                    ("truncation", f"{modes.truncation_name}={modes.truncation}"),
-                    ("zprime_um", "0" if trapped else "-"),
-                    ("truncation_doubling_rel",
-                     format(field.meta["doubling_dev"], ".3g")),
-                    ("truncation_converged", str(field.converged).lower())]))
-    _emit(table, args)
-    return EXIT_OK
+    return columns, rows, [
+        ("regime", sc.config.regime.value),
+        ("truncation", f"{modes.truncation_name}={modes.truncation}"),
+        ("zprime_um", "0" if trapped else "-"),
+        ("truncation_doubling_rel", format(field.meta["doubling_dev"], ".3g")),
+        ("truncation_converged", str(field.converged).lower())]
 
 
 def _front_for_system(modes, fit_window):
@@ -239,11 +221,10 @@ def _front_for_system(modes, fit_window):
     return trace, fit
 
 
-def _cmd_front(sc, args) -> int:
+def _cmd_front(sc, args):
     from dataclasses import replace
 
     from .params import derive_params
-    from .tables import ResultTable
 
     if sc.compare_regimes:
         return _cmd_front_compare(sc, args)
@@ -261,14 +242,12 @@ def _cmd_front(sc, args) -> int:
             cfg = sc.config.with_atom_number(n_total)
             modes = _modes(replace(sc, config=cfg), derive_params(cfg))
             trace, fit = _front_for_system(modes, sc.fit_window)
-            prov_extra.append(
-                (f"velocity_N{int(n_total)}_mm_per_s", format(fit.speed / 1e-3, ".12g")))
+            prov_extra.append((f"velocity_N{format(n_total, '.12g')}_mm_per_s",
+                               format(fit.speed / 1e-3, ".12g")))
             half = modes.radius / 2.0
             rows.extend([[n_total, t / MS, zc / UM, half / UM]
                          for t, zc in zip(trace.times, trace.positions)])
-        table = ResultTable(columns, rows, _provenance("front", sc, prov_extra))
-        _emit(table, args)
-        return EXIT_OK
+        return columns, rows, prov_extra
 
     modes = _modes(sc, derive_params(sc.config))
     trace, fit = _front_for_system(modes, sc.fit_window)
@@ -282,17 +261,14 @@ def _cmd_front(sc, args) -> int:
         ("velocity_residual_rms_um", format(fit.residual_rms / UM, ".12g")),
         ("detector", trace.method),
     ])
-    table = ResultTable(columns, rows, _provenance("front", sc, prov_extra))
-    _emit(table, args)
-    return EXIT_OK
+    return columns, rows, prov_extra
 
 
-def _cmd_front_compare(sc, args) -> int:
+def _cmd_front_compare(sc, args):
     from dataclasses import replace
 
     from .errors import ConfigError
     from .params import Regime, derive_params
-    from .tables import ResultTable
 
     if not sc.config.regime.trapped:
         raise ConfigError("analysis.compare_regimes requires a trapped scenario")
@@ -313,13 +289,11 @@ def _cmd_front_compare(sc, args) -> int:
                "velocity_quasi_1d_mm_per_s", "sound_speed_mm_per_s"]
     rows = [[fit_h.speed / 1e-3, fit_tf.speed / 1e-3, fit_q.speed / 1e-3,
              params_tf.c / 1e-3]]
-    table = ResultTable(columns, rows, _provenance("front", sc, [
+    return columns, rows, [
         ("comparison", "homogeneous vs thomas_fermi vs quasi_1d"),
         ("fit_window_ms",
          f"({_fmt_ms(sc.fit_window[0])}, {_fmt_ms(sc.fit_window[1])}]"),
-    ]))
-    _emit(table, args)
-    return EXIT_OK
+    ]
 
 
 def _contrast_times(sc, args):
@@ -335,11 +309,10 @@ def _contrast_times(sc, args):
     return np.arange(0.0, t_max + 0.25 * MS, 0.5 * MS)
 
 
-def _cmd_recurrence(sc, args) -> int:
+def _cmd_recurrence(sc, args):
     from .errors import DetectionError
     from .observables import contrast_evaluator, recurrence_scan
     from .params import derive_params
-    from .tables import ResultTable
 
     modes = _modes(sc, derive_params(sc.config))
     length = sc.contrast_lengths[0] if sc.contrast_lengths else 50e-6
@@ -356,15 +329,12 @@ def _cmd_recurrence(sc, args) -> int:
                      f"t_ms={format(t_r / MS, '.6f')} strength={format(s_r, '.10g')}"))
     columns = ["t_ms", "C2"]
     rows = [[t / MS, v] for t, v in zip(trace.times, trace.values)]
-    table = ResultTable(columns, rows, _provenance("recurrence", sc, prov))
-    _emit(table, args)
-    return EXIT_OK
+    return columns, rows, prov
 
 
-def _cmd_contrast(sc, args) -> int:
+def _cmd_contrast(sc, args):
     from .observables import contrast_trace
     from .params import derive_params
-    from .tables import ResultTable
 
     modes = _modes(sc, derive_params(sc.config))
     lengths = sc.contrast_lengths or [50e-6]
@@ -373,17 +343,13 @@ def _cmd_contrast(sc, args) -> int:
     columns = ["t_ms"] + [f"C2_L{format(L / UM, '.6g')}um" for L in lengths]
     rows = [[times[i] / MS] + [tr.values[i] for tr in traces]
             for i in range(len(times))]
-    table = ResultTable(columns, rows, _provenance(
-        "contrast", sc, [("regime", sc.config.regime.value)]))
-    _emit(table, args)
-    return EXIT_OK
+    return columns, rows, [("regime", sc.config.regime.value)]
 
 
-def _cmd_squeezing_map(sc, args) -> int:
+def _cmd_squeezing_map(sc, args):
     import numpy as np
 
     from .params import pi, squeezing_map
-    from .tables import ResultTable
 
     omegas = sc.map_nu_perp
     lengths = sc.map_lengths
@@ -399,19 +365,16 @@ def _cmd_squeezing_map(sc, args) -> int:
     for i, om in enumerate(omegas):
         for j, L in enumerate(lengths):
             rows.append([om / (2.0 * pi), L / UM, lin[i, j], db[i, j]])
-    table = ResultTable(columns, rows, _provenance("squeezing-map", sc, []))
-    _emit(table, args)
-    return EXIT_OK
+    return columns, rows, []
 
 
-def _cmd_oracle(sc, args) -> int:
+def _cmd_oracle(sc, args):
     import numpy as np
 
     from .homogeneous import recurrence_time
     from .modes import variance_field
     from .oracle import EnsembleSpec, estimate_pcf
     from .params import derive_params
-    from .tables import ResultTable
 
     modes = _modes(sc, derive_params(sc.config))
     realizations = (args.realizations if args.realizations is not None
@@ -439,7 +402,7 @@ def _cmd_oracle(sc, args) -> int:
     rows = [[z[iz] / UM, times[it] / MS, analytic[it, iz], stats.mean[it, iz],
              se[it, iz], z_score[it, iz]]
             for it in range(len(times)) for iz in range(len(z))]
-    table = ResultTable(columns, rows, _provenance("oracle", sc, [
+    return columns, rows, [
         ("regime", sc.config.regime.value),
         ("seed", str(seed)),
         ("realizations", str(realizations)),
@@ -447,9 +410,7 @@ def _cmd_oracle(sc, args) -> int:
         ("z_abs_lt3_frac", format(np.mean(np.abs(z_score) < 3.0), ".12g")),
         ("max_abs_z", format(np.max(np.abs(z_score)), ".12g")),
         ("max_imag_z", format(imag_z.max(initial=0.0), ".12g")),
-    ]))
-    _emit(table, args)
-    return EXIT_OK
+    ]
 
 
 _COMMANDS = {
@@ -468,8 +429,11 @@ def main(argv=None) -> int:
     from .errors import ConfigError, ConvergenceError, DetectionError
 
     try:
+        if args.json and not args.out:
+            raise ConfigError("--json requires --out")
         sc = _load_scenario(args)
-        return _COMMANDS[args.command](sc, args)
+        _write(sc, args, *_COMMANDS[args.command](sc, args))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"splitgas: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -90,14 +90,7 @@ def convergence_check(
     deviation is at the percent level and falls off as the inverse
     truncation.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    coarse = variance_field(modes, z, times, zprime).values
-    fine = variance_field(modes.doubled(), z, times, zprime).values
-    mask = np.abs(z - zprime) >= 2.0 * modes.xi_h
-    if not mask.any():
-        mask = np.ones_like(z, dtype=bool)
-    scale = max(float(np.abs(fine).max()), 1e-300)
-    dev = float(np.max(np.abs(fine - coarse)[:, mask]) / scale)
+    dev = variance_field(modes, z, times, zprime, check_convergence=True).meta["doubling_dev"]
     return dev < rtol, dev
 
 
@@ -126,7 +119,14 @@ def variance_field(
     converged = None
     dev = None
     if check_convergence:
-        converged, dev = convergence_check(modes, z, times, zprime)
+        # the doubling test of :func:`convergence_check`
+        fine = variance_field(modes.doubled(), z, times, zprime).values
+        mask = np.abs(z - zprime) >= 2.0 * modes.xi_h
+        if not mask.any():
+            mask = np.ones_like(z, dtype=bool)
+        scale = max(float(np.abs(fine).max()), 1e-300)
+        dev = float(np.max(np.abs(fine - values)[:, mask]) / scale)
+        converged = dev < CONVERGENCE_RTOL
         if strict and not converged:
             raise ConvergenceError(
                 f"variance not converged at {modes.truncation_name}={modes.truncation}: "

@@ -190,7 +190,6 @@ def extract_front(
     smoothing_sigma: float | None = None,
     prominence_rel: float = DEFAULT_PROMINENCE_REL,
     method: str = "mixed_derivative",
-    search_max: float | None = None,
 ) -> FrontTrace:
     """Locate the correlation front z_c(t) on a regular (position x time) grid.
 
@@ -210,8 +209,7 @@ def extract_front(
     dz = float(z[1] - z[0])
     if smoothing_sigma is None:
         smoothing_sigma = field.meta.get("xi_h", 4.0 * dz)
-    if search_max is None:
-        search_max = _front_search_limit(field)
+    search_max = _front_search_limit(field)
     imax = int(np.searchsorted(z, search_max, side="right"))
     guard = max(3, int(round(3.0 * smoothing_sigma / dz)))
 
@@ -479,13 +477,13 @@ def contrast_trace(modes, length: float, times, dz: float | None = None) -> Cont
     return contrast_evaluator(modes, length, dz).trace(times)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(80):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
@@ -502,16 +500,15 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]
 
 def recurrence_scan(
     trace: ContrastTrace,
-    min_prominence: float = 1e-3,
     refine_fn=None,
 ) -> list[tuple[float, float]]:
     """Ranked partial recurrences of coherence after the initial dephasing.
 
-    Local maxima of C^2(t) past the first local minimum, sorted by
-    strength (the C^2 value at the maximum), strongest first.  When a
-    continuous evaluator ``refine_fn(t) -> C^2`` is supplied, each sampled
-    peak is polished by golden-section search so exact rephasings report
-    strength 1 rather than the nearest sample value.
+    Local maxima of C^2(t) past the first local minimum with a prominence
+    of at least 1e-3, sorted by strength (the C^2 value at the maximum),
+    strongest first.  When a continuous evaluator ``refine_fn(t) -> C^2``
+    is supplied, each sampled peak is polished by golden-section search so
+    exact rephasings report strength 1 rather than the nearest sample value.
     """
     vals = np.asarray(trace.values)
     ts = np.asarray(trace.times)
@@ -522,7 +519,7 @@ def recurrence_scan(
         return []
     imin = int(turn[0])
     _, peaks, prom = _peak_prominences(vals[None, imin:])
-    peaks = peaks[prom >= min_prominence] + imin
+    peaks = peaks[prom >= 1e-3] + imin
     results = []
     dt = ts[1] - ts[0]
     for idx in peaks:

@@ -68,10 +68,6 @@ class EnsembleSpec:
         if self.kind == "thermal" and (self.temperature is None or self.temperature <= 0):
             raise ConfigError("thermal ensembles need a positive temperature")
 
-    def with_realizations(self, n: int) -> "EnsembleSpec":
-        return EnsembleSpec(n, self.master_seed, self.kind, self.temperature,
-                            self.include_initial_phase_noise)
-
 
 @dataclass
 class EnsembleStats:

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import yaml
@@ -55,8 +56,8 @@ def _require_mapping(value, where):
     return value
 
 
-def _check_keys(mapping: dict, allowed: set, where: str):
-    unknown = sorted(set(mapping) - allowed)
+def _check_keys(mapping: dict, allowed, where: str):
+    unknown = sorted(set(mapping).difference(allowed))
     if unknown:
         raise ConfigError(f"{where}.{unknown[0]}: unknown key")
 
@@ -96,16 +97,75 @@ _TRAP_KEYS = {
     "regime", "atom_number_total", "peak_density_per_um", "system_length_um",
     "squeezing",
 }
-_GRID_KEYS = {"zbar_um", "times_ms"}
-_TRUNC_KEYS = {"p_max", "j_max"}
-_ANALYSIS_KEYS = {
-    "length_um", "contrast_lengths_um", "fit_window_ms", "t_max_ms",
-    "scan_atom_numbers", "compare_regimes",
+
+
+def _integer(value, where):
+    return int(_require_number(value, where, integer=True))
+
+
+def _flag(value, where):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true/false")
+    return value
+
+
+def _nonempty_list(item):
+    def parse(value, where):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where}: expected a non-empty list")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+def _fit_window(win, where):
+    if not isinstance(win, list) or len(win) != 2:
+        raise ConfigError(f"{where}: expected [t_min, t_max]")
+    lo = _require_number(win[0], f"{where}[0]", positive=False)
+    hi = _require_number(win[1], f"{where}[1]")
+    if hi <= lo:
+        raise ConfigError(f"{where}: t_max must exceed t_min")
+    return (lo * MS, hi * MS)
+
+
+def _seed(seed, where):
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{where}: expected a non-negative integer")
+    return seed
+
+
+def _length(value, where):
+    return _require_number(value, where) * UM
+
+
+_positions = partial(_grid, scale=UM)
+_times = partial(_grid, scale=MS, nonnegative=True)
+
+
+# Optional sections: {section: {key: (Scenario attribute, parser(value, dotted key))}}.
+# Keys are parsed in this order, so the first fault reported is stable.
+_SECTIONS = {
+    "grids": {"zbar_um": ("zbar", _positions), "times_ms": ("times", _times)},
+    "truncation": {"p_max": ("p_max", _integer), "j_max": ("j_max", _integer)},
+    "analysis": {
+        "length_um": ("length", _length),
+        "contrast_lengths_um": ("contrast_lengths", _nonempty_list(_length)),
+        "fit_window_ms": ("fit_window", _fit_window),
+        "t_max_ms": ("t_max", lambda v, where: _require_number(v, where) * MS),
+        "scan_atom_numbers": ("scan_atom_numbers", _nonempty_list(_require_number)),
+        "compare_regimes": ("compare_regimes", _flag),
+    },
+    "oracle": {
+        "realizations": ("oracle_realizations", _integer),
+        "seed": ("oracle_seed", _seed),
+        "include_initial_phase_noise": ("oracle_phase_noise", _flag),
+        "zbar_um": ("oracle_zbar", _positions),
+        "times_ms": ("oracle_times", _times),
+    },
+    "squeezing_map": {
+        "nu_perp_hz": ("map_nu_perp", lambda v, where: 2.0 * pi * _grid(v, where)),
+        "length_um": ("map_lengths", _positions),
+    },
 }
-_ORACLE_KEYS = {"realizations", "seed", "include_initial_phase_noise",
-                "zbar_um", "times_ms"}
-_MAP_KEYS = {"nu_perp_hz", "length_um"}
-_TOP_KEYS = {"trap", "grids", "truncation", "analysis", "oracle", "squeezing_map"}
 
 
 @dataclass
@@ -195,87 +255,19 @@ def _build_config(trap: dict) -> TrapConfig:
 
 def _build_scenario(doc: dict) -> Scenario:
     _require_mapping(doc, "scenario")
-    _check_keys(doc, _TOP_KEYS, "scenario")
+    _check_keys(doc, {"trap", *_SECTIONS}, "scenario")
     if "trap" not in doc:
         raise ConfigError("trap: required section")
     config = _build_config(doc["trap"])
     sc = Scenario(raw=copy.deepcopy(doc), config=config)
-
-    grids = _require_mapping(doc.get("grids", {}), "grids")
-    _check_keys(grids, _GRID_KEYS, "grids")
-    if "zbar_um" in grids:
-        sc.zbar = _grid(grids["zbar_um"], "grids.zbar_um", scale=UM)
-    if "times_ms" in grids:
-        sc.times = _grid(grids["times_ms"], "grids.times_ms", scale=MS, nonnegative=True)
-
-    trunc = _require_mapping(doc.get("truncation", {}), "truncation")
-    _check_keys(trunc, _TRUNC_KEYS, "truncation")
-    if "p_max" in trunc:
-        sc.p_max = int(_require_number(trunc["p_max"], "truncation.p_max", integer=True))
-    if "j_max" in trunc:
-        sc.j_max = int(_require_number(trunc["j_max"], "truncation.j_max", integer=True))
-
-    ana = _require_mapping(doc.get("analysis", {}), "analysis")
-    _check_keys(ana, _ANALYSIS_KEYS, "analysis")
-    if "length_um" in ana:
-        sc.length = _require_number(ana["length_um"], "analysis.length_um") * UM
-    if "contrast_lengths_um" in ana:
-        raw_ls = ana["contrast_lengths_um"]
-        if not isinstance(raw_ls, list) or not raw_ls:
-            raise ConfigError("analysis.contrast_lengths_um: expected a non-empty list")
-        sc.contrast_lengths = [
-            _require_number(v, f"analysis.contrast_lengths_um[{i}]") * UM
-            for i, v in enumerate(raw_ls)
-        ]
-    if "fit_window_ms" in ana:
-        win = ana["fit_window_ms"]
-        if not isinstance(win, list) or len(win) != 2:
-            raise ConfigError("analysis.fit_window_ms: expected [t_min, t_max]")
-        lo = _require_number(win[0], "analysis.fit_window_ms[0]", positive=False)
-        hi = _require_number(win[1], "analysis.fit_window_ms[1]")
-        if hi <= lo:
-            raise ConfigError("analysis.fit_window_ms: t_max must exceed t_min")
-        sc.fit_window = (lo * MS, hi * MS)
-    if "t_max_ms" in ana:
-        sc.t_max = _require_number(ana["t_max_ms"], "analysis.t_max_ms") * MS
-    if "scan_atom_numbers" in ana:
-        raw_ns = ana["scan_atom_numbers"]
-        if not isinstance(raw_ns, list) or not raw_ns:
-            raise ConfigError("analysis.scan_atom_numbers: expected a non-empty list")
-        sc.scan_atom_numbers = [
-            _require_number(v, f"analysis.scan_atom_numbers[{i}]")
-            for i, v in enumerate(raw_ns)
-        ]
-    if "compare_regimes" in ana:
-        if not isinstance(ana["compare_regimes"], bool):
-            raise ConfigError("analysis.compare_regimes: expected true/false")
-        sc.compare_regimes = ana["compare_regimes"]
-
-    orc = _require_mapping(doc.get("oracle", {}), "oracle")
-    _check_keys(orc, _ORACLE_KEYS, "oracle")
-    if "realizations" in orc:
-        sc.oracle_realizations = int(
-            _require_number(orc["realizations"], "oracle.realizations", integer=True))
-    if "seed" in orc:
-        seed = orc["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError("oracle.seed: expected a non-negative integer")
-        sc.oracle_seed = seed
-    if "include_initial_phase_noise" in orc:
-        if not isinstance(orc["include_initial_phase_noise"], bool):
-            raise ConfigError("oracle.include_initial_phase_noise: expected true/false")
-        sc.oracle_phase_noise = orc["include_initial_phase_noise"]
-    if "zbar_um" in orc:
-        sc.oracle_zbar = _grid(orc["zbar_um"], "oracle.zbar_um", scale=UM)
-    if "times_ms" in orc:
-        sc.oracle_times = _grid(orc["times_ms"], "oracle.times_ms", scale=MS, nonnegative=True)
-
-    smap = _require_mapping(doc.get("squeezing_map", {}), "squeezing_map")
-    _check_keys(smap, _MAP_KEYS, "squeezing_map")
-    if "nu_perp_hz" in smap:
-        sc.map_nu_perp = 2.0 * pi * _grid(smap["nu_perp_hz"], "squeezing_map.nu_perp_hz")
-    if "length_um" in smap:
-        sc.map_lengths = _grid(smap["length_um"], "squeezing_map.length_um", scale=UM)
+    for name, schema in _SECTIONS.items():
+        section = doc.get(name)
+        # a section holding only comments reads as null
+        section = _require_mapping({} if section is None else section, name)
+        _check_keys(section, schema, name)
+        for key, (attr, parse) in schema.items():
+            if key in section:
+                setattr(sc, attr, parse(section[key], f"{name}.{key}"))
     return sc
 
 

@@ -46,6 +46,13 @@ class ResultTable:
             if len(row) != ncol:
                 raise ConfigError(
                     f"row {i} has {len(row)} cells, expected {ncol}")
+        for what, names in (("column", self.columns),
+                            ("provenance key", [k for k, _ in self.provenance])):
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise ConfigError(f"duplicate {what} {name!r}")
+                seen.add(name)
 
     def to_csv(self) -> str:
         lines = [f"# {k}: {v}" for k, v in self.provenance]

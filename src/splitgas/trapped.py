@@ -54,6 +54,9 @@ __all__ = [
     "trapped_convergence_check",
 ]
 
+# density profiles are sampled at this many points across the cloud
+_PROFILE_SAMPLES = 513
+
 
 def mode_frequency(j: int, omega: float):
     """Breathing-ladder eigenfrequency omega * sqrt(j*(j+1)/2), j >= 1."""
@@ -114,12 +117,12 @@ class DensityProfile:
         return math.sqrt(self.n_peak * self.eos_slope_peak / self.mass)
 
 
-def tf_profile(params: PhysicalParams, n_samples: int = 513) -> DensityProfile:
+def tf_profile(params: PhysicalParams) -> DensityProfile:
     """Inverted-parabola profile n(z) = n_peak*(1 - z^2/R^2)."""
     if not params.config.regime.trapped:
         raise ConfigError("density profiles exist for trapped regimes only")
     R = params.R
-    z = np.linspace(-R, R, n_samples)
+    z = np.linspace(-R, R, _PROFILE_SAMPLES)
     n = np.clip(params.n_peak * (1.0 - (z / R) ** 2), 0.0, None)
     return DensityProfile(
         kind="thomas_fermi", n_peak=params.n_peak, radius=R, mu=params.mu,
@@ -136,11 +139,7 @@ def _quasi1d_density(z, mu, config: TrapConfig):
     return ((1.0 + w) ** 2 - 1.0) / (4.0 * config.scattering_length)
 
 
-def quasi1d_profile(
-    config: TrapConfig,
-    params: PhysicalParams | None = None,
-    n_samples: int = 513,
-) -> DensityProfile:
+def quasi1d_profile(config: TrapConfig, params: PhysicalParams | None = None) -> DensityProfile:
     """Longitudinal profile with the radial extension integrated out.
 
     Solves mu - V(z) = mu_eos(n(z)) with the global mu fixed by the atom
@@ -187,7 +186,7 @@ def quasi1d_profile(
     mu = 0.5 * (lo + hi)
 
     R_eff = math.sqrt(2.0 * mu / (m * om**2))
-    z = np.linspace(-R_eff, R_eff, n_samples)
+    z = np.linspace(-R_eff, R_eff, _PROFILE_SAMPLES)
     n = _quasi1d_density(z, mu, config)
     n[0] = n[-1] = 0.0
     n_peak_eff = float(_quasi1d_density(0.0, mu, config))

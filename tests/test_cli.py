@@ -498,3 +498,48 @@ def test_separation_beyond_box_rejected(tmp_path, capsys, command, section):
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "5000 um" in err and "periodic box (100 um)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["params"], ["pcf"], ["front"], ["contrast", "--t-max", "20"],
+    ["oracle", "--realizations", "500", "--seed", "1"],
+])
+def test_annotated_reference_scenario_runs(tmp_path, argv):
+    # its truncation section holds only comments, which YAML reads as null
+    from pathlib import Path
+
+    reference = Path(__file__).resolve().parents[1] / "scenarios" / "reference.yaml"
+    out = str(tmp_path / "ref.csv")
+    assert main([*argv, "--config", str(reference), "--out", out]) == 0
+    validate_table(out)
+
+
+def test_json_without_out_refused_before_the_command(monkeypatch, trapped_file, capsys):
+    import splitgas.cli as cli
+
+    calls = []
+    monkeypatch.setitem(cli._COMMANDS, "params", lambda sc, args: calls.append(sc))
+    assert main(["params", "--config", trapped_file, "--json"]) == 2
+    assert calls == []
+    assert "--json requires --out" in capsys.readouterr().err
+
+
+def test_scan_atom_numbers_name_distinct_velocities(tmp_path, capsys):
+    path = tmp_path / "scan.yaml"
+    out = str(tmp_path / "scan.csv")
+    path.write_text(REF_TRAPPED + "analysis:\n  scan_atom_numbers: [3000.2, 3000.7]\n")
+    assert main(["front", "--config", str(path), "--out", out]) == 0
+    keys = [k for k, _ in read_table(out)[0] if k.startswith("velocity_N")]
+    assert keys == ["velocity_N3000.2_mm_per_s", "velocity_N3000.7_mm_per_s"]
+    # the same atom number twice would name one velocity twice
+    path.write_text(REF_TRAPPED + "analysis:\n  scan_atom_numbers: [3000, 3000.0]\n")
+    assert main(["front", "--config", str(path)]) == 2
+    assert "velocity_N3000_mm_per_s" in capsys.readouterr().err
+
+
+def test_duplicate_contrast_length_rejected(tmp_path, capsys):
+    path = tmp_path / "twice.yaml"
+    path.write_text(REF_TRAPPED + "analysis:\n  contrast_lengths_um: [20, 20]\n")
+    assert main(["contrast", "--config", str(path), "--t-max", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate column" in err and "C2_L20um" in err

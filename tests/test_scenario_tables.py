@@ -104,3 +104,30 @@ def test_table_round_trip(tmp_path):
 def test_table_width_mismatch():
     with pytest.raises(ConfigError):
         ResultTable(columns=["a"], rows=[[1.0, 2.0]])
+
+
+def test_duplicate_table_names_rejected():
+    with pytest.raises(ConfigError, match="duplicate column 'a'"):
+        ResultTable(columns=["a", "b", "a"], rows=[[1.0, 2.0, 3.0]])
+    with pytest.raises(ConfigError, match="duplicate provenance key 'seed'"):
+        ResultTable(columns=["a"], rows=[[1.0]],
+                    provenance=[("seed", "1"), ("command", "x"), ("seed", "2")])
+
+
+def test_schema_names_every_scenario_field_once():
+    from dataclasses import fields
+
+    from splitgas.scenario import _SECTIONS, Scenario
+
+    named = [attr for schema in _SECTIONS.values() for attr, _ in schema.values()]
+    assert sorted(named) == sorted(
+        f.name for f in fields(Scenario) if f.name not in ("raw", "config"))
+
+
+def test_empty_optional_section_allowed(tmp_path):
+    sc = load_scenario(_write(tmp_path, BASE + "truncation:\n  # j_max: 80\ngrids:\n"))
+    assert sc.j_max is None and sc.times is None
+    with pytest.raises(ConfigError, match="grids: expected a mapping"):
+        load_scenario(_write(tmp_path, BASE + "grids: []\n"))
+    with pytest.raises(ConfigError, match="trap: expected a mapping"):
+        load_scenario(_write(tmp_path, "trap:\ngrids:\n  times_ms: [1]\n"))
