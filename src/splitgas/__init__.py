@@ -14,6 +14,8 @@ Library layout:
 - :mod:`splitgas.oracle` - Monte-Carlo sampling of the same statistics.
 - :mod:`splitgas.cli` - scenario-driven command line front end.
 
+The exported names are imported on first use, not by ``import splitgas``.
+
 Set SPLITGAS_THREADS to cap the linear-algebra thread pool; the cap is
 applied here, before numpy is first imported, and never overrides an
 explicit OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or
@@ -34,54 +36,52 @@ def _cap_threads() -> None:
 
 _cap_threads()
 
-from .errors import ConfigError, ConvergenceError, DetectionError, SplitGasError
-from .params import (
-    RB87,
-    PhysicalParams,
-    Regime,
-    SpeciesPreset,
-    TrapConfig,
-    dephasing_times,
-    derive_params,
-    multimode_condition,
-    peak_density_from_atom_number,
-    squeezing_limit,
-    squeezing_map,
-)
-from .homogeneous import (
-    PlaneWaveModeSet,
-    build_modes,
-    covariance_rate,
-    phase_covariance,
-    phase_variance,
-    prethermal_variance,
-    recurrence_time,
-    thermal_variance,
-    variance_field,
-    variance_rate,
-)
-from .trapped import (
-    DensityProfile,
-    LegendreModeSet,
-    build_trapped_modes,
-    legendre_f,
-    mode_frequency,
-    quasi1d_profile,
-    tf_profile,
-    trapped_phase_variance,
-    trapped_variance_field,
-)
-from .observables import (
-    contrast_evaluator,
-    contrast_trace,
-    extract_front,
-    fit_velocity,
-    mean_squared_contrast,
-    mode_amplitude_trace,
-    pcf,
-    prethermal_pcf,
-    recurrence_scan,
-)
-from .oracle import EnsembleSpec, EnsembleStats, estimate_pcf, sample_realization
+# Each public name and the module that defines it.  A name is imported on
+# first access (PEP 562), so a command loads only the modules it runs.
+_EXPORTS = {
+    "errors": ("ConfigError", "ConvergenceError", "DetectionError", "SplitGasError"),
+    "params": (
+        "RB87", "PhysicalParams", "Regime", "SpeciesPreset", "TrapConfig",
+        "dephasing_times", "derive_params", "multimode_condition",
+        "peak_density_from_atom_number", "squeezing_limit", "squeezing_map",
+    ),
+    "homogeneous": (
+        "PlaneWaveModeSet", "build_modes", "covariance_rate", "phase_covariance",
+        "phase_variance", "prethermal_variance", "recurrence_time",
+        "thermal_variance", "variance_field", "variance_rate",
+    ),
+    "trapped": (
+        "DensityProfile", "LegendreModeSet", "build_trapped_modes", "legendre_f",
+        "mode_frequency", "quasi1d_profile", "tf_profile", "trapped_phase_variance",
+        "trapped_variance_field",
+    ),
+    "observables": (
+        "contrast_evaluator", "contrast_trace", "extract_front", "fit_velocity",
+        "mean_squared_contrast", "mode_amplitude_trace", "pcf", "prethermal_pcf",
+        "recurrence_scan",
+    ),
+    "oracle": ("EnsembleSpec", "EnsembleStats", "estimate_pcf", "sample_realization"),
+}
+_SUBMODULES = ("errors", "fields", "homogeneous", "modes", "observables", "oracle",
+               "params", "trapped")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = sorted([*_HOME, *_SUBMODULES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

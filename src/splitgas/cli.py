@@ -225,6 +225,7 @@ def _cmd_front(sc, args):
     from dataclasses import replace
 
     from .params import derive_params
+    from .scenario import velocity_key
 
     if sc.compare_regimes:
         return _cmd_front_compare(sc, args)
@@ -242,8 +243,7 @@ def _cmd_front(sc, args):
             cfg = sc.config.with_atom_number(n_total)
             modes = _modes(replace(sc, config=cfg), derive_params(cfg))
             trace, fit = _front_for_system(modes, sc.fit_window)
-            prov_extra.append((f"velocity_N{format(n_total, '.12g')}_mm_per_s",
-                               format(fit.speed / 1e-3, ".12g")))
+            prov_extra.append((velocity_key(n_total), format(fit.speed / 1e-3, ".12g")))
             half = modes.radius / 2.0
             rows.extend([[n_total, t / MS, zc / UM, half / UM]
                          for t, zc in zip(trace.times, trace.positions)])
@@ -335,12 +335,13 @@ def _cmd_recurrence(sc, args):
 def _cmd_contrast(sc, args):
     from .observables import contrast_trace
     from .params import derive_params
+    from .scenario import contrast_column
 
     modes = _modes(sc, derive_params(sc.config))
     lengths = sc.contrast_lengths or [50e-6]
     times = _contrast_times(sc, args)
     traces = [contrast_trace(modes, L, times) for L in lengths]
-    columns = ["t_ms"] + [f"C2_L{format(L / UM, '.6g')}um" for L in lengths]
+    columns = ["t_ms"] + [contrast_column(L) for L in lengths]
     rows = [[times[i] / MS] + [tr.values[i] for tr in traces]
             for i in range(len(times))]
     return columns, rows, [("regime", sc.config.regime.value)]

@@ -57,6 +57,10 @@ _CONTRAST_PANEL_ROWS = 48
 # temporary (block x panel height x m), so a panel's working set stays in
 # L2.  Fewer, larger blocks cut the per-block interpreter work.
 _CONTRAST_PANEL_ELEMENTS = 2**16
+# The front detector differentiates, smooths and searches the time x position
+# grid this many time rows at a time, so its temporaries stay a few MB on the
+# largest preset grids; every row is processed exactly as on the whole grid.
+_FRONT_BLOCK_ROWS = 64
 
 
 def pcf(variance):
@@ -221,21 +225,25 @@ def extract_front(
     deriv_floor = 1e-9 * float(np.abs(field.values).max() or 1.0) / (dt_grid * dz)
 
     if method == "mixed_derivative":
-        M = np.gradient(dVdt, z, axis=1)
-        rows = np.abs(_gaussian_smooth(M, smoothing_sigma / dz)[:, :imax])
-        seg = rows[:, guard:-guard]
-        if seg.shape[1] >= 4:
-            rng = seg.max(axis=1) - seg.min(axis=1)
-            row, idx, prom = _peak_prominences(seg)
-            ok = (prom >= prominence_rel * rng[row]) & (rng[row] > deriv_floor)
-            row, idx, prom = row[ok], idx[ok], prom[ok]
-            # per row the most prominent peak, the leftmost of equals
-            order = np.lexsort((idx, -prom, row))
-            lead = np.ones(order.size, dtype=bool)
-            lead[1:] = row[order[1:]] != row[order[:-1]]
-            for i, j in zip(row[order[lead]], idx[order[lead]] + guard):
-                positions.append(z[j] + _refine_peak(rows[i], j, dz))
-                times.append(ts[i])
+        sigma = smoothing_sigma / dz
+        # smoothed outputs left of imax never reach the right-edge padding
+        ncol = min(z.size, imax + int(4.0 * sigma + 0.5))
+        if imax - 2 * guard >= 4:
+            for b in range(0, ts.size, _FRONT_BLOCK_ROWS):
+                M = np.gradient(dVdt[b:b + _FRONT_BLOCK_ROWS], z, axis=1)
+                rows = np.abs(_gaussian_smooth(M[:, :ncol], sigma)[:, :imax])
+                seg = rows[:, guard:-guard]
+                rng = seg.max(axis=1) - seg.min(axis=1)
+                row, idx, prom = _peak_prominences(seg)
+                ok = (prom >= prominence_rel * rng[row]) & (rng[row] > deriv_floor)
+                row, idx, prom = row[ok], idx[ok], prom[ok]
+                # per row the most prominent peak, the leftmost of equals
+                order = np.lexsort((idx, -prom, row))
+                lead = np.ones(order.size, dtype=bool)
+                lead[1:] = row[order[1:]] != row[order[:-1]]
+                for i, j in zip(row[order[lead]], idx[order[lead]] + guard):
+                    positions.append(z[j] + _refine_peak(rows[i], j, dz))
+                    times.append(ts[b + i])
             diagnostics["dropped"] = ts.size - len(times)
     elif method == "half_plateau":
         n_dec = max(2, (imax - 2 * guard) // 10)

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
 from .params import RB87, Regime, SpeciesPreset, TrapConfig, hbar, pi
 
-__all__ = ["Scenario", "load_scenario", "preset_scenario", "PRESET_NAMES"]
+__all__ = ["Scenario", "load_scenario", "preset_scenario", "PRESET_NAMES",
+           "contrast_column", "velocity_key"]
 
 _SPECIES = {"rb87": RB87}
 
@@ -109,11 +109,35 @@ def _flag(value, where):
     return value
 
 
-def _nonempty_list(item):
+def contrast_column(length: float) -> str:
+    """Table column of the contrast trace for a window ``length`` in m."""
+    return f"C2_L{format(length / UM, '.6g')}um"
+
+
+def velocity_key(atom_number: float) -> str:
+    """Provenance key of the front velocity of an atom-number scan entry."""
+    return f"velocity_N{format(atom_number, '.12g')}_mm_per_s"
+
+
+def _nonempty_list(item, table_name=None):
+    """Parse a non-empty list; with ``table_name``, refuse entries named alike.
+
+    ``table_name(parsed entry)`` names the column or provenance line the
+    entry becomes, so a repeat is refused here, before any computation.
+    """
     def parse(value, where):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{where}: expected a non-empty list")
-        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        parsed = [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        if table_name is not None:
+            seen = {}
+            for v, p in zip(value, parsed):
+                name = table_name(p)
+                if name in seen:
+                    raise ConfigError(
+                        f"{where}: {v!r} repeats {seen[name]!r} (duplicate {name})")
+                seen[name] = v
+        return parsed
     return parse
 
 
@@ -148,10 +172,12 @@ _SECTIONS = {
     "truncation": {"p_max": ("p_max", _integer), "j_max": ("j_max", _integer)},
     "analysis": {
         "length_um": ("length", _length),
-        "contrast_lengths_um": ("contrast_lengths", _nonempty_list(_length)),
+        "contrast_lengths_um": ("contrast_lengths", _nonempty_list(
+            _length, lambda L: f"column {contrast_column(L)!r}")),
         "fit_window_ms": ("fit_window", _fit_window),
         "t_max_ms": ("t_max", lambda v, where: _require_number(v, where) * MS),
-        "scan_atom_numbers": ("scan_atom_numbers", _nonempty_list(_require_number)),
+        "scan_atom_numbers": ("scan_atom_numbers", _nonempty_list(
+            _require_number, lambda n: f"provenance key {velocity_key(n)!r}")),
         "compare_regimes": ("compare_regimes", _flag),
     },
     "oracle": {
@@ -273,11 +299,20 @@ def _build_scenario(doc: dict) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a YAML scenario file."""
+    import yaml   # only scenario files need PyYAML; presets never load it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read scenario file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"scenario file {path} is not UTF-8 text: {exc.reason} "
+            f"at byte {exc.start}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"scenario file is not valid YAML: {exc}") from None
     if doc is None:

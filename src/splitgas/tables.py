@@ -14,16 +14,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
 
 __all__ = ["ResultTable", "write_table", "read_table", "validate_table"]
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
-        return "nan" if np.isnan(x) else ("inf" if x > 0 else "-inf")
+    # float's own spelling of the non-finite values is nan, inf and -inf
     return format(float(x), ".12g")
 
 
@@ -60,7 +57,7 @@ class ResultTable:
         lines.append(f"# rows: {len(self.rows)}")
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(_fmt(x) for x in row))
+            lines.append(",".join(map(_fmt, row)))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

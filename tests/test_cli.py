@@ -543,3 +543,48 @@ def test_duplicate_contrast_length_rejected(tmp_path, capsys):
     assert main(["contrast", "--config", str(path), "--t-max", "2"]) == 2
     err = capsys.readouterr().err
     assert "duplicate column" in err and "C2_L20um" in err
+
+
+def test_duplicate_contrast_length_refused_before_any_window(tmp_path, monkeypatch, capsys):
+    from splitgas import observables
+
+    calls = []
+    monkeypatch.setattr(observables, "contrast_trace",
+                        lambda *args, **kwargs: calls.append(args))
+    path = tmp_path / "twice.yaml"
+    path.write_text(REF_TRAPPED + "analysis:\n  contrast_lengths_um: [90, 90.0]\n")
+    assert main(["contrast", "--config", str(path)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "analysis.contrast_lengths_um: 90.0 repeats 90" in err
+    assert "C2_L90um" in err
+
+
+def test_duplicate_atom_number_refused_at_load(tmp_path):
+    from splitgas.scenario import load_scenario
+
+    path = tmp_path / "scan.yaml"
+    path.write_text(REF_TRAPPED + "analysis:\n  scan_atom_numbers: [3000.2, 3000.7]\n")
+    assert load_scenario(str(path)).scan_atom_numbers == [3000.2, 3000.7]
+    path.write_text(REF_TRAPPED + "analysis:\n  scan_atom_numbers: [3000, 6000, 3000.0]\n")
+    with pytest.raises(ConfigError, match=r"analysis\.scan_atom_numbers: 3000\.0 repeats 3000"):
+        load_scenario(str(path))
+
+
+def test_directory_as_scenario_file(tmp_path, capsys):
+    assert main(["params", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read scenario file {tmp_path}" in err
+
+
+def test_scenario_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.yaml"
+    path.write_bytes(b"\xff\xfe" + REF_TRAPPED.encode("utf-16-le"))
+    assert main(["params", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario file {path} is not UTF-8 text" in err
+
+
+def test_missing_scenario_file_message(tmp_path, capsys):
+    assert main(["params", "--config", str(tmp_path / "absent.yaml")]) == 2
+    assert "scenario file not found:" in capsys.readouterr().err

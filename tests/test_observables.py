@@ -286,6 +286,32 @@ def test_contrast_memory_bounded_per_window():
     assert peak < 16 * 2**20
 
 
+def test_front_memory_bounded_on_largest_preset_grid():
+    import tracemalloc
+    from dataclasses import replace
+
+    from splitgas import derive_params
+    from splitgas.cli import _modes
+    from splitgas.scenario import preset_scenario
+
+    sc = preset_scenario("fig5")
+    cfg = sc.config.with_atom_number(9000)
+    modes = _modes(replace(sc, config=cfg), derive_params(cfg))
+    dt = (pi / modes.omega_max) / 20.0
+    times = np.arange(dt, sc.fit_window[1] + 0.5 * dt, dt)
+    field = variance_field(modes, np.arange(0.0, 0.985 * modes.radius, modes.xi_h / 4.0),
+                           times)
+    assert field.values.shape == (318, 636)
+    tracemalloc.start()
+    try:
+        trace = extract_front(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 300
+    assert peak < 6e6
+
+
 def test_contrast_window_needs_two_grid_points(homog_modes, trapped_modes):
     for modes in (homog_modes, trapped_modes):
         with pytest.raises(ConfigError, match="fewer than 2 grid points"):

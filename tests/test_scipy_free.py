@@ -138,6 +138,42 @@ def test_batched_front_matches_row_loop(cone_modes, cone_params):
     assert trace.diagnostics["dropped"] == dropped >= 1
 
 
+def test_front_row_blocks_match_whole_grid_reference(trapped_modes, monkeypatch):
+    """Row blocks and the cut of the smoothed columns leave every detection bit-equal.
+
+    The trapped search stops at 0.9 R, left of the grid end, so the detector
+    smooths only the columns it needs; the reference smooths whole rows.
+    """
+    from splitgas import observables
+    from splitgas.observables import EDGE_SEARCH_FRACTION
+
+    z = np.arange(0.0, 0.985 * trapped_modes.radius, trapped_modes.xi_h / 4.0)
+    ts = np.linspace(0.2e-3, 10e-3, 150)
+    field = variance_field(trapped_modes, z, ts)
+    monkeypatch.setattr(observables, "_FRONT_BLOCK_ROWS", 16)
+    trace = extract_front(field)
+
+    dz = float(z[1] - z[0])
+    sigma = field.meta["xi_h"] / dz
+    imax = int(np.searchsorted(z, EDGE_SEARCH_FRACTION * field.meta["R_eff"], side="right"))
+    assert imax + int(4.0 * sigma + 0.5) < z.size
+    guard = max(3, int(round(3.0 * sigma)))
+    M = np.gradient(np.gradient(field.values, ts, axis=0), z, axis=1)
+    rows = np.abs(gaussian_filter1d(M, sigma, axis=1, mode="nearest")[:, :imax])
+    times, positions = [], []
+    for i, row in enumerate(rows):
+        seg = row[guard:-guard]
+        rng = float(seg.max() - seg.min())
+        peaks, props = find_peaks(seg, prominence=DEFAULT_PROMINENCE_REL * rng)
+        if peaks.size:
+            best = int(peaks[np.argmax(props["prominences"])]) + guard
+            positions.append(z[best] + _refine_peak(row, best, dz))
+            times.append(ts[i])
+    assert len(times) > 100
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.positions, positions)
+
+
 @pytest.mark.parametrize("change", [
     {},
     {"scattering_length": 5.2e-12},                       # nearly Thomas-Fermi
