@@ -61,6 +61,9 @@ _CONTRAST_PANEL_ELEMENTS = 2**16
 # grid this many time rows at a time, so its temporaries stay a few MB on the
 # largest preset grids; every row is processed exactly as on the whole grid.
 _FRONT_BLOCK_ROWS = 64
+# Recurrence refinement stops once the bracket around a peak is this wide (s).
+_REFINE_BRACKET_S = 1e-9
+_GOLD = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def pcf(variance):
@@ -244,7 +247,6 @@ def extract_front(
                 for i, j in zip(row[order[lead]], idx[order[lead]] + guard):
                     positions.append(z[j] + _refine_peak(rows[i], j, dz))
                     times.append(ts[b + i])
-            diagnostics["dropped"] = ts.size - len(times)
     elif method == "half_plateau":
         n_dec = max(2, (imax - 2 * guard) // 10)
         for i in range(ts.size):
@@ -255,13 +257,11 @@ def extract_front(
             outer = float(row[-n_dec:].mean())
             if (abs(outer - inner) <= prominence_rel * max(outer, inner, 1e-300)
                     or abs(outer - inner) <= deriv_floor * dz):
-                diagnostics["dropped"] += 1
                 continue
             thr = 0.5 * (inner + outer)
             side = row > thr if outer > inner else row < thr
             cross = np.nonzero(side)[0]
             if cross.size == 0 or cross[0] == 0:
-                diagnostics["dropped"] += 1
                 continue
             j = cross[0]
             frac = (thr - row[j - 1]) / (row[j] - row[j - 1])
@@ -269,6 +269,9 @@ def extract_front(
             times.append(ts[i])
     else:
         raise ConfigError(f"unknown front detection method: {method!r}")
+    # every row without a detection is dropped, all of them when the search
+    # segment is too narrow to search at all
+    diagnostics["dropped"] = ts.size - len(times)
 
     return FrontTrace(
         times=np.asarray(times), positions=np.asarray(positions),
@@ -485,25 +488,59 @@ def contrast_trace(modes, length: float, times, dz: float | None = None) -> Cont
     return contrast_evaluator(modes, length, dz).trace(times)
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
+def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Maximise ``f`` on [lo, hi] by Brent's parabolic interpolation.
+
+    Golden-section steps guard the parabolic ones (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5).  The search stops
+    once |x - m| <= 2 tol - (b - a)/2, so with tol a quarter of
+    ``_REFINE_BRACKET_S`` the final bracket is at most that wide.  Returns
+    the best point evaluated and its value; a degenerate bracket
+    (lo == hi) costs a single evaluation.
+    """
+    tol = 0.25 * _REFINE_BRACKET_S
     a, b = lo, hi
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(80):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
+    x = w = v = a + _GOLD * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol:   # parabola through x, w, v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:              # golden section into the larger part
+            e = (b if x < m else a) - x
+            d = _GOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-        if b - a <= 1e-12 * max(abs(a), abs(b), 1.0):
-            break
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def recurrence_scan(
@@ -515,8 +552,13 @@ def recurrence_scan(
     Local maxima of C^2(t) past the first local minimum with a prominence
     of at least 1e-3, sorted by strength (the C^2 value at the maximum),
     strongest first.  When a continuous evaluator ``refine_fn(t) -> C^2``
-    is supplied, each sampled peak is polished by golden-section search so
-    exact rephasings report strength 1 rather than the nearest sample value.
+    is supplied, each sampled peak is polished by Brent's method inside the
+    bracket of its neighbouring samples, so exact rephasings report strength
+    1 rather than the nearest sample value; the refined point replaces the
+    sample only if it is at least as strong.  The final bracket is at most
+    1e-9 s wide: the CLI prints t to 1e-9 s, and at a quadratic peak C^2
+    cannot resolve t much below sqrt(eps) t (about 3e-9 s at 0.2 s), so a
+    tighter bracket only buys kernel calls.
     """
     vals = np.asarray(trace.values)
     ts = np.asarray(trace.times)
@@ -529,13 +571,12 @@ def recurrence_scan(
     _, peaks, prom = _peak_prominences(vals[None, imin:])
     peaks = peaks[prom >= 1e-3] + imin
     results = []
-    dt = ts[1] - ts[0]
     for idx in peaks:
         t_pk, s_pk = float(ts[idx]), float(vals[idx])
         if refine_fn is not None:
             lo = ts[idx - 1] if idx > 0 else ts[idx]
             hi = ts[idx + 1] if idx + 1 < ts.size else ts[idx]
-            t_ref, s_ref = _golden_max(refine_fn, float(lo), float(hi))
+            t_ref, s_ref = _brent_max(refine_fn, float(lo), float(hi))
             if s_ref >= s_pk:
                 t_pk, s_pk = t_ref, s_ref
         results.append((t_pk, s_pk))

@@ -89,13 +89,15 @@ def _rekey(gen: np.random.Generator, seed: int, index: int) -> np.random.Generat
     Zero counter and empty buffer: the draws equal those of a fresh
     ``Generator(Philox(key=[seed, index]))``, without building a bit
     generator per realization (each build reads OS entropy for a seed
-    sequence that the key leaves unused).
+    sequence that the key leaves unused).  The state is given as plain
+    Python ints, which the Philox setter reads directly, so no array is
+    allocated per realization.  The dict is built anew on each call, so no
+    two generators ever share a mutable state.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed, index], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

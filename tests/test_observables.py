@@ -156,6 +156,23 @@ def test_extract_front_empty_when_featureless():
     assert trace.diagnostics["dropped"] == ts.size
 
 
+@pytest.mark.parametrize("method", ["mixed_derivative", "half_plateau"])
+def test_extract_front_counts_rows_dropped_by_a_narrow_search(method):
+    from splitgas import derive_params
+    from splitgas.cli import _modes
+    from splitgas.scenario import preset_scenario
+
+    # 10 points to 0.98 R leave a search segment under 4 columns wide: no row
+    # is searched, so all 30 are dropped
+    sc = preset_scenario("fig4")
+    modes = _modes(sc, derive_params(sc.config))
+    field = variance_field(modes, np.linspace(0.0, 0.98 * modes.radius, 10),
+                           np.linspace(1e-3, 10e-3, 30))
+    trace = extract_front(field, method=method)
+    assert len(trace) == 0
+    assert trace.diagnostics["dropped"] == 30
+
+
 # ------------------------------------------------------------- contrast
 
 def test_contrast_t0_is_one(homog_modes, trapped_modes):
@@ -362,6 +379,89 @@ def test_recurrence_scan_empty_without_turnup(trapped_modes):
     times = np.arange(0.0, 3e-3, 0.5e-3)
     trace = contrast_trace(trapped_modes, 50e-6, times)
     assert recurrence_scan(trace) == []
+
+
+# fig7's ranked recurrences as golden-section search (bracket 1e-12 relative)
+# found them: (t in s, strength)
+_FIG7_GOLDEN = [
+    (0.20210179909502507, 0.8286886614832586),
+    (0.29439769383945347, 0.6200469351952781),
+    (0.14628535275980914, 0.6024751675057743),
+    (0.06047444423586998, 0.5214844314414845),
+    (0.08855802094647722, 0.48986162230276564),
+    (0.2215061145232411, 0.4772160943491156),
+    (0.2647493048071528, 0.4462505733149593),
+    (0.16835438449663903, 0.41487754664060716),
+]
+
+
+@pytest.fixture(scope="module")
+def fig7_refined():
+    from types import SimpleNamespace
+
+    from splitgas import derive_params
+    from splitgas.cli import _contrast_times, _modes
+    from splitgas.scenario import preset_scenario
+
+    sc = preset_scenario("fig7")
+    modes = _modes(sc, derive_params(sc.config))
+    contrast = contrast_evaluator(modes, sc.contrast_lengths[0])
+    trace = contrast.trace(_contrast_times(sc, SimpleNamespace(t_max=None)))
+    calls = []
+
+    def refine(t):
+        calls.append(t)
+        return float(contrast([t])[0])
+
+    return recurrence_scan(trace, refine_fn=refine), calls
+
+
+def test_recurrence_refinement_calls_fig7(fig7_refined):
+    found, calls = fig7_refined
+    assert len(found) == len(_FIG7_GOLDEN)
+    assert len(calls) <= 120
+
+
+def test_recurrence_refinement_matches_golden_section_fig7(fig7_refined):
+    found, _ = fig7_refined
+    for (t, s), (t_gold, s_gold) in zip(found, _FIG7_GOLDEN):
+        assert abs(t - t_gold) * 1e3 <= 2e-7
+        assert abs(s - s_gold) <= 1e-12
+
+
+@pytest.mark.parametrize("centre", [0.2, 0.2 + 0.37e-3, 0.2 + 0.5e-3, 0.2 - 0.5e-3])
+@pytest.mark.parametrize("width", [2e-4, 1e-3])
+def test_brent_max_finds_a_known_peak(centre, width):
+    from splitgas.observables import _brent_max
+
+    lo, hi = 0.2 - 0.5e-3, 0.2 + 0.5e-3
+    seen = {}
+
+    def f(t):
+        u = (t - centre) / width
+        seen[t] = math.exp(-u * u) * (1.0 + 0.3 * u)     # a skewed peak
+        return seen[t]
+
+    # d/du [exp(-u^2)(1 + a u)] = 0 at u = (sqrt(1 + 2 a^2) - 1) / (2 a)
+    u_star = (math.sqrt(1.0 + 2.0 * 0.3**2) - 1.0) / 0.6
+    argmax = min(centre + width * u_star, hi)
+    t, s = _brent_max(f, lo, hi)
+    assert abs(t - argmax) <= 1e-9
+    assert seen[t] == s == max(seen.values())
+    assert all(lo <= x <= hi for x in seen)
+
+
+def test_brent_max_degenerate_bracket():
+    from splitgas.observables import _brent_max
+
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return 0.5
+
+    assert _brent_max(f, 0.125, 0.125) == (0.125, 0.5)
+    assert seen == [0.125]
 
 
 # ------------------------------------------------------- mode amplitudes

@@ -113,3 +113,24 @@ def test_rekeyed_generator_equals_fresh_philox():
             # leave a partly used Philox block and a cached 32-bit half behind
             gen.integers(0, 1000, dtype=np.uint32)
             gen.standard_normal(2)
+
+
+def test_rekeyed_generators_do_not_share_state():
+    from splitgas.oracle import _generator, _rekey
+
+    def fresh(seed, index):
+        key = np.array([seed, index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    a, b = _generator(), _generator()
+    _rekey(a, 1, 3)
+    _rekey(b, 2**64 - 1, 2**40)        # re-keying b must leave a where it was
+    want_a, want_b = fresh(1, 3), fresh(2**64 - 1, 2**40)
+    assert np.array_equal(a.standard_normal(9), want_a.standard_normal(9))
+    assert np.array_equal(b.standard_normal(9), want_b.standard_normal(9))
+    _rekey(a, 7, 0)                    # and re-keying a again leaves b alone
+    want_a = fresh(7, 0)
+    assert np.array_equal(b.standard_normal(5), want_b.standard_normal(5))
+    assert np.array_equal(a.standard_normal(5), want_a.standard_normal(5))
+    assert a.bit_generator.state["state"]["key"].tolist() == [7, 0]
+    assert b.bit_generator.state["state"]["key"].tolist() == [2**64 - 1, 2**40]
