@@ -4,7 +4,8 @@ Library layout:
 
 - :mod:`splitgas.params` - scalar physics of a scenario (coupling, sound
   speed, Luttinger parameter, interferometry criteria).
-- :mod:`splitgas.modes` - the mode basis and mode sums both geometries share.
+- :mod:`splitgas.modes` - the mode basis, and the one home of the mode sums
+  (pointwise variance, variance field, pair field) of both geometries.
 - :mod:`splitgas.homogeneous` - plane-wave modes and phase statistics of
   the boxed gas.
 - :mod:`splitgas.trapped` - density profiles and Legendre modes of the
@@ -45,20 +46,18 @@ _EXPORTS = {
         "dephasing_times", "derive_params", "multimode_condition",
         "peak_density_from_atom_number", "squeezing_limit", "squeezing_map",
     ),
+    "modes": ("pointwise_variance", "variance_field"),
     "homogeneous": (
         "PlaneWaveModeSet", "build_modes", "covariance_rate", "phase_covariance",
-        "phase_variance", "prethermal_variance", "recurrence_time",
-        "thermal_variance", "variance_field", "variance_rate",
+        "prethermal_variance", "recurrence_time", "thermal_variance", "variance_rate",
     ),
     "trapped": (
         "DensityProfile", "LegendreModeSet", "build_trapped_modes", "legendre_f",
-        "mode_frequency", "quasi1d_profile", "tf_profile", "trapped_phase_variance",
-        "trapped_variance_field",
+        "mode_frequency", "quasi1d_profile", "tf_profile",
     ),
     "observables": (
         "contrast_evaluator", "contrast_trace", "extract_front", "fit_velocity",
-        "mean_squared_contrast", "mode_amplitude_trace", "pcf", "prethermal_pcf",
-        "recurrence_scan",
+        "mean_squared_contrast", "pcf", "prethermal_pcf", "recurrence_scan",
     ),
     "oracle": ("EnsembleSpec", "EnsembleStats", "estimate_pcf", "sample_realization"),
 }

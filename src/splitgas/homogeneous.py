@@ -28,14 +28,12 @@ import numpy as np
 
 from . import modes as basis
 from .errors import ConfigError
-from .fields import VarianceField
-from .modes import CONVERGENCE_RTOL, ModeBasis, pair_variance_field
+from .modes import ModeBasis
 from .params import PhysicalParams, hbar, k_B, pi
 
 __all__ = [
     "PlaneWaveModeSet",
     "build_modes",
-    "phase_variance",
     "phase_covariance",
     "prethermal_variance",
     "stationary_variance",
@@ -44,9 +42,6 @@ __all__ = [
     "variance_rate",
     "covariance_rate",
     "recurrence_time",
-    "variance_field",
-    "pair_variance_field",
-    "convergence_check",
 ]
 
 
@@ -157,20 +152,10 @@ def build_modes(params: PhysicalParams, L: float, p_max: int | None = None) -> P
     )
 
 
-def phase_variance(zbar, t, modes: PlaneWaveModeSet):
-    """Two-point relative-phase variance <(phi(z) - phi(z'))^2> at zbar = z - z'.
-
-    Broadcasts over ``zbar`` and ``t``.  Even in zbar (evaluated on |zbar|
-    so the symmetry is exact to the bit), non-negative term by term, and
-    exactly zero at zbar = 0 and at multiples of the recurrence time.
-    """
-    return basis.pointwise_variance(zbar, 0.0, t, modes)
-
-
 def phase_covariance(zbar, t, modes: PlaneWaveModeSet):
     """Two-point phase covariance <phi(z) phi(z')> at separation zbar.
 
-    Complements :func:`phase_variance`:  variance(zbar) =
+    Complements :func:`splitgas.modes.pointwise_variance`:  variance(zbar) =
     2*[covariance(0) - covariance(zbar)].  Its time derivative is the
     light-cone observable: correlations build at rate 2c/l0 * xi_n^2 inside
     the cone zbar < 2ct and stay put outside (up to O(ct/L) finite-size
@@ -217,11 +202,7 @@ def thermal_variance(zbar, temperature: float, modes: PlaneWaveModeSet):
     2/(lambda_T k^2).  Grows linearly with T and monotonically with |zbar|
     on [0, L/2].
     """
-    zbar = np.abs(np.asarray(zbar, dtype=float))
-    var_phi = modes.thermal_phase_variance(temperature)
-    w = (1.0 - np.cos(modes.k * zbar[..., None]))
-    out = (4.0 / modes.L) * np.sum(var_phi * w, axis=-1)
-    return out if out.ndim else float(out)
+    return _phase_noise_variance(zbar, modes.thermal_phase_variance(temperature), modes)
 
 
 def initial_phase_variance(zbar, modes: PlaneWaveModeSet):
@@ -230,10 +211,15 @@ def initial_phase_variance(zbar, modes: PlaneWaveModeSet):
     This is the contribution the analytic fields drop; the oracle adds it
     back when ``include_initial_phase_noise`` is set.
     """
+    return _phase_noise_variance(zbar, modes.split_phase_variance(), modes)
+
+
+def _phase_noise_variance(zbar, var_phi: np.ndarray, modes: PlaneWaveModeSet):
+    """(4/L) * sum_p var_phi_p * (1 - cos k_p zbar): the variance of a
+    stationary state with phase-quadrature variances var_phi."""
     zbar = np.abs(np.asarray(zbar, dtype=float))
-    var_phi0 = modes.split_phase_variance()
     w = 1.0 - np.cos(modes.k * zbar[..., None])
-    out = (4.0 / modes.L) * np.sum(var_phi0 * w, axis=-1)
+    out = (4.0 / modes.L) * np.sum(var_phi * w, axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -250,12 +236,7 @@ def variance_rate(zbar, t, modes: PlaneWaveModeSet, dt: float | None = None):
     4c/l0 * xi_n^2 outside (two not-yet-connected points diffusing
     independently).
     """
-    if dt is None:
-        dt = default_rate_step(modes)
-    t = np.asarray(t, dtype=float)
-    if np.any(t - dt < 0):
-        raise ConfigError("t must exceed the finite-difference step")
-    return (phase_variance(zbar, t + dt, modes) - phase_variance(zbar, t - dt, modes)) / (2.0 * dt)
+    return _central_rate(lambda tt: basis.pointwise_variance(zbar, 0.0, tt, modes), t, modes, dt)
 
 
 def covariance_rate(zbar, t, modes: PlaneWaveModeSet, dt: float | None = None):
@@ -265,12 +246,17 @@ def covariance_rate(zbar, t, modes: PlaneWaveModeSet, dt: float | None = None):
     outside, up to truncation ripple and a finite-size droop of relative
     size 4ct/L.
     """
+    return _central_rate(lambda tt: phase_covariance(zbar, tt, modes), t, modes, dt)
+
+
+def _central_rate(f, t, modes: PlaneWaveModeSet, dt: float | None):
+    """(f(t + dt) - f(t - dt)) / (2 dt), dt defaulting to :func:`default_rate_step`."""
     if dt is None:
         dt = default_rate_step(modes)
     t = np.asarray(t, dtype=float)
     if np.any(t - dt < 0):
         raise ConfigError("t must exceed the finite-difference step")
-    return (phase_covariance(zbar, t + dt, modes) - phase_covariance(zbar, t - dt, modes)) / (2.0 * dt)
+    return (f(t + dt) - f(t - dt)) / (2.0 * dt)
 
 
 def recurrence_time(L: float, c: float) -> float:
@@ -278,22 +264,3 @@ def recurrence_time(L: float, c: float) -> float:
     if L <= 0 or c <= 0:
         raise ConfigError("L and c must be strictly positive")
     return L / (2.0 * c)
-
-
-def convergence_check(
-    modes: PlaneWaveModeSet, zbar, times, rtol: float = CONVERGENCE_RTOL
-) -> tuple[bool, float]:
-    """Doubling test at 2*p_max; see :func:`splitgas.modes.convergence_check`."""
-    return basis.convergence_check(modes, zbar, times, rtol=rtol)
-
-
-def variance_field(
-    modes: PlaneWaveModeSet,
-    zbar,
-    times,
-    check_convergence: bool = False,
-    strict: bool = False,
-) -> VarianceField:
-    """Variance on a (times x zbar) grid; see :func:`splitgas.modes.variance_field`."""
-    return basis.variance_field(modes, zbar, times, check_convergence=check_convergence,
-                                strict=strict)

@@ -8,15 +8,16 @@ with pair terms d_m >= 0: plane waves, d_p = (1 - cos(k_p (z - z')))/k_p^2
 and time_norm = 1, for the box; Legendre modes f_j(z/R), d_j = (f_j(z/R) -
 f_j(z'/R))^2 and time_norm = omega_j^2, for the trapped cloud (Stringari,
 PRA 58, 2385 (1998); Petrov, Shlyapnikov & Walraven, PRL 85, 3745 (2000)).
-The field, the truncation doubling check and the pair field are written
-once here against :class:`ModeBasis`.
+The pointwise sum, the field with its truncation doubling check and the
+pair field are written once here against :class:`ModeBasis`; they are the
+only public names of these sums, for both geometries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 from .fields import PairVarianceField, VarianceField
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "CONVERGENCE_RTOL",
     "pointwise_variance",
     "variance_field",
-    "convergence_check",
     "pair_variance_field",
 ]
 
@@ -76,38 +76,26 @@ def pointwise_variance(z, zprime, t, modes: ModeBasis):
     return out if out.ndim else float(out)
 
 
-def convergence_check(
-    modes: ModeBasis, z, times, zprime: float = 0.0, rtol: float = CONVERGENCE_RTOL
-) -> tuple[bool, float]:
-    """Doubling test: recompute the grid at twice the truncation and compare.
-
-    The deviation is max|fine - coarse| over the grid relative to the
-    field maximum, restricted to point separations above twice the
-    healing length (at the cloud centre for trapped gases).  Below it the
-    mode sum is genuinely cutoff-dominated (each extra mode contributes
-    ~zbar^2), so pointwise ratios there measure the physical cutoff, not
-    numerical convergence.  At the default phononic truncation the
-    deviation is at the percent level and falls off as the inverse
-    truncation.
-    """
-    dev = variance_field(modes, z, times, zprime, check_convergence=True).meta["doubling_dev"]
-    return dev < rtol, dev
-
-
 def variance_field(
     modes: ModeBasis,
     z,
     times,
     zprime: float = 0.0,
     check_convergence: bool = False,
-    strict: bool = False,
 ) -> VarianceField:
     """Variance on a (times x z) grid with the second point fixed at zprime.
 
-    For the box z - zprime is the separation.  With
-    ``check_convergence`` the truncation doubling test runs and its
-    verdict lands in ``field.converged``; ``strict`` escalates a failed
-    test to :class:`ConvergenceError`.
+    For the box z - zprime is the separation.  With ``check_convergence``
+    the grid is recomputed at twice the truncation; the deviation
+    max|fine - coarse| relative to the field maximum lands in
+    ``field.meta["doubling_dev"]`` and the verdict ``deviation <
+    CONVERGENCE_RTOL`` in ``field.converged``.  The deviation is taken
+    over point separations above twice the healing length (at the cloud
+    centre for trapped gases).  Below it the mode sum is genuinely
+    cutoff-dominated (each extra mode contributes ~zbar^2), so pointwise
+    ratios there measure the physical cutoff, not numerical convergence.
+    At the default phononic truncation the deviation is at the percent
+    level and falls off as the inverse truncation.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -119,7 +107,6 @@ def variance_field(
     converged = None
     dev = None
     if check_convergence:
-        # the doubling test of :func:`convergence_check`
         fine = variance_field(modes.doubled(), z, times, zprime).values
         mask = np.abs(z - zprime) >= 2.0 * modes.xi_h
         if not mask.any():
@@ -127,11 +114,6 @@ def variance_field(
         scale = max(float(np.abs(fine).max()), 1e-300)
         dev = float(np.max(np.abs(fine - values)[:, mask]) / scale)
         converged = dev < CONVERGENCE_RTOL
-        if strict and not converged:
-            raise ConvergenceError(
-                f"variance not converged at {modes.truncation_name}={modes.truncation}: "
-                f"doubling deviation {dev:.2e} exceeds {CONVERGENCE_RTOL:.1e}"
-            )
     return VarianceField(
         positions=z, times=times, values=values,
         regime=modes.regime, truncation=modes.truncation, zprime=zprime,

@@ -40,7 +40,6 @@ __all__ = [
     "contrast_evaluator",
     "contrast_trace",
     "recurrence_scan",
-    "mode_amplitude_trace",
     "prethermal_pcf",
 ]
 
@@ -216,6 +215,9 @@ def extract_front(
     dz = float(z[1] - z[0])
     if smoothing_sigma is None:
         smoothing_sigma = field.meta.get("xi_h", 4.0 * dz)
+    if not 0.0 < smoothing_sigma < math.inf:
+        raise ConfigError(f"smoothing_sigma must be finite and strictly positive, "
+                          f"got {smoothing_sigma!r}")
     search_max = _front_search_limit(field)
     imax = int(np.searchsorted(z, search_max, side="right"))
     guard = max(3, int(round(3.0 * smoothing_sigma / dz)))
@@ -464,8 +466,10 @@ def contrast_evaluator(modes, length: float, dz: float | None = None) -> Contras
     exactly L, with step L/(n - 1).  The window must fit inside the
     periodic box or the cloud.
     """
-    if length <= 0:
-        raise ConfigError("integration length must be strictly positive")
+    if not length > 0:   # NaN included
+        raise ConfigError(f"integration length must be strictly positive, got {length!r}")
+    if dz is not None and not dz > 0:
+        raise ConfigError(f"grid step dz must be strictly positive, got {dz!r}")
     homogeneous = isinstance(modes, PlaneWaveModeSet)
     # the box bounds the separations in the window, the cloud its points
     modes.check_points(np.array([length if homogeneous else length / 2.0]))
@@ -550,12 +554,13 @@ def recurrence_scan(
     """Ranked partial recurrences of coherence after the initial dephasing.
 
     Local maxima of C^2(t) past the first local minimum with a prominence
-    of at least 1e-3, sorted by strength (the C^2 value at the maximum),
-    strongest first.  When a continuous evaluator ``refine_fn(t) -> C^2``
-    is supplied, each sampled peak is polished by Brent's method inside the
-    bracket of its neighbouring samples, so exact rephasings report strength
-    1 rather than the nearest sample value; the refined point replaces the
-    sample only if it is at least as strong.  The final bracket is at most
+    of at least 1e-3, sorted by strength (the C^2 value at the maximum)
+    rounded to 10 significant digits, strongest first, then by time.  When
+    a continuous evaluator ``refine_fn(t) -> C^2`` is supplied, each sampled
+    peak is polished by Brent's method inside the bracket of its
+    neighbouring samples, so exact rephasings report strength 1 rather than
+    the nearest sample value; the refined point replaces the sample only if
+    it is at least as strong.  The final bracket is at most
     1e-9 s wide: the CLI prints t to 1e-9 s, and at a quadratic peak C^2
     cannot resolve t much below sqrt(eps) t (about 3e-9 s at 0.2 s), so a
     tighter bracket only buys kernel calls.
@@ -580,14 +585,10 @@ def recurrence_scan(
             if s_ref >= s_pk:
                 t_pk, s_pk = t_ref, s_ref
         results.append((t_pk, s_pk))
-    results.sort(key=lambda r: (-r[1], r[0]))
+    # rank on the strength as printed (10 digits), so that equal-looking
+    # recurrences rank by time rather than by last-ulp refinement noise
+    results.sort(key=lambda r: (-float(format(r[1], ".10g")), r[0]))
     return results
-
-
-def mode_amplitude_trace(modes, t_grid) -> np.ndarray:
-    """Per-mode amplitude factors (sin(omega_j t)/omega_j)^2, shape (modes, nt)."""
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    return (np.sin(modes.omega[:, None] * t[None, :]) / modes.omega[:, None]) ** 2
 
 
 def prethermal_pcf(modes: PlaneWaveModeSet, zbar, window: tuple = (0.30, 0.45),

@@ -15,14 +15,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
-from .params import RB87, Regime, SpeciesPreset, TrapConfig, hbar, pi
+from .params import RB87, Regime, SpeciesPreset, TrapConfig, _is_finite, hbar, pi
 
 __all__ = ["Scenario", "load_scenario", "preset_scenario", "PRESET_NAMES",
            "contrast_column", "velocity_key"]
@@ -37,11 +36,7 @@ NM = 1e-9
 def _require_number(value, where, positive=True, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:   # an integer beyond the float range
-        finite = False
-    if not finite:
+    if not _is_finite(value):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")

@@ -32,10 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .modes import (ModeBasis, convergence_check as trapped_convergence_check,
-                    pair_variance_field as trapped_pair_variance_field,
-                    pointwise_variance as trapped_phase_variance,
-                    variance_field as trapped_variance_field)
+from .modes import ModeBasis
 from .params import (PhysicalParams, Regime, TrapConfig, atom_number_from_peak_density,
                      derive_params, hbar, k_B, pi)
 
@@ -48,10 +45,6 @@ __all__ = [
     "quasi1d_profile",
     "LegendreModeSet",
     "build_trapped_modes",
-    "trapped_phase_variance",
-    "trapped_variance_field",
-    "trapped_pair_variance_field",
-    "trapped_convergence_check",
 ]
 
 # density profiles are sampled at this many points across the cloud

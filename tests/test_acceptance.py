@@ -26,22 +26,17 @@ from splitgas import (
     fit_velocity,
     mode_frequency,
     pcf,
+    pointwise_variance,
     quasi1d_profile,
     recurrence_scan,
     recurrence_time,
     squeezing_limit,
     tf_profile,
-    trapped_phase_variance,
-)
-from splitgas.cli import main
-from splitgas.homogeneous import (
-    covariance_rate,
-    default_p_max,
-    phase_variance,
     variance_field,
 )
+from splitgas.cli import main
+from splitgas.homogeneous import covariance_rate, default_p_max
 from splitgas.observables import prethermal_pcf
-from splitgas.trapped import trapped_variance_field
 
 SEED = 20260809
 
@@ -124,7 +119,7 @@ def _fit_front(params, modes, trapped: bool):
         c_peak = modes.profile.sound_speed_peak
         xi = hbar / (params.mass * c_peak)
         z = np.arange(0.0, 0.985 * modes.radius, xi / 4.0)
-        field = trapped_variance_field(modes, z, ts)
+        field = variance_field(modes, z, ts)
     else:
         z = np.arange(0.0, 45e-6, params.xi_h / 4.0)
         field = variance_field(modes, z, ts)
@@ -178,7 +173,7 @@ def test_criterion_6_recurrences():
     modes_h = build_modes(params_h, 100e-6)
     t_rev = recurrence_time(100e-6, params_h.c)
     zb = np.linspace(0.0, 50e-6, 41)
-    C_rev = np.exp(-phase_variance(zb, t_rev, modes_h) / 2)
+    C_rev = np.exp(-pointwise_variance(zb, 0.0, t_rev, modes_h) / 2)
     homog_ok = bool(np.all(np.abs(C_rev - 1.0) < 1e-10))
 
     # trapped: strongest partial recurrence at 202 +- 5 ms, never full
@@ -210,7 +205,7 @@ def test_criterion_7_oracle_equivalence():
     ts = np.linspace(1e-3, 12e-3, 9)
     spec = EnsembleSpec(realizations=10000, master_seed=SEED)
     stats_h = estimate_pcf(spec, modes_h, z_h, ts)
-    C_h = np.exp(-phase_variance(z_h[None, :], ts[:, None], modes_h) / 2)
+    C_h = np.exp(-pointwise_variance(z_h[None, :], 0.0, ts[:, None], modes_h) / 2)
     cover_h = np.mean(np.abs(stats_h.mean - C_h) < 3 * stats_h.stderr)
 
     # trapped ensemble
@@ -218,7 +213,7 @@ def test_criterion_7_oracle_equivalence():
     modes_t = build_trapped_modes(tf_profile(params_t), params_t)
     z_t = modes_t.radius * np.linspace(0.05, 0.75, 10)
     stats_t = estimate_pcf(spec, modes_t, z_t, ts)
-    C_t = np.exp(-trapped_phase_variance(z_t[None, :], 0.0, ts[:, None], modes_t) / 2)
+    C_t = np.exp(-pointwise_variance(z_t[None, :], 0.0, ts[:, None], modes_t) / 2)
     cover_t = np.mean(np.abs(stats_t.mean - C_t) < 3 * stats_t.stderr)
 
     # stderr halves when the ensemble quadruples
@@ -255,13 +250,13 @@ def test_criterion_8_property_suite(tmp_path):
     rng = np.random.default_rng(17)
     zb = rng.uniform(-45e-6, 45e-6, 128)
     tt = rng.uniform(0.0, 60e-3, 128)
-    v = phase_variance(zb, tt, modes_h)
-    checks.append(np.array_equal(v, phase_variance(-zb, tt, modes_h)))
+    v = pointwise_variance(zb, 0.0, tt, modes_h)
+    checks.append(np.array_equal(v, pointwise_variance(-zb, 0.0, tt, modes_h)))
     checks.append(bool(np.all(v >= 0.0)))
     zt = rng.uniform(-0.9, 0.9, 128) * modes_t.radius
     zt2 = rng.uniform(-0.9, 0.9, 128) * modes_t.radius
-    vt = trapped_phase_variance(zt, zt2, tt, modes_t)
-    vt_flip = trapped_phase_variance(-zt, -zt2, tt, modes_t)
+    vt = pointwise_variance(zt, zt2, tt, modes_t)
+    vt_flip = pointwise_variance(-zt, -zt2, tt, modes_t)
     checks.append(bool(np.allclose(vt, vt_flip, rtol=1e-10, atol=1e-14)))
     checks.append(bool(np.all(vt >= 0.0)))
 

@@ -7,20 +7,16 @@ import pytest
 from scipy.constants import hbar, k as k_B, pi
 
 from splitgas import ConfigError, build_modes, recurrence_time
-from splitgas.errors import ConvergenceError
 from splitgas.homogeneous import (
-    convergence_check,
     covariance_rate,
     initial_phase_variance,
-    pair_variance_field,
     phase_covariance,
-    phase_variance,
     prethermal_variance,
     stationary_variance,
     thermal_variance,
-    variance_field,
     variance_rate,
 )
+from splitgas.modes import pair_variance_field, pointwise_variance, variance_field
 from splitgas.observables import prethermal_pcf
 
 
@@ -56,11 +52,11 @@ def test_build_modes_validation(homog_params):
 
 
 def test_variance_zeros(homog_modes, homog_params):
-    assert phase_variance(0.0, 5e-3, homog_modes) == 0.0
-    assert phase_variance(17e-6, 0.0, homog_modes) == 0.0
+    assert pointwise_variance(0.0, 0.0, 5e-3, homog_modes) == 0.0
+    assert pointwise_variance(17e-6, 0.0, 0.0, homog_modes) == 0.0
     t_rev = recurrence_time(homog_modes.L, homog_params.c)
     zb = np.linspace(0, 50e-6, 40)
-    v = phase_variance(zb, t_rev, homog_modes)
+    v = pointwise_variance(zb, 0.0, t_rev, homog_modes)
     assert np.all(np.abs(v) < 1e-20)
     # the correlation function returns to 1 at the revival
     assert np.all(np.exp(-v / 2) > 1 - 1e-10)
@@ -70,8 +66,8 @@ def test_variance_even_and_nonnegative(homog_modes):
     rng = np.random.default_rng(11)
     zb = rng.uniform(-50e-6, 50e-6, 64)
     t = rng.uniform(0, 60e-3, 64)
-    v_pos = phase_variance(np.abs(zb), t, homog_modes)
-    v_sym = phase_variance(-np.abs(zb), t, homog_modes)
+    v_pos = pointwise_variance(np.abs(zb), 0.0, t, homog_modes)
+    v_sym = pointwise_variance(-np.abs(zb), 0.0, t, homog_modes)
     assert np.array_equal(v_pos, v_sym)  # bit-exact symmetry
     assert np.all(v_pos >= 0)
 
@@ -80,8 +76,8 @@ def test_variance_periodicity(homog_modes, homog_params):
     t_rev = recurrence_time(homog_modes.L, homog_params.c)
     zb = np.array([3e-6, 11e-6, 27e-6])
     for t in (1.3e-3, 6.7e-3, 13.9e-3):
-        v1 = phase_variance(zb, t, homog_modes)
-        v2 = phase_variance(zb, t + t_rev, homog_modes)
+        v1 = pointwise_variance(zb, 0.0, t, homog_modes)
+        v2 = pointwise_variance(zb, 0.0, t + t_rev, homog_modes)
         np.testing.assert_allclose(v1, v2, rtol=1e-9, atol=1e-12)
 
 
@@ -91,7 +87,8 @@ def test_monotone_truncation(homog_params, homog_modes):
     rng = np.random.default_rng(5)
     zb = rng.uniform(0, 40e-6, 32)
     t = rng.uniform(0, 30e-3, 32)
-    assert np.all(phase_variance(zb, t, bigger) >= phase_variance(zb, t, homog_modes) - 1e-15)
+    assert np.all(pointwise_variance(zb, 0.0, t, bigger)
+                  >= pointwise_variance(zb, 0.0, t, homog_modes) - 1e-15)
 
 
 def test_trapezoid_structure(homog_modes, homog_params):
@@ -102,9 +99,9 @@ def test_trapezoid_structure(homog_modes, homog_params):
     t = 10e-3
     inside = np.array([8e-6, 12e-6, 16e-6])
     outside = np.array([42e-6, 46e-6, 50e-6])
-    v_in = phase_variance(inside, t, homog_modes)
+    v_in = pointwise_variance(inside, 0.0, t, homog_modes)
     np.testing.assert_allclose(v_in, 2 * inside / p.l0, rtol=0.05)
-    v_out = phase_variance(outside, t, homog_modes)
+    v_out = pointwise_variance(outside, 0.0, t, homog_modes)
     np.testing.assert_allclose(v_out, 4 * p.c * t / p.l0, rtol=0.05)
 
 
@@ -137,7 +134,7 @@ def test_stationary_variance_closed_form(homog_params):
 def test_covariance_variance_identity(homog_modes):
     zb = np.array([4e-6, 12e-6, 31e-6])
     t = 7.3e-3
-    lhs = phase_variance(zb, t, homog_modes)
+    lhs = pointwise_variance(zb, 0.0, t, homog_modes)
     rhs = 2 * (phase_covariance(0.0, t, homog_modes) - phase_covariance(zb, t, homog_modes))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-14)
 
@@ -224,10 +221,9 @@ def test_variance_field_and_convergence(homog_modes, homog_params):
     assert 0 < fld.meta["doubling_dev"] < 0.05
     # at 4x the default truncation the doubling deviation is inside 0.5%
     fine = build_modes(homog_params, homog_modes.L, 4 * homog_modes.p_max)
-    ok, dev = convergence_check(fine, zb, ts)
+    fine_field = variance_field(fine, zb, ts, check_convergence=True)
+    ok, dev = fine_field.converged, fine_field.meta["doubling_dev"]
     assert ok and dev < 5e-3
-    with pytest.raises(ConvergenceError):
-        variance_field(homog_modes, zb, ts, check_convergence=True, strict=True)
 
 
 def test_pair_field_consistency(homog_modes):
@@ -235,7 +231,7 @@ def test_pair_field_consistency(homog_modes):
     ts = np.array([3e-3, 6e-3])
     pf = pair_variance_field(homog_modes, z, z, ts)
     assert pf.values.shape == (2, 9, 9)
-    direct = phase_variance(np.abs(z[2] - z[6]), 6e-3, homog_modes)
+    direct = pointwise_variance(np.abs(z[2] - z[6]), 0.0, 6e-3, homog_modes)
     assert pf.values[1, 2, 6] == pytest.approx(direct, rel=1e-12)
     np.testing.assert_allclose(pf.values, np.swapaxes(pf.values, 1, 2), rtol=1e-12)
 

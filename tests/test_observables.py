@@ -17,19 +17,14 @@ from splitgas import (
     extract_front,
     fit_velocity,
     mean_squared_contrast,
-    mode_amplitude_trace,
     pcf,
     recurrence_scan,
     recurrence_time,
 )
-from splitgas.fields import FrontTrace, VarianceField
-from splitgas.homogeneous import pair_variance_field, variance_field
+from splitgas.fields import ContrastTrace, FrontTrace, VarianceField
+from splitgas.modes import pair_variance_field, variance_field
 from splitgas.observables import _CONTRAST_PANEL_ROWS, prethermal_pcf
-from splitgas.trapped import (
-    quasi1d_profile,
-    trapped_pair_variance_field,
-    trapped_variance_field,
-)
+from splitgas.trapped import quasi1d_profile
 
 
 # ---------------------------------------------------------------- pcf map
@@ -125,7 +120,7 @@ def test_front_trapped_bends_near_edge(trapped_modes, trapped_params):
     dt = (pi / trapped_modes.omega_max) / 20.0
     ts = np.arange(dt, 16e-3, 2 * dt)
     z = np.arange(0.0, 0.985 * trapped_modes.radius, xi / 4.0)
-    field = trapped_variance_field(trapped_modes, z, ts)
+    field = variance_field(trapped_modes, z, ts)
     trace = extract_front(field)
     fit = fit_velocity(trace, window=(0.0, 10e-3))
     assert fit.speed < 2 * p.c  # trap slows the front against the free gas
@@ -171,6 +166,13 @@ def test_extract_front_counts_rows_dropped_by_a_narrow_search(method):
     trace = extract_front(field, method=method)
     assert len(trace) == 0
     assert trace.diagnostics["dropped"] == 30
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_extract_front_refuses_bad_smoothing_sigma(sigma):
+    field = _synthetic_step_field(1.7e-3, 16e-6)
+    with pytest.raises(ConfigError, match="smoothing_sigma"):
+        extract_front(field, smoothing_sigma=sigma)
 
 
 # ------------------------------------------------------------- contrast
@@ -261,7 +263,7 @@ def test_contrast_evaluator_matches_dense_pair_field(trapped_modes, quasi1d_mode
     else:
         evaluate = contrast_evaluator(modes, L, dz=L / (n - 1))
     zg = np.linspace(-L / 2, L / 2, n)
-    field = trapped_pair_variance_field(modes, zg, zg, ts)
+    field = pair_variance_field(modes, zg, zg, ts)
     assert field.values.min() >= 0.0
     corr = pcf(field)
     dense = [mean_squared_contrast(corr, L, t) for t in ts]
@@ -335,6 +337,15 @@ def test_contrast_window_needs_two_grid_points(homog_modes, trapped_modes):
             contrast_evaluator(modes, 1e-6, dz=3e-6)
 
 
+@pytest.mark.parametrize("length,dz,name", [(40e-6, 0.0, "dz"), (40e-6, math.nan, "dz"),
+                                             (math.nan, None, "integration length")])
+def test_contrast_evaluator_refuses_bad_arguments(homog_modes, trapped_modes, length, dz,
+                                                  name):
+    for modes in (homog_modes, trapped_modes):
+        with pytest.raises(ConfigError, match=name):
+            contrast_evaluator(modes, length, dz=dz)
+
+
 def test_contrast_window_longer_than_box(homog_modes):
     contrast_evaluator(homog_modes, homog_modes.L)      # the whole ring is fine
     with pytest.raises(ConfigError, match="periodic box"):
@@ -379,6 +390,19 @@ def test_recurrence_scan_empty_without_turnup(trapped_modes):
     times = np.arange(0.0, 3e-3, 0.5e-3)
     trace = contrast_trace(trapped_modes, 50e-6, times)
     assert recurrence_scan(trace) == []
+
+
+def test_recurrence_rank_ties_on_printed_strength():
+    # two sampled peaks, at 4 and 8 ms; the later one refines one ulp stronger
+    times = np.arange(11) * 1e-3
+    values = np.array([1.0, 0.5, 0.2, 0.5, 0.8, 0.5, 0.2, 0.5, 0.8, 0.5, 0.2])
+    trace = ContrastTrace(length=50e-6, times=times, values=values, regime="homogeneous")
+    strong = np.nextafter(0.9, 1.0)
+
+    found = recurrence_scan(trace, refine_fn=lambda t: 0.9 if t < 6e-3 else strong)
+    assert [s for _, s in found] == [0.9, strong]   # raw strengths are kept
+    assert format(found[0][1], ".10g") == format(found[1][1], ".10g")
+    assert 3e-3 <= found[0][0] <= 5e-3 and 7e-3 <= found[1][0] <= 9e-3
 
 
 # fig7's ranked recurrences as golden-section search (bracket 1e-12 relative)
@@ -469,7 +493,7 @@ def test_brent_max_degenerate_bracket():
 def test_mode_amplitudes(trapped_modes, homog_modes):
     om = trapped_modes.params.config.omega_long
     t = np.linspace(0, 0.3, 4001)
-    amp = mode_amplitude_trace(trapped_modes, t)
+    amp = trapped_modes.time_factors(t).T
     assert amp.shape == (trapped_modes.j_max, t.size)
     # zeros of mode j at multiples of pi/omega_j; fifth zero of j = 2
     t5 = 5 * pi / (om * math.sqrt(3.0))
@@ -481,5 +505,5 @@ def test_mode_amplitudes(trapped_modes, homog_modes):
     assert np.all(np.diff(peaks) < 0)
     np.testing.assert_allclose(peaks, 1.0 / trapped_modes.omega_j**2, rtol=1e-3)
     # homogeneous flavour works off the plane-wave frequencies
-    amp_h = mode_amplitude_trace(homog_modes, t[:100])
+    amp_h = homog_modes.time_factors(t[:100]).T
     assert amp_h.shape == (homog_modes.p_max, 100)

@@ -14,13 +14,8 @@ from splitgas import (
     recurrence_time,
     sample_realization,
 )
-from splitgas.homogeneous import (
-    initial_phase_variance,
-    phase_covariance,
-    phase_variance,
-    thermal_variance,
-)
-from splitgas.trapped import trapped_phase_variance
+from splitgas.homogeneous import initial_phase_variance, phase_covariance, thermal_variance
+from splitgas.modes import pointwise_variance
 
 
 SEED = 20260809
@@ -108,7 +103,7 @@ def test_homogeneous_oracle_agreement(homog_modes):
     z = np.linspace(2e-6, 30e-6, 12)
     ts = np.linspace(1e-3, 12e-3, 9)
     stats = estimate_pcf(spec, homog_modes, z, ts)
-    analytic = np.exp(-phase_variance(z[None, :], ts[:, None], homog_modes) / 2)
+    analytic = np.exp(-pointwise_variance(z[None, :], 0.0, ts[:, None], homog_modes) / 2)
     zscores = (stats.mean - analytic) / stats.stderr
     assert np.mean(np.abs(zscores) < 3.0) >= 0.99
     # the imaginary channel must be pure noise
@@ -143,7 +138,7 @@ def test_trapped_oracle_agreement(trapped_modes):
     ts = np.linspace(1e-3, 12e-3, 10)
     stats = estimate_pcf(spec, trapped_modes, z, ts)
     analytic = np.exp(
-        -trapped_phase_variance(z[None, :], 0.0, ts[:, None], trapped_modes) / 2)
+        -pointwise_variance(z[None, :], 0.0, ts[:, None], trapped_modes) / 2)
     zscores = (stats.mean - analytic) / stats.stderr
     assert np.mean(np.abs(zscores) < 3.0) >= 0.99
 

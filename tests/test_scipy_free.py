@@ -21,7 +21,7 @@ from scipy.ndimage import gaussian_filter1d
 from scipy.signal import find_peaks
 
 import splitgas
-from splitgas.homogeneous import variance_field
+from splitgas.modes import variance_field
 from splitgas.observables import (
     DEFAULT_PROMINENCE_REL,
     _gaussian_smooth,

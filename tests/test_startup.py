@@ -6,6 +6,7 @@ access and then resolves to the same object the eager package gave.
 """
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -18,22 +19,20 @@ import pytest
 import splitgas
 from splitgas.tables import ResultTable, _fmt
 
-# The package surface as it was when the exports were made lazy: each public
-# name and the module whose attribute it is.
+# The package surface: each public name and the module whose attribute it is.
+# The mode sums have one name each, in modes.
 EXPORTS = {
     "errors": "ConfigError ConvergenceError DetectionError SplitGasError",
     "params": "RB87 PhysicalParams Regime SpeciesPreset TrapConfig dephasing_times "
               "derive_params multimode_condition peak_density_from_atom_number "
               "squeezing_limit squeezing_map",
+    "modes": "pointwise_variance variance_field",
     "homogeneous": "PlaneWaveModeSet build_modes covariance_rate phase_covariance "
-                   "phase_variance prethermal_variance recurrence_time "
-                   "thermal_variance variance_field variance_rate",
+                   "prethermal_variance recurrence_time thermal_variance variance_rate",
     "trapped": "DensityProfile LegendreModeSet build_trapped_modes legendre_f "
-               "mode_frequency quasi1d_profile tf_profile trapped_phase_variance "
-               "trapped_variance_field",
+               "mode_frequency quasi1d_profile tf_profile",
     "observables": "contrast_evaluator contrast_trace extract_front fit_velocity "
-                   "mean_squared_contrast mode_amplitude_trace pcf prethermal_pcf "
-                   "recurrence_scan",
+                   "mean_squared_contrast pcf prethermal_pcf recurrence_scan",
     "oracle": "EnsembleSpec EnsembleStats estimate_pcf sample_realization",
 }
 HOME = {name: module for module, names in EXPORTS.items() for name in names.split()}
@@ -86,15 +85,32 @@ def test_pcf_preset_imports_no_yaml_and_no_oracle(tmp_path):
 def test_public_names_resolve_to_their_defining_modules():
     public = [n for n in dir(splitgas) if not n.startswith("_")]
     assert public == sorted([*HOME, *SUBMODULES])
-    assert len(HOME) == 47
+    assert len(HOME) == 44
     for name, module in HOME.items():
         home = importlib.import_module(f"splitgas.{module}")
         assert getattr(splitgas, name) is getattr(home, name), name
     for module in SUBMODULES:
         assert getattr(splitgas, module) is sys.modules[f"splitgas.{module}"]
-    # the generic mode sum lives in modes, but the package exports the box's one
-    assert splitgas.variance_field is splitgas.homogeneous.variance_field
-    assert splitgas.variance_field is not splitgas.modes.variance_field
+
+
+def test_geometry_modules_bind_no_mode_sum_of_modes():
+    from splitgas import homogeneous, modes, trapped
+
+    generic = {id(value) for name, value in vars(modes).items()
+               if inspect.isfunction(value) and value.__module__ == modes.__name__}
+    for module in (homogeneous, trapped):
+        aliases = [name for name, value in vars(module).items()
+                   if inspect.isfunction(value) and id(value) in generic]
+        assert aliases == [], module.__name__
+
+
+def test_no_two_exports_name_one_function():
+    seen = {}
+    for name in splitgas.__all__:
+        value = getattr(splitgas, name)
+        if inspect.isfunction(value):
+            assert id(value) not in seen, (name, seen.get(id(value)))
+            seen[id(value)] = name
 
 
 def test_star_import_binds_every_export():

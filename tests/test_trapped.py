@@ -18,15 +18,10 @@ from splitgas import (
     mode_frequency,
     quasi1d_profile,
     tf_profile,
-    trapped_phase_variance,
 )
-from splitgas.homogeneous import build_modes, phase_variance
-from splitgas.trapped import (
-    legendre_f_table,
-    trapped_convergence_check,
-    trapped_pair_variance_field,
-    trapped_variance_field,
-)
+from splitgas.homogeneous import build_modes
+from splitgas.modes import pair_variance_field, pointwise_variance, variance_field
+from splitgas.trapped import legendre_f_table
 
 
 def test_mode_frequencies(trapped_config):
@@ -131,12 +126,12 @@ def test_trapped_mode_set(trapped_modes, trapped_params):
 
 
 def test_variance_zeros_and_bounds(trapped_modes):
-    assert trapped_phase_variance(12e-6, 12e-6, 8e-3, trapped_modes) == 0.0
-    assert trapped_phase_variance(12e-6, -7e-6, 0.0, trapped_modes) == 0.0
-    v = trapped_phase_variance(12e-6, -7e-6, 8e-3, trapped_modes)
+    assert pointwise_variance(12e-6, 12e-6, 8e-3, trapped_modes) == 0.0
+    assert pointwise_variance(12e-6, -7e-6, 0.0, trapped_modes) == 0.0
+    v = pointwise_variance(12e-6, -7e-6, 8e-3, trapped_modes)
     assert v > 0
     with pytest.raises(ConfigError):
-        trapped_phase_variance(trapped_modes.radius * 1.01, 0.0, 1e-3, trapped_modes)
+        pointwise_variance(trapped_modes.radius * 1.01, 0.0, 1e-3, trapped_modes)
 
 
 def test_variance_parity(trapped_modes):
@@ -145,8 +140,8 @@ def test_variance_parity(trapped_modes):
     z = rng.uniform(-0.95 * R, 0.95 * R, 40)
     zp = rng.uniform(-0.95 * R, 0.95 * R, 40)
     t = rng.uniform(0, 50e-3, 40)
-    v1 = trapped_phase_variance(z, zp, t, trapped_modes)
-    v2 = trapped_phase_variance(-z, -zp, t, trapped_modes)
+    v1 = pointwise_variance(z, zp, t, trapped_modes)
+    v2 = pointwise_variance(-z, -zp, t, trapped_modes)
     np.testing.assert_allclose(v1, v2, rtol=1e-10, atol=1e-14)
     assert np.all(v1 >= 0)
 
@@ -160,15 +155,15 @@ def test_termwise_nonnegative(trapped_modes):
     z = rng.uniform(-0.9 * R, 0.9 * R, 30)
     t = rng.uniform(0, 30e-3, 30)
     assert np.all(
-        trapped_phase_variance(z, 0.0, t, trapped_modes)
-        >= trapped_phase_variance(z, 0.0, t, smaller) - 1e-15)
+        pointwise_variance(z, 0.0, t, trapped_modes)
+        >= pointwise_variance(z, 0.0, t, smaller) - 1e-15)
 
 
 def test_short_time_quadratic_law(trapped_modes):
     t = np.geomspace(1e-6, 1e-5, 8)  # well below 1/omega_max ~ 0.24 ms
     pairs = [(10e-6, 25e-6), (-20e-6, 5e-6), (0.0, 30e-6)]
     for z, zp in pairs:
-        v = trapped_phase_variance(z, zp, t, trapped_modes)
+        v = pointwise_variance(z, zp, t, trapped_modes)
         slope = np.polyfit(np.log(t), np.log(v), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.02)
 
@@ -177,7 +172,7 @@ def test_no_exact_recurrence(trapped_modes):
     # incommensurate mode frequencies: the variance never fully rephases
     ts = np.arange(0.5e-3, 0.3, 0.5e-3)
     z = np.linspace(-0.9, 0.9, 41) * trapped_modes.radius
-    field = trapped_variance_field(trapped_modes, z, ts)
+    field = variance_field(trapped_modes, z, ts)
     worst = field.values.max(axis=1)   # max over positions, per time
     assert worst.min() > 0.05
 
@@ -186,8 +181,8 @@ def test_early_growth_matches_homogeneous(trapped_modes, trapped_params, homog_m
     # same peak density: before the cone feels the trap the variance agrees
     for t in (2e-3, 3e-3, 5e-3):
         zb = np.array([4e-6, 7e-6, 10e-6])
-        v_t = trapped_phase_variance(zb, 0.0, t, trapped_modes)
-        v_h = phase_variance(zb, t, build_modes(trapped_params, 100e-6))
+        v_t = pointwise_variance(zb, 0.0, t, trapped_modes)
+        v_h = pointwise_variance(zb, 0.0, t, build_modes(trapped_params, 100e-6))
         np.testing.assert_allclose(v_t, v_h, rtol=0.10)
 
 
@@ -195,7 +190,7 @@ def test_trapped_convergence_and_fields(trapped_modes):
     R = trapped_modes.radius
     z = np.linspace(0, 0.98 * R, 41)
     ts = np.linspace(0, 10e-3, 6)
-    field = trapped_variance_field(trapped_modes, z, ts, check_convergence=True)
+    field = variance_field(trapped_modes, z, ts, check_convergence=True)
     assert field.values.shape == (6, 41)
     assert field.converged in (True, False)
     dev0 = field.meta["doubling_dev"]
@@ -203,15 +198,16 @@ def test_trapped_convergence_and_fields(trapped_modes):
     # the doubling deviation keeps falling as the cutoff is raised
     fine = build_trapped_modes(trapped_modes.profile, trapped_modes.params,
                                4 * trapped_modes.j_max)
-    ok, dev = trapped_convergence_check(fine, z, ts)
+    fine_field = variance_field(fine, z, ts, check_convergence=True)
+    ok, dev = fine_field.converged, fine_field.meta["doubling_dev"]
     assert ok and dev < min(5e-3, dev0)
 
 
 def test_pair_field_matches_pointwise(trapped_modes):
     z = np.linspace(-20e-6, 20e-6, 9)
     ts = np.array([2e-3, 7e-3])
-    pf = trapped_pair_variance_field(trapped_modes, z, z, ts)
-    direct = trapped_phase_variance(z[1], z[6], 7e-3, trapped_modes)
+    pf = pair_variance_field(trapped_modes, z, z, ts)
+    direct = pointwise_variance(z[1], z[6], 7e-3, trapped_modes)
     assert pf.values[1, 1, 6] == pytest.approx(direct, rel=1e-10)
     np.testing.assert_allclose(pf.values, np.swapaxes(pf.values, 1, 2),
                                rtol=1e-10, atol=1e-15)
