@@ -4,10 +4,12 @@
              (--config FILE | --preset figK) [--out PATH] [--json]
              [--times MS ...] [--t-max MS] [--realizations N --seed S]
 
-Every command is a pure function of (scenario, flags, tool version):
-rerunning writes byte-identical artifacts.  Exit codes: 0 success,
-2 configuration error, 3 numerical non-convergence, 4 detection failure.
-Set SPLITGAS_THREADS to cap the linear-algebra thread pool.
+Each of --times, --t-max, --realizations and --seed overrides one scenario
+key (see ``_OVERRIDES``) and is parsed by that key's rule, so every command
+is a pure function of (scenario, tool version): rerunning writes
+byte-identical artifacts.  Exit codes: 0 success, 2 configuration error,
+3 numerical non-convergence, 4 detection failure.  Set SPLITGAS_THREADS to
+cap the linear-algebra thread pool.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ EXIT_DETECTION = 4
 
 UM = 1e-6
 MS = 1e-3
+
+# flags that override a scenario key: (argparse dest, section, key)
+_OVERRIDES = (("times", "grids", "times_ms"), ("t_max", "analysis", "t_max_ms"),
+              ("realizations", "oracle", "realizations"), ("seed", "oracle", "seed"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +74,12 @@ def _load_scenario(args):
 
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
-    return load_scenario(args.config) if args.config else preset_scenario(args.preset)
+    sc = load_scenario(args.config) if args.config else preset_scenario(args.preset)
+    for dest, section, key in _OVERRIDES:
+        value = getattr(args, dest, None)
+        if value is not None:
+            sc.override(section, key, value, "--" + dest.replace("_", "-"))
+    return sc
 
 
 def _write(sc, args, columns, rows, extra) -> None:
@@ -97,23 +108,26 @@ def _analysis_length(sc, params) -> float:
     return sc.config.system_length
 
 
-def _modes(sc, params):
-    """The mode basis of the scenario's geometry."""
-    if not sc.config.regime.trapped:
+def _modes(sc, config=None):
+    """The mode basis of ``config`` (default: the scenario's) at its truncation."""
+    from .params import Regime, derive_params
+
+    config = config or sc.config
+    params = derive_params(config)
+    if not config.regime.trapped:
         from .homogeneous import build_modes
 
-        return build_modes(params, sc.config.system_length, sc.p_max)
-    from .params import Regime
+        return build_modes(params, config.system_length, sc.p_max)
     from .trapped import build_trapped_modes, quasi1d_profile, tf_profile
 
-    if sc.config.regime is Regime.QUASI_1D:
-        profile = quasi1d_profile(sc.config, params)
+    if config.regime is Regime.QUASI_1D:
+        profile = quasi1d_profile(config, params)
     else:
         profile = tf_profile(params)
     return build_trapped_modes(profile, params, sc.j_max)
 
 
-def _cmd_params(sc, args):
+def _cmd_params(sc):
     from .params import (dephasing_times, derive_params, multimode_condition,
                          squeezing_limit)
 
@@ -141,19 +155,10 @@ def _cmd_params(sc, args):
     return columns, [row], [("regime", sc.config.regime.value)]
 
 
-def _pcf_grids(sc, modes, args):
+def _pcf_grids(sc, modes):
     import numpy as np
 
-    if getattr(args, "times", None):
-        if not all(0.0 <= t < float("inf") for t in args.times):
-            from .errors import ConfigError
-
-            raise ConfigError(f"--times must be finite non-negative ms, got {args.times}")
-        times = np.asarray(sorted(args.times), dtype=float) * MS
-    elif sc.times is not None:
-        times = sc.times
-    else:
-        times = np.linspace(0.0, 10.0, 11) * MS
+    times = sc.times if sc.times is not None else np.linspace(0.0, 10.0, 11) * MS
     if sc.zbar is not None:
         z = sc.zbar
     elif sc.config.regime.trapped:
@@ -163,13 +168,12 @@ def _pcf_grids(sc, modes, args):
     return z, times
 
 
-def _cmd_pcf(sc, args):
+def _cmd_pcf(sc):
     from .modes import variance_field
     from .observables import pcf
-    from .params import derive_params
 
-    modes = _modes(sc, derive_params(sc.config))
-    z, times = _pcf_grids(sc, modes, args)
+    modes = _modes(sc)
+    z, times = _pcf_grids(sc, modes)
     field = variance_field(modes, z, times, check_convergence=True)
     trapped = sc.config.regime.trapped
     corr = pcf(field)
@@ -221,14 +225,11 @@ def _front_for_system(modes, fit_window):
     return trace, fit
 
 
-def _cmd_front(sc, args):
-    from dataclasses import replace
-
-    from .params import derive_params
+def _cmd_front(sc):
     from .scenario import velocity_key
 
     if sc.compare_regimes:
-        return _cmd_front_compare(sc, args)
+        return _cmd_front_compare(sc)
     prov_extra = [("regime", sc.config.regime.value),
                   ("fit_window_ms",
                    f"({_fmt_ms(sc.fit_window[0])}, {_fmt_ms(sc.fit_window[1])}]")]
@@ -240,8 +241,7 @@ def _cmd_front(sc, args):
         columns = ["atom_number", "t_ms", "zc_um", "R_half_um"]
         rows = []
         for n_total in sc.scan_atom_numbers:
-            cfg = sc.config.with_atom_number(n_total)
-            modes = _modes(replace(sc, config=cfg), derive_params(cfg))
+            modes = _modes(sc, sc.config.with_atom_number(n_total))
             trace, fit = _front_for_system(modes, sc.fit_window)
             prov_extra.append((velocity_key(n_total), format(fit.speed / 1e-3, ".12g")))
             half = modes.radius / 2.0
@@ -249,7 +249,7 @@ def _cmd_front(sc, args):
                          for t, zc in zip(trace.times, trace.positions)])
         return columns, rows, prov_extra
 
-    modes = _modes(sc, derive_params(sc.config))
+    modes = _modes(sc)
     trace, fit = _front_for_system(modes, sc.fit_window)
     columns = ["t_ms", "zc_um"]
     rows = [[t / MS, zc / UM] for t, zc in zip(trace.times, trace.positions)]
@@ -264,26 +264,25 @@ def _cmd_front(sc, args):
     return columns, rows, prov_extra
 
 
-def _cmd_front_compare(sc, args):
+def _cmd_front_compare(sc):
     from dataclasses import replace
 
     from .errors import ConfigError
-    from .params import Regime, derive_params
+    from .params import Regime
 
     if not sc.config.regime.trapped:
         raise ConfigError("analysis.compare_regimes requires a trapped scenario")
     base = sc.config
-    cfg_tf = replace(base, system_length=0.0, regime=Regime.THOMAS_FERMI)
-    params_tf = derive_params(cfg_tf)
+    modes_tf = _modes(sc, replace(base, system_length=0.0, regime=Regime.THOMAS_FERMI))
+    params_tf = modes_tf.params
     # homogeneous twin at the trapped peak density, box wide enough for the fit
     L_box = max(8.0 * params_tf.R, 400e-6)
     cfg_h = replace(base, omega_long=0.0, atom_number_total=None,
                     peak_density_per_gas=params_tf.n_peak, system_length=L_box,
                     regime=Regime.HOMOGENEOUS)
     cfg_q = replace(base, system_length=0.0, regime=Regime.QUASI_1D)
-    fit_h, fit_tf, fit_q = [
-        _front_for_system(_modes(replace(sc, config=cfg), derive_params(cfg)), sc.fit_window)[1]
-        for cfg in (cfg_h, cfg_tf, cfg_q)]
+    fit_h, fit_tf, fit_q = [_front_for_system(modes, sc.fit_window)[1]
+                            for modes in (_modes(sc, cfg_h), modes_tf, _modes(sc, cfg_q))]
 
     columns = ["velocity_homogeneous_mm_per_s", "velocity_thomas_fermi_mm_per_s",
                "velocity_quasi_1d_mm_per_s", "sound_speed_mm_per_s"]
@@ -296,27 +295,19 @@ def _cmd_front_compare(sc, args):
     ]
 
 
-def _contrast_times(sc, args):
+def _contrast_times(sc):
     import numpy as np
 
-    t_max = sc.t_max
-    if args.t_max is not None:
-        if not 0.0 < args.t_max < float("inf"):
-            from .errors import ConfigError
-
-            raise ConfigError(f"--t-max must be a positive number of ms, got {args.t_max}")
-        t_max = args.t_max * MS
-    return np.arange(0.0, t_max + 0.25 * MS, 0.5 * MS)
+    return np.arange(0.0, sc.t_max + 0.25 * MS, 0.5 * MS)
 
 
-def _cmd_recurrence(sc, args):
+def _cmd_recurrence(sc):
     from .errors import DetectionError
     from .observables import contrast_evaluator, recurrence_scan
-    from .params import derive_params
 
-    modes = _modes(sc, derive_params(sc.config))
+    modes = _modes(sc)
     length = sc.contrast_lengths[0] if sc.contrast_lengths else 50e-6
-    times = _contrast_times(sc, args)
+    times = _contrast_times(sc)
     contrast = contrast_evaluator(modes, length)
     trace = contrast.trace(times)
     found = recurrence_scan(trace, refine_fn=lambda t: float(contrast([t])[0]))
@@ -332,14 +323,13 @@ def _cmd_recurrence(sc, args):
     return columns, rows, prov
 
 
-def _cmd_contrast(sc, args):
+def _cmd_contrast(sc):
     from .observables import contrast_trace
-    from .params import derive_params
     from .scenario import contrast_column
 
-    modes = _modes(sc, derive_params(sc.config))
+    modes = _modes(sc)
     lengths = sc.contrast_lengths or [50e-6]
-    times = _contrast_times(sc, args)
+    times = _contrast_times(sc)
     traces = [contrast_trace(modes, L, times) for L in lengths]
     columns = ["t_ms"] + [contrast_column(L) for L in lengths]
     rows = [[times[i] / MS] + [tr.values[i] for tr in traces]
@@ -347,7 +337,7 @@ def _cmd_contrast(sc, args):
     return columns, rows, [("regime", sc.config.regime.value)]
 
 
-def _cmd_squeezing_map(sc, args):
+def _cmd_squeezing_map(sc):
     import numpy as np
 
     from .params import pi, squeezing_map
@@ -369,19 +359,15 @@ def _cmd_squeezing_map(sc, args):
     return columns, rows, []
 
 
-def _cmd_oracle(sc, args):
+def _cmd_oracle(sc):
     import numpy as np
 
     from .homogeneous import recurrence_time
     from .modes import variance_field
     from .oracle import EnsembleSpec, estimate_pcf
-    from .params import derive_params
 
-    modes = _modes(sc, derive_params(sc.config))
-    realizations = (args.realizations if args.realizations is not None
-                    else sc.oracle_realizations)
-    seed = args.seed if args.seed is not None else sc.oracle_seed
-    spec = EnsembleSpec(realizations=realizations, master_seed=seed,
+    modes = _modes(sc)
+    spec = EnsembleSpec(realizations=sc.oracle_realizations, master_seed=sc.oracle_seed,
                         include_initial_phase_noise=sc.oracle_phase_noise)
     if sc.config.regime.trapped:
         z = modes.radius * np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75])
@@ -405,8 +391,8 @@ def _cmd_oracle(sc, args):
             for it in range(len(times)) for iz in range(len(z))]
     return columns, rows, [
         ("regime", sc.config.regime.value),
-        ("seed", str(seed)),
-        ("realizations", str(realizations)),
+        ("seed", str(sc.oracle_seed)),
+        ("realizations", str(sc.oracle_realizations)),
         ("rng", "philox4x64 keyed by (seed, realization)"),
         ("z_abs_lt3_frac", format(np.mean(np.abs(z_score) < 3.0), ".12g")),
         ("max_abs_z", format(np.max(np.abs(z_score)), ".12g")),
@@ -433,7 +419,7 @@ def main(argv=None) -> int:
         if args.json and not args.out:
             raise ConfigError("--json requires --out")
         sc = _load_scenario(args)
-        _write(sc, args, *_COMMANDS[args.command](sc, args))
+        _write(sc, args, *_COMMANDS[args.command](sc))
         return EXIT_OK
     except ConfigError as exc:
         print(f"splitgas: configuration error: {exc}", file=sys.stderr)

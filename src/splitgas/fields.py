@@ -89,7 +89,6 @@ class FrontTrace:
     positions: np.ndarray   # m, non-decreasing inside the fit window
     method: str             # "mixed_derivative" or "half_plateau"
     smoothing_sigma: float  # m, Gaussian width applied along the position axis
-    prominence_rel: float
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 from . import modes as basis
 from .errors import ConfigError
 from .modes import ModeBasis
-from .params import PhysicalParams, hbar, k_B, pi
+from .params import PhysicalParams, _is_finite, _mode_count, hbar, k_B, pi
 
 __all__ = [
     "PlaneWaveModeSet",
@@ -60,7 +60,6 @@ class PlaneWaveModeSet(ModeBasis):
     k: np.ndarray           # (p_max,), 1/m
     omega: np.ndarray       # (p_max,), rad/s, c*k
     S_k: np.ndarray         # (p_max,), structure factor hbar*k/(2*m*c)
-    occupation: np.ndarray  # (p_max,), k_B*T_eff/(hbar*omega_k)
     prefactor: float        # 2*pi^2*n*xi_n^2 / (L*K^2)
 
     truncation_name = "p_max"
@@ -134,21 +133,17 @@ def build_modes(params: PhysicalParams, L: float, p_max: int | None = None) -> P
     ``p_max`` defaults to ceil(L/(2*pi*xi_h)), i.e. the phononic cutoff at
     the healing length.
     """
-    if L <= 0:
-        raise ConfigError("box size must be strictly positive")
-    if p_max is None:
-        p_max = default_p_max(params, L)
-    if p_max < 1:
-        raise ConfigError("p_max must be at least 1")
+    if not (_is_finite(L) and L > 0):
+        raise ConfigError(f"box size L must be finite and strictly positive, got {L!r}")
+    p_max = _mode_count(default_p_max(params, L) if p_max is None else p_max, "p_max")
     p = np.arange(1, p_max + 1, dtype=float)
     k = 2.0 * pi * p / L
     omega = params.c * k
     S_k = hbar * k / (2.0 * params.mass * params.c)
-    occupation = k_B * params.T_eff / (hbar * omega)
     prefactor = 2.0 * pi**2 * params.n_peak * params.squeezing / (L * params.K**2)
     return PlaneWaveModeSet(
-        params=params, L=L, p_max=int(p_max), k=k, omega=omega,
-        S_k=S_k, occupation=occupation, prefactor=prefactor,
+        params=params, L=L, p_max=p_max, k=k, omega=omega,
+        S_k=S_k, prefactor=prefactor,
     )
 
 
@@ -253,9 +248,11 @@ def _central_rate(f, t, modes: PlaneWaveModeSet, dt: float | None):
     """(f(t + dt) - f(t - dt)) / (2 dt), dt defaulting to :func:`default_rate_step`."""
     if dt is None:
         dt = default_rate_step(modes)
+    elif not (_is_finite(dt) and dt > 0):
+        raise ConfigError(f"dt must be finite and strictly positive, got {dt!r}")
     t = np.asarray(t, dtype=float)
-    if np.any(t - dt < 0):
-        raise ConfigError("t must exceed the finite-difference step")
+    if not np.all((t >= dt) & (t < np.inf)):
+        raise ConfigError("t must be finite and exceed the finite-difference step")
     return (f(t + dt) - f(t - dt)) / (2.0 * dt)
 
 

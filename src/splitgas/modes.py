@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import PairVarianceField, VarianceField
+from .params import hbar, k_B
 
 __all__ = [
     "ModeBasis",
@@ -56,9 +57,18 @@ class ModeBasis:
     def xi_n2(self) -> float:
         return self.params.squeezing
 
+    def occupation(self) -> np.ndarray:
+        """Mode occupation k_B*T_eff/(hbar*omega_m) imprinted by splitting."""
+        return k_B * self.params.T_eff / (hbar * self.omega)
+
     def time_factors(self, times: np.ndarray) -> np.ndarray:
         """sin^2(omega_m t) / time_norm_m, shape (times, modes)."""
         return np.sin(self.omega[None, :] * times[:, None]) ** 2 / self.time_norm
+
+
+def _check_times(t) -> None:
+    if not np.all((t >= 0.0) & (t < np.inf)):
+        raise ConfigError("evolution times must be finite and non-negative")
 
 
 def pointwise_variance(z, zprime, t, modes: ModeBasis):
@@ -69,6 +79,7 @@ def pointwise_variance(z, zprime, t, modes: ModeBasis):
     """
     z, zprime = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(zprime, dtype=float))
     t = np.asarray(t, dtype=float)
+    _check_times(t)
     modes.check_points(np.concatenate([z.ravel(), zprime.ravel()]))
     terms = np.moveaxis(modes.pair_terms(z, zprime), 0, -1)         # (*points, M)
     amp = modes.time_factors(t.ravel()).reshape(*t.shape, -1)      # (*t, M)
@@ -99,8 +110,7 @@ def variance_field(
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all((times >= 0.0) & (times < np.inf)):
-        raise ConfigError("evolution times must be finite and non-negative")
+    _check_times(times)
     modes.check_points(np.append(z, zprime))
     terms = modes.pair_terms(z, np.array([zprime]))                   # (M, nz)
     values = modes.coefficient * (modes.time_factors(times) @ terms)  # (nt, nz)

@@ -194,7 +194,6 @@ def _refine_peak(row: np.ndarray, idx: int, dz: float) -> float:
 def extract_front(
     field: VarianceField,
     smoothing_sigma: float | None = None,
-    prominence_rel: float = DEFAULT_PROMINENCE_REL,
     method: str = "mixed_derivative",
 ) -> FrontTrace:
     """Locate the correlation front z_c(t) on a regular (position x time) grid.
@@ -240,7 +239,7 @@ def extract_front(
                 seg = rows[:, guard:-guard]
                 rng = seg.max(axis=1) - seg.min(axis=1)
                 row, idx, prom = _peak_prominences(seg)
-                ok = (prom >= prominence_rel * rng[row]) & (rng[row] > deriv_floor)
+                ok = (prom >= DEFAULT_PROMINENCE_REL * rng[row]) & (rng[row] > deriv_floor)
                 row, idx, prom = row[ok], idx[ok], prom[ok]
                 # per row the most prominent peak, the leftmost of equals
                 order = np.lexsort((idx, -prom, row))
@@ -257,7 +256,7 @@ def extract_front(
                 break
             inner = float(row[:n_dec].mean())
             outer = float(row[-n_dec:].mean())
-            if (abs(outer - inner) <= prominence_rel * max(outer, inner, 1e-300)
+            if (abs(outer - inner) <= DEFAULT_PROMINENCE_REL * max(outer, inner, 1e-300)
                     or abs(outer - inner) <= deriv_floor * dz):
                 continue
             thr = 0.5 * (inner + outer)
@@ -277,8 +276,7 @@ def extract_front(
 
     return FrontTrace(
         times=np.asarray(times), positions=np.asarray(positions),
-        method=method, smoothing_sigma=float(smoothing_sigma),
-        prominence_rel=prominence_rel, diagnostics=diagnostics,
+        method=method, smoothing_sigma=float(smoothing_sigma), diagnostics=diagnostics,
     )
 
 
@@ -591,24 +589,20 @@ def recurrence_scan(
     return results
 
 
-def prethermal_pcf(modes: PlaneWaveModeSet, zbar, window: tuple = (0.30, 0.45),
-                   samples: int = 64) -> np.ndarray:
+def prethermal_pcf(modes: PlaneWaveModeSet, zbar) -> np.ndarray:
     """Long-time-averaged correlation function of the dephased state.
 
-    Averages C(zbar, t) over a time window (given in units of the
-    recurrence period) inside the prethermal plateau: after the cone has
-    passed the largest requested separation and before rephasing sets in.
-    Converges to exp(-|zbar| xi_n^2/l0) for separations above the phonon
-    cutoff.
+    Averages C(zbar, t) at 64 times across 0.30-0.45 recurrence periods,
+    inside the prethermal plateau: after the cone has passed the largest
+    requested separation and before rephasing sets in.  Converges to
+    exp(-|zbar| xi_n^2/l0) for separations above the phonon cutoff.
     """
     zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
     t_rev = recurrence_time(modes.L, modes.params.c)
-    lo, hi = window
-    if not (0.0 < lo < hi < 1.0):
-        raise ConfigError("window must satisfy 0 < lo < hi < 1 (units of t_rev)")
+    lo, hi = 0.30, 0.45
     zmax = float(np.abs(zbar).max())
     if zmax / (2.0 * modes.params.c) >= lo * t_rev:
         raise ConfigError("window opens before the cone reaches the largest separation")
-    ts = np.linspace(lo * t_rev, hi * t_rev, samples)
+    ts = np.linspace(lo * t_rev, hi * t_rev, 64)
     var = variance_field(modes, zbar, ts).values
     return np.exp(-var / 2.0).mean(axis=0)

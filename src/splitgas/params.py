@@ -77,6 +77,13 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _mode_count(value, name: str) -> int:
+    """A mode truncation: a whole number of at least 1, as an int."""
+    if isinstance(value, bool) or not (_is_finite(value) and value >= 1 and int(value) == value):
+        raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TrapConfig:
     """User-facing description of one physical scenario.

@@ -148,8 +148,15 @@ def _fit_window(win, where):
 
 def _seed(seed, where):
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"{where}: expected a non-negative integer")
+        raise ConfigError(f"{where}: expected a non-negative integer, got {seed!r}")
     return seed
+
+
+def _realizations(value, where):
+    n = int(_require_number(value, where, positive=False, integer=True))
+    if n < 2:
+        raise ConfigError(f"{where}: need at least 2 realizations, got {n}")
+    return n
 
 
 def _length(value, where):
@@ -157,7 +164,11 @@ def _length(value, where):
 
 
 _positions = partial(_grid, scale=UM)
-_times = partial(_grid, scale=MS, nonnegative=True)
+
+
+def _times(value, where):
+    """A time grid in time order, so table columns and rows run forward."""
+    return np.sort(_grid(value, where, scale=MS, nonnegative=True))
 
 
 # Optional sections: {section: {key: (Scenario attribute, parser(value, dotted key))}}.
@@ -176,7 +187,7 @@ _SECTIONS = {
         "compare_regimes": ("compare_regimes", _flag),
     },
     "oracle": {
-        "realizations": ("oracle_realizations", _integer),
+        "realizations": ("oracle_realizations", _realizations),
         "seed": ("oracle_seed", _seed),
         "include_initial_phase_noise": ("oracle_phase_noise", _flag),
         "zbar_um": ("oracle_zbar", _positions),
@@ -213,6 +224,15 @@ class Scenario:
     map_nu_perp: np.ndarray | None = None   # rad/s grid
     map_lengths: np.ndarray | None = None   # m
 
+    def override(self, section: str, key: str, value, where: str) -> None:
+        """Set ``section.key`` to ``value``, parsed as in a scenario document.
+
+        Faults name ``where`` (a command line flag, say) in place of the
+        dotted key.  ``raw``, and so :meth:`sha256`, keep the document.
+        """
+        attr, parse = _SECTIONS[section][key]
+        setattr(self, attr, parse(value, where))
+
     def sha256(self) -> str:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()
@@ -244,9 +264,9 @@ def _build_config(trap: dict) -> TrapConfig:
     if "nu_perp_hz" not in trap:
         raise ConfigError("trap.nu_perp_hz: required")
     omega_perp = 2.0 * pi * _require_number(trap["nu_perp_hz"], "trap.nu_perp_hz")
-    nu_long = trap.get("nu_long_hz", 0.0)
-    if nu_long != 0:
-        nu_long = _require_number(nu_long, "trap.nu_long_hz")
+    # 0, and only 0, stands for "none" in the two optional trap numbers
+    nu_long = trap.get("nu_long_hz", 0)
+    nu_long = _require_number(nu_long, "trap.nu_long_hz", positive=nu_long != 0)
     if "regime" not in trap:
         raise ConfigError("trap.regime: required")
     try:
@@ -262,9 +282,8 @@ def _build_config(trap: dict) -> TrapConfig:
     density = trap.get("peak_density_per_um")
     if density is not None:
         density = _require_number(density, "trap.peak_density_per_um") / UM
-    length = trap.get("system_length_um", 0.0)
-    if length != 0:
-        length = _require_number(length, "trap.system_length_um") * UM
+    length = trap.get("system_length_um", 0)
+    length = _require_number(length, "trap.system_length_um", positive=length != 0) * UM
     squeezing = _require_number(trap.get("squeezing", 1.0), "trap.squeezing")
     return TrapConfig(
         atomic_mass=mass, scattering_length=a_s, omega_perp=omega_perp,
@@ -286,9 +305,9 @@ def _build_scenario(doc: dict) -> Scenario:
         # a section holding only comments reads as null
         section = _require_mapping({} if section is None else section, name)
         _check_keys(section, schema, name)
-        for key, (attr, parse) in schema.items():
+        for key in schema:
             if key in section:
-                setattr(sc, attr, parse(section[key], f"{name}.{key}"))
+                sc.override(name, key, section[key], f"{name}.{key}")
     return sc
 
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .modes import ModeBasis
-from .params import (PhysicalParams, Regime, TrapConfig, atom_number_from_peak_density,
-                     derive_params, hbar, k_B, pi)
+from .params import (PhysicalParams, Regime, TrapConfig, _mode_count,
+                     atom_number_from_peak_density, derive_params, hbar, k_B, pi)
 
 __all__ = [
     "mode_frequency",
@@ -268,10 +268,6 @@ class LegendreModeSet(ModeBasis):
     def thermal_phase_variance(self, temperature: float) -> np.ndarray:
         return pi * self.v_N * k_B * temperature / (hbar * self.radius * self.omega_j**2)
 
-    def occupation(self) -> np.ndarray:
-        """Mode occupation k_B*T_eff/(hbar*omega_j) imprinted by splitting."""
-        return k_B * self.params.T_eff / (hbar * self.omega_j)
-
 
 def default_j_max(mu: float, omega_scale: float) -> int:
     """Largest j with hbar*omega_j <= mu (phononic validity)."""
@@ -298,14 +294,12 @@ def build_trapped_modes(
         omega_scale = math.sqrt(2.0) * c_peak / profile.radius
     v_N = 2.0 * profile.eos_slope_peak / (pi * hbar)
     mu_cap = profile.n_peak * profile.eos_slope_peak  # = m * c_peak^2
-    if j_max is None:
-        j_max = default_j_max(mu_cap, omega_scale)
-    if j_max < 1:
-        raise ConfigError("j_max must be at least 1")
+    j_max = _mode_count(default_j_max(mu_cap, omega_scale) if j_max is None else j_max,
+                        "j_max")
     omega_j = mode_frequency(np.arange(1, j_max + 1), omega_scale)
     coefficient = params.squeezing * profile.n_peak * pi**2 * v_N**2 / (2.0 * profile.radius)
     return LegendreModeSet(
-        params=params, profile=profile, j_max=int(j_max),
+        params=params, profile=profile, j_max=j_max,
         omega_scale=omega_scale, omega_j=omega_j, v_N=v_N,
         coefficient=coefficient,
     )

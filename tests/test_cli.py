@@ -158,8 +158,7 @@ def test_front_moving_less_than_a_grid_step_is_a_detection_failure(
         ts = field.times
         dz = field.positions[1] - field.positions[0]
         return FrontTrace(times=ts, positions=20e-6 + 0.5 * dz * ts / ts[-1],
-                          method="mixed_derivative", smoothing_sigma=dz,
-                          prominence_rel=0.25)
+                          method="mixed_derivative", smoothing_sigma=dz)
 
     monkeypatch.setattr(observables, "extract_front", creeping_front)
     assert main(["front", "--config", homog_file]) == 4
@@ -318,7 +317,7 @@ def test_validator_catches_corruption(trapped_file, tmp_path):
 def test_exit_code_convergence(monkeypatch, trapped_file):
     import splitgas.cli as cli
 
-    def boom(sc, args):
+    def boom(sc):
         raise ConvergenceError("stub")
 
     monkeypatch.setitem(cli._COMMANDS, "params", boom)
@@ -588,3 +587,83 @@ def test_scenario_file_not_utf8(tmp_path, capsys):
 def test_missing_scenario_file_message(tmp_path, capsys):
     assert main(["params", "--config", str(tmp_path / "absent.yaml")]) == 2
     assert "scenario file not found:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,line", [
+    ("trap.nu_long_hz", "  nu_long_hz: false\n"),
+    ("trap.system_length_um", "  system_length_um: false\n"),
+])
+def test_trap_number_refuses_boolean(tmp_path, capsys, key, line):
+    # false == 0, but it must not read as "no trap" or "no length"
+    path = tmp_path / "bool.yaml"
+    path.write_text(REF_TRAPPED + line)
+    assert main(["params", "--config", str(path)]) == 2
+    assert f"{key}: expected a number, got False" in capsys.readouterr().err
+
+
+_BOX = REF_HOMOG.split("grids:")[0] + "grids:\n  zbar_um: {start: 0.0, stop: 30.0, num: 61}\n"
+
+# (command, scenario, flags, the scenario with the flags' values as its keys)
+FLAG_CASES = [
+    ("pcf", _BOX, ["--times", "10", "1", "5"], _BOX + "  times_ms: [10, 1, 5]\n"),
+    ("contrast", REF_TRAPPED, ["--t-max", "4"], REF_TRAPPED + "analysis:\n  t_max_ms: 4\n"),
+    ("oracle", REF_HOMOG, ["--realizations", "200", "--seed", "7"],
+     REF_HOMOG + "oracle:\n  realizations: 200\n  seed: 7\n"),
+]
+
+
+@pytest.mark.parametrize("command,doc,flags,keyed_doc", FLAG_CASES,
+                         ids=[case[2][0] for case in FLAG_CASES])
+def test_flag_rows_equal_scenario_key_rows(tmp_path, command, doc, flags, keyed_doc):
+    plain, keyed = tmp_path / "plain.yaml", tmp_path / "keyed.yaml"
+    plain.write_text(doc)
+    keyed.write_text(keyed_doc)
+    tables = []
+    for argv in ([command, "--config", str(plain), *flags],
+                 [command, "--config", str(keyed)]):
+        out = str(tmp_path / f"{len(tables)}.csv")
+        assert main([*argv, "--out", out]) == 0
+        tables.append(read_table(out)[1:])
+    assert tables[0] == tables[1]
+    if command == "pcf":    # an unsorted list runs in time order either way
+        assert tables[0][0][1:] == ["C_t1ms", "C_t5ms", "C_t10ms"]
+
+
+@pytest.mark.parametrize("command,flag,value,section,key,yaml_value", [
+    ("pcf", "--times", ["1", "nan"], "grids", "times_ms", "[1.0, .nan]"),
+    ("pcf", "--times", ["-3", "2"], "grids", "times_ms", "[-3.0, 2.0]"),
+    ("contrast", "--t-max", ["nan"], "analysis", "t_max_ms", ".nan"),
+    ("recurrence", "--t-max", ["0"], "analysis", "t_max_ms", "0.0"),
+    ("oracle", "--realizations", ["0"], "oracle", "realizations", "0"),
+    ("oracle", "--seed", ["-1"], "oracle", "seed", "-1"),
+])
+def test_bad_flag_reads_as_its_key(tmp_path, trapped_file, capsys, command, flag, value,
+                                   section, key, yaml_value):
+    assert main([command, "--config", trapped_file, flag, *value]) == 2
+    from_flag = capsys.readouterr().err
+    path = tmp_path / "keyed.yaml"
+    path.write_text(REF_TRAPPED + f"{section}:\n  {key}: {yaml_value}\n")
+    assert main([command, "--config", str(path)]) == 2
+    from_key = capsys.readouterr().err
+    assert f"{section}.{key}" in from_key
+    assert from_flag == from_key.replace(f"{section}.{key}", flag)
+
+
+def test_every_flag_overrides_a_scenario_key():
+    import inspect
+
+    import splitgas.cli as cli
+    from splitgas.scenario import _SECTIONS
+
+    overrides = {dest: (section, key) for dest, section, key in cli._OVERRIDES}
+    subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+    for name, sub in subparsers.items():
+        for action in sub._actions:
+            if action.dest in ("help", "config", "preset", "out", "json"):
+                continue
+            assert action.dest in overrides, (name, action.option_strings)
+            section, key = overrides[action.dest]
+            assert key in _SECTIONS[section], (section, key)
+    for name, fn in vars(cli).items():
+        if name.startswith("_cmd_"):
+            assert list(inspect.signature(fn).parameters) == ["sc"], name

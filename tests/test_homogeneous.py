@@ -34,7 +34,7 @@ def test_mode_grid(homog_modes, homog_params):
 
 
 def test_mode_occupations(homog_modes, homog_params):
-    occ = homog_modes.occupation
+    occ = homog_modes.occupation()
     np.testing.assert_allclose(
         occ, k_B * homog_params.T_eff / (hbar * homog_modes.omega), rtol=1e-14)
     # 1/|k| scaling of the equipartitioned occupation numbers
@@ -180,6 +180,25 @@ def test_rate_plateau_flatness(cone_modes, cone_params):
 def test_rate_requires_valid_time(cone_modes):
     with pytest.raises(ConfigError):
         variance_rate(5e-6, 0.0, cone_modes)
+
+
+@pytest.mark.parametrize("rate", [variance_rate, covariance_rate])
+@pytest.mark.parametrize("dt", [0.0, float("nan")])
+def test_rate_refuses_bad_step(cone_modes, rate, dt):
+    # dt = 0 would divide by zero and dt = nan would return nan
+    with pytest.raises(ConfigError, match="dt must be finite and strictly positive"):
+        rate(5e-6, 5e-3, cone_modes, dt=dt)
+
+
+def test_build_modes_refuses_fractional_truncation(homog_params):
+    # p_max = 2.5 would build 3 modes but store p_max = 2
+    with pytest.raises(ConfigError, match="p_max must be an integer"):
+        build_modes(homog_params, 100e-6, p_max=2.5)
+
+
+def test_build_modes_refuses_nonfinite_box(homog_params):
+    with pytest.raises(ConfigError, match="box size L must be finite"):
+        build_modes(homog_params, float("nan"))
 
 
 def test_thermal_variance(homog_modes, homog_params):

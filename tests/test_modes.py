@@ -87,6 +87,14 @@ def test_variance_field_refuses_bad_times(basis, t):
         variance_field(modes, z, [0.0, t], zprime)
 
 
+@pytest.mark.parametrize("t", [-1e-3, float("nan")])
+def test_pointwise_variance_refuses_bad_times(basis, t):
+    # the rule of variance_field: no NaN result, and no value before t = 0
+    modes, z, zprime, _ = basis
+    with pytest.raises(ConfigError, match="finite and non-negative"):
+        pointwise_variance(z[1], zprime, t, modes)
+
+
 @pytest.mark.parametrize("L,n", [(5e-6, None), (20e-6, None), (50e-6, None), (90e-6, None),
                                  (100e-6, None), (20e-6, 41), (20e-6, 42), (100e-6, 101),
                                  (100e-6, 102)])

@@ -133,8 +133,7 @@ def test_front_trapped_bends_near_edge(trapped_modes, trapped_params):
 
 def test_fit_velocity_needs_points():
     trace = FrontTrace(times=np.array([1e-3, 2e-3]), positions=np.array([1e-6, 2e-6]),
-                       method="mixed_derivative", smoothing_sigma=1e-6,
-                       prominence_rel=0.25)
+                       method="mixed_derivative", smoothing_sigma=1e-6)
     with pytest.raises(DetectionError):
         fit_velocity(trace)
 
@@ -153,14 +152,13 @@ def test_extract_front_empty_when_featureless():
 
 @pytest.mark.parametrize("method", ["mixed_derivative", "half_plateau"])
 def test_extract_front_counts_rows_dropped_by_a_narrow_search(method):
-    from splitgas import derive_params
     from splitgas.cli import _modes
     from splitgas.scenario import preset_scenario
 
     # 10 points to 0.98 R leave a search segment under 4 columns wide: no row
     # is searched, so all 30 are dropped
     sc = preset_scenario("fig4")
-    modes = _modes(sc, derive_params(sc.config))
+    modes = _modes(sc)
     field = variance_field(modes, np.linspace(0.0, 0.98 * modes.radius, 10),
                            np.linspace(1e-3, 10e-3, 30))
     trace = extract_front(field, method=method)
@@ -307,15 +305,12 @@ def test_contrast_memory_bounded_per_window():
 
 def test_front_memory_bounded_on_largest_preset_grid():
     import tracemalloc
-    from dataclasses import replace
 
-    from splitgas import derive_params
     from splitgas.cli import _modes
     from splitgas.scenario import preset_scenario
 
     sc = preset_scenario("fig5")
-    cfg = sc.config.with_atom_number(9000)
-    modes = _modes(replace(sc, config=cfg), derive_params(cfg))
+    modes = _modes(sc, sc.config.with_atom_number(9000))
     dt = (pi / modes.omega_max) / 20.0
     times = np.arange(dt, sc.fit_window[1] + 0.5 * dt, dt)
     field = variance_field(modes, np.arange(0.0, 0.985 * modes.radius, modes.xi_h / 4.0),
@@ -421,16 +416,13 @@ _FIG7_GOLDEN = [
 
 @pytest.fixture(scope="module")
 def fig7_refined():
-    from types import SimpleNamespace
-
-    from splitgas import derive_params
     from splitgas.cli import _contrast_times, _modes
     from splitgas.scenario import preset_scenario
 
     sc = preset_scenario("fig7")
-    modes = _modes(sc, derive_params(sc.config))
+    modes = _modes(sc)
     contrast = contrast_evaluator(modes, sc.contrast_lengths[0])
-    trace = contrast.trace(_contrast_times(sc, SimpleNamespace(t_max=None)))
+    trace = contrast.trace(_contrast_times(sc))
     calls = []
 
     def refine(t):

@@ -125,6 +125,12 @@ def test_trapped_mode_set(trapped_modes, trapped_params):
         m.occupation(), k_B * trapped_params.T_eff / (hbar * m.omega_j), rtol=1e-14)
 
 
+def test_build_trapped_modes_refuses_fractional_truncation(trapped_modes):
+    # j_max = 2.5 would build 3 modes but store j_max = 2
+    with pytest.raises(ConfigError, match="j_max must be an integer"):
+        build_trapped_modes(trapped_modes.profile, trapped_modes.params, 2.5)
+
+
 def test_variance_zeros_and_bounds(trapped_modes):
     assert pointwise_variance(12e-6, 12e-6, 8e-3, trapped_modes) == 0.0
     assert pointwise_variance(12e-6, -7e-6, 0.0, trapped_modes) == 0.0
