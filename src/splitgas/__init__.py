@@ -5,7 +5,7 @@ Library layout:
 - :mod:`splitgas.params` - scalar physics of a scenario (coupling, sound
   speed, Luttinger parameter, interferometry criteria).
 - :mod:`splitgas.modes` - the mode basis, and the one home of the mode sums
-  (pointwise variance, variance field, pair field) of both geometries.
+  (pointwise variance, variance field) of both geometries.
 - :mod:`splitgas.homogeneous` - plane-wave modes and phase statistics of
   the boxed gas.
 - :mod:`splitgas.trapped` - density profiles and Legendre modes of the
@@ -57,7 +57,7 @@ _EXPORTS = {
     ),
     "observables": (
         "contrast_evaluator", "contrast_trace", "extract_front", "fit_velocity",
-        "mean_squared_contrast", "pcf", "prethermal_pcf", "recurrence_scan",
+        "pcf", "prethermal_pcf", "recurrence_scan",
     ),
     "oracle": ("EnsembleSpec", "EnsembleStats", "estimate_pcf", "sample_realization"),
 }

@@ -171,13 +171,14 @@ def _pcf_grids(sc, modes):
 def _cmd_pcf(sc):
     from .modes import variance_field
     from .observables import pcf
+    from .scenario import time_column
 
     modes = _modes(sc)
     z, times = _pcf_grids(sc, modes)
     field = variance_field(modes, z, times, check_convergence=True)
     trapped = sc.config.regime.trapped
     corr = pcf(field)
-    columns = ["z_um" if trapped else "zbar_um"] + [f"C_t{_fmt_ms(t)}ms" for t in times]
+    columns = ["z_um" if trapped else "zbar_um"] + [time_column(t) for t in times]
     rows = [[z[i] / UM] + [corr.values[j, i] for j in range(len(times))]
             for i in range(len(z))]
     return columns, rows, [
@@ -192,12 +193,12 @@ def _front_for_system(modes, fit_window):
     import numpy as np
 
     from .errors import DetectionError
+    from .homogeneous import default_rate_step
     from .modes import variance_field
     from .observables import extract_front, fit_velocity
-    from .params import pi
 
     t_hi = fit_window[1]
-    dt = (pi / modes.omega_max) / 20.0
+    dt = default_rate_step(modes)
     times = np.arange(dt, t_hi + 0.5 * dt, dt)
     xi_h = modes.xi_h
     if modes.regime == "homogeneous":

@@ -1,9 +1,8 @@
 """Grid-valued results: variance/correlation fields, front traces, contrast.
 
-Two grid layouts are used.  A plain field holds values on (time x position)
-where "position" is a point z with the second point pinned at ``zprime``
-(for the homogeneous gas z - zprime is the separation z-bar).  A pair field
-holds values on (time x z x z') and feeds the contrast integrals.
+A field holds values on a (time x position) grid, where "position" is a
+point z with the second point pinned at ``zprime`` (for the homogeneous gas
+z - zprime is the separation z-bar).
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import numpy as np
 __all__ = [
     "VarianceField",
     "CorrelationField",
-    "PairVarianceField",
-    "PairCorrelationField",
     "FrontTrace",
     "VelocityFit",
     "ContrastTrace",
@@ -54,30 +51,6 @@ class CorrelationField:
     regime: str
     truncation: int
     zprime: float | None = None
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class PairVarianceField:
-    """Variance on a full (time x z x z') grid, for contrast integrals."""
-
-    z: np.ndarray
-    zprime: np.ndarray
-    times: np.ndarray
-    values: np.ndarray      # (n_times, len(z), len(zprime))
-    regime: str
-    truncation: int
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class PairCorrelationField:
-    z: np.ndarray
-    zprime: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
-    regime: str
-    truncation: int
     meta: dict = field(default_factory=dict)
 
 

@@ -218,7 +218,7 @@ def _phase_noise_variance(zbar, var_phi: np.ndarray, modes: PlaneWaveModeSet):
     return out if out.ndim else float(out)
 
 
-def default_rate_step(modes: PlaneWaveModeSet) -> float:
+def default_rate_step(modes: ModeBasis) -> float:
     """Finite-difference step: one twentieth of the fastest half period."""
     return (pi / modes.omega_max) / 20.0
 
@@ -258,6 +258,6 @@ def _central_rate(f, t, modes: PlaneWaveModeSet, dt: float | None):
 
 def recurrence_time(L: float, c: float) -> float:
     """Full rephasing period L/(2c) of the commensurate spectrum."""
-    if L <= 0 or c <= 0:
-        raise ConfigError("L and c must be strictly positive")
+    if not (_is_finite(L) and L > 0 and _is_finite(c) and c > 0):
+        raise ConfigError(f"L and c must be finite and strictly positive, got {L!r}, {c!r}")
     return L / (2.0 * c)

@@ -8,9 +8,9 @@ with pair terms d_m >= 0: plane waves, d_p = (1 - cos(k_p (z - z')))/k_p^2
 and time_norm = 1, for the box; Legendre modes f_j(z/R), d_j = (f_j(z/R) -
 f_j(z'/R))^2 and time_norm = omega_j^2, for the trapped cloud (Stringari,
 PRA 58, 2385 (1998); Petrov, Shlyapnikov & Walraven, PRL 85, 3745 (2000)).
-The pointwise sum, the field with its truncation doubling check and the
-pair field are written once here against :class:`ModeBasis`; they are the
-only public names of these sums, for both geometries.
+The pointwise sum and the field with its truncation doubling check are
+written once here against :class:`ModeBasis`; they are the only public
+names of these sums, for both geometries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .fields import PairVarianceField, VarianceField
+from .fields import VarianceField
 from .params import hbar, k_B
 
 __all__ = [
@@ -26,14 +26,10 @@ __all__ = [
     "CONVERGENCE_RTOL",
     "pointwise_variance",
     "variance_field",
-    "pair_variance_field",
 ]
 
 #: relative tolerance of the truncation doubling test
 CONVERGENCE_RTOL = 5e-3
-
-# pair-field terms are evaluated in z' column blocks of about this many floats
-_PAIR_BLOCK_ELEMENTS = 2**21
 
 
 class ModeBasis:
@@ -130,25 +126,3 @@ def variance_field(
         converged=converged, meta={**modes.field_meta(), "doubling_dev": dev},
     )
 
-
-def pair_variance_field(modes: ModeBasis, z, zprime, times) -> PairVarianceField:
-    """Variance on a full (times x z x z') grid.
-
-    Every entry is a sum of non-negative mode terms, so the field is
-    non-negative and zero on z = z'.  The pair terms are evaluated in
-    blocks of z' columns, the mode functions of z once per block.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    zprime = np.atleast_1d(np.asarray(zprime, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    modes.check_points(np.concatenate([z, zprime]))
-    amp = modes.time_factors(times)                                   # (nt, M)
-    values = np.empty((times.size, z.size, zprime.size))
-    width = max(1, _PAIR_BLOCK_ELEMENTS // max(amp.shape[1] * z.size, 1))
-    for start in range(0, zprime.size, width):
-        terms = modes.pair_terms(z[:, None], zprime[None, start:start + width])
-        values[:, :, start:start + width] = modes.coefficient * np.tensordot(amp, terms, 1)
-    return PairVarianceField(
-        z=z, zprime=zprime, times=times, values=values,
-        regime=modes.regime, truncation=modes.truncation, meta=modes.field_meta(),
-    )

@@ -23,8 +23,6 @@ from .fields import (
     ContrastTrace,
     CorrelationField,
     FrontTrace,
-    PairCorrelationField,
-    PairVarianceField,
     VarianceField,
     VelocityFit,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "pcf",
     "extract_front",
     "fit_velocity",
-    "mean_squared_contrast",
     "contrast_evaluator",
     "contrast_trace",
     "recurrence_scan",
@@ -65,21 +62,11 @@ _REFINE_BRACKET_S = 1e-9
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def pcf(variance):
-    """Correlation field C = exp(-variance/2), element-wise.
-
-    Accepts either a plain or a pair variance field and returns the
-    matching correlation container.
-    """
+def pcf(variance: VarianceField) -> CorrelationField:
+    """Correlation field C = exp(-variance/2), element-wise, on the same grid."""
     if np.any(variance.values < 0):
         raise ConfigError("variance must be non-negative")
     vals = np.exp(-variance.values / 2.0)
-    if isinstance(variance, PairVarianceField):
-        return PairCorrelationField(
-            z=variance.z, zprime=variance.zprime, times=variance.times,
-            values=vals, regime=variance.regime, truncation=variance.truncation,
-            meta=dict(variance.meta),
-        )
     return CorrelationField(
         positions=variance.positions, times=variance.times, values=vals,
         regime=variance.regime, truncation=variance.truncation,
@@ -297,37 +284,6 @@ def fit_velocity(trace: FrontTrace, window: tuple = DEFAULT_FIT_WINDOW) -> Veloc
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         window=(t0, t1), n_points=int(sel.sum()),
     )
-
-
-def _window_indices(grid: np.ndarray, length: float) -> np.ndarray:
-    half = length / 2.0
-    tol = 1e-9 * max(length, 1e-12)
-    sel = np.nonzero((grid >= -half - tol) & (grid <= half + tol))[0]
-    if sel.size < 2:
-        raise ConfigError("integration window contains fewer than 2 grid points")
-    return sel
-
-
-def mean_squared_contrast(corr: PairCorrelationField, length: float, t: float) -> float:
-    """Window-averaged squared contrast (1/L^2) * double integral of C.
-
-    Trapezoidal quadrature over the grid points inside [-L/2, L/2]^2 at the
-    time sample closest to ``t``; the normalisation uses the realised
-    window span so slightly misaligned grids stay unbiased.
-    """
-    if length <= 0:
-        raise ConfigError("integration length must be strictly positive")
-    R = corr.meta.get("R_eff")
-    if R is not None and length / 2.0 > R:
-        raise ConfigError("integration region exceeds the cloud radius")
-    it = int(np.argmin(np.abs(corr.times - t)))
-    iz = _window_indices(corr.z, length)
-    jz = _window_indices(corr.zprime, length)
-    z, zp = corr.z[iz], corr.zprime[jz]
-    block = corr.values[it][np.ix_(iz, jz)]
-    inner = np.trapezoid(block, zp, axis=1)
-    total = np.trapezoid(inner, z)
-    return float(total / ((z[-1] - z[0]) * (zp[-1] - zp[0])))
 
 
 def _homog_pair_weights(n: int, dz: float) -> np.ndarray:

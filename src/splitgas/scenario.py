@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .params import RB87, Regime, SpeciesPreset, TrapConfig, _is_finite, hbar, pi
 
 __all__ = ["Scenario", "load_scenario", "preset_scenario", "PRESET_NAMES",
-           "contrast_column", "velocity_key"]
+           "contrast_column", "time_column", "velocity_key"]
 
 _SPECIES = {"rb87": RB87}
 
@@ -109,29 +109,33 @@ def contrast_column(length: float) -> str:
     return f"C2_L{format(length / UM, '.6g')}um"
 
 
+def time_column(t: float) -> str:
+    """Table column of the correlation function at time ``t`` in s."""
+    return f"C_t{format(t / MS, '.6g')}ms"
+
+
 def velocity_key(atom_number: float) -> str:
     """Provenance key of the front velocity of an atom-number scan entry."""
     return f"velocity_N{format(atom_number, '.12g')}_mm_per_s"
 
 
-def _nonempty_list(item, table_name=None):
-    """Parse a non-empty list; with ``table_name``, refuse entries named alike.
+def _refuse_repeats(where, values, names):
+    """Refuse, at load, two entries that would name one column or provenance line."""
+    seen = {}
+    for v, name in zip(values, names):
+        if name in seen:
+            raise ConfigError(f"{where}: {v!r} repeats {seen[name]!r} (duplicate {name})")
+        seen[name] = v
 
-    ``table_name(parsed entry)`` names the column or provenance line the
-    entry becomes, so a repeat is refused here, before any computation.
-    """
+
+def _nonempty_list(item, table_name=None):
+    """Parse a non-empty list; with ``table_name(parsed entry)``, refuse repeats."""
     def parse(value, where):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{where}: expected a non-empty list")
         parsed = [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
         if table_name is not None:
-            seen = {}
-            for v, p in zip(value, parsed):
-                name = table_name(p)
-                if name in seen:
-                    raise ConfigError(
-                        f"{where}: {v!r} repeats {seen[name]!r} (duplicate {name})")
-                seen[name] = v
+            _refuse_repeats(where, value, map(table_name, parsed))
         return parsed
     return parse
 
@@ -147,8 +151,8 @@ def _fit_window(win, where):
 
 
 def _seed(seed, where):
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"{where}: expected a non-negative integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"{where}: expected an integer in [0, 2**64), got {seed!r}")
     return seed
 
 
@@ -171,10 +175,17 @@ def _times(value, where):
     return np.sort(_grid(value, where, scale=MS, nonnegative=True))
 
 
+def _column_times(value, where):
+    """A time grid of one table column per time, so no two may print alike."""
+    ms = np.sort(_grid(value, where, nonnegative=True))
+    _refuse_repeats(where, ms.tolist(), [f"column {time_column(t * MS)!r}" for t in ms])
+    return ms * MS
+
+
 # Optional sections: {section: {key: (Scenario attribute, parser(value, dotted key))}}.
 # Keys are parsed in this order, so the first fault reported is stable.
 _SECTIONS = {
-    "grids": {"zbar_um": ("zbar", _positions), "times_ms": ("times", _times)},
+    "grids": {"zbar_um": ("zbar", _positions), "times_ms": ("times", _column_times)},
     "truncation": {"p_max": ("p_max", _integer), "j_max": ("j_max", _integer)},
     "analysis": {
         "length_um": ("length", _length),

@@ -336,11 +336,11 @@ def test_presets_run(tmp_path):
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_oracle_seed_out_of_range(trapped_file, capsys, seed):
+def test_oracle_seed_out_of_range(trapped_file, monkeypatch, capsys, seed):
+    monkeypatch.setattr("splitgas.cli._modes", lambda *args: pytest.fail("mode basis built"))
     assert main(["oracle", "--config", trapped_file, "--realizations", "10",
                  "--seed", seed]) == 2
-    err = capsys.readouterr().err
-    assert "seed" in err and seed in err
+    assert f"--seed: expected an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
 
 
 def test_oracle_zero_realizations_rejected(trapped_file, capsys):
@@ -544,6 +544,11 @@ def test_duplicate_contrast_length_rejected(tmp_path, capsys):
     assert "duplicate column" in err and "C2_L20um" in err
 
 
+def test_times_printing_alike_rejected(capsys):
+    assert main(["pcf", "--preset", "fig3", "--times", "5", "5.0000001"]) == 2
+    assert "--times: 5.0000001 repeats 5.0 (duplicate column 'C_t5ms')" in capsys.readouterr().err
+
+
 def test_duplicate_contrast_length_refused_before_any_window(tmp_path, monkeypatch, capsys):
     from splitgas import observables
 
@@ -636,9 +641,13 @@ def test_flag_rows_equal_scenario_key_rows(tmp_path, command, doc, flags, keyed_
     ("recurrence", "--t-max", ["0"], "analysis", "t_max_ms", "0.0"),
     ("oracle", "--realizations", ["0"], "oracle", "realizations", "0"),
     ("oracle", "--seed", ["-1"], "oracle", "seed", "-1"),
+    ("oracle", "--seed", [str(2**64)], "oracle", "seed", str(2**64)),
+    ("pcf", "--times", ["5", "5.0000001"], "grids", "times_ms", "[5, 5.0000001]"),
 ])
-def test_bad_flag_reads_as_its_key(tmp_path, trapped_file, capsys, command, flag, value,
-                                   section, key, yaml_value):
+def test_bad_flag_reads_as_its_key(tmp_path, trapped_file, monkeypatch, capsys, command,
+                                   flag, value, section, key, yaml_value):
+    # every bad value is refused at load, before the mode basis is built
+    monkeypatch.setattr("splitgas.cli._modes", lambda *args: pytest.fail("mode basis built"))
     assert main([command, "--config", trapped_file, flag, *value]) == 2
     from_flag = capsys.readouterr().err
     path = tmp_path / "keyed.yaml"

@@ -16,7 +16,7 @@ from splitgas.homogeneous import (
     thermal_variance,
     variance_rate,
 )
-from splitgas.modes import pair_variance_field, pointwise_variance, variance_field
+from splitgas.modes import pointwise_variance, variance_field
 from splitgas.observables import prethermal_pcf
 
 
@@ -220,8 +220,10 @@ def test_recurrence_time(homog_params):
     t_rev = recurrence_time(100e-6, 1.8e-3)
     assert t_rev == pytest.approx(27.8e-3, rel=0.01)
     assert recurrence_time(200e-6, 1.8e-3) == pytest.approx(2 * t_rev, rel=1e-14)
-    with pytest.raises(ConfigError):
-        recurrence_time(-1.0, 1.0)
+    bad = (-1.0, math.nan, math.inf, -math.inf)
+    for args in [(b, 1.8e-3) for b in bad] + [(100e-6, b) for b in bad]:
+        with pytest.raises(ConfigError, match="finite and strictly positive"):
+            recurrence_time(*args)
 
 
 def test_parseval_identity(homog_params, trapped_params, cone_params):
@@ -243,16 +245,6 @@ def test_variance_field_and_convergence(homog_modes, homog_params):
     fine_field = variance_field(fine, zb, ts, check_convergence=True)
     ok, dev = fine_field.converged, fine_field.meta["doubling_dev"]
     assert ok and dev < 5e-3
-
-
-def test_pair_field_consistency(homog_modes):
-    z = np.linspace(-10e-6, 10e-6, 9)
-    ts = np.array([3e-3, 6e-3])
-    pf = pair_variance_field(homog_modes, z, z, ts)
-    assert pf.values.shape == (2, 9, 9)
-    direct = pointwise_variance(np.abs(z[2] - z[6]), 0.0, 6e-3, homog_modes)
-    assert pf.values[1, 2, 6] == pytest.approx(direct, rel=1e-12)
-    np.testing.assert_allclose(pf.values, np.swapaxes(pf.values, 1, 2), rtol=1e-12)
 
 
 def test_initial_phase_variance_small(homog_modes, homog_params):

@@ -1,17 +1,14 @@
-"""The shared mode basis: one field, one doubling check, one pair field."""
+"""The shared mode basis: one pointwise sum, one field, one doubling check."""
 
 import numpy as np
 import pytest
 
 from splitgas import build_trapped_modes, derive_params, quasi1d_profile
 from splitgas.errors import ConfigError
-from splitgas.modes import (
-    CONVERGENCE_RTOL,
-    pair_variance_field,
-    pointwise_variance,
-    variance_field,
-)
-from splitgas.observables import contrast_evaluator, mean_squared_contrast, pcf
+from splitgas.modes import CONVERGENCE_RTOL, pointwise_variance, variance_field
+from splitgas.observables import contrast_evaluator
+
+from reference import dense_contrast
 
 TIMES = np.array([0.0, 1e-3, 4e-3, 7.5e-3])
 
@@ -57,13 +54,13 @@ def test_convergence_check_is_the_doubled_recomputation(basis):
 
 def test_pair_field_symmetric_and_non_negative(basis):
     modes, z, _, _ = basis
-    pf = pair_variance_field(modes, z, z, TIMES)
-    assert pf.values.shape == (TIMES.size, z.size, z.size)
-    assert pf.values.min() >= 0.0
-    assert np.all(np.diagonal(pf.values, axis1=1, axis2=2) == 0.0)
-    np.testing.assert_allclose(pf.values, np.swapaxes(pf.values, 1, 2), rtol=1e-12, atol=0)
-    direct = pointwise_variance(z[3], z[-2], TIMES[2], modes)
-    assert pf.values[2, 3, -2] == pytest.approx(direct, rel=1e-12)
+    pf = pointwise_variance(z[:, None], z[None, :], TIMES[:, None, None], modes)
+    assert pf.shape == (TIMES.size, z.size, z.size)
+    assert pf.min() >= 0.0
+    assert np.all(np.diagonal(pf, axis1=1, axis2=2) == 0.0)
+    np.testing.assert_allclose(pf, np.swapaxes(pf, 1, 2), rtol=1e-12, atol=0)
+    column = variance_field(modes, z, TIMES, z[-2]).values
+    np.testing.assert_allclose(pf[:, :, -2], column, rtol=1e-12, atol=0)
 
 
 def test_check_points_refuses_out_of_domain(basis):
@@ -77,7 +74,7 @@ def test_check_points_refuses_out_of_domain(basis):
     with pytest.raises(ConfigError):
         pointwise_variance(outside, 0.0, 1e-3, modes)
     with pytest.raises(ConfigError):
-        pair_variance_field(modes, [0.0], [-outside], TIMES)
+        pointwise_variance(0.0, -outside, 1e-3, modes)
 
 
 @pytest.mark.parametrize("t", [-1e-3, float("nan"), float("inf")])
@@ -99,7 +96,7 @@ def test_pointwise_variance_refuses_bad_times(basis, t):
                                  (100e-6, None), (20e-6, 41), (20e-6, 42), (100e-6, 101),
                                  (100e-6, 102)])
 def test_homogeneous_lag_path_matches_dense_pair_field(homog_modes, L, n):
-    """Lag-collapsed kernel against the full (z, z') pair field on the same grid.
+    """Lag-collapsed kernel against the dense (z, z') reference on the same grid.
 
     ``n=None`` takes the default grid step, which does not divide L; the
     window grid must still span exactly L.
@@ -110,8 +107,6 @@ def test_homogeneous_lag_path_matches_dense_pair_field(homog_modes, L, n):
     else:
         evaluate = contrast_evaluator(homog_modes, L, dz=L / (n - 1))
     assert evaluate.meta["dz"] * (n - 1) == pytest.approx(L, rel=1e-15)
-    zg = np.linspace(-L / 2, L / 2, n)
-    corr = pcf(pair_variance_field(homog_modes, zg, zg, TIMES))
-    dense = [mean_squared_contrast(corr, L, t) for t in TIMES]
+    dense = dense_contrast(homog_modes, L, n, TIMES)
     np.testing.assert_allclose(evaluate(TIMES), dense, rtol=1e-12, atol=0)
     assert evaluate(TIMES)[0] == pytest.approx(1.0, abs=1e-14)

@@ -16,15 +16,16 @@ from splitgas import (
     contrast_trace,
     extract_front,
     fit_velocity,
-    mean_squared_contrast,
     pcf,
     recurrence_scan,
     recurrence_time,
 )
 from splitgas.fields import ContrastTrace, FrontTrace, VarianceField
-from splitgas.modes import pair_variance_field, variance_field
+from splitgas.modes import variance_field
 from splitgas.observables import _CONTRAST_PANEL_ROWS, prethermal_pcf
 from splitgas.trapped import quasi1d_profile
+
+from reference import dense_contrast, window_contrast
 
 
 # ---------------------------------------------------------------- pcf map
@@ -189,8 +190,6 @@ def test_contrast_matches_prethermal_closed_form(homog_params):
     2 (l0/L)^2 (L/l0 - 1 + exp(-L/l0)).  The trapezoidal integrator must
     agree with both on a synthetic prethermal correlation field.
     """
-    from splitgas.fields import PairCorrelationField
-
     l0 = homog_params.l0_effective
     L = 40e-6
     closed = 2 * (l0 / L) ** 2 * (L / l0 - 1 + math.exp(-L / l0))
@@ -200,9 +199,7 @@ def test_contrast_matches_prethermal_closed_form(homog_params):
     assert 2 * quad_val / L**2 == pytest.approx(closed, rel=1e-10)
     z = np.linspace(-L / 2, L / 2, 401)
     C = np.exp(-np.abs(z[:, None] - z[None, :]) / l0)
-    corr = PairCorrelationField(z=z, zprime=z, times=np.array([0.0]),
-                                values=C[None], regime="homogeneous", truncation=0)
-    assert mean_squared_contrast(corr, L, 0.0) == pytest.approx(closed, rel=2e-4)
+    assert window_contrast(C, z) == pytest.approx(closed, rel=2e-4)
 
 
 def test_contrast_small_window_limit(homog_modes):
@@ -245,7 +242,7 @@ def quasi1d_modes(quasi1d_config):
                                  (50e-6, None), (90e-6, None)])
 def test_contrast_evaluator_matches_dense_pair_field(trapped_modes, quasi1d_modes,
                                                      regime, L, n):
-    """Triangle-panel kernel against the full (z, z') pair field on the same grid.
+    """Triangle-panel kernel against the dense (z, z') reference on the same grid.
 
     ``n=None`` takes the default grid step.  Those grids span several row
     panels: n = 242/435 (Thomas-Fermi) and 211/380 (quasi-1D) points, odd and
@@ -260,11 +257,7 @@ def test_contrast_evaluator_matches_dense_pair_field(trapped_modes, quasi1d_mode
         assert (n + 1) // 2 > _CONTRAST_PANEL_ROWS
     else:
         evaluate = contrast_evaluator(modes, L, dz=L / (n - 1))
-    zg = np.linspace(-L / 2, L / 2, n)
-    field = pair_variance_field(modes, zg, zg, ts)
-    assert field.values.min() >= 0.0
-    corr = pcf(field)
-    dense = [mean_squared_contrast(corr, L, t) for t in ts]
+    dense = dense_contrast(modes, L, n, ts)
     np.testing.assert_allclose(evaluate(ts), dense, rtol=1e-12, atol=0)
     assert evaluate(ts)[0] == pytest.approx(1.0, abs=t0_tol)
 

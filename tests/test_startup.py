@@ -32,7 +32,7 @@ EXPORTS = {
     "trapped": "DensityProfile LegendreModeSet build_trapped_modes legendre_f "
                "mode_frequency quasi1d_profile tf_profile",
     "observables": "contrast_evaluator contrast_trace extract_front fit_velocity "
-                   "mean_squared_contrast pcf prethermal_pcf recurrence_scan",
+                   "pcf prethermal_pcf recurrence_scan",
     "oracle": "EnsembleSpec EnsembleStats estimate_pcf sample_realization",
 }
 HOME = {name: module for module, names in EXPORTS.items() for name in names.split()}
@@ -85,7 +85,7 @@ def test_pcf_preset_imports_no_yaml_and_no_oracle(tmp_path):
 def test_public_names_resolve_to_their_defining_modules():
     public = [n for n in dir(splitgas) if not n.startswith("_")]
     assert public == sorted([*HOME, *SUBMODULES])
-    assert len(HOME) == 44
+    assert len(HOME) == 43
     for name, module in HOME.items():
         home = importlib.import_module(f"splitgas.{module}")
         assert getattr(splitgas, name) is getattr(home, name), name

@@ -20,7 +20,7 @@ from splitgas import (
     tf_profile,
 )
 from splitgas.homogeneous import build_modes
-from splitgas.modes import pair_variance_field, pointwise_variance, variance_field
+from splitgas.modes import pointwise_variance, variance_field
 from splitgas.trapped import legendre_f_table
 
 
@@ -207,16 +207,6 @@ def test_trapped_convergence_and_fields(trapped_modes):
     fine_field = variance_field(fine, z, ts, check_convergence=True)
     ok, dev = fine_field.converged, fine_field.meta["doubling_dev"]
     assert ok and dev < min(5e-3, dev0)
-
-
-def test_pair_field_matches_pointwise(trapped_modes):
-    z = np.linspace(-20e-6, 20e-6, 9)
-    ts = np.array([2e-3, 7e-3])
-    pf = pair_variance_field(trapped_modes, z, z, ts)
-    direct = pointwise_variance(z[1], z[6], 7e-3, trapped_modes)
-    assert pf.values[1, 1, 6] == pytest.approx(direct, rel=1e-10)
-    np.testing.assert_allclose(pf.values, np.swapaxes(pf.values, 1, 2),
-                               rtol=1e-10, atol=1e-15)
 
 
 def test_quasi1d_mode_scale(quasi1d_config):
