@@ -179,13 +179,13 @@ def _cmd_pcf(sc):
     trapped = sc.config.regime.trapped
     corr = pcf(field)
     columns = ["z_um" if trapped else "zbar_um"] + [time_column(t) for t in times]
-    rows = [[z[i] / UM] + [corr.values[j, i] for j in range(len(times))]
+    rows = [[z[i] / UM] + [corr[j, i] for j in range(len(times))]
             for i in range(len(z))]
     return columns, rows, [
         ("regime", sc.config.regime.value),
         ("truncation", f"{modes.truncation_name}={modes.truncation}"),
         ("zprime_um", "0" if trapped else "-"),
-        ("truncation_doubling_rel", format(field.meta["doubling_dev"], ".3g")),
+        ("truncation_doubling_rel", format(field.doubling_dev, ".3g")),
         ("truncation_converged", str(field.converged).lower())]
 
 
@@ -310,8 +310,8 @@ def _cmd_recurrence(sc):
     length = sc.contrast_lengths[0] if sc.contrast_lengths else 50e-6
     times = _contrast_times(sc)
     contrast = contrast_evaluator(modes, length)
-    trace = contrast.trace(times)
-    found = recurrence_scan(trace, refine_fn=lambda t: float(contrast([t])[0]))
+    values = contrast(times)
+    found = recurrence_scan(times, values, refine_fn=lambda t: float(contrast([t])[0]))
     if not found:
         raise DetectionError("no recurrence found in the scan range")
     prov = [("regime", sc.config.regime.value),
@@ -320,7 +320,7 @@ def _cmd_recurrence(sc):
         prov.append((f"recurrence_{rank}",
                      f"t_ms={format(t_r / MS, '.6f')} strength={format(s_r, '.10g')}"))
     columns = ["t_ms", "C2"]
-    rows = [[t / MS, v] for t, v in zip(trace.times, trace.values)]
+    rows = [[t / MS, v] for t, v in zip(times, values)]
     return columns, rows, prov
 
 
@@ -333,7 +333,7 @@ def _cmd_contrast(sc):
     times = _contrast_times(sc)
     traces = [contrast_trace(modes, L, times) for L in lengths]
     columns = ["t_ms"] + [contrast_column(L) for L in lengths]
-    rows = [[times[i] / MS] + [tr.values[i] for tr in traces]
+    rows = [[times[i] / MS] + [tr[i] for tr in traces]
             for i in range(len(times))]
     return columns, rows, [("regime", sc.config.regime.value)]
 
@@ -365,6 +365,7 @@ def _cmd_oracle(sc):
 
     from .homogeneous import recurrence_time
     from .modes import variance_field
+    from .observables import pcf
     from .oracle import EnsembleSpec, estimate_pcf
 
     modes = _modes(sc)
@@ -378,9 +379,8 @@ def _cmd_oracle(sc):
         times = recurrence_time(modes.L, modes.params.c) * np.array([0.04, 0.08, 0.12, 0.20, 0.30])
     z = sc.oracle_zbar if sc.oracle_zbar is not None else z
     times = sc.oracle_times if sc.oracle_times is not None else times
-    analytic_field = variance_field(modes, z, times)
+    analytic = pcf(variance_field(modes, z, times))
     stats = estimate_pcf(spec, modes, z, times, zprime=0.0)
-    analytic = np.exp(-analytic_field.values / 2.0)
     se, imag_se = stats.stderr, stats.imag_stderr
     z_score = np.zeros_like(se)
     np.divide(stats.mean - analytic, se, out=z_score, where=se > 0)

@@ -1,22 +1,26 @@
-"""Grid-valued results: variance/correlation fields, front traces, contrast.
+"""Grid-valued results: the variance field, front traces, velocity fits.
 
-A field holds values on a (time x position) grid, where "position" is a
-point z with the second point pinned at ``zprime`` (for the homogeneous gas
-z - zprime is the separation z-bar).
+A variance field holds values on a (time x position) grid, where "position"
+is a point z with the second point pinned (for the homogeneous gas z - z'
+is the separation z-bar), together with the mode basis that made it; the
+facts of the gas (healing length, cloud radius, ...) are read from that
+basis.  The correlation function and the contrast are plain arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .modes import ModeBasis
+
 __all__ = [
     "VarianceField",
-    "CorrelationField",
     "FrontTrace",
     "VelocityFit",
-    "ContrastTrace",
 ]
 
 
@@ -27,11 +31,9 @@ class VarianceField:
     positions: np.ndarray   # m; z with fixed zprime (separations from it in a box)
     times: np.ndarray       # s
     values: np.ndarray      # (len(times), len(positions)), dimensionless
-    regime: str
-    truncation: int
-    zprime: float | None = None     # fixed second point
-    converged: bool | None = None   # doubling-test verdict, None = not checked
-    meta: dict = field(default_factory=dict)  # c, l0, xi_h, R_eff, ...
+    converged: bool | None = None       # doubling-test verdict, None = not checked
+    doubling_dev: float | None = None   # doubling-test deviation, None = not checked
+    modes: ModeBasis | None = None      # the basis that made it, None = synthetic
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -42,26 +44,12 @@ class VarianceField:
 
 
 @dataclass
-class CorrelationField:
-    """Phase correlation function C = exp(-variance/2) on the same grid."""
-
-    positions: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
-    regime: str
-    truncation: int
-    zprime: float | None = None
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
 class FrontTrace:
     """Detected correlation-front positions, one per usable time sample."""
 
     times: np.ndarray       # s
     positions: np.ndarray   # m, non-decreasing inside the fit window
     method: str             # "mixed_derivative" or "half_plateau"
-    smoothing_sigma: float  # m, Gaussian width applied along the position axis
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -75,16 +63,4 @@ class VelocityFit:
     speed: float          # m/s
     intercept: float      # m
     residual_rms: float   # m
-    window: tuple         # (t_min, t_max) in s, detections with t_min < t <= t_max
     n_points: int
-
-
-@dataclass
-class ContrastTrace:
-    """Mean squared contrast integrated over a window of length L."""
-
-    length: float         # m
-    times: np.ndarray     # s
-    values: np.ndarray    # C^2(t) in (0, 1]
-    regime: str
-    meta: dict = field(default_factory=dict)

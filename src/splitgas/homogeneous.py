@@ -98,10 +98,6 @@ class PlaneWaveModeSet(ModeBasis):
     def doubled(self) -> "PlaneWaveModeSet":
         return build_modes(self.params, self.L, 2 * self.p_max)
 
-    def field_meta(self) -> dict:
-        p = self.params
-        return {"c": p.c, "l0": p.l0, "xi_h": self.xi_h, "L": self.L, "xi_n2": self.xi_n2}
-
     def phi_amplitude(self) -> np.ndarray:
         """|phase amplitude| per unit initial density amplitude, pi/(k*K)."""
         return pi / (self.k * self.params.K)

@@ -38,7 +38,8 @@ class ModeBasis:
     Each geometry supplies ``params``, ``omega``, ``coefficient``,
     ``truncation_name``, ``regime``, ``xi_h``, ``time_norm``,
     ``synthesis_scale``, ``pair_terms``, ``functions``, ``phi_amplitude``,
-    ``check_points``, ``doubled`` and ``field_meta``.
+    ``check_points`` and ``doubled``.  Results keep the basis that made
+    them and read these facts from it.
     """
 
     @property
@@ -95,7 +96,7 @@ def variance_field(
     For the box z - zprime is the separation.  With ``check_convergence``
     the grid is recomputed at twice the truncation; the deviation
     max|fine - coarse| relative to the field maximum lands in
-    ``field.meta["doubling_dev"]`` and the verdict ``deviation <
+    ``field.doubling_dev`` and the verdict ``deviation <
     CONVERGENCE_RTOL`` in ``field.converged``.  The deviation is taken
     over point separations above twice the healing length (at the cloud
     centre for trapped gases).  Below it the mode sum is genuinely
@@ -120,9 +121,6 @@ def variance_field(
         scale = max(float(np.abs(fine).max()), 1e-300)
         dev = float(np.max(np.abs(fine - values)[:, mask]) / scale)
         converged = dev < CONVERGENCE_RTOL
-    return VarianceField(
-        positions=z, times=times, values=values,
-        regime=modes.regime, truncation=modes.truncation, zprime=zprime,
-        converged=converged, meta={**modes.field_meta(), "doubling_dev": dev},
-    )
+    return VarianceField(positions=z, times=times, values=values,
+                         converged=converged, doubling_dev=dev, modes=modes)
 

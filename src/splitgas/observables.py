@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DetectionError
-from .fields import (
-    ContrastTrace,
-    CorrelationField,
-    FrontTrace,
-    VarianceField,
-    VelocityFit,
-)
+from .fields import FrontTrace, VarianceField, VelocityFit
 from .homogeneous import PlaneWaveModeSet, recurrence_time
 from .modes import variance_field
 from .trapped import legendre_f_table
@@ -62,22 +56,11 @@ _REFINE_BRACKET_S = 1e-9
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def pcf(variance: VarianceField) -> CorrelationField:
-    """Correlation field C = exp(-variance/2), element-wise, on the same grid."""
+def pcf(variance: VarianceField) -> np.ndarray:
+    """Correlation C = exp(-variance/2), element-wise on the field's grid."""
     if np.any(variance.values < 0):
         raise ConfigError("variance must be non-negative")
-    vals = np.exp(-variance.values / 2.0)
-    return CorrelationField(
-        positions=variance.positions, times=variance.times, values=vals,
-        regime=variance.regime, truncation=variance.truncation,
-        zprime=variance.zprime, meta=dict(variance.meta),
-    )
-
-
-def _front_search_limit(field: VarianceField) -> float:
-    if field.regime != "homogeneous" and "R_eff" in field.meta:
-        return EDGE_SEARCH_FRACTION * field.meta["R_eff"]
-    return float(field.positions[-1])
+    return np.exp(-variance.values / 2.0)
 
 
 def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:
@@ -187,12 +170,14 @@ def extract_front(
 
     ``mixed_derivative`` (default): per time sample, the front is the most
     prominent peak of |d2 V/dt dz| after Gaussian smoothing of width
-    sigma_z (defaults to the healing length) along the position axis.
+    sigma_z along the position axis (default: the healing length of the
+    field's mode basis, 4 grid steps for a field without one).
     ``half_plateau``: the position where |dV/dt| crosses midway between its
     inner and outer plateau levels.  Both ignore the outer edge of trapped
     clouds (beyond 0.9 R) where the vanishing density dominates the
-    derivative.  Undetectable rows are dropped; an entirely empty trace is
-    returned with diagnostics rather than raised.
+    derivative; a field without a basis is searched to its last point.
+    Undetectable rows are dropped; an entirely empty trace is returned with
+    diagnostics rather than raised.
     """
     z = field.positions
     ts = field.times
@@ -200,11 +185,12 @@ def extract_front(
         raise ConfigError("front extraction needs a dense (position x time) grid")
     dz = float(z[1] - z[0])
     if smoothing_sigma is None:
-        smoothing_sigma = field.meta.get("xi_h", 4.0 * dz)
+        smoothing_sigma = getattr(field.modes, "xi_h", 4.0 * dz)
     if not 0.0 < smoothing_sigma < math.inf:
         raise ConfigError(f"smoothing_sigma must be finite and strictly positive, "
                           f"got {smoothing_sigma!r}")
-    search_max = _front_search_limit(field)
+    radius = getattr(field.modes, "radius", None)   # the box has none
+    search_max = float(z[-1]) if radius is None else EDGE_SEARCH_FRACTION * radius
     imax = int(np.searchsorted(z, search_max, side="right"))
     guard = max(3, int(round(3.0 * smoothing_sigma / dz)))
 
@@ -263,7 +249,7 @@ def extract_front(
 
     return FrontTrace(
         times=np.asarray(times), positions=np.asarray(positions),
-        method=method, smoothing_sigma=float(smoothing_sigma), diagnostics=diagnostics,
+        method=method, diagnostics=diagnostics,
     )
 
 
@@ -282,7 +268,7 @@ def fit_velocity(trace: FrontTrace, window: tuple = DEFAULT_FIT_WINDOW) -> Veloc
     return VelocityFit(
         speed=float(slope), intercept=float(intercept),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        window=(t0, t1), n_points=int(sel.sum()),
+        n_points=int(sel.sum()),
     )
 
 
@@ -397,18 +383,12 @@ class ContrastEvaluator:
     with an array of times returns C^2 at each of them.
     """
 
-    length: float
-    regime: str
-    meta: dict
+    length: float   # m
+    dz: float       # m, step of the window grid
     kernel: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, times) -> np.ndarray:
         return self.kernel(np.atleast_1d(np.asarray(times, dtype=float)))
-
-    def trace(self, times) -> ContrastTrace:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return ContrastTrace(length=self.length, times=times, values=self.kernel(times),
-                             regime=self.regime, meta=dict(self.meta))
 
 
 def contrast_evaluator(modes, length: float, dz: float | None = None) -> ContrastEvaluator:
@@ -432,18 +412,16 @@ def contrast_evaluator(modes, length: float, dz: float | None = None) -> Contras
         raise ConfigError("integration window contains fewer than 2 grid points")
     step = length / (n - 1)
     kernel = _homog_contrast_kernel if homogeneous else _trapped_contrast_kernel
-    return ContrastEvaluator(length, modes.regime,
-                             {"dz": step, "truncation": modes.truncation, **modes.field_meta()},
-                             kernel(modes, n, step))
+    return ContrastEvaluator(length, step, kernel(modes, n, step))
 
 
-def contrast_trace(modes, length: float, times, dz: float | None = None) -> ContrastTrace:
-    """Mean squared contrast C^2(t) for an observation window of size L.
+def contrast_trace(modes, length: float, times, dz: float | None = None) -> np.ndarray:
+    """Mean squared contrast C^2 at each of ``times`` for a window of size L.
 
     One-shot form of :func:`contrast_evaluator`; build the evaluator once
     instead when the same window is evaluated repeatedly.
     """
-    return contrast_evaluator(modes, length, dz).trace(times)
+    return contrast_evaluator(modes, length, dz)(times)
 
 
 def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -501,26 +479,23 @@ def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
                 v, fv = u, fu
 
 
-def recurrence_scan(
-    trace: ContrastTrace,
-    refine_fn=None,
-) -> list[tuple[float, float]]:
+def recurrence_scan(times, values, refine_fn=None) -> list[tuple[float, float]]:
     """Ranked partial recurrences of coherence after the initial dephasing.
 
-    Local maxima of C^2(t) past the first local minimum with a prominence
-    of at least 1e-3, sorted by strength (the C^2 value at the maximum)
-    rounded to 10 significant digits, strongest first, then by time.  When
-    a continuous evaluator ``refine_fn(t) -> C^2`` is supplied, each sampled
-    peak is polished by Brent's method inside the bracket of its
-    neighbouring samples, so exact rephasings report strength 1 rather than
-    the nearest sample value; the refined point replaces the sample only if
-    it is at least as strong.  The final bracket is at most
-    1e-9 s wide: the CLI prints t to 1e-9 s, and at a quadratic peak C^2
-    cannot resolve t much below sqrt(eps) t (about 3e-9 s at 0.2 s), so a
-    tighter bracket only buys kernel calls.
+    ``values`` is C^2 sampled at ascending ``times``.  Local maxima past
+    the first local minimum with a prominence of at least 1e-3, sorted by
+    strength (the C^2 value at the maximum) rounded to 10 significant
+    digits, strongest first, then by time.  When a continuous evaluator
+    ``refine_fn(t) -> C^2`` is supplied, each sampled peak is polished by
+    Brent's method inside the bracket of its neighbouring samples, so exact
+    rephasings report strength 1 rather than the nearest sample value; the
+    refined point replaces the sample only if it is at least as strong.
+    The final bracket is at most 1e-9 s wide: the CLI prints t to 1e-9 s,
+    and at a quadratic peak C^2 cannot resolve t much below sqrt(eps) t
+    (about 3e-9 s at 0.2 s), so a tighter bracket only buys kernel calls.
     """
-    vals = np.asarray(trace.values)
-    ts = np.asarray(trace.times)
+    vals = np.asarray(values, dtype=float)
+    ts = np.asarray(times, dtype=float)
     if vals.size < 5:
         raise ConfigError("contrast trace too short to scan")
     turn = np.nonzero(np.diff(vals) > 0)[0]
@@ -560,5 +535,4 @@ def prethermal_pcf(modes: PlaneWaveModeSet, zbar) -> np.ndarray:
     if zmax / (2.0 * modes.params.c) >= lo * t_rev:
         raise ConfigError("window opens before the cone reaches the largest separation")
     ts = np.linspace(lo * t_rev, hi * t_rev, 64)
-    var = variance_field(modes, zbar, ts).values
-    return np.exp(-var / 2.0).mean(axis=0)
+    return pcf(variance_field(modes, zbar, ts)).mean(axis=0)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .modes import _check_times
 
 __all__ = ["EnsembleSpec", "EnsembleStats", "sample_realization", "estimate_pcf"]
 
@@ -56,9 +57,10 @@ class EnsembleSpec:
     include_initial_phase_noise: bool = False
 
     def __post_init__(self):
-        if self.realizations < 2:
-            raise ConfigError("need at least 2 realizations for a standard error")
-        seed = self.master_seed
+        n, seed = self.realizations, self.master_seed
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise ConfigError("need an integer of at least 2 realizations for a "
+                              f"standard error, got {n!r}")
         if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
                 or not 0 <= seed < _SEED_END):
             raise ConfigError(
@@ -73,14 +75,10 @@ class EnsembleSpec:
 class EnsembleStats:
     """Monte-Carlo correlation estimate with per-point standard errors."""
 
-    positions: np.ndarray    # m; z grid (second point fixed at zprime)
-    zprime: float
-    times: np.ndarray        # s
     mean: np.ndarray         # (nt, nz), <cos dphi>
     stderr: np.ndarray       # (nt, nz)
     imag_mean: np.ndarray    # (nt, nz), <sin dphi>, should vanish
     imag_stderr: np.ndarray
-    realizations: int
 
 
 def _rekey(gen: np.random.Generator, seed: int, index: int) -> np.random.Generator:
@@ -128,6 +126,7 @@ def _basis(spec: EnsembleSpec, modes, z, times, zprime: float | None = None) -> 
     zprime, so the rows synthesise phi(z, t) - phi(zprime, t).
     """
     pts = z if zprime is None else np.concatenate([z, [zprime]])
+    _check_times(times)
     modes.check_points(pts)
     sig_n, sig_phi = _quadrature_sigmas(spec, modes)
     u = modes.functions(pts)                                  # (M, components, npts)
@@ -200,10 +199,8 @@ def estimate_pcf(spec: EnsembleSpec, modes, z, times, zprime: float = 0.0) -> En
         _merge(mean_sin, m2_sin, start, sin)
     shape = (times.size, z.size)
     return EnsembleStats(
-        positions=z, zprime=zprime, times=times,
         mean=mean_cos.reshape(shape),
         stderr=np.sqrt(m2_cos / (n - 1) / n).reshape(shape),
         imag_mean=mean_sin.reshape(shape),
         imag_stderr=np.sqrt(m2_sin / (n - 1) / n).reshape(shape),
-        realizations=n,
     )

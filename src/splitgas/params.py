@@ -175,8 +175,8 @@ class PhysicalParams:
 
     def lambda_T(self, temperature: float) -> float:
         """Thermal phase-coherence length hbar^2*n/(m*k_B*T)."""
-        if temperature <= 0:
-            raise ConfigError("temperature must be strictly positive")
+        if not (_is_finite(temperature) and temperature > 0):
+            raise ConfigError("temperature must be finite and strictly positive")
         return hbar**2 * self.n_peak / (self.mass * k_B * temperature)
 
 
@@ -197,8 +197,8 @@ def peak_density_from_atom_number(n_total: float, config: TrapConfig) -> float:
     """
     if not config.regime.trapped:
         raise ConfigError("peak density inversion applies to trapped regimes only")
-    if n_total <= 0:
-        raise ConfigError("atom number must be strictly positive")
+    if not (_is_finite(n_total) and n_total > 0):
+        raise ConfigError(f"atom number must be finite and strictly positive, got {n_total!r}")
     g = coupling_1d(config.omega_perp, config.scattering_length)
     m = config.atomic_mass
     base = 3.0 * (n_total / 2.0) * config.omega_long * math.sqrt(m / g) / (4.0 * math.sqrt(2.0))
@@ -209,6 +209,8 @@ def atom_number_from_peak_density(n_peak: float, config: TrapConfig) -> float:
     """Total atom number N with each gas holding (4/3)*n_peak*R atoms."""
     if not config.regime.trapped:
         raise ConfigError("atom number inversion applies to trapped regimes only")
+    if not (_is_finite(n_peak) and n_peak > 0):
+        raise ConfigError(f"peak density must be finite and strictly positive, got {n_peak!r}")
     g = coupling_1d(config.omega_perp, config.scattering_length)
     c = math.sqrt(g * n_peak / config.atomic_mass)
     R = math.sqrt(2.0) * c / config.omega_long
@@ -260,8 +262,8 @@ def dephasing_times(params: PhysicalParams, length: float) -> tuple[float, float
     time of all other modes.  Both scale as n^(-1/2) at fixed L, so their
     ratio is density independent.
     """
-    if length <= 0:
-        raise ConfigError("length must be strictly positive")
+    if not (_is_finite(length) and length > 0):
+        raise ConfigError(f"length must be finite and strictly positive, got {length!r}")
     tau0 = (hbar / params.g) * math.sqrt(length / params.n_peak)
     tau = 8.0 * params.K**2 / (pi**2 * params.n_peak * params.c)
     return tau0, tau
@@ -273,8 +275,8 @@ def multimode_condition(params: PhysicalParams, length: float, xi_n2: float) -> 
     The criterion is l0/xi_n^2 < L/2 with strict inequality; on the exact
     boundary the condition is False.
     """
-    if length <= 0 or xi_n2 <= 0:
-        raise ConfigError("length and squeezing must be strictly positive")
+    if not all(_is_finite(x) and x > 0 for x in (length, xi_n2)):
+        raise ConfigError("length and squeezing must be finite and strictly positive")
     return params.l0 / xi_n2 < length / 2.0
 
 
@@ -289,8 +291,8 @@ def squeezing_limit(
 
     which is independent of the linear density.
     """
-    if min(omega_perp, length, mass, scattering_length) <= 0:
-        raise ConfigError("all arguments must be strictly positive")
+    if not all(_is_finite(x) and x > 0 for x in (omega_perp, length, mass, scattering_length)):
+        raise ConfigError("all arguments must be finite and strictly positive")
     lim = 2.0 * hbar / (mass * omega_perp * scattering_length * length)
     return lim, 10.0 * math.log10(lim)
 
@@ -310,7 +312,9 @@ def squeezing_map(omega_perp_grid, length_grid, mass: float, scattering_length: 
         raise ConfigError("grids must be non-empty")
     if np.any(np.diff(om) <= 0) or np.any(np.diff(ll) <= 0):
         raise ConfigError("grids must be strictly ascending")
-    if om[0] <= 0 or ll[0] <= 0 or mass <= 0 or scattering_length <= 0:
-        raise ConfigError("all inputs must be strictly positive")
+    # min and max bound each grid, and a NaN anywhere in it reaches both
+    if not all(_is_finite(x) and x > 0 for x in (om.min(), om.max(), ll.min(), ll.max(),
+                                                  mass, scattering_length)):
+        raise ConfigError("all inputs must be finite and strictly positive")
     lim = 2.0 * hbar / (mass * scattering_length * np.outer(om, ll))
     return 10.0 * np.log10(lim)

@@ -47,15 +47,12 @@ __all__ = [
     "build_trapped_modes",
 ]
 
-# density profiles are sampled at this many points across the cloud
-_PROFILE_SAMPLES = 513
-
 
 def mode_frequency(j: int, omega: float):
-    """Breathing-ladder eigenfrequency omega * sqrt(j*(j+1)/2), j >= 1."""
+    """Breathing-ladder eigenfrequency omega * sqrt(j*(j+1)/2), j = 1, 2, ..."""
     j_arr = np.asarray(j)
-    if np.any(j_arr < 1):
-        raise ConfigError("mode index j must be >= 1")
+    for value in j_arr.ravel().tolist():
+        _mode_count(value, "mode index j")
     out = omega * np.sqrt(j_arr * (j_arr + 1.0) / 2.0)
     return out if out.ndim else float(out)
 
@@ -70,8 +67,7 @@ def legendre_f_table(j_max: int, x) -> np.ndarray:
     if np.any(np.abs(x) > 1.0 + 1e-12):
         raise ConfigError("mode functions are defined on |x| <= 1")
     x = np.clip(x, -1.0, 1.0)
-    if j_max < 1:
-        raise ConfigError("j_max must be at least 1")
+    j_max = _mode_count(j_max, "j_max")
     P = np.empty((j_max + 1, x.size))
     P[0] = 1.0
     P[1] = x
@@ -83,8 +79,7 @@ def legendre_f_table(j_max: int, x) -> np.ndarray:
 
 def legendre_f(j: int, x):
     """Single normalised mode function sqrt(j + 1/2) * P_j(x)."""
-    if j < 1:
-        raise ConfigError("mode index j must be >= 1")
+    _mode_count(j, "mode index j")
     scalar = np.ndim(x) == 0
     out = legendre_f_table(j, x)[-1]
     return float(out[0]) if scalar else out
@@ -99,8 +94,6 @@ class DensityProfile:
     radius: float             # m, density zero crossing
     mu: float                 # J, global chemical potential
     atoms_per_gas: float      # N/2
-    z: np.ndarray             # m, sample grid including +-radius
-    n: np.ndarray             # atoms/m on the sample grid
     eos_slope_peak: float     # dmu/dn at the centre (J m); g for Thomas-Fermi
     mass: float               # kg
 
@@ -114,12 +107,9 @@ def tf_profile(params: PhysicalParams) -> DensityProfile:
     """Inverted-parabola profile n(z) = n_peak*(1 - z^2/R^2)."""
     if not params.config.regime.trapped:
         raise ConfigError("density profiles exist for trapped regimes only")
-    R = params.R
-    z = np.linspace(-R, R, _PROFILE_SAMPLES)
-    n = np.clip(params.n_peak * (1.0 - (z / R) ** 2), 0.0, None)
     return DensityProfile(
-        kind="thomas_fermi", n_peak=params.n_peak, radius=R, mu=params.mu,
-        atoms_per_gas=(4.0 / 3.0) * params.n_peak * R, z=z, n=n,
+        kind="thomas_fermi", n_peak=params.n_peak, radius=params.R, mu=params.mu,
+        atoms_per_gas=(4.0 / 3.0) * params.n_peak * params.R,
         eos_slope_peak=params.g, mass=params.mass,
     )
 
@@ -179,16 +169,13 @@ def quasi1d_profile(config: TrapConfig, params: PhysicalParams | None = None) ->
     mu = 0.5 * (lo + hi)
 
     R_eff = math.sqrt(2.0 * mu / (m * om**2))
-    z = np.linspace(-R_eff, R_eff, _PROFILE_SAMPLES)
-    n = _quasi1d_density(z, mu, config)
-    n[0] = n[-1] = 0.0
     n_peak_eff = float(_quasi1d_density(0.0, mu, config))
     # radially integrated EOS slope at the peak density
     slope = config.scattering_length * 2.0 * hbar * config.omega_perp \
         / math.sqrt(1.0 + 4.0 * n_peak_eff * config.scattering_length)
     return DensityProfile(
         kind="quasi_1d", n_peak=n_peak_eff, radius=R_eff, mu=mu,
-        atoms_per_gas=target, z=z, n=n, eos_slope_peak=slope, mass=m,
+        atoms_per_gas=target, eos_slope_peak=slope, mass=m,
     )
 
 
@@ -248,10 +235,6 @@ class LegendreModeSet(ModeBasis):
 
     def doubled(self) -> "LegendreModeSet":
         return build_trapped_modes(self.profile, self.params, 2 * self.j_max)
-
-    def field_meta(self) -> dict:
-        return {"c": self.profile.sound_speed_peak, "l0": self.params.l0, "xi_h": self.xi_h,
-                "xi_n2": self.xi_n2, "R_eff": self.radius, "n_peak_eff": self.profile.n_peak}
 
     def split_density_variance(self) -> np.ndarray:
         """<n_j^2> right after splitting: uniform xi_n^2*n_peak/(2R)."""

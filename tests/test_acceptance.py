@@ -180,12 +180,12 @@ def test_criterion_6_recurrences():
     params_t = derive_params(_reference_trapped())
     modes_t = build_trapped_modes(tf_profile(params_t), params_t)
     times = np.arange(0.0, 0.3 + 1e-9, 0.5e-3)
-    trace = contrast_trace(modes_t, 50e-6, times)
+    values = contrast_trace(modes_t, 50e-6, times)
 
     def refine(t):
-        return float(contrast_trace(modes_t, 50e-6, [t]).values[0])
+        return float(contrast_trace(modes_t, 50e-6, [t])[0])
 
-    found = recurrence_scan(trace, refine_fn=refine)
+    found = recurrence_scan(times, values, refine_fn=refine)
     t_best, s_best = found[0]
     trapped_ok = (
         abs(t_best - 202e-3) <= 5e-3

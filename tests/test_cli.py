@@ -158,7 +158,7 @@ def test_front_moving_less_than_a_grid_step_is_a_detection_failure(
         ts = field.times
         dz = field.positions[1] - field.positions[0]
         return FrontTrace(times=ts, positions=20e-6 + 0.5 * dz * ts / ts[-1],
-                          method="mixed_derivative", smoothing_sigma=dz)
+                          method="mixed_derivative")
 
     monkeypatch.setattr(observables, "extract_front", creeping_front)
     assert main(["front", "--config", homog_file]) == 4

@@ -239,11 +239,11 @@ def test_variance_field_and_convergence(homog_modes, homog_params):
     fld = variance_field(homog_modes, zb, ts, check_convergence=True)
     assert fld.values.shape == (6, 31)
     assert fld.converged is False  # physical cutoff sensitivity ~1/p_max
-    assert 0 < fld.meta["doubling_dev"] < 0.05
+    assert 0 < fld.doubling_dev < 0.05
     # at 4x the default truncation the doubling deviation is inside 0.5%
     fine = build_modes(homog_params, homog_modes.L, 4 * homog_modes.p_max)
     fine_field = variance_field(fine, zb, ts, check_convergence=True)
-    ok, dev = fine_field.converged, fine_field.meta["doubling_dev"]
+    ok, dev = fine_field.converged, fine_field.doubling_dev
     assert ok and dev < 5e-3
 
 

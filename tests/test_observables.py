@@ -20,7 +20,7 @@ from splitgas import (
     recurrence_scan,
     recurrence_time,
 )
-from splitgas.fields import ContrastTrace, FrontTrace, VarianceField
+from splitgas.fields import FrontTrace, VarianceField
 from splitgas.modes import variance_field
 from splitgas.observables import _CONTRAST_PANEL_ROWS, prethermal_pcf
 from splitgas.trapped import quasi1d_profile
@@ -35,11 +35,11 @@ def test_pcf_values(homog_modes):
     ts = np.array([0.0, 5e-3])
     field = variance_field(homog_modes, zb, ts)
     corr = pcf(field)
-    np.testing.assert_allclose(corr.values[0], 1.0, atol=1e-12)  # t = 0
-    assert corr.values.max() <= 1.0
+    np.testing.assert_allclose(corr[0], 1.0, atol=1e-12)  # t = 0
+    assert corr.max() <= 1.0
     # exp map spot values
     field.values[1, 3] = 2.0
-    assert pcf(field).values[1, 3] == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert pcf(field)[1, 3] == pytest.approx(math.exp(-1.0), rel=1e-14)
     field.values[1, 3] = -0.1
     with pytest.raises(ConfigError):
         pcf(field)
@@ -48,9 +48,9 @@ def test_pcf_values(homog_modes):
 def test_pcf_monotone(homog_modes):
     zb = np.linspace(0, 30e-6, 16)
     field = variance_field(homog_modes, zb, [4e-3])
-    c1 = pcf(field).values
+    c1 = pcf(field)
     field.values = field.values + 0.3
-    c2 = pcf(field).values
+    c2 = pcf(field)
     assert np.all(c2 < c1)
 
 
@@ -67,15 +67,13 @@ def _synthetic_step_field(c, l0, L=100e-6):
     ts = np.arange(0.25e-3, 10.001e-3, 0.05e-3)
     tt, zz = np.meshgrid(ts, z, indexing="ij")
     values = (2 * c / l0) * np.maximum(0.0, tt - zz / (2 * c))
-    return VarianceField(positions=z, times=ts, values=values,
-                         regime="homogeneous", truncation=0,
-                         meta={"c": c, "l0": l0, "xi_h": 0.5e-6})
+    return VarianceField(positions=z, times=ts, values=values)
 
 
 def test_velocity_on_synthetic_step():
     c = 1.7e-3
     field = _synthetic_step_field(c, 16e-6)
-    trace = extract_front(field)
+    trace = extract_front(field, smoothing_sigma=0.5e-6)
     fit = fit_velocity(trace)
     assert fit.speed == pytest.approx(2 * c, rel=1e-3)
     assert fit.n_points >= 100
@@ -134,7 +132,7 @@ def test_front_trapped_bends_near_edge(trapped_modes, trapped_params):
 
 def test_fit_velocity_needs_points():
     trace = FrontTrace(times=np.array([1e-3, 2e-3]), positions=np.array([1e-6, 2e-6]),
-                       method="mixed_derivative", smoothing_sigma=1e-6)
+                       method="mixed_derivative")
     with pytest.raises(DetectionError):
         fit_velocity(trace)
 
@@ -143,10 +141,8 @@ def test_extract_front_empty_when_featureless():
     z = np.arange(0.0, 30e-6, 0.2e-6)
     ts = np.linspace(1e-3, 5e-3, 30)
     flat = np.ones((ts.size, z.size))
-    field = VarianceField(positions=z, times=ts, values=flat,
-                          regime="homogeneous", truncation=0,
-                          meta={"xi_h": 0.5e-6})
-    trace = extract_front(field)
+    field = VarianceField(positions=z, times=ts, values=flat)
+    trace = extract_front(field, smoothing_sigma=0.5e-6)
     assert len(trace) == 0
     assert trace.diagnostics["dropped"] == ts.size
 
@@ -179,8 +175,8 @@ def test_extract_front_refuses_bad_smoothing_sigma(sigma):
 def test_contrast_t0_is_one(homog_modes, trapped_modes):
     for modes in (homog_modes, trapped_modes):
         tr = contrast_trace(modes, 20e-6, [0.0, 3e-3])
-        assert tr.values[0] == pytest.approx(1.0, abs=1e-12)
-        assert tr.values[1] < 1.0
+        assert tr[0] == pytest.approx(1.0, abs=1e-12)
+        assert tr[1] < 1.0
 
 
 def test_contrast_matches_prethermal_closed_form(homog_params):
@@ -205,21 +201,21 @@ def test_contrast_matches_prethermal_closed_form(homog_params):
 def test_contrast_small_window_limit(homog_modes):
     # L -> 0: the window degenerates to C(0, 0, t) = 1
     tr = contrast_trace(homog_modes, 1e-6, [5e-3])
-    assert tr.values[0] == pytest.approx(1.0, abs=0.03)
+    assert tr[0] == pytest.approx(1.0, abs=0.03)
 
 
 def test_contrast_grid_refinement(homog_modes, trapped_modes, homog_params):
     ts = [2e-3, 6e-3]
     for modes, xi in ((homog_modes, homog_params.xi_h),):
-        a = contrast_trace(modes, 40e-6, ts, dz=xi / 2).values
-        b = contrast_trace(modes, 40e-6, ts, dz=xi / 4).values
+        a = contrast_trace(modes, 40e-6, ts, dz=xi / 2)
+        b = contrast_trace(modes, 40e-6, ts, dz=xi / 4)
         np.testing.assert_allclose(a, b, rtol=2e-3)
 
 
 def test_contrast_ordering_in_length(trapped_modes):
     # during initial dephasing more modes fit into a larger window
     ts = [5e-3]
-    vals = [contrast_trace(trapped_modes, L, ts).values[0]
+    vals = [contrast_trace(trapped_modes, L, ts)[0]
             for L in (5e-6, 20e-6, 50e-6, 90e-6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -253,7 +249,7 @@ def test_contrast_evaluator_matches_dense_pair_field(trapped_modes, quasi1d_mode
     t0_tol = 1e-14
     if n is None:
         evaluate = contrast_evaluator(modes, L)
-        n = round(L / evaluate.meta["dz"]) + 1
+        n = round(L / evaluate.dz) + 1
         assert (n + 1) // 2 > _CONTRAST_PANEL_ROWS
     else:
         evaluate = contrast_evaluator(modes, L, dz=L / (n - 1))
@@ -267,13 +263,13 @@ def test_contrast_bulk_equals_single_time_calls(trapped_modes, L):
     # recurrence refinement compares single-time values with bulk samples
     ts = np.arange(0.0, 40e-3, 0.5e-3)       # several kernel blocks, a partial last one
     evaluate = contrast_evaluator(trapped_modes, L)
-    m = (round(L / evaluate.meta["dz"]) + 2) // 2      # half-grid points
+    m = (round(L / evaluate.dz) + 2) // 2      # half-grid points
     panels = {5e-6: 1, 20e-6: 2, 50e-6: 3, 90e-6: 5}[L]
     assert -(-m // _CONTRAST_PANEL_ROWS) == panels
     bulk = evaluate(ts)
     single = np.array([evaluate([t])[0] for t in ts])
     assert np.array_equal(bulk, single)
-    assert np.array_equal(contrast_trace(trapped_modes, L, ts).values, bulk)
+    assert np.array_equal(contrast_trace(trapped_modes, L, ts), bulk)
 
 
 def test_contrast_memory_bounded_per_window():
@@ -345,12 +341,12 @@ def test_contrast_window_longer_than_box(homog_modes):
 def test_recurrence_scan_homogeneous(homog_modes, homog_params):
     t_rev = recurrence_time(homog_modes.L, homog_params.c)
     times = np.arange(0.0, 90e-3, 0.5e-3)
-    trace = contrast_trace(homog_modes, 50e-6, times)
+    values = contrast_trace(homog_modes, 50e-6, times)
 
     def refine(t):
-        return float(contrast_trace(homog_modes, 50e-6, [t]).values[0])
+        return float(contrast_trace(homog_modes, 50e-6, [t])[0])
 
-    found = recurrence_scan(trace, refine_fn=refine)
+    found = recurrence_scan(times, values, refine_fn=refine)
     assert len(found) >= 3
     # every full rephasing is recovered at a multiple of L/2c with strength 1
     for rank, (t_r, s_r) in enumerate(found[:3]):
@@ -362,12 +358,12 @@ def test_recurrence_scan_homogeneous(homog_modes, homog_params):
 
 def test_recurrence_scan_trapped(trapped_modes):
     times = np.arange(0.0, 0.3 + 1e-9, 0.5e-3)
-    trace = contrast_trace(trapped_modes, 50e-6, times)
+    values = contrast_trace(trapped_modes, 50e-6, times)
 
     def refine(t):
-        return float(contrast_trace(trapped_modes, 50e-6, [t]).values[0])
+        return float(contrast_trace(trapped_modes, 50e-6, [t])[0])
 
-    found = recurrence_scan(trace, refine_fn=refine)
+    found = recurrence_scan(times, values, refine_fn=refine)
     t_best, s_best = found[0]
     assert t_best == pytest.approx(202e-3, abs=5e-3)
     assert s_best < 0.999  # never a full recurrence in the trap
@@ -376,18 +372,16 @@ def test_recurrence_scan_trapped(trapped_modes):
 
 def test_recurrence_scan_empty_without_turnup(trapped_modes):
     times = np.arange(0.0, 3e-3, 0.5e-3)
-    trace = contrast_trace(trapped_modes, 50e-6, times)
-    assert recurrence_scan(trace) == []
+    assert recurrence_scan(times, contrast_trace(trapped_modes, 50e-6, times)) == []
 
 
 def test_recurrence_rank_ties_on_printed_strength():
     # two sampled peaks, at 4 and 8 ms; the later one refines one ulp stronger
     times = np.arange(11) * 1e-3
     values = np.array([1.0, 0.5, 0.2, 0.5, 0.8, 0.5, 0.2, 0.5, 0.8, 0.5, 0.2])
-    trace = ContrastTrace(length=50e-6, times=times, values=values, regime="homogeneous")
     strong = np.nextafter(0.9, 1.0)
 
-    found = recurrence_scan(trace, refine_fn=lambda t: 0.9 if t < 6e-3 else strong)
+    found = recurrence_scan(times, values, refine_fn=lambda t: 0.9 if t < 6e-3 else strong)
     assert [s for _, s in found] == [0.9, strong]   # raw strengths are kept
     assert format(found[0][1], ".10g") == format(found[1][1], ".10g")
     assert 3e-3 <= found[0][0] <= 5e-3 and 7e-3 <= found[1][0] <= 9e-3
@@ -415,14 +409,14 @@ def fig7_refined():
     sc = preset_scenario("fig7")
     modes = _modes(sc)
     contrast = contrast_evaluator(modes, sc.contrast_lengths[0])
-    trace = contrast.trace(_contrast_times(sc))
+    times = _contrast_times(sc)
     calls = []
 
     def refine(t):
         calls.append(t)
         return float(contrast([t])[0])
 
-    return recurrence_scan(trace, refine_fn=refine), calls
+    return recurrence_scan(times, contrast(times), refine_fn=refine), calls
 
 
 def test_recurrence_refinement_calls_fig7(fig7_refined):

@@ -30,6 +30,24 @@ def test_spec_validation():
         EnsembleSpec(realizations=100, master_seed=1, kind="wigner")
 
 
+@pytest.mark.parametrize("n", [2.5, 10.0, np.float64(4.0), "10"])
+def test_spec_refuses_non_integer_realizations(n):
+    with pytest.raises(ConfigError, match="integer of at least 2 realizations"):
+        EnsembleSpec(realizations=n, master_seed=1)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1e-3])
+@pytest.mark.parametrize("sample", [True, False], ids=["sample_realization", "estimate_pcf"])
+def test_oracle_refuses_the_times_variance_field_refuses(homog_modes, sample, t):
+    spec = EnsembleSpec(realizations=4, master_seed=SEED)
+    z = np.linspace(0, 40e-6, 7)
+    with pytest.raises(ConfigError, match="evolution times"):
+        if sample:
+            sample_realization(0, spec, homog_modes, z, [1e-3, t])
+        else:
+            estimate_pcf(spec, homog_modes, z, [1e-3, t])
+
+
 def test_phase_field_starts_flat(homog_modes):
     spec = EnsembleSpec(realizations=16, master_seed=SEED)
     z = np.linspace(0, 40e-6, 7)

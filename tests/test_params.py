@@ -189,6 +189,30 @@ def test_squeezing_map():
         squeezing_map(om[::-1], ll, RB87.mass, RB87.scattering_length)
 
 
+_M, _A = RB87.mass, RB87.scattering_length
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda p, cfg, x: dephasing_times(p, x),
+    lambda p, cfg, x: multimode_condition(p, x, 1.0),
+    lambda p, cfg, x: multimode_condition(p, 100e-6, x),
+    lambda p, cfg, x: squeezing_limit(x, 100e-6, _M, _A),
+    lambda p, cfg, x: squeezing_limit(2 * pi * 1400, 100e-6, x, _A),
+    lambda p, cfg, x: peak_density_from_atom_number(x, cfg),
+    lambda p, cfg, x: atom_number_from_peak_density(x, cfg),
+    lambda p, cfg, x: p.lambda_T(x),
+    lambda p, cfg, x: squeezing_map([x], [100e-6], _M, _A),
+    lambda p, cfg, x: squeezing_map([1e3], [20e-6, x], _M, _A),
+    lambda p, cfg, x: squeezing_map([1e3], [20e-6], _M, x),
+], ids=["dephasing_times", "multimode_length", "multimode_squeezing", "limit_omega",
+        "limit_mass", "peak_density", "atom_number", "lambda_T", "map_omega", "map_length",
+        "map_scattering_length"])
+def test_params_functions_refuse_non_finite(trapped_params, trapped_config, call, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        call(trapped_params, trapped_config, bad)
+
+
 def test_effective_temperature_with_squeezing(trapped_config):
     import dataclasses
 

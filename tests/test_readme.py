@@ -13,5 +13,5 @@ def test_quick_start_block_runs():
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
     corr = namespace["corr"]
-    assert corr.values.shape == (11, 121)
-    assert corr.values.max() <= 1.0 and corr.values.min() > 0.0
+    assert corr.shape == (11, 121)
+    assert corr.max() <= 1.0 and corr.min() > 0.0

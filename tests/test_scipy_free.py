@@ -101,7 +101,7 @@ def _front_row_loop(field):
     """The mixed-derivative detector as one reference call per time row."""
     z, ts = field.positions, field.times
     dz = float(z[1] - z[0])
-    sigma = field.meta.get("xi_h", 4.0 * dz)
+    sigma = field.modes.xi_h
     imax = int(np.searchsorted(z, float(z[-1]), side="right"))
     guard = max(3, int(round(3.0 * sigma / dz)))
     floor = 1e-9 * float(np.abs(field.values).max() or 1.0) / (float(ts[1] - ts[0]) * dz)
@@ -154,8 +154,8 @@ def test_front_row_blocks_match_whole_grid_reference(trapped_modes, monkeypatch)
     trace = extract_front(field)
 
     dz = float(z[1] - z[0])
-    sigma = field.meta["xi_h"] / dz
-    imax = int(np.searchsorted(z, EDGE_SEARCH_FRACTION * field.meta["R_eff"], side="right"))
+    sigma = field.modes.xi_h / dz
+    imax = int(np.searchsorted(z, EDGE_SEARCH_FRACTION * field.modes.radius, side="right"))
     assert imax + int(4.0 * sigma + 0.5) < z.size
     guard = max(3, int(round(3.0 * sigma)))
     M = np.gradient(np.gradient(field.values, ts, axis=0), z, axis=1)
