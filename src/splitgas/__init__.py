@@ -61,8 +61,8 @@ _EXPORTS = {
     ),
     "oracle": ("EnsembleSpec", "EnsembleStats", "estimate_pcf", "sample_realization"),
 }
-_SUBMODULES = ("errors", "fields", "homogeneous", "modes", "observables", "oracle",
-               "params", "trapped")
+_SUBMODULES = ("errors", "homogeneous", "modes", "observables", "oracle", "params",
+               "trapped")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted([*_HOME, *_SUBMODULES])

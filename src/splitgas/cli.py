@@ -5,7 +5,7 @@
              [--times MS ...] [--t-max MS] [--realizations N --seed S]
 
 Each of --times, --t-max, --realizations and --seed overrides one scenario
-key (see ``_OVERRIDES``) and is parsed by that key's rule, so every command
+key (see ``_FLAGS``) and is parsed by that key's rule, so every command
 is a pure function of (scenario, tool version): rerunning writes
 byte-identical artifacts.  Exit codes: 0 success, 2 configuration error,
 3 numerical non-convergence, 4 detection failure.  Set SPLITGAS_THREADS to
@@ -25,9 +25,14 @@ EXIT_DETECTION = 4
 UM = 1e-6
 MS = 1e-3
 
-# flags that override a scenario key: (argparse dest, section, key)
-_OVERRIDES = (("times", "grids", "times_ms"), ("t_max", "analysis", "t_max_ms"),
-              ("realizations", "oracle", "realizations"), ("seed", "oracle", "seed"))
+# value flags: {flag: (section, key it overrides, argparse options)}, in the
+# order they are applied, so the first fault reported is stable
+_FLAGS = {
+    "--times": ("grids", "times_ms", {"type": float, "nargs": "+", "metavar": "MS"}),
+    "--t-max": ("analysis", "t_max_ms", {"type": float, "metavar": "MS"}),
+    "--realizations": ("oracle", "realizations", {"type": int}),
+    "--seed": ("oracle", "seed", {"type": int}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,28 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output CSV path (default: stdout)")
     common.add_argument("--json", action="store_true",
                         help="also write a JSON mirror next to --out")
-
-    sub.add_parser("params", parents=[common],
-                   help="derived physical scalars and interferometry criteria")
-    p_pcf = sub.add_parser("pcf", parents=[common],
-                           help="phase correlation function on a position grid")
-    p_pcf.add_argument("--times", type=float, nargs="+", metavar="MS",
-                       help="evolution times in ms (overrides the scenario)")
-    sub.add_parser("front", parents=[common],
-                   help="correlation-front positions and fitted velocity")
-    p_rec = sub.add_parser("recurrence", parents=[common],
-                           help="contrast trace plus ranked recurrences")
-    p_rec.add_argument("--t-max", type=float, metavar="MS",
-                       help="scan horizon in ms (overrides the scenario)")
-    p_con = sub.add_parser("contrast", parents=[common],
-                           help="mean squared contrast for each window length")
-    p_con.add_argument("--t-max", type=float, metavar="MS")
-    sub.add_parser("squeezing-map", parents=[common],
-                   help="required number squeezing over (nu_perp, L)")
-    p_orc = sub.add_parser("oracle", parents=[common],
-                           help="Monte-Carlo validation of the analytic PCF")
-    p_orc.add_argument("--realizations", type=int)
-    p_orc.add_argument("--seed", type=int)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for flag in flags:
+            section, key, options = _FLAGS[flag]
+            command.add_argument(flag, help=f"overrides {section}.{key}", **options)
     return parser
 
 
@@ -75,10 +63,10 @@ def _load_scenario(args):
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
     sc = load_scenario(args.config) if args.config else preset_scenario(args.preset)
-    for dest, section, key in _OVERRIDES:
-        value = getattr(args, dest, None)
+    for flag, (section, key, _) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
-            sc.override(section, key, value, "--" + dest.replace("_", "-"))
+            sc.override(section, key, value, flag)
     return sc
 
 
@@ -155,32 +143,26 @@ def _cmd_params(sc):
     return columns, [row], [("regime", sc.config.regime.value)]
 
 
-def _pcf_grids(sc, modes):
+def _cmd_pcf(sc):
     import numpy as np
 
-    times = sc.times if sc.times is not None else np.linspace(0.0, 10.0, 11) * MS
+    from .modes import variance_field
+    from .observables import pcf
+    from .scenario import time_column
+
+    modes = _modes(sc)
+    times = sc.times
     if sc.zbar is not None:
         z = sc.zbar
     elif sc.config.regime.trapped:
         z = np.linspace(0.0, 0.999 * modes.radius, 241)
     else:
         z = np.linspace(0.0, sc.config.system_length / 4.0, 201)
-    return z, times
-
-
-def _cmd_pcf(sc):
-    from .modes import variance_field
-    from .observables import pcf
-    from .scenario import time_column
-
-    modes = _modes(sc)
-    z, times = _pcf_grids(sc, modes)
     field = variance_field(modes, z, times, check_convergence=True)
     trapped = sc.config.regime.trapped
     corr = pcf(field)
     columns = ["z_um" if trapped else "zbar_um"] + [time_column(t) for t in times]
-    rows = [[z[i] / UM] + [corr[j, i] for j in range(len(times))]
-            for i in range(len(z))]
+    rows = [[z[i] / UM, *corr[:, i]] for i in range(len(z))]
     return columns, rows, [
         ("regime", sc.config.regime.value),
         ("truncation", f"{modes.truncation_name}={modes.truncation}"),
@@ -193,7 +175,7 @@ def _front_for_system(modes, fit_window):
     import numpy as np
 
     from .errors import DetectionError
-    from .homogeneous import default_rate_step
+    from .homogeneous import PlaneWaveModeSet, default_rate_step
     from .modes import variance_field
     from .observables import extract_front, fit_velocity
 
@@ -201,7 +183,7 @@ def _front_for_system(modes, fit_window):
     dt = default_rate_step(modes)
     times = np.arange(dt, t_hi + 0.5 * dt, dt)
     xi_h = modes.xi_h
-    if modes.regime == "homogeneous":
+    if isinstance(modes, PlaneWaveModeSet):
         z_hi = min(0.45 * modes.L, 2.0 * modes.params.c * t_hi * 1.4 + 20.0 * xi_h)
     else:
         z_hi = 0.985 * modes.radius
@@ -307,7 +289,7 @@ def _cmd_recurrence(sc):
     from .observables import contrast_evaluator, recurrence_scan
 
     modes = _modes(sc)
-    length = sc.contrast_lengths[0] if sc.contrast_lengths else 50e-6
+    length = sc.contrast_lengths[0]
     times = _contrast_times(sc)
     contrast = contrast_evaluator(modes, length)
     values = contrast(times)
@@ -329,7 +311,7 @@ def _cmd_contrast(sc):
     from .scenario import contrast_column
 
     modes = _modes(sc)
-    lengths = sc.contrast_lengths or [50e-6]
+    lengths = sc.contrast_lengths
     times = _contrast_times(sc)
     traces = [contrast_trace(modes, L, times) for L in lengths]
     columns = ["t_ms"] + [contrast_column(L) for L in lengths]
@@ -339,16 +321,9 @@ def _cmd_contrast(sc):
 
 
 def _cmd_squeezing_map(sc):
-    import numpy as np
-
     from .params import pi, squeezing_map
 
-    omegas = sc.map_nu_perp
-    lengths = sc.map_lengths
-    if omegas is None:
-        omegas = 2.0 * pi * np.linspace(200.0, 3000.0, 57)
-    if lengths is None:
-        lengths = np.linspace(20.0, 200.0, 61) * UM
+    omegas, lengths = sc.map_nu_perp, sc.map_lengths
     db = squeezing_map(omegas, lengths, sc.config.atomic_mass,
                        sc.config.scattering_length)
     lin = 10.0 ** (db / 10.0)
@@ -401,14 +376,16 @@ def _cmd_oracle(sc):
     ]
 
 
+# {command: (function, help, value flags)}
 _COMMANDS = {
-    "params": _cmd_params,
-    "pcf": _cmd_pcf,
-    "front": _cmd_front,
-    "recurrence": _cmd_recurrence,
-    "contrast": _cmd_contrast,
-    "squeezing-map": _cmd_squeezing_map,
-    "oracle": _cmd_oracle,
+    "params": (_cmd_params, "derived physical scalars and interferometry criteria", ()),
+    "pcf": (_cmd_pcf, "phase correlation function on a position grid", ("--times",)),
+    "front": (_cmd_front, "correlation-front positions and fitted velocity", ()),
+    "recurrence": (_cmd_recurrence, "contrast trace plus ranked recurrences", ("--t-max",)),
+    "contrast": (_cmd_contrast, "mean squared contrast for each window length", ("--t-max",)),
+    "squeezing-map": (_cmd_squeezing_map, "required number squeezing over (nu_perp, L)", ()),
+    "oracle": (_cmd_oracle, "Monte-Carlo validation of the analytic PCF",
+               ("--realizations", "--seed")),
 }
 
 
@@ -420,7 +397,7 @@ def main(argv=None) -> int:
         if args.json and not args.out:
             raise ConfigError("--json requires --out")
         sc = _load_scenario(args)
-        _write(sc, args, *_COMMANDS[args.command](sc))
+        _write(sc, args, *_COMMANDS[args.command][0](sc))
         return EXIT_OK
     except ConfigError as exc:
         print(f"splitgas: configuration error: {exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ the phase quadrature starts empty; each mode then oscillates harmonically
 at omega_k = c|k|, converting density noise into phase noise.  The
 two-point phase variance is the mode sum
 
-    <dphi(zbar, t)^2> = pref * sum_p sin^2(omega_p t) (1 - cos(k_p zbar)) / k_p^2
+    <dphi(zbar, t)^2> = coef * sum_p sin^2(omega_p t) (1 - cos(k_p zbar)) / k_p^2
 
-with pref = 2*pi^2*n*xi_n^2/(L*K^2); +k and -k are folded into one term.
+with coef = 2*pi^2*n*xi_n^2/(L*K^2); +k and -k are folded into one term.
 All mode frequencies are commensurate (omega_p = p * 2*pi*c/L), so the
 variance is exactly periodic with period L/(2c) and vanishes identically
 at multiples of it.
@@ -50,7 +50,7 @@ class PlaneWaveModeSet(ModeBasis):
     """Discrete plane-wave excitation basis of a box of size L.
 
     Arrays hold the positive-k half of the spectrum; the mirror modes are
-    folded into the prefactor of every mode sum.  Positions are
+    folded into the coefficient of every mode sum.  Positions are
     separations zbar = z - z'.
     """
 
@@ -60,15 +60,10 @@ class PlaneWaveModeSet(ModeBasis):
     k: np.ndarray           # (p_max,), 1/m
     omega: np.ndarray       # (p_max,), rad/s, c*k
     S_k: np.ndarray         # (p_max,), structure factor hbar*k/(2*m*c)
-    prefactor: float        # 2*pi^2*n*xi_n^2 / (L*K^2)
+    coefficient: float      # 2*pi^2*n*xi_n^2 / (L*K^2)
 
     truncation_name = "p_max"
-    regime = "homogeneous"
     time_norm = 1.0
-
-    @property
-    def coefficient(self) -> float:
-        return self.prefactor
 
     @property
     def xi_h(self) -> float:
@@ -91,7 +86,7 @@ class PlaneWaveModeSet(ModeBasis):
         return np.stack([np.cos(kz), -np.sin(kz)], axis=1)
 
     def check_points(self, points) -> None:
-        if np.any(np.abs(points) > self.L):
+        if not np.all(np.abs(points) <= self.L):   # NaN included
             raise ConfigError(f"separation {np.max(np.abs(points)) / 1e-6:.6g} um exceeds "
                               f"the periodic box ({self.L / 1e-6:.6g} um)")
 
@@ -104,11 +99,11 @@ class PlaneWaveModeSet(ModeBasis):
 
     def split_density_variance(self) -> np.ndarray:
         """<|n_k|^2> right after splitting (local shot noise)."""
-        return np.full_like(self.k, self.xi_n2 * self.params.n_peak / 2.0)
+        return np.full_like(self.k, self.params.squeezing * self.params.n_peak / 2.0)
 
     def split_phase_variance(self) -> np.ndarray:
         """<|phi_k|^2> right after splitting (minimum-uncertainty partner)."""
-        return np.full_like(self.k, 1.0 / (2.0 * self.xi_n2 * self.params.n_peak))
+        return np.full_like(self.k, 1.0 / (2.0 * self.params.squeezing * self.params.n_peak))
 
     def thermal_density_variance(self, temperature: float) -> np.ndarray:
         return np.full_like(self.k, k_B * temperature / (2.0 * self.params.g))
@@ -136,10 +131,10 @@ def build_modes(params: PhysicalParams, L: float, p_max: int | None = None) -> P
     k = 2.0 * pi * p / L
     omega = params.c * k
     S_k = hbar * k / (2.0 * params.mass * params.c)
-    prefactor = 2.0 * pi**2 * params.n_peak * params.squeezing / (L * params.K**2)
+    coefficient = 2.0 * pi**2 * params.n_peak * params.squeezing / (L * params.K**2)
     return PlaneWaveModeSet(
         params=params, L=L, p_max=p_max, k=k, omega=omega,
-        S_k=S_k, prefactor=prefactor,
+        S_k=S_k, coefficient=coefficient,
     )
 
 
@@ -156,7 +151,7 @@ def phase_covariance(zbar, t, modes: PlaneWaveModeSet):
     t = np.asarray(t, dtype=float)
     s2 = np.sin(modes.omega * t[..., None]) ** 2
     w = np.cos(modes.k * zbar[..., None]) / modes.k**2
-    out = 0.5 * modes.prefactor * np.sum(s2 * w, axis=-1)
+    out = 0.5 * modes.coefficient * np.sum(s2 * w, axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -180,7 +175,7 @@ def stationary_variance(zbar, modes: PlaneWaveModeSet):
     """
     zbar = np.abs(np.asarray(zbar, dtype=float))
     w = (1.0 - np.cos(modes.k * zbar[..., None])) / modes.k**2
-    out = 0.5 * modes.prefactor * np.sum(w, axis=-1)
+    out = 0.5 * modes.coefficient * np.sum(w, axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -10,19 +10,22 @@ f_j(z'/R))^2 and time_norm = omega_j^2, for the trapped cloud (Stringari,
 PRA 58, 2385 (1998); Petrov, Shlyapnikov & Walraven, PRL 85, 3745 (2000)).
 The pointwise sum and the field with its truncation doubling check are
 written once here against :class:`ModeBasis`; they are the only public
-names of these sums, for both geometries.
+names of these sums, for both geometries.  The field is a
+:class:`VarianceField`, which keeps the basis that made it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConfigError
-from .fields import VarianceField
 from .params import hbar, k_B
 
 __all__ = [
     "ModeBasis",
+    "VarianceField",
     "CONVERGENCE_RTOL",
     "pointwise_variance",
     "variance_field",
@@ -36,10 +39,10 @@ class ModeBasis:
     """Shared part of the plane-wave and Legendre mode sets.
 
     Each geometry supplies ``params``, ``omega``, ``coefficient``,
-    ``truncation_name``, ``regime``, ``xi_h``, ``time_norm``,
-    ``synthesis_scale``, ``pair_terms``, ``functions``, ``phi_amplitude``,
-    ``check_points`` and ``doubled``.  Results keep the basis that made
-    them and read these facts from it.
+    ``truncation_name``, ``xi_h``, ``time_norm``, ``synthesis_scale``,
+    ``pair_terms``, ``functions``, ``phi_amplitude``, ``check_points`` and
+    ``doubled``.  Results keep the basis that made them and read these
+    facts from it.
     """
 
     @property
@@ -50,10 +53,6 @@ class ModeBasis:
     def omega_max(self) -> float:
         return float(self.omega[-1])
 
-    @property
-    def xi_n2(self) -> float:
-        return self.params.squeezing
-
     def occupation(self) -> np.ndarray:
         """Mode occupation k_B*T_eff/(hbar*omega_m) imprinted by splitting."""
         return k_B * self.params.T_eff / (hbar * self.omega)
@@ -61,6 +60,25 @@ class ModeBasis:
     def time_factors(self, times: np.ndarray) -> np.ndarray:
         """sin^2(omega_m t) / time_norm_m, shape (times, modes)."""
         return np.sin(self.omega[None, :] * times[:, None]) ** 2 / self.time_norm
+
+
+@dataclass
+class VarianceField:
+    """Two-point relative-phase variance on a (time x position) grid."""
+
+    positions: np.ndarray   # m; z with fixed zprime (separations from it in a box)
+    times: np.ndarray       # s
+    values: np.ndarray      # (len(times), len(positions)), dimensionless
+    converged: bool | None = None       # doubling-test verdict, None = not checked
+    doubling_dev: float | None = None   # doubling-test deviation, None = not checked
+    modes: ModeBasis | None = None      # the basis that made it, None = synthetic
+
+    def __post_init__(self):
+        self.positions = np.asarray(self.positions, dtype=float)
+        self.times = np.asarray(self.times, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.times.size, self.positions.size):
+            raise ValueError("values must have shape (n_times, n_positions)")
 
 
 def _check_times(t) -> None:

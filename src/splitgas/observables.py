@@ -7,24 +7,26 @@ between its inside- and outside-cone plateaus there); an independent
 half-plateau crossing detector guards against ringing artefacts of the
 truncated mode sums.  The mean squared contrast double-integrates C over
 an observation window, and recurrences are ranked local maxima of that
-trace.
+trace.  A detected front comes back as a :class:`FrontTrace` and its
+least-squares slope as a :class:`VelocityFit`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DetectionError
-from .fields import FrontTrace, VarianceField, VelocityFit
 from .homogeneous import PlaneWaveModeSet, recurrence_time
-from .modes import variance_field
+from .modes import VarianceField, variance_field
 from .trapped import legendre_f_table
 
 __all__ = [
+    "FrontTrace",
+    "VelocityFit",
     "pcf",
     "extract_front",
     "fit_velocity",
@@ -56,9 +58,32 @@ _REFINE_BRACKET_S = 1e-9
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
 
 
+@dataclass
+class FrontTrace:
+    """Detected correlation-front positions, one per usable time sample."""
+
+    times: np.ndarray       # s
+    positions: np.ndarray   # m, non-decreasing inside the fit window
+    method: str             # "mixed_derivative" or "half_plateau"
+    diagnostics: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
+@dataclass(frozen=True)
+class VelocityFit:
+    """Least-squares slope of front position versus time."""
+
+    speed: float          # m/s
+    intercept: float      # m
+    residual_rms: float   # m
+    n_points: int
+
+
 def pcf(variance: VarianceField) -> np.ndarray:
     """Correlation C = exp(-variance/2), element-wise on the field's grid."""
-    if np.any(variance.values < 0):
+    if not np.all(variance.values >= 0):   # NaN included
         raise ConfigError("variance must be non-negative")
     return np.exp(-variance.values / 2.0)
 
@@ -330,7 +355,7 @@ def _trapped_contrast_kernel(modes, n: int, step: float):
     u[-1] = step / 2.0
     if n % 2:
         u[0] = step / 2.0
-    omega = modes.omega_j
+    omega = modes.omega
     count = -(-m // _CONTRAST_PANEL_ROWS)
     height = -(-m // count)
     block = max(1, _CONTRAST_PANEL_ELEMENTS // (max(height, je + 2) * m))

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .modes import _check_times
+from .params import _is_finite
 
 __all__ = ["EnsembleSpec", "EnsembleStats", "sample_realization", "estimate_pcf"]
 
@@ -67,8 +68,10 @@ class EnsembleSpec:
                 f"master seed must be an integer in [0, 2**64), got {seed!r}")
         if self.kind not in ("split", "thermal"):
             raise ConfigError(f"unknown initial-condition kind: {self.kind!r}")
-        if self.kind == "thermal" and (self.temperature is None or self.temperature <= 0):
-            raise ConfigError("thermal ensembles need a positive temperature")
+        t = self.temperature
+        if self.kind == "thermal" and (t is None or isinstance(t, bool)
+                                       or not (_is_finite(t) and t > 0)):
+            raise ConfigError(f"thermal ensembles need a finite positive temperature, got {t!r}")
 
 
 @dataclass

@@ -87,13 +87,6 @@ def _grid(value, where, scale=1.0, nonnegative=False):
     raise ConfigError(f"{where}: expected a list or a start/stop/num mapping")
 
 
-_TRAP_KEYS = {
-    "species", "mass_kg", "scattering_length_nm", "nu_perp_hz", "nu_long_hz",
-    "regime", "atom_number_total", "peak_density_per_um", "system_length_um",
-    "squeezing",
-}
-
-
 def _integer(value, where):
     return int(_require_number(value, where, integer=True))
 
@@ -182,6 +175,46 @@ def _column_times(value, where):
     return ms * MS
 
 
+def _species(value, where) -> SpeciesPreset:
+    name = str(value).lower()
+    if name not in _SPECIES:
+        raise ConfigError(f"{where}: unknown species {value!r} "
+                          f"(available: {', '.join(sorted(_SPECIES))})")
+    return _SPECIES[name]
+
+
+def _regime(value, where) -> Regime:
+    try:
+        return Regime(str(value))
+    except ValueError:
+        raise ConfigError(f"{where}: expected one of {[r.value for r in Regime]}, "
+                          f"got {value!r}") from None
+
+
+def _zero_or_positive(value, where):
+    """0, and only 0, stands for "none" in the two optional trap numbers."""
+    return _require_number(value, where, positive=value != 0)
+
+
+# The trap section: {key: (TrapConfig field, parser(value, dotted key))}, parsed
+# in this order.  A key left out is required (nu_perp_hz, regime), taken from
+# the species (mass_kg, scattering_length_nm) or left at its TrapConfig default.
+_TRAP = {
+    "species": ("species", _species),
+    "mass_kg": ("atomic_mass", _require_number),
+    "scattering_length_nm": ("scattering_length",
+                             lambda v, where: _require_number(v, where) * NM),
+    "nu_perp_hz": ("omega_perp", lambda v, where: 2.0 * pi * _require_number(v, where)),
+    "nu_long_hz": ("omega_long", lambda v, where: 2.0 * pi * _zero_or_positive(v, where)),
+    "regime": ("regime", _regime),
+    "atom_number_total": ("atom_number_total", lambda v, where:   # null: not given
+                          None if v is None else _require_number(v, where)),
+    "peak_density_per_um": ("peak_density_per_gas", lambda v, where:
+                            None if v is None else _require_number(v, where) / UM),
+    "system_length_um": ("system_length", lambda v, where: _zero_or_positive(v, where) * UM),
+    "squeezing": ("squeezing", _require_number),
+}
+
 # Optional sections: {section: {key: (Scenario attribute, parser(value, dotted key))}}.
 # Keys are parsed in this order, so the first fault reported is stable.
 _SECTIONS = {
@@ -217,12 +250,12 @@ class Scenario:
 
     raw: dict
     config: TrapConfig
-    zbar: np.ndarray | None = None      # m
-    times: np.ndarray | None = None     # s
+    zbar: np.ndarray | None = None      # m; None: the mode basis picks the grid
+    times: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 10.0, 11) * MS)  # s
     p_max: int | None = None
     j_max: int | None = None
     length: float | None = None         # interferometry window, m
-    contrast_lengths: list = field(default_factory=list)  # m
+    contrast_lengths: list = field(default_factory=lambda: [50e-6])  # m
     fit_window: tuple = (0.0, 10e-3)    # s
     t_max: float = 0.3                  # s
     scan_atom_numbers: list = field(default_factory=list)
@@ -230,10 +263,11 @@ class Scenario:
     oracle_realizations: int = 10000
     oracle_seed: int = 20260809
     oracle_phase_noise: bool = False
-    oracle_zbar: np.ndarray | None = None
+    oracle_zbar: np.ndarray | None = None   # None: the mode basis picks the grid
     oracle_times: np.ndarray | None = None
-    map_nu_perp: np.ndarray | None = None   # rad/s grid
-    map_lengths: np.ndarray | None = None   # m
+    map_nu_perp: np.ndarray = field(
+        default_factory=lambda: 2.0 * pi * np.linspace(200.0, 3000.0, 57))   # rad/s
+    map_lengths: np.ndarray = field(default_factory=lambda: np.linspace(20.0, 200.0, 61) * UM)
 
     def override(self, section: str, key: str, value, where: str) -> None:
         """Set ``section.key`` to ``value``, parsed as in a scenario document.
@@ -252,56 +286,20 @@ class Scenario:
 
 def _build_config(trap: dict) -> TrapConfig:
     _require_mapping(trap, "trap")
-    _check_keys(trap, _TRAP_KEYS, "trap")
-    species: SpeciesPreset | None = None
-    if "species" in trap:
-        name = str(trap["species"]).lower()
-        if name not in _SPECIES:
-            raise ConfigError(
-                f"trap.species: unknown species {trap['species']!r} "
-                f"(available: {', '.join(sorted(_SPECIES))})"
-            )
-        species = _SPECIES[name]
-    mass = (_require_number(trap["mass_kg"], "trap.mass_kg")
-            if "mass_kg" in trap else (species.mass if species else None))
-    if mass is None:
-        raise ConfigError("trap.mass_kg: required when no species preset is given")
-    a_s = (_require_number(trap["scattering_length_nm"], "trap.scattering_length_nm") * NM
-           if "scattering_length_nm" in trap
-           else (species.scattering_length if species else None))
-    if a_s is None:
-        raise ConfigError(
-            "trap.scattering_length_nm: required when no species preset is given")
-    if "nu_perp_hz" not in trap:
-        raise ConfigError("trap.nu_perp_hz: required")
-    omega_perp = 2.0 * pi * _require_number(trap["nu_perp_hz"], "trap.nu_perp_hz")
-    # 0, and only 0, stands for "none" in the two optional trap numbers
-    nu_long = trap.get("nu_long_hz", 0)
-    nu_long = _require_number(nu_long, "trap.nu_long_hz", positive=nu_long != 0)
-    if "regime" not in trap:
-        raise ConfigError("trap.regime: required")
-    try:
-        regime = Regime(str(trap["regime"]))
-    except ValueError:
-        raise ConfigError(
-            f"trap.regime: expected one of {[r.value for r in Regime]}, "
-            f"got {trap['regime']!r}"
-        ) from None
-    n_total = trap.get("atom_number_total")
-    if n_total is not None:
-        n_total = _require_number(n_total, "trap.atom_number_total")
-    density = trap.get("peak_density_per_um")
-    if density is not None:
-        density = _require_number(density, "trap.peak_density_per_um") / UM
-    length = trap.get("system_length_um", 0)
-    length = _require_number(length, "trap.system_length_um", positive=length != 0) * UM
-    squeezing = _require_number(trap.get("squeezing", 1.0), "trap.squeezing")
-    return TrapConfig(
-        atomic_mass=mass, scattering_length=a_s, omega_perp=omega_perp,
-        omega_long=2.0 * pi * nu_long, atom_number_total=n_total,
-        peak_density_per_gas=density, system_length=length,
-        squeezing=squeezing, regime=regime,
-    )
+    _check_keys(trap, _TRAP, "trap")
+    values = {}
+    for key, (name, parse) in _TRAP.items():
+        if key in trap:
+            values[name] = parse(trap[key], f"trap.{key}")
+        elif key in ("nu_perp_hz", "regime"):
+            raise ConfigError(f"trap.{key}: required")
+        elif key in ("mass_kg", "scattering_length_nm"):
+            if "species" not in values:
+                raise ConfigError(f"trap.{key}: required when no species preset is given")
+            species = values["species"]
+            values[name] = species.mass if key == "mass_kg" else species.scattering_length
+    values.pop("species", None)
+    return TrapConfig(**values)
 
 
 def _build_scenario(doc: dict) -> Scenario:

@@ -64,7 +64,7 @@ def legendre_f_table(j_max: int, x) -> np.ndarray:
     stable on [-1, 1] for any order used here.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x) > 1.0 + 1e-12):
+    if not np.all(np.abs(x) <= 1.0 + 1e-12):   # NaN included
         raise ConfigError("mode functions are defined on |x| <= 1")
     x = np.clip(x, -1.0, 1.0)
     j_max = _mode_count(j_max, "j_max")
@@ -186,8 +186,8 @@ class LegendreModeSet(ModeBasis):
     params: PhysicalParams
     profile: DensityProfile
     j_max: int
-    omega_scale: float      # rad/s; omega_j = omega_scale * sqrt(j(j+1)/2)
-    omega_j: np.ndarray     # (j_max,)
+    omega_scale: float      # rad/s
+    omega: np.ndarray       # (j_max,), rad/s, omega_scale * sqrt(j(j+1)/2)
     v_N: float              # density velocity at the centre, m/s
     coefficient: float      # xi_n^2 * n_peak * pi^2 * v_N^2 / (2R)
 
@@ -199,16 +199,8 @@ class LegendreModeSet(ModeBasis):
         return self.profile.radius
 
     @property
-    def omega(self) -> np.ndarray:
-        return self.omega_j
-
-    @property
     def time_norm(self) -> np.ndarray:
-        return self.omega_j**2
-
-    @property
-    def regime(self) -> str:
-        return self.profile.kind
+        return self.omega**2
 
     @property
     def xi_h(self) -> float:
@@ -226,10 +218,10 @@ class LegendreModeSet(ModeBasis):
 
     def phi_amplitude(self) -> np.ndarray:
         """|phase amplitude| per unit initial density amplitude, pi*v_N/omega_j."""
-        return pi * self.v_N / self.omega_j
+        return pi * self.v_N / self.omega
 
     def check_points(self, points) -> None:
-        if np.any(np.abs(points) > self.radius):
+        if not np.all(np.abs(points) <= self.radius):   # NaN included
             raise ConfigError(f"point {np.max(np.abs(points)) / 1e-6:.6g} um lies outside "
                               f"the cloud (R = {self.radius / 1e-6:.6g} um)")
 
@@ -238,18 +230,20 @@ class LegendreModeSet(ModeBasis):
 
     def split_density_variance(self) -> np.ndarray:
         """<n_j^2> right after splitting: uniform xi_n^2*n_peak/(2R)."""
-        return np.full(self.j_max, self.xi_n2 * self.profile.n_peak / (2.0 * self.radius))
+        xi_n2 = self.params.squeezing
+        return np.full(self.j_max, xi_n2 * self.profile.n_peak / (2.0 * self.radius))
 
     def split_phase_variance(self) -> np.ndarray:
         """Minimum-uncertainty partner of the density shot noise."""
-        return np.full(self.j_max, self.radius / (2.0 * self.xi_n2 * self.profile.n_peak))
+        xi_n2 = self.params.squeezing
+        return np.full(self.j_max, self.radius / (2.0 * xi_n2 * self.profile.n_peak))
 
     def thermal_density_variance(self, temperature: float) -> np.ndarray:
         val = k_B * temperature / (pi * hbar * self.v_N * self.radius)
         return np.full(self.j_max, val)
 
     def thermal_phase_variance(self, temperature: float) -> np.ndarray:
-        return pi * self.v_N * k_B * temperature / (hbar * self.radius * self.omega_j**2)
+        return pi * self.v_N * k_B * temperature / (hbar * self.radius * self.omega**2)
 
 
 def default_j_max(mu: float, omega_scale: float) -> int:
@@ -279,10 +273,10 @@ def build_trapped_modes(
     mu_cap = profile.n_peak * profile.eos_slope_peak  # = m * c_peak^2
     j_max = _mode_count(default_j_max(mu_cap, omega_scale) if j_max is None else j_max,
                         "j_max")
-    omega_j = mode_frequency(np.arange(1, j_max + 1), omega_scale)
+    omega = mode_frequency(np.arange(1, j_max + 1), omega_scale)
     coefficient = params.squeezing * profile.n_peak * pi**2 * v_N**2 / (2.0 * profile.radius)
     return LegendreModeSet(
         params=params, profile=profile, j_max=j_max,
-        omega_scale=omega_scale, omega_j=omega_j, v_N=v_N,
+        omega_scale=omega_scale, omega=omega, v_N=v_N,
         coefficient=coefficient,
     )

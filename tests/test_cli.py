@@ -152,7 +152,7 @@ def test_front_without_spreading_is_a_detection_failure(tmp_path, capsys):
 def test_front_moving_less_than_a_grid_step_is_a_detection_failure(
         homog_file, monkeypatch, capsys):
     import splitgas.observables as observables
-    from splitgas.fields import FrontTrace
+    from splitgas.observables import FrontTrace
 
     def creeping_front(field):
         ts = field.times
@@ -320,7 +320,7 @@ def test_exit_code_convergence(monkeypatch, trapped_file):
     def boom(sc):
         raise ConvergenceError("stub")
 
-    monkeypatch.setitem(cli._COMMANDS, "params", boom)
+    monkeypatch.setitem(cli._COMMANDS, "params", (boom, "", ()))
     assert main(["params", "--config", trapped_file]) == 3
 
 
@@ -517,7 +517,7 @@ def test_json_without_out_refused_before_the_command(monkeypatch, trapped_file, 
     import splitgas.cli as cli
 
     calls = []
-    monkeypatch.setitem(cli._COMMANDS, "params", lambda sc, args: calls.append(sc))
+    monkeypatch.setitem(cli._COMMANDS, "params", (lambda sc: calls.append(sc), "", ()))
     assert main(["params", "--config", trapped_file, "--json"]) == 2
     assert calls == []
     assert "--json requires --out" in capsys.readouterr().err
@@ -664,7 +664,8 @@ def test_every_flag_overrides_a_scenario_key():
     import splitgas.cli as cli
     from splitgas.scenario import _SECTIONS
 
-    overrides = {dest: (section, key) for dest, section, key in cli._OVERRIDES}
+    overrides = {flag[2:].replace("-", "_"): (section, key)
+                 for flag, (section, key, _) in cli._FLAGS.items()}
     subparsers = cli._build_parser()._subparsers._group_actions[0].choices
     for name, sub in subparsers.items():
         for action in sub._actions:

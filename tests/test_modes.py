@@ -5,8 +5,10 @@ import pytest
 
 from splitgas import build_trapped_modes, derive_params, quasi1d_profile
 from splitgas.errors import ConfigError
-from splitgas.modes import CONVERGENCE_RTOL, pointwise_variance, variance_field
-from splitgas.observables import contrast_evaluator
+from splitgas.modes import CONVERGENCE_RTOL, VarianceField, pointwise_variance, variance_field
+from splitgas.observables import contrast_evaluator, pcf
+from splitgas.oracle import EnsembleSpec, estimate_pcf
+from splitgas.trapped import legendre_f
 
 from reference import dense_contrast
 
@@ -61,6 +63,23 @@ def test_pair_field_symmetric_and_non_negative(basis):
     np.testing.assert_allclose(pf, np.swapaxes(pf, 1, 2), rtol=1e-12, atol=0)
     column = variance_field(modes, z, TIMES, z[-2]).values
     np.testing.assert_allclose(pf[:, :, -2], column, rtol=1e-12, atol=0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: variance_field(m, [NAN], [1e-3]),
+    lambda m: variance_field(m, [0.0], [1e-3], zprime=NAN),
+    lambda m: pointwise_variance(NAN, 0.0, 1e-3, m),
+    lambda m: estimate_pcf(EnsembleSpec(10, 1), m, [NAN], [1e-3]),
+    lambda m: pcf(VarianceField([0.0], [1e-3], [[NAN]], modes=m)),
+    lambda m: legendre_f(2, NAN),
+], ids=["field_z", "field_zprime", "pointwise", "oracle", "pcf", "legendre_f"])
+def test_nan_fails_every_domain_check(basis, call):
+    # every domain check is written so that NaN fails it, as "outside" does
+    with pytest.raises(ConfigError):
+        call(basis[0])
 
 
 def test_check_points_refuses_out_of_domain(basis):

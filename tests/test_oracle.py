@@ -30,6 +30,12 @@ def test_spec_validation():
         EnsembleSpec(realizations=100, master_seed=1, kind="wigner")
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, True])
+def test_spec_refuses_a_non_finite_temperature(T):
+    with pytest.raises(ConfigError, match="finite positive temperature"):
+        EnsembleSpec(realizations=10, master_seed=1, kind="thermal", temperature=T)
+
+
 @pytest.mark.parametrize("n", [2.5, 10.0, np.float64(4.0), "10"])
 def test_spec_refuses_non_integer_realizations(n):
     with pytest.raises(ConfigError, match="integer of at least 2 realizations"):

@@ -73,8 +73,8 @@ def _per_mode_field(index, spec, modes, z, times):
         return field.T
     J = modes.j_max
     xn = rng.standard_normal(J) * np.sqrt(modes.split_density_variance())
-    wt = modes.omega_j[:, None] * times[None, :]
-    phi_t = -(pi * modes.v_N / modes.omega_j[:, None]) * xn[:, None] * np.sin(wt)
+    wt = modes.omega[:, None] * times[None, :]
+    phi_t = -(pi * modes.v_N / modes.omega[:, None]) * xn[:, None] * np.sin(wt)
     if noise:
         xphi = rng.standard_normal(J) * np.sqrt(modes.split_phase_variance())
         phi_t = phi_t + xphi[:, None] * np.cos(wt)

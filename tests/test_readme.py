@@ -1,4 +1,4 @@
-"""The documented library example runs as written."""
+"""The README agrees with the code: the library example runs, the flags match the CLI."""
 
 import re
 from pathlib import Path
@@ -15,3 +15,18 @@ def test_quick_start_block_runs():
     corr = namespace["corr"]
     assert corr.shape == (11, 121)
     assert corr.max() <= 1.0 and corr.min() > 0.0
+
+
+def test_value_flag_bullets_match_the_command_table():
+    # each README bullet "- `--flag ARG` (`cmd`, ...) → `section.key`;" is
+    # one row of cli._FLAGS, and lists exactly the commands that take the flag
+    from splitgas.cli import _COMMANDS, _FLAGS
+
+    text = README.read_text(encoding="utf-8")
+    bullets = re.findall(r"^- `(--[\w-]+)[^`]*` \(([^)]*)\) → `(\w+)\.(\w+)`[;.]$", text,
+                         re.MULTILINE)
+    assert sorted(flag for flag, *_ in bullets) == sorted(_FLAGS)
+    for flag, commands, section, key in bullets:
+        assert (section, key) == _FLAGS[flag][:2], flag
+        takers = sorted(name for name, (_, _, flags) in _COMMANDS.items() if flag in flags)
+        assert sorted(re.findall(r"`([\w-]+)`", commands)) == takers, flag

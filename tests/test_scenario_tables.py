@@ -126,7 +126,8 @@ def test_schema_names_every_scenario_field_once():
 
 def test_empty_optional_section_allowed(tmp_path):
     sc = load_scenario(_write(tmp_path, BASE + "truncation:\n  # j_max: 80\ngrids:\n"))
-    assert sc.j_max is None and sc.times is None
+    # the empty grids section leaves the default time grid, 0 to 10 ms in 1 ms steps
+    assert sc.j_max is None and np.array_equal(sc.times, np.linspace(0.0, 10.0, 11) * 1e-3)
     with pytest.raises(ConfigError, match="grids: expected a mapping"):
         load_scenario(_write(tmp_path, BASE + "grids: []\n"))
     with pytest.raises(ConfigError, match="trap: expected a mapping"):

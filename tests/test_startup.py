@@ -36,7 +36,7 @@ EXPORTS = {
     "oracle": "EnsembleSpec EnsembleStats estimate_pcf sample_realization",
 }
 HOME = {name: module for module, names in EXPORTS.items() for name in names.split()}
-SUBMODULES = "errors fields homogeneous modes observables oracle params trapped".split()
+SUBMODULES = "errors homogeneous modes observables oracle params trapped".split()
 
 
 def _child_modules(code: str, tmp_path) -> dict:

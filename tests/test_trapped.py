@@ -111,8 +111,8 @@ def test_quasi1d_requires_regime(trapped_config):
 def test_trapped_mode_set(trapped_modes, trapped_params):
     m = trapped_modes
     assert m.omega_scale == trapped_params.config.omega_long  # anchored exactly
-    assert m.omega_j[0] == trapped_params.config.omega_long
-    assert hbar * m.omega_j[-1] <= trapped_params.mu
+    assert m.omega[0] == trapped_params.config.omega_long
+    assert hbar * m.omega[-1] <= trapped_params.mu
     assert m.v_N == pytest.approx(2 * trapped_params.g / (pi * hbar), rel=1e-14)
     # splitting loads every mode with the same density noise n_peak/(2R)
     np.testing.assert_allclose(
@@ -120,7 +120,7 @@ def test_trapped_mode_set(trapped_modes, trapped_params):
         trapped_params.n_peak / (2 * m.radius), rtol=1e-14)
     # occupations follow the effective temperature
     np.testing.assert_allclose(
-        m.occupation(), k_B * trapped_params.T_eff / (hbar * m.omega_j), rtol=1e-14)
+        m.occupation(), k_B * trapped_params.T_eff / (hbar * m.omega), rtol=1e-14)
 
 
 def test_build_trapped_modes_refuses_fractional_truncation(trapped_modes):
