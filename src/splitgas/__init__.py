@@ -52,8 +52,8 @@ _EXPORTS = {
         "prethermal_variance", "recurrence_time", "thermal_variance", "variance_rate",
     ),
     "trapped": (
-        "DensityProfile", "LegendreModeSet", "build_trapped_modes", "legendre_f",
-        "mode_frequency", "quasi1d_profile", "tf_profile",
+        "DensityProfile", "LegendreModeSet", "build_trapped_modes", "mode_frequency",
+        "quasi1d_profile",
     ),
     "observables": (
         "contrast_evaluator", "contrast_trace", "extract_front", "fit_velocity",

@@ -98,7 +98,7 @@ def _analysis_length(sc, params) -> float:
 
 def _modes(sc, config=None):
     """The mode basis of ``config`` (default: the scenario's) at its truncation."""
-    from .params import Regime, derive_params
+    from .params import derive_params
 
     config = config or sc.config
     params = derive_params(config)
@@ -106,13 +106,9 @@ def _modes(sc, config=None):
         from .homogeneous import build_modes
 
         return build_modes(params, config.system_length, sc.p_max)
-    from .trapped import build_trapped_modes, quasi1d_profile, tf_profile
+    from .trapped import build_trapped_modes
 
-    if config.regime is Regime.QUASI_1D:
-        profile = quasi1d_profile(config, params)
-    else:
-        profile = tf_profile(params)
-    return build_trapped_modes(profile, params, sc.j_max)
+    return build_trapped_modes(params, sc.j_max)
 
 
 def _cmd_params(sc):
@@ -209,8 +205,14 @@ def _front_for_system(modes, fit_window):
 
 
 def _cmd_front(sc):
+    from dataclasses import replace
+
+    from .errors import ConfigError
     from .scenario import velocity_key
 
+    if sc.compare_regimes and sc.scan_atom_numbers:
+        raise ConfigError("analysis.scan_atom_numbers and analysis.compare_regimes "
+                          "cannot be combined")
     if sc.compare_regimes:
         return _cmd_front_compare(sc)
     prov_extra = [("regime", sc.config.regime.value),
@@ -218,13 +220,12 @@ def _cmd_front(sc):
                    f"({_fmt_ms(sc.fit_window[0])}, {_fmt_ms(sc.fit_window[1])}]")]
     if sc.scan_atom_numbers:
         if not sc.config.regime.trapped:
-            from .errors import ConfigError
-
             raise ConfigError("analysis.scan_atom_numbers requires a trapped regime")
         columns = ["atom_number", "t_ms", "zc_um", "R_half_um"]
         rows = []
         for n_total in sc.scan_atom_numbers:
-            modes = _modes(sc, sc.config.with_atom_number(n_total))
+            modes = _modes(sc, replace(sc.config, atom_number_total=n_total,
+                                       peak_density_per_gas=None))
             trace, fit = _front_for_system(modes, sc.fit_window)
             prov_extra.append((velocity_key(n_total), format(fit.speed / 1e-3, ".12g")))
             half = modes.radius / 2.0

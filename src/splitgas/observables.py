@@ -14,7 +14,6 @@ least-squares slope as a :class:`VelocityFit`.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -400,24 +399,11 @@ def _trapped_contrast_kernel(modes, n: int, step: float):
     return values
 
 
-@dataclass(frozen=True)
-class ContrastEvaluator:
-    """Mean squared contrast C^2(t) of one observation window.
-
-    Built once per (modes, window) by :func:`contrast_evaluator`; calling it
-    with an array of times returns C^2 at each of them.
-    """
-
-    length: float   # m
-    dz: float       # m, step of the window grid
-    kernel: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, times) -> np.ndarray:
-        return self.kernel(np.atleast_1d(np.asarray(times, dtype=float)))
-
-
-def contrast_evaluator(modes, length: float, dz: float | None = None) -> ContrastEvaluator:
+def contrast_evaluator(modes, length: float, dz: float | None = None):
     """Evaluator of C^2(t) for an observation window of size L.
+
+    Built once per (modes, window); calling it with an array of times
+    returns C^2 at each of them.
 
     The position grid step defaults to half the healing length (at the
     cloud centre for trapped gases), below which the integral is converged
@@ -436,8 +422,8 @@ def contrast_evaluator(modes, length: float, dz: float | None = None) -> Contras
     if n < 2:
         raise ConfigError("integration window contains fewer than 2 grid points")
     step = length / (n - 1)
-    kernel = _homog_contrast_kernel if homogeneous else _trapped_contrast_kernel
-    return ContrastEvaluator(length, step, kernel(modes, n, step))
+    kernel = (_homog_contrast_kernel if homogeneous else _trapped_contrast_kernel)(modes, n, step)
+    return lambda times: kernel(np.atleast_1d(np.asarray(times, dtype=float)))
 
 
 def contrast_trace(modes, length: float, times, dz: float | None = None) -> np.ndarray:

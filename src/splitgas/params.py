@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -29,7 +29,6 @@ __all__ = [
     "PhysicalParams",
     "derive_params",
     "peak_density_from_atom_number",
-    "atom_number_from_peak_density",
     "dephasing_times",
     "multimode_condition",
     "squeezing_limit",
@@ -73,7 +72,7 @@ RB87 = SpeciesPreset(name="Rb87", mass=1.44316e-25, scattering_length=5.2e-9)
 def _is_finite(value) -> bool:
     try:
         return math.isfinite(value)
-    except OverflowError:      # an integer beyond the float range
+    except (OverflowError, TypeError):   # an integer beyond the float range, a non-number
         return False
 
 
@@ -131,10 +130,6 @@ class TrapConfig:
                 raise ConfigError("homogeneous regime requires system_length > 0")
         elif self.omega_long <= 0:
             raise ConfigError("trapped regimes require omega_long > 0")
-
-    def with_atom_number(self, n_total: float) -> "TrapConfig":
-        """Copy of this config with a different total atom number."""
-        return replace(self, atom_number_total=n_total, peak_density_per_gas=None)
 
 
 @dataclass(frozen=True)
@@ -203,18 +198,6 @@ def peak_density_from_atom_number(n_total: float, config: TrapConfig) -> float:
     m = config.atomic_mass
     base = 3.0 * (n_total / 2.0) * config.omega_long * math.sqrt(m / g) / (4.0 * math.sqrt(2.0))
     return base ** (2.0 / 3.0)
-
-
-def atom_number_from_peak_density(n_peak: float, config: TrapConfig) -> float:
-    """Total atom number N with each gas holding (4/3)*n_peak*R atoms."""
-    if not config.regime.trapped:
-        raise ConfigError("atom number inversion applies to trapped regimes only")
-    if not (_is_finite(n_peak) and n_peak > 0):
-        raise ConfigError(f"peak density must be finite and strictly positive, got {n_peak!r}")
-    g = coupling_1d(config.omega_perp, config.scattering_length)
-    c = math.sqrt(g * n_peak / config.atomic_mass)
-    R = math.sqrt(2.0) * c / config.omega_long
-    return 2.0 * (4.0 / 3.0) * n_peak * R
 
 
 def derive_params(config: TrapConfig) -> PhysicalParams:

@@ -33,15 +33,12 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .modes import ModeBasis
-from .params import (PhysicalParams, Regime, TrapConfig, _mode_count,
-                     atom_number_from_peak_density, derive_params, hbar, k_B, pi)
+from .params import PhysicalParams, Regime, TrapConfig, _mode_count, hbar, k_B, pi
 
 __all__ = [
     "mode_frequency",
-    "legendre_f",
     "legendre_f_table",
     "DensityProfile",
-    "tf_profile",
     "quasi1d_profile",
     "LegendreModeSet",
     "build_trapped_modes",
@@ -77,19 +74,10 @@ def legendre_f_table(j_max: int, x) -> np.ndarray:
     return norm[:, None] * P[1:]
 
 
-def legendre_f(j: int, x):
-    """Single normalised mode function sqrt(j + 1/2) * P_j(x)."""
-    _mode_count(j, "mode index j")
-    scalar = np.ndim(x) == 0
-    out = legendre_f_table(j, x)[-1]
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class DensityProfile:
     """Longitudinal density profile of one gas after splitting."""
 
-    kind: str                 # "thomas_fermi" or "quasi_1d"
     n_peak: float             # atoms/m at the centre
     radius: float             # m, density zero crossing
     mu: float                 # J, global chemical potential
@@ -108,7 +96,7 @@ def tf_profile(params: PhysicalParams) -> DensityProfile:
     if not params.config.regime.trapped:
         raise ConfigError("density profiles exist for trapped regimes only")
     return DensityProfile(
-        kind="thomas_fermi", n_peak=params.n_peak, radius=params.R, mu=params.mu,
+        n_peak=params.n_peak, radius=params.R, mu=params.mu,
         atoms_per_gas=(4.0 / 3.0) * params.n_peak * params.R,
         eos_slope_peak=params.g, mass=params.mass,
     )
@@ -122,7 +110,7 @@ def _quasi1d_density(z, mu, config: TrapConfig):
     return ((1.0 + w) ** 2 - 1.0) / (4.0 * config.scattering_length)
 
 
-def quasi1d_profile(config: TrapConfig, params: PhysicalParams | None = None) -> DensityProfile:
+def quasi1d_profile(params: PhysicalParams) -> DensityProfile:
     """Longitudinal profile with the radial extension integrated out.
 
     Solves mu - V(z) = mu_eos(n(z)) with the global mu fixed by the atom
@@ -133,14 +121,13 @@ def quasi1d_profile(config: TrapConfig, params: PhysicalParams | None = None) ->
     Compared to Thomas-Fermi at the same atom number the peak density comes
     out ~10% higher and the radius ~4-5% smaller for the reference trap.
     """
+    config = params.config
     if config.regime is not Regime.QUASI_1D:
         raise ConfigError("quasi-1D profile requires regime = quasi_1d")
-    if params is None:
-        params = derive_params(config)
     if config.atom_number_total is not None:
         target = config.atom_number_total / 2.0
-    else:
-        target = atom_number_from_peak_density(params.n_peak, config) / 2.0
+    else:   # the Thomas-Fermi count of the given peak density
+        target = (4.0 / 3.0) * params.n_peak * params.R
 
     m, om = config.atomic_mass, config.omega_long
     hw, a = hbar * config.omega_perp, config.scattering_length
@@ -174,7 +161,7 @@ def quasi1d_profile(config: TrapConfig, params: PhysicalParams | None = None) ->
     slope = config.scattering_length * 2.0 * hbar * config.omega_perp \
         / math.sqrt(1.0 + 4.0 * n_peak_eff * config.scattering_length)
     return DensityProfile(
-        kind="quasi_1d", n_peak=n_peak_eff, radius=R_eff, mu=mu,
+        n_peak=n_peak_eff, radius=R_eff, mu=mu,
         atoms_per_gas=target, eos_slope_peak=slope, mass=m,
     )
 
@@ -226,7 +213,7 @@ class LegendreModeSet(ModeBasis):
                               f"the cloud (R = {self.radius / 1e-6:.6g} um)")
 
     def doubled(self) -> "LegendreModeSet":
-        return build_trapped_modes(self.profile, self.params, 2 * self.j_max)
+        return build_trapped_modes(self.params, 2 * self.j_max)
 
     def split_density_variance(self) -> np.ndarray:
         """<n_j^2> right after splitting: uniform xi_n^2*n_peak/(2R)."""
@@ -253,22 +240,21 @@ def default_j_max(mu: float, omega_scale: float) -> int:
     return max(j, 1)
 
 
-def build_trapped_modes(
-    profile: DensityProfile, params: PhysicalParams, j_max: int | None = None
-) -> LegendreModeSet:
-    """Legendre mode basis for a (possibly effective) parabolic profile.
+def build_trapped_modes(params: PhysicalParams, j_max: int | None = None) -> LegendreModeSet:
+    """Legendre mode basis on the density profile of ``params``' regime.
 
-    For a Thomas-Fermi profile the frequency ladder is anchored to the trap
-    frequency exactly (omega_1 = omega).  For a quasi-1D effective parabola
-    the scale follows from the wave equation on that parabola,
-    omega_scale = sqrt(2) * c_peak / R_eff with the EOS sound speed.
+    A Thomas-Fermi cloud is its own parabola, and its frequency ladder is
+    anchored to the trap frequency exactly (omega_1 = omega).  A quasi-1D
+    cloud is replaced by its effective parabola, whose scale follows from
+    the wave equation on it, omega_scale = sqrt(2) * c_peak / R_eff with
+    the EOS sound speed.
     """
-    m = params.mass
-    c_peak = math.sqrt(profile.n_peak * profile.eos_slope_peak / m)
-    if profile.kind == "thomas_fermi":
-        omega_scale = params.config.omega_long
+    if params.config.regime is Regime.QUASI_1D:
+        profile = quasi1d_profile(params)
+        omega_scale = math.sqrt(2.0) * profile.sound_speed_peak / profile.radius
     else:
-        omega_scale = math.sqrt(2.0) * c_peak / profile.radius
+        profile = tf_profile(params)
+        omega_scale = params.config.omega_long
     v_N = 2.0 * profile.eos_slope_peak / (pi * hbar)
     mu_cap = profile.n_peak * profile.eos_slope_peak  # = m * c_peak^2
     j_max = _mode_count(default_j_max(mu_cap, omega_scale) if j_max is None else j_max,

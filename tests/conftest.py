@@ -10,7 +10,6 @@ from splitgas import (
     build_modes,
     build_trapped_modes,
     derive_params,
-    tf_profile,
 )
 
 
@@ -31,7 +30,7 @@ def trapped_params(trapped_config):
 
 @pytest.fixture(scope="session")
 def trapped_modes(trapped_params):
-    return build_trapped_modes(tf_profile(trapped_params), trapped_params)
+    return build_trapped_modes(trapped_params)
 
 
 @pytest.fixture(scope="session")

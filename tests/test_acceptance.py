@@ -31,7 +31,6 @@ from splitgas import (
     recurrence_scan,
     recurrence_time,
     squeezing_limit,
-    tf_profile,
     variance_field,
 )
 from splitgas.cli import main
@@ -130,7 +129,7 @@ def test_criterion_4_velocity_fits():
     started = time.time()
     cfg_t = _reference_trapped()
     params_t = derive_params(cfg_t)
-    modes_t = build_trapped_modes(tf_profile(params_t), params_t)
+    modes_t = build_trapped_modes(params_t)
     v_tf = _fit_front(params_t, modes_t, trapped=True)
 
     # homogeneous twin at the same peak density, in a wide box
@@ -140,7 +139,7 @@ def test_criterion_4_velocity_fits():
 
     cfg_q = dataclasses.replace(cfg_t, regime="quasi_1d")
     params_q = derive_params(cfg_q)
-    modes_q = build_trapped_modes(quasi1d_profile(cfg_q, params_q), params_q)
+    modes_q = build_trapped_modes(params_q)
     v_q = _fit_front(params_q, modes_q, trapped=True)
 
     gap = (v_tf - v_q) / v_tf
@@ -158,7 +157,7 @@ def test_criterion_5_quasi1d_profile():
     started = time.time()
     cfg = dataclasses.replace(_reference_trapped(), regime="quasi_1d")
     params = derive_params(cfg)
-    prof = quasi1d_profile(cfg, params)
+    prof = quasi1d_profile(params)
     r_ratio = prof.radius / params.R
     n_ratio = prof.n_peak / params.n_peak
     ok = abs(r_ratio - 0.96) <= 0.02 and abs(n_ratio - 1.10) <= 0.03
@@ -178,7 +177,7 @@ def test_criterion_6_recurrences():
 
     # trapped: strongest partial recurrence at 202 +- 5 ms, never full
     params_t = derive_params(_reference_trapped())
-    modes_t = build_trapped_modes(tf_profile(params_t), params_t)
+    modes_t = build_trapped_modes(params_t)
     times = np.arange(0.0, 0.3 + 1e-9, 0.5e-3)
     values = contrast_trace(modes_t, 50e-6, times)
 
@@ -210,7 +209,7 @@ def test_criterion_7_oracle_equivalence():
 
     # trapped ensemble
     params_t = derive_params(_reference_trapped())
-    modes_t = build_trapped_modes(tf_profile(params_t), params_t)
+    modes_t = build_trapped_modes(params_t)
     z_t = modes_t.radius * np.linspace(0.05, 0.75, 10)
     stats_t = estimate_pcf(spec, modes_t, z_t, ts)
     C_t = np.exp(-pointwise_variance(z_t[None, :], 0.0, ts[:, None], modes_t) / 2)
@@ -246,7 +245,7 @@ def test_criterion_8_property_suite(tmp_path):
     params_h = derive_params(_reference_homog())
     modes_h = build_modes(params_h, 100e-6)
     params_t = derive_params(_reference_trapped())
-    modes_t = build_trapped_modes(tf_profile(params_t), params_t)
+    modes_t = build_trapped_modes(params_t)
     rng = np.random.default_rng(17)
     zb = rng.uniform(-45e-6, 45e-6, 128)
     tt = rng.uniform(0.0, 60e-3, 128)

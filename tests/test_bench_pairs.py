@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,30 @@ def test_summarise_schema_and_direction(bench_pairs):
     assert (score["change_wins"], score["ties"]) == (1, 1)
     assert wall["parent"]["median"] == 2.0 and wall["change"]["median"] == 2.0
     assert wall["parent"]["runs"] == [2.0, 2.2, 1.9]
+
+
+def test_stage_copies_tracked_and_untracked_but_not_ignored(bench_pairs, tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "change"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "tracked.py").write_text("old\n")
+    (repo / "gone.txt").write_text("deleted in the working tree\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "pkg" / "tracked.py").write_text("modified\n")
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("build output\n")
+    (repo / "gone.txt").unlink()
+    bench_pairs.stage(dest, repo)
+    assert (dest / "pkg" / "tracked.py").read_text() == "modified\n"
+    assert (dest / "pkg" / "new.py").read_text() == "untracked\n"
+    assert (dest / ".gitignore").exists()
+    assert not (dest / "ignored.txt").exists()
+    assert not (dest / "gone.txt").exists()

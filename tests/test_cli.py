@@ -195,6 +195,18 @@ def test_front_regime_comparison(tmp_path):
     assert 0.05 <= gap <= 0.15
 
 
+def test_front_scan_with_regime_comparison_refused(tmp_path, monkeypatch, capsys):
+    # the comparison table would silently drop the scan
+    monkeypatch.setattr("splitgas.cli._modes", lambda *args: pytest.fail("mode basis built"))
+    cfg = tmp_path / "both.yaml"
+    cfg.write_text(REF_TRAPPED + "analysis:\n  scan_atom_numbers: [3000, 6000]\n"
+                   "  compare_regimes: true\n")
+    assert main(["front", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "analysis.scan_atom_numbers" in err and "analysis.compare_regimes" in err
+
+
 def test_recurrence_homogeneous_exact(homog_file, tmp_path):
     out = str(tmp_path / "rec.csv")
     assert main(["recurrence", "--config", homog_file, "--t-max", "90",

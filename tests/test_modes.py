@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from splitgas import build_trapped_modes, derive_params, quasi1d_profile
+from splitgas import build_trapped_modes, derive_params
 from splitgas.errors import ConfigError
 from splitgas.modes import CONVERGENCE_RTOL, VarianceField, pointwise_variance, variance_field
 from splitgas.observables import contrast_evaluator, pcf
 from splitgas.oracle import EnsembleSpec, estimate_pcf
-from splitgas.trapped import legendre_f
+from splitgas.trapped import legendre_f_table
 
 from reference import dense_contrast
 
@@ -24,9 +24,7 @@ def basis(request):
     if request.param == "thomas_fermi":
         modes = request.getfixturevalue("trapped_modes")
     else:
-        config = request.getfixturevalue("quasi1d_config")
-        params = derive_params(config)
-        modes = build_trapped_modes(quasi1d_profile(config, params), params)
+        modes = build_trapped_modes(derive_params(request.getfixturevalue("quasi1d_config")))
     R = modes.radius
     return modes, np.linspace(-0.9 * R, 0.9 * R, 37), 5e-6, R
 
@@ -74,7 +72,7 @@ NAN = float("nan")
     lambda m: pointwise_variance(NAN, 0.0, 1e-3, m),
     lambda m: estimate_pcf(EnsembleSpec(10, 1), m, [NAN], [1e-3]),
     lambda m: pcf(VarianceField([0.0], [1e-3], [[NAN]], modes=m)),
-    lambda m: legendre_f(2, NAN),
+    lambda m: legendre_f_table(2, NAN),
 ], ids=["field_z", "field_zprime", "pointwise", "oracle", "pcf", "legendre_f"])
 def test_nan_fails_every_domain_check(basis, call):
     # every domain check is written so that NaN fails it, as "outside" does
@@ -122,10 +120,9 @@ def test_homogeneous_lag_path_matches_dense_pair_field(homog_modes, L, n):
     """
     if n is None:
         evaluate = contrast_evaluator(homog_modes, L)
-        n = round(L / evaluate.dz) + 1
+        n = round(L / (homog_modes.xi_h / 2)) + 1
     else:
         evaluate = contrast_evaluator(homog_modes, L, dz=L / (n - 1))
-    assert evaluate.dz * (n - 1) == pytest.approx(L, rel=1e-15)
     dense = dense_contrast(homog_modes, L, n, TIMES)
     np.testing.assert_allclose(evaluate(TIMES), dense, rtol=1e-12, atol=0)
     assert evaluate(TIMES)[0] == pytest.approx(1.0, abs=1e-14)

@@ -22,7 +22,6 @@ from splitgas import (
 )
 from splitgas.modes import VarianceField, variance_field
 from splitgas.observables import _CONTRAST_PANEL_ROWS, FrontTrace, prethermal_pcf
-from splitgas.trapped import quasi1d_profile
 
 from reference import dense_contrast, window_contrast
 
@@ -228,8 +227,7 @@ def test_contrast_window_exceeding_cloud(trapped_modes):
 def quasi1d_modes(quasi1d_config):
     from splitgas import derive_params
 
-    params = derive_params(quasi1d_config)
-    return build_trapped_modes(quasi1d_profile(quasi1d_config, params), params)
+    return build_trapped_modes(derive_params(quasi1d_config))
 
 
 @pytest.mark.parametrize("regime", ["thomas_fermi", "quasi_1d"])
@@ -248,7 +246,7 @@ def test_contrast_evaluator_matches_dense_pair_field(trapped_modes, quasi1d_mode
     t0_tol = 1e-14
     if n is None:
         evaluate = contrast_evaluator(modes, L)
-        n = round(L / evaluate.dz) + 1
+        n = round(L / (modes.xi_h / 2)) + 1
         assert (n + 1) // 2 > _CONTRAST_PANEL_ROWS
     else:
         evaluate = contrast_evaluator(modes, L, dz=L / (n - 1))
@@ -262,7 +260,7 @@ def test_contrast_bulk_equals_single_time_calls(trapped_modes, L):
     # recurrence refinement compares single-time values with bulk samples
     ts = np.arange(0.0, 40e-3, 0.5e-3)       # several kernel blocks, a partial last one
     evaluate = contrast_evaluator(trapped_modes, L)
-    m = (round(L / evaluate.dz) + 2) // 2      # half-grid points
+    m = (round(L / (trapped_modes.xi_h / 2)) + 2) // 2      # half-grid points
     panels = {5e-6: 1, 20e-6: 2, 50e-6: 3, 90e-6: 5}[L]
     assert -(-m // _CONTRAST_PANEL_ROWS) == panels
     bulk = evaluate(ts)
@@ -274,12 +272,11 @@ def test_contrast_bulk_equals_single_time_calls(trapped_modes, L):
 def test_contrast_memory_bounded_per_window():
     import tracemalloc
 
-    from splitgas import derive_params, tf_profile
+    from splitgas import derive_params
     from splitgas.scenario import preset_scenario
 
     sc = preset_scenario("fig8")
-    params = derive_params(sc.config)
-    modes = build_trapped_modes(tf_profile(params), params, sc.j_max)
+    modes = build_trapped_modes(derive_params(sc.config), sc.j_max)
     times = np.arange(0.0, 300.25e-3, 0.5e-3)
     assert times.size == 601
     tracemalloc.start()
@@ -294,11 +291,13 @@ def test_contrast_memory_bounded_per_window():
 def test_front_memory_bounded_on_largest_preset_grid():
     import tracemalloc
 
+    from dataclasses import replace
+
     from splitgas.cli import _modes
     from splitgas.scenario import preset_scenario
 
     sc = preset_scenario("fig5")
-    modes = _modes(sc, sc.config.with_atom_number(9000))
+    modes = _modes(sc, replace(sc.config, atom_number_total=9000, peak_density_per_gas=None))
     dt = (pi / modes.omega_max) / 20.0
     times = np.arange(dt, sc.fit_window[1] + 0.5 * dt, dt)
     field = variance_field(modes, np.arange(0.0, 0.985 * modes.radius, modes.xi_h / 4.0),

@@ -29,6 +29,7 @@ from splitgas.observables import (
     _refine_peak,
     extract_front,
 )
+from splitgas.params import derive_params
 from splitgas.trapped import _quasi1d_density, quasi1d_profile
 
 
@@ -182,7 +183,7 @@ def test_front_row_blocks_match_whole_grid_reference(trapped_modes, monkeypatch)
 ])
 def test_quasi1d_closed_form_normalisation(quasi1d_config, change):
     cfg = dataclasses.replace(quasi1d_config, **change)
-    prof = quasi1d_profile(cfg)
+    prof = quasi1d_profile(derive_params(cfg))
     total, _ = quad(lambda z: _quasi1d_density(z, prof.mu, cfg), -prof.radius, prof.radius,
                     epsabs=0.0, epsrel=1e-13, limit=200)
     assert total == pytest.approx(prof.atoms_per_gas, rel=1e-10, abs=0.0)

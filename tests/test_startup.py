@@ -29,8 +29,8 @@ EXPORTS = {
     "modes": "pointwise_variance variance_field",
     "homogeneous": "PlaneWaveModeSet build_modes covariance_rate phase_covariance "
                    "prethermal_variance recurrence_time thermal_variance variance_rate",
-    "trapped": "DensityProfile LegendreModeSet build_trapped_modes legendre_f "
-               "mode_frequency quasi1d_profile tf_profile",
+    "trapped": "DensityProfile LegendreModeSet build_trapped_modes mode_frequency "
+               "quasi1d_profile",
     "observables": "contrast_evaluator contrast_trace extract_front fit_velocity "
                    "pcf prethermal_pcf recurrence_scan",
     "oracle": "EnsembleSpec EnsembleStats estimate_pcf sample_realization",
@@ -85,7 +85,7 @@ def test_pcf_preset_imports_no_yaml_and_no_oracle(tmp_path):
 def test_public_names_resolve_to_their_defining_modules():
     public = [n for n in dir(splitgas) if not n.startswith("_")]
     assert public == sorted([*HOME, *SUBMODULES])
-    assert len(HOME) == 43
+    assert len(HOME) == 41
     for name, module in HOME.items():
         home = importlib.import_module(f"splitgas.{module}")
         assert getattr(splitgas, name) is getattr(home, name), name

@@ -14,10 +14,8 @@ from splitgas import (
     TrapConfig,
     build_trapped_modes,
     derive_params,
-    legendre_f,
     mode_frequency,
     quasi1d_profile,
-    tf_profile,
 )
 from splitgas.homogeneous import build_modes
 from splitgas.modes import pointwise_variance, variance_field
@@ -35,24 +33,26 @@ def test_mode_frequencies(trapped_config):
 
 
 def test_legendre_values():
-    assert legendre_f(1, 0.5) == pytest.approx(math.sqrt(1.5) * 0.5, rel=1e-14)
-    assert legendre_f(1, 0.5) == pytest.approx(0.6124, abs=1e-4)
-    assert legendre_f(2, 0.5) == pytest.approx(math.sqrt(2.5) * (-0.125), rel=1e-14)
-    assert legendre_f(2, 0.5) == pytest.approx(-0.1976, abs=1e-4)
+    assert legendre_f_table(1, 0.5)[-1] == pytest.approx(math.sqrt(1.5) * 0.5, rel=1e-14)
+    assert legendre_f_table(1, 0.5)[-1] == pytest.approx(0.6124, abs=1e-4)
+    assert legendre_f_table(2, 0.5)[-1] == pytest.approx(math.sqrt(2.5) * (-0.125), rel=1e-14)
+    assert legendre_f_table(2, 0.5)[-1] == pytest.approx(-0.1976, abs=1e-4)
     for j in (1, 2, 5, 12):
-        assert legendre_f(j, 1.0) == pytest.approx(math.sqrt(j + 0.5), rel=1e-13)
-        assert legendre_f(j, -1.0) == pytest.approx(
+        assert legendre_f_table(j, 1.0)[-1] == pytest.approx(math.sqrt(j + 0.5), rel=1e-13)
+        assert legendre_f_table(j, -1.0)[-1] == pytest.approx(
             (-1.0) ** j * math.sqrt(j + 0.5), rel=1e-13)
     with pytest.raises(ConfigError):
-        legendre_f(1, 1.5)
+        legendre_f_table(1, 1.5)
     with pytest.raises(ConfigError):
-        legendre_f(0, 0.3)
+        legendre_f_table(0, 0.3)
 
 
-@pytest.mark.parametrize("call", [mode_frequency, legendre_f], ids=["frequency", "function"])
+@pytest.mark.parametrize("call,name", [(mode_frequency, "mode index j"),
+                                       (legendre_f_table, "j_max")],
+                         ids=["frequency", "function"])
 @pytest.mark.parametrize("j", [math.nan, math.inf, 1.5, 2.5, -1, True])
-def test_mode_index_must_be_a_whole_number_of_at_least_1(call, j):
-    with pytest.raises(ConfigError, match="mode index j must be an integer of at least 1"):
+def test_mode_index_must_be_a_whole_number_of_at_least_1(call, name, j):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer of at least 1"):
         call(j, 0.5)
 
 
@@ -73,9 +73,8 @@ def test_legendre_orthonormality():
     np.testing.assert_allclose(gram, np.eye(10), atol=1e-10)
 
 
-def test_tf_profile(trapped_params):
-    prof = tf_profile(trapped_params)
-    assert prof.kind == "thomas_fermi"
+def test_thomas_fermi_profile(trapped_params):
+    prof = build_trapped_modes(trapped_params).profile
     assert prof.radius == pytest.approx(56e-6, rel=0.02)
     # independent quadrature of the parabola recovers N/2 = 3500
     total, _ = quad(lambda z: trapped_params.n_peak * (1 - (z / prof.radius) ** 2),
@@ -85,8 +84,7 @@ def test_tf_profile(trapped_params):
 
 
 def test_quasi1d_profile(quasi1d_config, trapped_params):
-    prof = quasi1d_profile(quasi1d_config)
-    assert prof.kind == "quasi_1d"
+    prof = quasi1d_profile(derive_params(quasi1d_config))
     assert prof.n_peak / trapped_params.n_peak == pytest.approx(1.10, abs=0.03)
     assert prof.radius / trapped_params.R == pytest.approx(0.96, abs=0.02)
     # the radially integrated equation of state softens the sound speed
@@ -96,7 +94,7 @@ def test_quasi1d_profile(quasi1d_config, trapped_params):
 def test_quasi1d_reduces_to_tf_for_weak_interactions(quasi1d_config):
     # shrinking the scattering length linearises the equation of state
     weak = dataclasses.replace(quasi1d_config, scattering_length=5.2e-12)
-    prof = quasi1d_profile(weak)
+    prof = quasi1d_profile(derive_params(weak))
     tf = derive_params(dataclasses.replace(weak, regime="thomas_fermi"))
     assert prof.n_peak == pytest.approx(tf.n_peak, rel=2e-3)
     assert prof.radius == pytest.approx(tf.R, rel=2e-3)
@@ -105,7 +103,7 @@ def test_quasi1d_reduces_to_tf_for_weak_interactions(quasi1d_config):
 
 def test_quasi1d_requires_regime(trapped_config):
     with pytest.raises(ConfigError):
-        quasi1d_profile(trapped_config)
+        quasi1d_profile(derive_params(trapped_config))
 
 
 def test_trapped_mode_set(trapped_modes, trapped_params):
@@ -126,7 +124,7 @@ def test_trapped_mode_set(trapped_modes, trapped_params):
 def test_build_trapped_modes_refuses_fractional_truncation(trapped_modes):
     # j_max = 2.5 would build 3 modes but store j_max = 2
     with pytest.raises(ConfigError, match="j_max must be an integer"):
-        build_trapped_modes(trapped_modes.profile, trapped_modes.params, 2.5)
+        build_trapped_modes(trapped_modes.params, 2.5)
 
 
 def test_variance_zeros_and_bounds(trapped_modes):
@@ -152,8 +150,7 @@ def test_variance_parity(trapped_modes):
 
 def test_termwise_nonnegative(trapped_modes):
     # adding modes can only increase the variance
-    smaller = build_trapped_modes(trapped_modes.profile, trapped_modes.params,
-                                  trapped_modes.j_max - 20)
+    smaller = build_trapped_modes(trapped_modes.params, trapped_modes.j_max - 20)
     rng = np.random.default_rng(8)
     R = trapped_modes.radius
     z = rng.uniform(-0.9 * R, 0.9 * R, 30)
@@ -200,8 +197,7 @@ def test_trapped_convergence_and_fields(trapped_modes):
     dev0 = field.doubling_dev
     assert 0 < dev0 < 0.05
     # the doubling deviation keeps falling as the cutoff is raised
-    fine = build_trapped_modes(trapped_modes.profile, trapped_modes.params,
-                               4 * trapped_modes.j_max)
+    fine = build_trapped_modes(trapped_modes.params, 4 * trapped_modes.j_max)
     fine_field = variance_field(fine, z, ts, check_convergence=True)
     ok, dev = fine_field.converged, fine_field.doubling_dev
     assert ok and dev < min(5e-3, dev0)
@@ -209,8 +205,8 @@ def test_trapped_convergence_and_fields(trapped_modes):
 
 def test_quasi1d_mode_scale(quasi1d_config):
     params = derive_params(quasi1d_config)
-    prof = quasi1d_profile(quasi1d_config, params)
-    modes = build_trapped_modes(prof, params)
+    prof = quasi1d_profile(params)
+    modes = build_trapped_modes(params)
     # frequency ladder follows the EOS sound speed on the effective parabola
     expected = math.sqrt(2.0) * prof.sound_speed_peak / prof.radius
     assert modes.omega_scale == pytest.approx(expected, rel=1e-12)

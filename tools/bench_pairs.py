@@ -5,11 +5,14 @@
         --workload compute --workload cli_presets --pairs 6 --first-seed 901
 
 Run from the repository root.  The parent is a ``git archive`` of
-``--parent`` unpacked into a temporary directory; the change is the
-working tree.  Pair k runs the parent first when k is even and second when
-it is odd, both sides with the same fresh seed, so that host drift falls on
-both sides alike.  Seeds count up from ``--first-seed`` across all pairs of
-all workloads.
+``--parent`` unpacked into a temporary directory; the change is a copy of
+the working tree's tracked files and its untracked files that are not
+ignored, staged into a sibling directory of the same name length, so that
+the two sides differ only in code, not in where they run from.  Pair k
+runs the parent first when k is even and second when it is odd, both
+sides with the same fresh seed, so that host drift falls on both sides
+alike.  Seeds count up from ``--first-seed`` across all pairs of all
+workloads.
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` the file
 holds both sides' median, quartiles and runs, the pairs the change wins
@@ -30,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -49,12 +53,26 @@ def archive(rev: str, dest: Path) -> str:
     """Unpack ``git archive rev`` into ``dest``; return the short commit id."""
     commit = subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
-    tar = dest / "parent.tar"
+    tar = dest.with_suffix(".tar")
     subprocess.run(["git", "archive", "--output", str(tar), commit], cwd=ROOT, check=True)
     with tarfile.open(tar) as t:
-        t.extractall(dest / "tree", filter="data")
+        t.extractall(dest, filter="data")
     tar.unlink()
     return commit
+
+
+def stage(dest: Path, root: Path = ROOT) -> None:
+    """Copy ``root``'s tracked files and its untracked, not ignored, files into ``dest``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, check=True,
+                            capture_output=True).stdout.split(b"\0")
+    for name in filter(None, listed):
+        src = root / os.fsdecode(name)
+        if not os.path.lexists(src):   # tracked, but deleted in the working tree
+            continue
+        target = dest / os.fsdecode(name)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src, target, follow_symlinks=False)
 
 
 def run_bench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -128,13 +146,16 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        commit = archive(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+        trees = {side: Path(tmp) / side for side in SIDES}
+        commit = archive(args.parent, trees["parent"])
+        stage(trees["change"])
         doc = {"change": args.change, "parent_commit": commit,
                "command": f"python3 {RUN} --workload W --seed S "
                           "(default --seconds, --trace 0)",
-               "method": (f"parent from a git archive copy of {commit}, change from the "
-                          "working tree; alternating pairs, the parent runs first in even "
+               "method": (f"parent from a git archive copy of {commit}, change from a copy "
+                          "of the working tree's tracked and untracked, not ignored, "
+                          "files, each in a sibling temporary directory; alternating "
+                          "pairs, the parent runs first in even "
                           f"pairs and second in odd pairs; quartiles are {QUARTILES} over "
                           "the pairs; change_wins counts pairs where the change's value "
                           "is better"),
