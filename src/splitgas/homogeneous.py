@@ -29,7 +29,7 @@ import numpy as np
 from . import modes as basis
 from .errors import ConfigError
 from .modes import ModeBasis
-from .params import PhysicalParams, _is_finite, _mode_count, hbar, k_B, pi
+from .params import PhysicalParams, _check_temperature, _is_finite, _mode_count, hbar, k_B, pi
 
 __all__ = [
     "PlaneWaveModeSet",
@@ -79,6 +79,13 @@ class PlaneWaveModeSet(ModeBasis):
         zbar = np.abs(z - zprime)
         return np.moveaxis((1.0 - np.cos(self.k * zbar[..., None])) / self.k**2, -1, 0)
 
+    def pair_functions(self, x):
+        """Rows (cos kx, sin kx)/(sqrt(2) k) at x >= 0, each row's mode, even and odd rows:
+        1 - cos k(a - b) = [(cos ka - cos kb)^2 + (sin ka - sin kb)^2]/2 per mode."""
+        kx = self.k[:, None] * x
+        g = np.vstack([np.cos(kx), np.sin(kx)] / (np.sqrt(2.0) * self.k[:, None]))
+        return g, np.tile(np.arange(self.p_max), 2), slice(self.p_max), slice(self.p_max, None)
+
     def functions(self, points) -> np.ndarray:
         """(cos kz, -sin kz), shape (modes, 2, points): the factors of Re and Im
         phi_p in phi(z) = (2/sqrt(L)) sum_p [cos(kz) Re phi_p - sin(kz) Im phi_p]."""
@@ -106,6 +113,7 @@ class PlaneWaveModeSet(ModeBasis):
         return np.full_like(self.k, 1.0 / (2.0 * self.params.squeezing * self.params.n_peak))
 
     def thermal_density_variance(self, temperature: float) -> np.ndarray:
+        _check_temperature(temperature)
         return np.full_like(self.k, k_B * temperature / (2.0 * self.params.g))
 
     def thermal_phase_variance(self, temperature: float) -> np.ndarray:

@@ -40,9 +40,9 @@ class ModeBasis:
 
     Each geometry supplies ``params``, ``omega``, ``coefficient``,
     ``truncation_name``, ``xi_h``, ``time_norm``, ``synthesis_scale``,
-    ``pair_terms``, ``functions``, ``phi_amplitude``, ``check_points`` and
-    ``doubled``.  Results keep the basis that made them and read these
-    facts from it.
+    ``pair_terms``, ``pair_functions``, ``functions``, ``phi_amplitude``,
+    ``check_points`` and ``doubled``.  Results keep the basis that made
+    them and read these facts from it.
     """
 
     @property

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DetectionError
 from .homogeneous import PlaneWaveModeSet, recurrence_time
 from .modes import VarianceField, variance_field
-from .trapped import legendre_f_table
+from .params import _is_finite
 
 __all__ = [
     "FrontTrace",
@@ -38,13 +38,13 @@ __all__ = [
 DEFAULT_FIT_WINDOW = (0.0, 10e-3)
 DEFAULT_PROMINENCE_REL = 0.25
 EDGE_SEARCH_FRACTION = 0.9   # trapped fronts are searched for within 0.9 R
-# The trapped contrast kernel cuts the upper triangle of its m x m half grid
+# The contrast kernel cuts the upper triangle of its m x m half grid
 # into row panels of equal height, at most this many rows each.  More panels
 # waste less of the diagonal squares but add per-call overhead, which the
 # single-time calls of recurrence refinement feel.
 _CONTRAST_PANEL_ROWS = 48
 # time samples per kernel block: at most about this many float64 values
-# (512 kB) per even-j operand (block x (J/2 + 2) x m) and per panel
+# (512 kB) per even-row operand (block x (J/2 + 2) x m) and per panel
 # temporary (block x panel height x m), so a panel's working set stays in
 # L2.  Fewer, larger blocks cut the per-block interpreter work.
 _CONTRAST_PANEL_ELEMENTS = 2**16
@@ -296,35 +296,18 @@ def fit_velocity(trace: FrontTrace, window: tuple = DEFAULT_FIT_WINDOW) -> Veloc
     )
 
 
-def _homog_pair_weights(n: int, dz: float) -> np.ndarray:
-    """Collapse the 2D trapezoid over equal uniform grids to separation lags."""
-    w = np.full(n, dz)
-    w[0] = w[-1] = dz / 2.0
-    c = np.correlate(w, w, mode="full")[n - 1:]
-    c[1:] *= 2.0
-    return c
-
-
-def _homog_contrast_kernel(modes: PlaneWaveModeSet, n: int, step: float):
-    seps = step * np.arange(n)
-    lag_w = _homog_pair_weights(n, step)
-    span = step * (n - 1)
-
-    def values(times: np.ndarray) -> np.ndarray:
-        var = modes.coefficient * (modes.time_factors(times) @ modes.pair_terms(seps, 0.0))
-        return (np.exp(-var / 2.0) @ lag_w) / span**2
-
-    return values
-
-
-def _trapped_contrast_kernel(modes, n: int, step: float):
+def _contrast_kernel(modes, n: int, step: float):
     """C^2(t) over the symmetric n-point window grid of spacing ``step``, from
-    the half grid x >= 0.
+    the half grid x >= 0, for either geometry.
 
-    With V = D_a + D_b - 2 G_ab, C_ab = exp(G_ab - h_a - h_b) where h = D/2.
-    Since f_j(-x) = (-1)^j f_j(x), G between two points of the half grid is
-    Ge + Go for equal signs and Ge - Go for opposite signs, with Ge and Go
-    the even- and odd-j parts of the mode sum.  Hence
+    ``modes.pair_functions`` gives rows g_r with the pair term of each mode
+    the sum over its rows of (g_r(z) - g_r(z'))^2, each row even or odd in
+    x.  With amplitudes a_r (those of the row's mode) the variance is V =
+    D_a + D_b - 2 G_ab, D = sum_r a_r g_r^2 and G_ab = sum_r a_r g_r(a)
+    g_r(b), so C_ab = exp(G_ab - h_a - h_b) with h = D/2.  Mirroring a point
+    flips the sign of the odd rows only, so G between two points of the half
+    grid is Ge + Go for equal signs and Ge - Go for opposite signs, with Ge
+    and Go the sums over the even and odd rows.  Hence
 
         sum_ab w_a w_b C_ab = 2 sum_{a,b>=0} u_a u_b
                               [exp(Ge + Go - h_a - h_b) + exp(Ge - Go - h_a - h_b)]
@@ -336,20 +319,19 @@ def _trapped_contrast_kernel(modes, n: int, step: float):
     diagonal carries the weights u_a u_b, the rectangle to its right
     2 u_a u_b.  Per panel and block of times, Ge - h_a - h_b comes from one
     batched matrix product whose operands carry two extra rows,
-    [amp f_e(a), 1, -h_a] . [f_e(b), -h_b, 1], and Go from a second; h is
-    half the mode sum of amp f^2.  The panel split and the time block
-    depend on the grid and mode counts only, never on the number of times,
-    so every time goes through the same per-time operations whatever the
-    other times of the call, and a single-time call is bit-equal to its
-    entry in a bulk call.
+    [a g_e(a), 1, -h_a] . [g_e(b), -h_b, 1], and Go from a second.  The
+    panel split and the time block depend on the grid and row counts only,
+    never on the number of times, so every time goes through the same
+    per-time operations whatever the other times of the call, and a
+    single-time call is bit-equal to its entry in a bulk call.
     """
     m = (n + 1) // 2
     span = step * (n - 1)
     x = (np.arange(m) + (1 - n % 2) / 2.0) * step
-    f = legendre_f_table(modes.j_max, x / modes.radius)   # (J, m), rows j = 1..J
-    f_odd, f_even = f[0::2], f[1::2]
-    f2 = f * f
-    je = f_even.shape[0]
+    g, mode, even, odd = modes.pair_functions(x)                   # (rows, m)
+    g_odd, g_even = g[odd], g[even]          # slices give views; copies would round apart
+    g2 = g * g
+    je = g_even.shape[0]
     u = np.full(m, step)
     u[-1] = step / 2.0
     if n % 2:
@@ -363,7 +345,7 @@ def _trapped_contrast_kernel(modes, n: int, step: float):
         a1 = min(a0 + height, m)
         w = u[a0:a1, None] * u[a0:]
         w[:, a1 - a0:] *= 2.0
-        panels.append((a0, a1, f_even[:, a0:a1].T, f_odd[:, a0:a1].T, f_odd[:, a0:],
+        panels.append((a0, a1, g_even[:, a0:a1].T, g_odd[:, a0:a1].T, g_odd[:, a0:],
                        w.ravel()))
 
     def values(times: np.ndarray) -> np.ndarray:
@@ -372,22 +354,23 @@ def _trapped_contrast_kernel(modes, n: int, step: float):
         left = np.empty((nb, height, je + 2))
         left[..., je] = 1.0
         right = np.empty((nb, je + 2, m))
-        right[:, :je] = f_even
+        right[:, :je] = g_even
         right[:, je + 1] = 1.0
         for start in range(0, times.size, block):
             tt = times[start:start + block]
             k = tt.size
-            amp = modes.coefficient * np.sin(omega[None, :] * tt[:, None]) ** 2 / omega**2
-            mh = np.matmul(amp[:, None, :], f2)[:, 0] / -2.0            # -h, (k, m)
+            amp = modes.coefficient * np.sin(omega[None, :] * tt[:, None]) ** 2 / modes.time_norm
+            amp = np.take(amp, mode, axis=1)            # per row, C-ordered (amp[:, mode] is not)
+            mh = np.matmul(amp[:, None, :], g2)[:, 0] / -2.0            # -h, (k, m)
             right[:k, je] = mh
-            amp_e, amp_o = amp[:, None, 1::2], amp[:, None, 0::2]
+            amp_e, amp_o = amp[:, None, even], amp[:, None, odd]
             acc = np.zeros(k)
-            for a0, a1, fe_rows, fo_rows, fo_cols, w in panels:
+            for a0, a1, ge_rows, go_rows, go_cols, w in panels:
                 lt = left[:k, :a1 - a0]
-                np.multiply(amp_e, fe_rows, out=lt[..., :je])
+                np.multiply(amp_e, ge_rows, out=lt[..., :je])
                 lt[..., je + 1] = mh[:, a0:a1]
                 e = np.matmul(lt, right[:k, :, a0:])                    # Ge - h_a - h_b
-                go = np.matmul(amp_o * fo_rows, fo_cols)
+                go = np.matmul(amp_o * go_rows, go_cols)
                 s = np.add(e, go)
                 np.exp(s, out=s)
                 e -= go
@@ -403,7 +386,8 @@ def contrast_evaluator(modes, length: float, dz: float | None = None):
     """Evaluator of C^2(t) for an observation window of size L.
 
     Built once per (modes, window); calling it with an array of times
-    returns C^2 at each of them.
+    returns C^2 at each of them, and a single-time call is bit-equal to its
+    entry in a bulk call: both geometries run :func:`_contrast_kernel`.
 
     The position grid step defaults to half the healing length (at the
     cloud centre for trapped gases), below which the integral is converged
@@ -411,10 +395,11 @@ def contrast_evaluator(modes, length: float, dz: float | None = None):
     exactly L, with step L/(n - 1).  The window must fit inside the
     periodic box or the cloud.
     """
-    if not length > 0:   # NaN included
-        raise ConfigError(f"integration length must be strictly positive, got {length!r}")
-    if dz is not None and not dz > 0:
-        raise ConfigError(f"grid step dz must be strictly positive, got {dz!r}")
+    if not (_is_finite(length) and length > 0):
+        raise ConfigError(f"integration length must be finite and strictly positive, "
+                          f"got {length!r}")
+    if dz is not None and not (_is_finite(dz) and dz > 0):
+        raise ConfigError(f"grid step dz must be finite and strictly positive, got {dz!r}")
     homogeneous = isinstance(modes, PlaneWaveModeSet)
     # the box bounds the separations in the window, the cloud its points
     modes.check_points(np.array([length if homogeneous else length / 2.0]))
@@ -422,7 +407,7 @@ def contrast_evaluator(modes, length: float, dz: float | None = None):
     if n < 2:
         raise ConfigError("integration window contains fewer than 2 grid points")
     step = length / (n - 1)
-    kernel = (_homog_contrast_kernel if homogeneous else _trapped_contrast_kernel)(modes, n, step)
+    kernel = _contrast_kernel(modes, n, step)
     return lambda times: kernel(np.atleast_1d(np.asarray(times, dtype=float)))
 
 

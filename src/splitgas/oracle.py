@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .modes import _check_times
-from .params import _is_finite
+from .params import _check_temperature
 
 __all__ = ["EnsembleSpec", "EnsembleStats", "sample_realization", "estimate_pcf"]
 
@@ -68,10 +68,8 @@ class EnsembleSpec:
                 f"master seed must be an integer in [0, 2**64), got {seed!r}")
         if self.kind not in ("split", "thermal"):
             raise ConfigError(f"unknown initial-condition kind: {self.kind!r}")
-        t = self.temperature
-        if self.kind == "thermal" and (t is None or isinstance(t, bool)
-                                       or not (_is_finite(t) and t > 0)):
-            raise ConfigError(f"thermal ensembles need a finite positive temperature, got {t!r}")
+        if self.kind == "thermal":
+            _check_temperature(self.temperature, "thermal ensembles")
 
 
 @dataclass

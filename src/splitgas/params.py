@@ -83,6 +83,12 @@ def _mode_count(value, name: str) -> int:
     return int(value)
 
 
+def _check_temperature(value, who: str = "thermal states") -> None:
+    """The one temperature rule: a number, not a bool, finite and strictly positive."""
+    if isinstance(value, bool) or not (_is_finite(value) and value > 0):
+        raise ConfigError(f"{who} need a finite positive temperature, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrapConfig:
     """User-facing description of one physical scenario.
@@ -170,8 +176,7 @@ class PhysicalParams:
 
     def lambda_T(self, temperature: float) -> float:
         """Thermal phase-coherence length hbar^2*n/(m*k_B*T)."""
-        if not (_is_finite(temperature) and temperature > 0):
-            raise ConfigError("temperature must be finite and strictly positive")
+        _check_temperature(temperature)
         return hbar**2 * self.n_peak / (self.mass * k_B * temperature)
 
 

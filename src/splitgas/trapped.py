@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .modes import ModeBasis
-from .params import PhysicalParams, Regime, TrapConfig, _mode_count, hbar, k_B, pi
+from .params import (PhysicalParams, Regime, TrapConfig, _check_temperature, _is_finite,
+                     _mode_count, hbar, k_B, pi)
 
 __all__ = [
     "mode_frequency",
@@ -50,6 +51,8 @@ def mode_frequency(j: int, omega: float):
     j_arr = np.asarray(j)
     for value in j_arr.ravel().tolist():
         _mode_count(value, "mode index j")
+    if not (_is_finite(omega) and omega > 0):
+        raise ConfigError(f"omega must be finite and strictly positive, got {omega!r}")
     out = omega * np.sqrt(j_arr * (j_arr + 1.0) / 2.0)
     return out if out.ndim else float(out)
 
@@ -203,6 +206,12 @@ class LegendreModeSet(ModeBasis):
         """(f_j(z/R) - f_j(z'/R))^2, shape (modes, *points)."""
         return (self.functions(z)[:, 0] - self.functions(zprime)[:, 0]) ** 2
 
+    def pair_functions(self, x):
+        """Rows f_j(x/R) at x >= 0 in j order, each row's mode, even rows j = 2, 4, ...
+        and odd rows j = 1, 3, ...: the pair term is the squared row difference."""
+        f = legendre_f_table(self.j_max, x / self.radius)
+        return f, np.arange(self.j_max), slice(1, None, 2), slice(0, None, 2)
+
     def phi_amplitude(self) -> np.ndarray:
         """|phase amplitude| per unit initial density amplitude, pi*v_N/omega_j."""
         return pi * self.v_N / self.omega
@@ -226,10 +235,12 @@ class LegendreModeSet(ModeBasis):
         return np.full(self.j_max, self.radius / (2.0 * xi_n2 * self.profile.n_peak))
 
     def thermal_density_variance(self, temperature: float) -> np.ndarray:
+        _check_temperature(temperature)
         val = k_B * temperature / (pi * hbar * self.v_N * self.radius)
         return np.full(self.j_max, val)
 
     def thermal_phase_variance(self, temperature: float) -> np.ndarray:
+        _check_temperature(temperature)
         return pi * self.v_N * k_B * temperature / (hbar * self.radius * self.omega**2)
 
 

@@ -80,6 +80,14 @@ def test_nan_fails_every_domain_check(basis, call):
         call(basis[0])
 
 
+@pytest.mark.parametrize("method", ["thermal_density_variance", "thermal_phase_variance"])
+@pytest.mark.parametrize("T", [NAN, float("inf"), -1e-8, 0.0, True, "1e-8"])
+def test_thermal_variances_refuse_what_the_ensemble_refuses(basis, method, T):
+    # one temperature rule for EnsembleSpec, lambda_T and every thermal method
+    with pytest.raises(ConfigError, match="finite positive temperature"):
+        getattr(basis[0], method)(T)
+
+
 def test_check_points_refuses_out_of_domain(basis):
     modes, _, _, bound = basis
     modes.check_points(np.array([-bound, 0.0, bound]))
@@ -113,7 +121,8 @@ def test_pointwise_variance_refuses_bad_times(basis, t):
                                  (100e-6, None), (20e-6, 41), (20e-6, 42), (100e-6, 101),
                                  (100e-6, 102)])
 def test_homogeneous_lag_path_matches_dense_pair_field(homog_modes, L, n):
-    """Lag-collapsed kernel against the dense (z, z') reference on the same grid.
+    """The contrast kernel on the box against the dense (z, z') reference on
+    the same grid.
 
     ``n=None`` takes the default grid step, which does not divide L; the
     window grid must still span exactly L.

@@ -255,18 +255,24 @@ def test_contrast_evaluator_matches_dense_pair_field(trapped_modes, quasi1d_mode
     assert evaluate(ts)[0] == pytest.approx(1.0, abs=t0_tol)
 
 
-@pytest.mark.parametrize("L", [5e-6, 20e-6, 50e-6, 90e-6])
-def test_contrast_bulk_equals_single_time_calls(trapped_modes, L):
+@pytest.mark.parametrize("geometry,L", [
+    pytest.param(geometry, L, id=f"{L!r}" if geometry == "trapped" else f"homogeneous-{L!r}")
+    for geometry, lengths in (("trapped", (5e-6, 20e-6, 50e-6, 90e-6)),
+                              ("homogeneous", (5e-6, 20e-6, 50e-6, 90e-6, 100e-6)))
+    for L in lengths])
+def test_contrast_bulk_equals_single_time_calls(trapped_modes, homog_modes, geometry, L):
     # recurrence refinement compares single-time values with bulk samples
+    modes = trapped_modes if geometry == "trapped" else homog_modes
     ts = np.arange(0.0, 40e-3, 0.5e-3)       # several kernel blocks, a partial last one
-    evaluate = contrast_evaluator(trapped_modes, L)
-    m = (round(L / (trapped_modes.xi_h / 2)) + 2) // 2      # half-grid points
-    panels = {5e-6: 1, 20e-6: 2, 50e-6: 3, 90e-6: 5}[L]
-    assert -(-m // _CONTRAST_PANEL_ROWS) == panels
+    evaluate = contrast_evaluator(modes, L)
+    if geometry == "trapped":
+        m = (round(L / (modes.xi_h / 2)) + 2) // 2          # half-grid points
+        panels = {5e-6: 1, 20e-6: 2, 50e-6: 3, 90e-6: 5}[L]
+        assert -(-m // _CONTRAST_PANEL_ROWS) == panels
     bulk = evaluate(ts)
     single = np.array([evaluate([t])[0] for t in ts])
     assert np.array_equal(bulk, single)
-    assert np.array_equal(contrast_trace(trapped_modes, L, ts), bulk)
+    assert np.array_equal(contrast_trace(modes, L, ts), bulk)
 
 
 def test_contrast_memory_bounded_per_window():
@@ -320,7 +326,10 @@ def test_contrast_window_needs_two_grid_points(homog_modes, trapped_modes):
 
 
 @pytest.mark.parametrize("length,dz,name", [(40e-6, 0.0, "dz"), (40e-6, math.nan, "dz"),
-                                             (math.nan, None, "integration length")])
+                                             (40e-6, math.inf, "dz"), (40e-6, "1e-7", "dz"),
+                                             (math.nan, None, "integration length"),
+                                             (math.inf, None, "integration length"),
+                                             ("5e-5", None, "integration length")])
 def test_contrast_evaluator_refuses_bad_arguments(homog_modes, trapped_modes, length, dz,
                                                   name):
     for modes in (homog_modes, trapped_modes):

@@ -30,7 +30,7 @@ def test_spec_validation():
         EnsembleSpec(realizations=100, master_seed=1, kind="wigner")
 
 
-@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, True, "3e-8"])
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, -1e-8, 0.0, True, "3e-8"])
 def test_spec_refuses_a_non_finite_temperature(T):
     with pytest.raises(ConfigError, match="finite positive temperature"):
         EnsembleSpec(realizations=10, master_seed=1, kind="thermal", temperature=T)

@@ -32,6 +32,12 @@ def test_mode_frequencies(trapped_config):
         mode_frequency(0, om)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -3.0, 0.0, "3"])
+def test_mode_frequency_refuses_a_bad_scale(omega):
+    with pytest.raises(ConfigError, match="omega must be finite and strictly positive"):
+        mode_frequency(2, omega)
+
+
 def test_legendre_values():
     assert legendre_f_table(1, 0.5)[-1] == pytest.approx(math.sqrt(1.5) * 0.5, rel=1e-14)
     assert legendre_f_table(1, 0.5)[-1] == pytest.approx(0.6124, abs=1e-4)
