@@ -48,9 +48,11 @@ _CONTRAST_PANEL_ROWS = 48
 # temporary (block x panel height x m), so a panel's working set stays in
 # L2.  Fewer, larger blocks cut the per-block interpreter work.
 _CONTRAST_PANEL_ELEMENTS = 2**16
-# The front detector differentiates, smooths and searches the time x position
-# grid this many time rows at a time, so its temporaries stay a few MB on the
-# largest preset grids; every row is processed exactly as on the whole grid.
+# The front detector takes dV/dt, differentiates, smooths and searches the
+# time x position grid this many time rows at a time (dV/dt reads one halo row
+# on each side), for both detectors.  Its temporaries are a few blocks of
+# this many rows, under 3 MB on the largest preset grid whatever its number
+# of rows; every row comes out bit-equal to the whole-grid computation.
 _FRONT_BLOCK_ROWS = 64
 # Recurrence refinement stops once the bracket around a peak is this wide (s).
 _REFINE_BRACKET_S = 1e-9
@@ -185,6 +187,40 @@ def _refine_peak(row: np.ndarray, idx: int, dz: float) -> float:
     return 0.0
 
 
+def _time_derivative_blocks(values: np.ndarray, ts: np.ndarray, rows: int):
+    """Yield (first row, dV/dt) of ``values`` (time x position) ``rows`` time rows at a time.
+
+    Each block reads one halo row on each side and is bit-equal to the same
+    rows of ``np.gradient(values, ts, axis=0)``: it uses the whole grid's
+    three-point coefficients, and numpy's uniform-spacing formula only when
+    the whole grid is exactly uniform, as ``np.gradient`` decides on the
+    whole grid (a slice of it may be uniform where the grid is not).
+    """
+    dt = np.diff(ts)
+    uniform = bool((dt == dt[0]).all())
+    if not uniform:
+        dx1, dx2 = dt[:-1, None], dt[1:, None]
+        a = -(dx2) / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+    n = ts.size
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        i0, i1 = max(lo, 1), min(hi, n - 1)    # the block's interior rows
+        prev, mid, nxt = values[i0 - 1:i1 - 1], values[i0:i1], values[i0 + 1:i1 + 1]
+        out = np.empty((hi - lo, values.shape[1]))
+        if uniform:
+            out[i0 - lo:i1 - lo] = (nxt - prev) / (2.0 * dt[0])
+        else:
+            k = slice(i0 - 1, i1 - 1)
+            out[i0 - lo:i1 - lo] = a[k] * prev + b[k] * mid + c[k] * nxt
+        if lo == 0:
+            out[0] = (values[1] - values[0]) / dt[0]
+        if hi == n:
+            out[-1] = (values[-1] - values[-2]) / dt[-1]
+        yield lo, out
+
+
 def extract_front(
     field: VarianceField,
     smoothing_sigma: float | None = None,
@@ -218,55 +254,59 @@ def extract_front(
     imax = int(np.searchsorted(z, search_max, side="right"))
     guard = max(3, int(round(3.0 * smoothing_sigma / dz)))
 
-    dVdt = np.gradient(field.values, ts, axis=0)
     diagnostics = {"dropped": 0, "search_max": search_max, "guard": guard}
     positions, times = [], []
     # absolute floor: rounding dust of a featureless field must not register
     dt_grid = float(ts[1] - ts[0])
-    deriv_floor = 1e-9 * float(np.abs(field.values).max() or 1.0) / (dt_grid * dz)
+    vmax = max(field.values.max(), -field.values.min())   # max |V|, no copy
+    deriv_floor = 1e-9 * float(vmax or 1.0) / (dt_grid * dz)
 
     if method == "mixed_derivative":
         sigma = smoothing_sigma / dz
         # smoothed outputs left of imax never reach the right-edge padding
         ncol = min(z.size, imax + int(4.0 * sigma + 0.5))
-        if imax - 2 * guard >= 4:
-            for b in range(0, ts.size, _FRONT_BLOCK_ROWS):
-                M = np.gradient(dVdt[b:b + _FRONT_BLOCK_ROWS], z, axis=1)
-                rows = np.abs(_gaussian_smooth(M[:, :ncol], sigma)[:, :imax])
-                seg = rows[:, guard:-guard]
-                rng = seg.max(axis=1) - seg.min(axis=1)
-                row, idx, prom = _peak_prominences(seg)
-                ok = (prom >= DEFAULT_PROMINENCE_REL * rng[row]) & (rng[row] > deriv_floor)
-                row, idx, prom = row[ok], idx[ok], prom[ok]
-                # per row the most prominent peak, the leftmost of equals
-                order = np.lexsort((idx, -prom, row))
-                lead = np.ones(order.size, dtype=bool)
-                lead[1:] = row[order[1:]] != row[order[:-1]]
-                for i, j in zip(row[order[lead]], idx[order[lead]] + guard):
-                    positions.append(z[j] + _refine_peak(rows[i], j, dz))
-                    times.append(ts[b + i])
+        searchable = imax - 2 * guard >= 4
     elif method == "half_plateau":
         n_dec = max(2, (imax - 2 * guard) // 10)
-        for i in range(ts.size):
-            row = np.abs(dVdt[i, guard:imax - guard])
-            if row.size < 4 * n_dec:
-                break
-            inner = float(row[:n_dec].mean())
-            outer = float(row[-n_dec:].mean())
-            if (abs(outer - inner) <= DEFAULT_PROMINENCE_REL * max(outer, inner, 1e-300)
-                    or abs(outer - inner) <= deriv_floor * dz):
-                continue
-            thr = 0.5 * (inner + outer)
-            side = row > thr if outer > inner else row < thr
-            cross = np.nonzero(side)[0]
-            if cross.size == 0 or cross[0] == 0:
-                continue
-            j = cross[0]
-            frac = (thr - row[j - 1]) / (row[j] - row[j - 1])
-            positions.append(z[guard + j - 1] + float(np.clip(frac, 0.0, 1.0)) * dz)
-            times.append(ts[i])
+        # the width of each row's search slice [guard:imax - guard]
+        searchable = len(range(z.size)[guard:imax - guard]) >= 4 * n_dec
     else:
         raise ConfigError(f"unknown front detection method: {method!r}")
+
+    blocks = _time_derivative_blocks(field.values, ts, _FRONT_BLOCK_ROWS) if searchable else ()
+    for b, dVdt in blocks:
+        if method == "mixed_derivative":
+            M = np.gradient(dVdt, z, axis=1)
+            rows = np.abs(_gaussian_smooth(M[:, :ncol], sigma)[:, :imax])
+            seg = rows[:, guard:-guard]
+            rng = seg.max(axis=1) - seg.min(axis=1)
+            row, idx, prom = _peak_prominences(seg)
+            ok = (prom >= DEFAULT_PROMINENCE_REL * rng[row]) & (rng[row] > deriv_floor)
+            row, idx, prom = row[ok], idx[ok], prom[ok]
+            # per row the most prominent peak, the leftmost of equals
+            order = np.lexsort((idx, -prom, row))
+            lead = np.ones(order.size, dtype=bool)
+            lead[1:] = row[order[1:]] != row[order[:-1]]
+            for i, j in zip(row[order[lead]], idx[order[lead]] + guard):
+                positions.append(z[j] + _refine_peak(rows[i], j, dz))
+                times.append(ts[b + i])
+        else:
+            for i in range(dVdt.shape[0]):
+                row = np.abs(dVdt[i, guard:imax - guard])
+                inner = float(row[:n_dec].mean())
+                outer = float(row[-n_dec:].mean())
+                if (abs(outer - inner) <= DEFAULT_PROMINENCE_REL * max(outer, inner, 1e-300)
+                        or abs(outer - inner) <= deriv_floor * dz):
+                    continue
+                thr = 0.5 * (inner + outer)
+                side = row > thr if outer > inner else row < thr
+                cross = np.nonzero(side)[0]
+                if cross.size == 0 or cross[0] == 0:
+                    continue
+                j = cross[0]
+                frac = (thr - row[j - 1]) / (row[j] - row[j - 1])
+                positions.append(z[guard + j - 1] + float(np.clip(frac, 0.0, 1.0)) * dz)
+                times.append(ts[b + i])
     # every row without a detection is dropped, all of them when the search
     # segment is too narrow to search at all
     diagnostics["dropped"] = ts.size - len(times)

@@ -13,7 +13,6 @@ N = 7000 or the stated variants) so each one is a single command.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import partial
@@ -279,6 +278,8 @@ class Scenario:
         setattr(self, attr, parse(value, where))
 
     def sha256(self) -> str:
+        import hashlib   # loads OpenSSL; only a written table needs the hash
+
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()
         ).hexdigest()

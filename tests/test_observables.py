@@ -16,12 +16,19 @@ from splitgas import (
     contrast_trace,
     extract_front,
     fit_velocity,
+    observables,
     pcf,
     recurrence_scan,
     recurrence_time,
 )
 from splitgas.modes import VarianceField, variance_field
-from splitgas.observables import _CONTRAST_PANEL_ROWS, FrontTrace, prethermal_pcf
+from splitgas.observables import (
+    _CONTRAST_PANEL_ROWS,
+    _FRONT_BLOCK_ROWS,
+    FrontTrace,
+    _time_derivative_blocks,
+    prethermal_pcf,
+)
 
 from reference import dense_contrast, window_contrast
 
@@ -166,6 +173,87 @@ def test_extract_front_refuses_bad_smoothing_sigma(sigma):
     field = _synthetic_step_field(1.7e-3, 16e-6)
     with pytest.raises(ConfigError, match="smoothing_sigma"):
         extract_front(field, smoothing_sigma=sigma)
+
+
+FRONT_METHODS = ("mixed_derivative", "half_plateau")
+
+
+@pytest.fixture(scope="module")
+def preset_front_fields(tmp_path_factory):
+    """Every field the ``front`` command hands the detector, over fig1-fig8."""
+    from splitgas.cli import main
+    from splitgas.scenario import PRESET_NAMES
+
+    fields = []
+    detect = observables.extract_front
+
+    def spy(field, *args, **kwargs):
+        fields.append(field)
+        return detect(field, *args, **kwargs)
+
+    out = tmp_path_factory.mktemp("front") / "front.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(observables, "extract_front", spy)
+        for name in PRESET_NAMES:
+            assert main(["front", "--preset", name, "--out", str(out)]) == 0
+    return fields
+
+
+def _whole_grid_blocks(values, ts, rows):
+    """The reference for the row blocks: slices of one whole-grid np.gradient."""
+    dVdt = np.gradient(values, ts, axis=0)
+    for lo in range(0, ts.size, rows):
+        yield lo, dVdt[lo:lo + rows]
+
+
+def _assert_blocks_and_traces_match_whole_grid(field, rows, monkeypatch):
+    whole = np.gradient(field.values, field.times, axis=0)
+    blocks = list(_time_derivative_blocks(field.values, field.times, rows))
+    assert [lo for lo, _ in blocks] == list(range(0, field.times.size, rows))
+    assert np.array_equal(np.concatenate([d for _, d in blocks]), whole)
+
+    monkeypatch.setattr(observables, "_FRONT_BLOCK_ROWS", rows)
+    traces = [extract_front(field, method=m) for m in FRONT_METHODS]
+    monkeypatch.setattr(observables, "_time_derivative_blocks", _whole_grid_blocks)
+    for method, trace in zip(FRONT_METHODS, traces):
+        ref = extract_front(field, method=method)
+        assert len(trace) > 0
+        assert np.array_equal(trace.times, ref.times), method
+        assert np.array_equal(trace.positions, ref.positions), method
+        assert trace.diagnostics == ref.diagnostics
+    monkeypatch.undo()
+
+
+def test_front_derivative_blocks_bit_equal_on_preset_grids(preset_front_fields, monkeypatch):
+    # fig5 scans three atom numbers, fig6 compares three regimes
+    assert len(preset_front_fields) == 12
+    for field in preset_front_fields:
+        for rows in (_FRONT_BLOCK_ROWS, 7):
+            _assert_blocks_and_traces_match_whole_grid(field, rows, monkeypatch)
+
+
+@pytest.mark.parametrize("grid", ["uniform_block", "uniform"])
+def test_front_derivative_blocks_bit_equal_on_a_partly_uniform_grid(
+        grid, cone_modes, cone_params, monkeypatch):
+    """Exactly uniform inside the first blocks, but not overall.
+
+    np.gradient picks its uniform-spacing formula for such a slice, which
+    rounds differently from the three-point weights the whole grid uses.
+    """
+    h = 3 * 2.0**-14          # ~0.18 ms; its multiples are exact, 1/h is not
+    ts = np.arange(1, 61) * h
+    if grid == "uniform_block":
+        ts[40:] += 2.0**-14   # one longer step between rows 39 and 40
+    dt = np.diff(ts)
+    assert np.all(dt[:33] == h) and np.all(dt == h) == (grid == "uniform")
+    z = np.arange(0.0, 35e-6, cone_params.xi_h / 4.0)
+    field = variance_field(cone_modes, z, ts)
+    if grid == "uniform_block":
+        # the pitfall is live: per-block np.gradient is not the whole grid's
+        naive = np.gradient(field.values[:17], ts[:17], axis=0)[1:16]
+        whole = np.gradient(field.values, ts, axis=0)[1:16]
+        assert not np.array_equal(naive, whole)
+    _assert_blocks_and_traces_match_whole_grid(field, 16, monkeypatch)
 
 
 # ------------------------------------------------------------- contrast
@@ -317,6 +405,32 @@ def test_front_memory_bounded_on_largest_preset_grid():
         tracemalloc.stop()
     assert len(trace) > 300
     assert peak < 6e6
+
+
+@pytest.mark.parametrize("method", FRONT_METHODS)
+def test_front_memory_does_not_grow_with_the_time_rows(method):
+    import tracemalloc
+
+    from dataclasses import replace
+
+    from splitgas.cli import _modes
+    from splitgas.scenario import preset_scenario
+
+    sc = preset_scenario("fig5")
+    modes = _modes(sc, replace(sc.config, atom_number_total=9000, peak_density_per_gas=None))
+    dt = (pi / modes.omega_max) / 20.0
+    z = np.arange(0.0, 0.985 * modes.radius, modes.xi_h / 4.0)
+    peaks = []
+    for rows in (318, 4 * 318):
+        field = variance_field(modes, z, np.linspace(dt, 318 * dt, rows))
+        tracemalloc.start()
+        try:
+            trace = extract_front(field, method=method)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 0.9 * rows
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_contrast_window_needs_two_grid_points(homog_modes, trapped_modes):

@@ -1,10 +1,13 @@
-"""Start-up contract: lazy package exports, PyYAML only for --config, cell spelling.
+"""Start-up contract: lazy package exports, PyYAML only for --config, OpenSSL
+only for the table's hash, cell spelling.
 
 Each command runs in a fresh interpreter, so what it imports is part of its
 cost.  ``import splitgas`` loads no submodule; a name is imported on first
 access and then resolves to the same object the eager package gave.
 """
 
+import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -40,12 +43,14 @@ SUBMODULES = "errors homogeneous modes observables oracle params trapped".split(
 
 
 def _child_modules(code: str, tmp_path) -> dict:
-    """Run ``code`` in a fresh interpreter; report whether numpy and which splitgas/yaml modules loaded."""
+    """Run ``code`` in a fresh interpreter; report whether numpy and OpenSSL's
+    ``_hashlib`` loaded, and which splitgas/yaml modules."""
     child = (
         "import json, sys\n"
         f"{code}\n"
         "mods = sorted(m for m in sys.modules if m.split('.')[0] in ('splitgas', 'yaml'))\n"
-        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'modules': mods}))\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules,\n"
+        "                  'openssl': '_hashlib' in sys.modules, 'modules': mods}))\n"
     )
     env = dict(os.environ)
     src = str(Path(splitgas.__file__).resolve().parents[1])
@@ -63,7 +68,45 @@ def _command_modules(argv, tmp_path) -> list:
 
 def test_bare_import_loads_no_submodule(tmp_path):
     loaded = _child_modules("import splitgas", tmp_path)
-    assert loaded == {"numpy": False, "modules": ["splitgas"]}
+    assert loaded == {"numpy": False, "openssl": False, "modules": ["splitgas"]}
+
+
+def test_presets_load_no_openssl_until_the_table_is_hashed(tmp_path):
+    # _hashlib maps OpenSSL (~3.6 MB of RSS); only Scenario.sha256 needs it,
+    # when the table is written, after a command's arrays are freed
+    loaded = _child_modules("from splitgas.cli import main\n"
+                            "from splitgas.scenario import preset_scenario\n"
+                            "preset_scenario('fig5')", tmp_path)
+    assert loaded["numpy"] and "splitgas.scenario" in loaded["modules"]
+    assert not loaded["openssl"]
+
+
+def _load_time_imports(node):
+    """Modules that the imports run at load name: those outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            yield child.module or ""
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _load_time_imports(child)
+
+
+def test_no_module_imports_hashlib_at_load():
+    for path in sorted(Path(splitgas.__file__).parent.glob("*.py")):
+        assert "hashlib" not in set(_load_time_imports(ast.parse(path.read_text()))), path.name
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("fig3", "6a549e32a07a42a6e398b3a2df9a2db18e9515775e0958f441f5f475f39526d7"),
+    ("fig5", "61a2d215d45c56f60cc7a90e30f33e9d1f0923a83bb71eea17929579ab07db7c"),
+])
+def test_config_hash_is_the_sorted_json_of_the_document(name, digest):
+    from splitgas.scenario import preset_scenario
+
+    sc = preset_scenario(name)
+    expected = hashlib.sha256(json.dumps(sc.raw, sort_keys=True).encode()).hexdigest()
+    assert sc.sha256() == expected == digest
 
 
 @pytest.mark.parametrize("argv", [["params", "--preset", "fig4"],
