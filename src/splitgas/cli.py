@@ -163,8 +163,7 @@ def _cmd_pcf(sc):
         ("regime", sc.config.regime.value),
         ("truncation", f"{modes.truncation_name}={modes.truncation}"),
         ("zprime_um", "0" if trapped else "-"),
-        ("truncation_doubling_rel", format(field.doubling_dev, ".3g")),
-        ("truncation_converged", str(field.converged).lower())]
+        ("truncation_doubling_rel", format(field.doubling_dev, ".3g"))]
 
 
 def _front_for_system(modes, fit_window):
@@ -409,6 +408,10 @@ def main(argv=None) -> int:
     except DetectionError as exc:
         print(f"splitgas: detection failure: {exc}", file=sys.stderr)
         return EXIT_DETECTION
+    except MemoryError as exc:
+        print(f"splitgas: configuration error: the scenario's grids are too large "
+              f"to allocate ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -26,13 +26,9 @@ from .params import hbar, k_B
 __all__ = [
     "ModeBasis",
     "VarianceField",
-    "CONVERGENCE_RTOL",
     "pointwise_variance",
     "variance_field",
 ]
-
-#: relative tolerance of the truncation doubling test
-CONVERGENCE_RTOL = 5e-3
 
 
 class ModeBasis:
@@ -41,8 +37,10 @@ class ModeBasis:
     Each geometry supplies ``params``, ``omega``, ``coefficient``,
     ``truncation_name``, ``xi_h``, ``time_norm``, ``synthesis_scale``,
     ``pair_terms``, ``pair_functions``, ``functions``, ``phi_amplitude``,
-    ``check_points`` and ``doubled``.  Results keep the basis that made
-    them and read these facts from it.
+    ``check_points``, ``doubled`` and, for the oracle's initial state,
+    ``split_density_variance``, ``split_phase_variance``,
+    ``thermal_density_variance`` and ``thermal_phase_variance``.  Results
+    keep the basis that made them and read these facts from it.
     """
 
     @property
@@ -69,7 +67,6 @@ class VarianceField:
     positions: np.ndarray   # m; z with fixed zprime (separations from it in a box)
     times: np.ndarray       # s
     values: np.ndarray      # (len(times), len(positions)), dimensionless
-    converged: bool | None = None       # doubling-test verdict, None = not checked
     doubling_dev: float | None = None   # doubling-test deviation, None = not checked
     modes: ModeBasis | None = None      # the basis that made it, None = synthetic
 
@@ -112,10 +109,9 @@ def variance_field(
     """Variance on a (times x z) grid with the second point fixed at zprime.
 
     For the box z - zprime is the separation.  With ``check_convergence``
-    the grid is recomputed at twice the truncation; the deviation
+    the grid is recomputed at twice the truncation, and the deviation
     max|fine - coarse| relative to the field maximum lands in
-    ``field.doubling_dev`` and the verdict ``deviation <
-    CONVERGENCE_RTOL`` in ``field.converged``.  The deviation is taken
+    ``field.doubling_dev``; no verdict is drawn from it.  It is taken
     over point separations above twice the healing length (at the cloud
     centre for trapped gases).  Below it the mode sum is genuinely
     cutoff-dominated (each extra mode contributes ~zbar^2), so pointwise
@@ -129,7 +125,6 @@ def variance_field(
     modes.check_points(np.append(z, zprime))
     terms = modes.pair_terms(z, np.array([zprime]))                   # (M, nz)
     values = modes.coefficient * (modes.time_factors(times) @ terms)  # (nt, nz)
-    converged = None
     dev = None
     if check_convergence:
         fine = variance_field(modes.doubled(), z, times, zprime).values
@@ -138,7 +133,5 @@ def variance_field(
             mask = np.ones_like(z, dtype=bool)
         scale = max(float(np.abs(fine).max()), 1e-300)
         dev = float(np.max(np.abs(fine - values)[:, mask]) / scale)
-        converged = dev < CONVERGENCE_RTOL
-    return VarianceField(positions=z, times=times, values=values,
-                         converged=converged, doubling_dev=dev, modes=modes)
+    return VarianceField(positions=z, times=times, values=values, doubling_dev=dev, modes=modes)
 

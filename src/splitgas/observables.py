@@ -3,12 +3,12 @@
 The correlation function is the Gaussian exponential C = exp(-variance/2).
 The correlation front is located per time sample as the peak of the
 smoothed mixed derivative d2<dphi^2>/dt dz (the variance rate switches
-between its inside- and outside-cone plateaus there); an independent
-half-plateau crossing detector guards against ringing artefacts of the
-truncated mode sums.  The mean squared contrast double-integrates C over
-an observation window, and recurrences are ranked local maxima of that
-trace.  A detected front comes back as a :class:`FrontTrace` and its
-least-squares slope as a :class:`VelocityFit`.
+between its inside- and outside-cone plateaus there).  An independent
+half-plateau crossing detector is kept for the tests, which run it as a
+cross-check of the default one.  The mean squared contrast
+double-integrates C over an observation window, and recurrences are
+ranked local maxima of that trace.  A detected front comes back as a
+:class:`FrontTrace` and its least-squares slope as a :class:`VelocityFit`.
 """
 
 from __future__ import annotations
@@ -221,16 +221,12 @@ def _time_derivative_blocks(values: np.ndarray, ts: np.ndarray, rows: int):
         yield lo, out
 
 
-def extract_front(
-    field: VarianceField,
-    smoothing_sigma: float | None = None,
-    method: str = "mixed_derivative",
-) -> FrontTrace:
+def extract_front(field: VarianceField, method: str = "mixed_derivative") -> FrontTrace:
     """Locate the correlation front z_c(t) on a regular (position x time) grid.
 
     ``mixed_derivative`` (default): per time sample, the front is the most
     prominent peak of |d2 V/dt dz| after Gaussian smoothing of width
-    sigma_z along the position axis (default: the healing length of the
+    sigma_z along the position axis (always the healing length of the
     field's mode basis, 4 grid steps for a field without one).
     ``half_plateau``: the position where |dV/dt| crosses midway between its
     inner and outer plateau levels.  Both ignore the outer edge of trapped
@@ -244,15 +240,11 @@ def extract_front(
     if z.size < 8 or ts.size < 3:
         raise ConfigError("front extraction needs a dense (position x time) grid")
     dz = float(z[1] - z[0])
-    if smoothing_sigma is None:
-        smoothing_sigma = getattr(field.modes, "xi_h", 4.0 * dz)
-    if not 0.0 < smoothing_sigma < math.inf:
-        raise ConfigError(f"smoothing_sigma must be finite and strictly positive, "
-                          f"got {smoothing_sigma!r}")
+    sigma_z = getattr(field.modes, "xi_h", 4.0 * dz)
     radius = getattr(field.modes, "radius", None)   # the box has none
     search_max = float(z[-1]) if radius is None else EDGE_SEARCH_FRACTION * radius
     imax = int(np.searchsorted(z, search_max, side="right"))
-    guard = max(3, int(round(3.0 * smoothing_sigma / dz)))
+    guard = max(3, int(round(3.0 * sigma_z / dz)))
 
     diagnostics = {"dropped": 0, "search_max": search_max, "guard": guard}
     positions, times = [], []
@@ -262,7 +254,7 @@ def extract_front(
     deriv_floor = 1e-9 * float(vmax or 1.0) / (dt_grid * dz)
 
     if method == "mixed_derivative":
-        sigma = smoothing_sigma / dz
+        sigma = sigma_z / dz
         # smoothed outputs left of imax never reach the right-edge padding
         ncol = min(z.size, imax + int(4.0 * sigma + 0.5))
         searchable = imax - 2 * guard >= 4
@@ -451,13 +443,13 @@ def contrast_evaluator(modes, length: float, dz: float | None = None):
     return lambda times: kernel(np.atleast_1d(np.asarray(times, dtype=float)))
 
 
-def contrast_trace(modes, length: float, times, dz: float | None = None) -> np.ndarray:
+def contrast_trace(modes, length: float, times) -> np.ndarray:
     """Mean squared contrast C^2 at each of ``times`` for a window of size L.
 
-    One-shot form of :func:`contrast_evaluator`; build the evaluator once
-    instead when the same window is evaluated repeatedly.
+    One-shot form of :func:`contrast_evaluator` on its default grid; build
+    the evaluator instead to reuse a window or to choose its grid step.
     """
-    return contrast_evaluator(modes, length, dz)(times)
+    return contrast_evaluator(modes, length)(times)
 
 
 def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -515,17 +507,17 @@ def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
                 v, fv = u, fu
 
 
-def recurrence_scan(times, values, refine_fn=None) -> list[tuple[float, float]]:
+def recurrence_scan(times, values, refine_fn) -> list[tuple[float, float]]:
     """Ranked partial recurrences of coherence after the initial dephasing.
 
     ``values`` is C^2 sampled at ascending ``times``.  Local maxima past
     the first local minimum with a prominence of at least 1e-3, sorted by
     strength (the C^2 value at the maximum) rounded to 10 significant
-    digits, strongest first, then by time.  When a continuous evaluator
-    ``refine_fn(t) -> C^2`` is supplied, each sampled peak is polished by
-    Brent's method inside the bracket of its neighbouring samples, so exact
-    rephasings report strength 1 rather than the nearest sample value; the
-    refined point replaces the sample only if it is at least as strong.
+    digits, strongest first, then by time.  Each sampled peak is polished
+    by Brent's method on the continuous evaluator ``refine_fn(t) -> C^2``
+    inside the bracket of its neighbouring samples, so exact rephasings
+    report strength 1 rather than the nearest sample value; the refined
+    point replaces the sample only if it is at least as strong.
     The final bracket is at most 1e-9 s wide: the CLI prints t to 1e-9 s,
     and at a quadratic peak C^2 cannot resolve t much below sqrt(eps) t
     (about 3e-9 s at 0.2 s), so a tighter bracket only buys kernel calls.
@@ -543,12 +535,11 @@ def recurrence_scan(times, values, refine_fn=None) -> list[tuple[float, float]]:
     results = []
     for idx in peaks:
         t_pk, s_pk = float(ts[idx]), float(vals[idx])
-        if refine_fn is not None:
-            lo = ts[idx - 1] if idx > 0 else ts[idx]
-            hi = ts[idx + 1] if idx + 1 < ts.size else ts[idx]
-            t_ref, s_ref = _brent_max(refine_fn, float(lo), float(hi))
-            if s_ref >= s_pk:
-                t_pk, s_pk = t_ref, s_ref
+        lo = ts[idx - 1] if idx > 0 else ts[idx]
+        hi = ts[idx + 1] if idx + 1 < ts.size else ts[idx]
+        t_ref, s_ref = _brent_max(refine_fn, float(lo), float(hi))
+        if s_ref >= s_pk:
+            t_pk, s_pk = t_ref, s_ref
         results.append((t_pk, s_pk))
     # rank on the strength as printed (10 digits), so that equal-looking
     # recurrences rank by time rather than by last-ulp refinement noise

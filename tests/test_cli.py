@@ -535,6 +535,29 @@ def test_json_without_out_refused_before_the_command(monkeypatch, trapped_file, 
     assert "--json requires --out" in capsys.readouterr().err
 
 
+def test_allocation_failure_exits_2_quoting_numpy(monkeypatch, capsys):
+    import splitgas.cli as cli
+
+    # the command is replaced, so nothing oversized is really allocated
+    def oversized(sc):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type float64")
+
+    monkeypatch.setitem(cli._COMMANDS, "pcf", (oversized, "", ()))
+    assert main(["pcf", "--preset", "fig3"]) == 2
+    err = capsys.readouterr().err
+    assert "too large to allocate" in err
+    assert "Unable to allocate 745. GiB" in err
+
+
+def test_pcf_provenance_keys(tmp_path):
+    out = str(tmp_path / "pcf.csv")
+    assert main(["pcf", "--preset", "fig3", "--out", out]) == 0
+    assert [k for k, _ in read_table(out)[0]] == [
+        "splitgas", "command", "config_sha256", "regime", "truncation", "zprime_um",
+        "truncation_doubling_rel", "columns", "rows"]
+
+
 def test_scan_atom_numbers_name_distinct_velocities(tmp_path, capsys):
     path = tmp_path / "scan.yaml"
     out = str(tmp_path / "scan.csv")

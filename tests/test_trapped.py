@@ -199,14 +199,12 @@ def test_trapped_convergence_and_fields(trapped_modes):
     ts = np.linspace(0, 10e-3, 6)
     field = variance_field(trapped_modes, z, ts, check_convergence=True)
     assert field.values.shape == (6, 41)
-    assert field.converged in (True, False)
     dev0 = field.doubling_dev
     assert 0 < dev0 < 0.05
     # the doubling deviation keeps falling as the cutoff is raised
     fine = build_trapped_modes(trapped_modes.params, 4 * trapped_modes.j_max)
     fine_field = variance_field(fine, z, ts, check_convergence=True)
-    ok, dev = fine_field.converged, fine_field.doubling_dev
-    assert ok and dev < min(5e-3, dev0)
+    assert fine_field.doubling_dev < min(5e-3, dev0)
 
 
 def test_quasi1d_mode_scale(quasi1d_config):
