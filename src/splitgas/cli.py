@@ -15,6 +15,7 @@ cap the linear-algebra thread pool.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 EXIT_OK = 0
@@ -70,16 +71,34 @@ def _load_scenario(args):
     return sc
 
 
+def _check_out(path: str, json_mirror: bool) -> None:
+    """Refuse an output path in a missing directory, or naming a directory,
+    before anything is computed."""
+    from .errors import ConfigError
+
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path}: no directory {directory}")
+    for target in (path, path + ".json") if json_mirror else (path,):
+        if os.path.isdir(target):
+            raise ConfigError(f"cannot write {target}: it is a directory")
+
+
 def _write(sc, args, columns, rows, extra) -> None:
     """Stamp a command's table (columns, rows, extra provenance lines) and write it."""
     from . import __version__
+    from .errors import ConfigError
     from .tables import ResultTable, write_table
 
     table = ResultTable(columns, rows, [
         ("splitgas", __version__), ("command", args.command),
         ("config_sha256", sc.sha256()), *extra])
     if args.out:
-        write_table(table, args.out, json_mirror=args.json)
+        try:
+            write_table(table, args.out, json_mirror=args.json)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {exc.filename or args.out}: "
+                              f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(table.to_csv())
 
@@ -396,6 +415,8 @@ def main(argv=None) -> int:
     try:
         if args.json and not args.out:
             raise ConfigError("--json requires --out")
+        if args.out:
+            _check_out(args.out, args.json)
         sc = _load_scenario(args)
         _write(sc, args, *_COMMANDS[args.command][0](sc))
         return EXIT_OK

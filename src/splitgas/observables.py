@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DetectionError
 from .homogeneous import PlaneWaveModeSet, recurrence_time
-from .modes import VarianceField, variance_field
+from .modes import VarianceField, _check_times, variance_field
 from .params import _is_finite
 
 __all__ = [
@@ -44,9 +44,10 @@ EDGE_SEARCH_FRACTION = 0.9   # trapped fronts are searched for within 0.9 R
 # single-time calls of recurrence refinement feel.
 _CONTRAST_PANEL_ROWS = 48
 # time samples per kernel block: at most about this many float64 values
-# (512 kB) per even-row operand (block x (J/2 + 2) x m) and per panel
-# temporary (block x panel height x m), so a panel's working set stays in
-# L2.  Fewer, larger blocks cut the per-block interpreter work.
+# (512 kB) in each of the three buffers that a kernel call allocates and
+# every panel reuses (block x panel height x m), and in a panel's weighted
+# rows (under block x panel height x rows), so the working set stays in L2.
+# Fewer, larger blocks cut the per-block interpreter work.
 _CONTRAST_PANEL_ELEMENTS = 2**16
 # The front detector takes dV/dt, differentiates, smooths and searches the
 # time x position grid this many time rows at a time (dV/dt reads one halo row
@@ -349,63 +350,52 @@ def _contrast_kernel(modes, n: int, step: float):
     only the upper triangle a <= b is evaluated, cut into row panels
     [a0, a1) x [a0, m) of equal height: the square [a0, a1)^2 on the
     diagonal carries the weights u_a u_b, the rectangle to its right
-    2 u_a u_b.  Per panel and block of times, Ge - h_a - h_b comes from one
-    batched matrix product whose operands carry two extra rows,
-    [a g_e(a), 1, -h_a] . [g_e(b), -h_b, 1], and Go from a second.  The
-    panel split and the time block depend on the grid and row counts only,
-    never on the number of times, so every time goes through the same
-    per-time operations whatever the other times of the call, and a
-    single-time call is bit-equal to its entry in a bulk call.
+    2 u_a u_b.  Per block of times h comes from one batched matrix product,
+    and per panel Ge and Go from one each, into buffers allocated once per
+    call; h_b, then h_a, is subtracted from Ge by broadcasting.  Panels and
+    time blocks depend on the grid and row counts only, so each time goes
+    through the same operations whatever the other times of the call, and
+    a single-time call is bit-equal to its entry in a bulk call.
     """
     m = (n + 1) // 2
     span = step * (n - 1)
     x = (np.arange(m) + (1 - n % 2) / 2.0) * step
     g, mode, even, odd = modes.pair_functions(x)                   # (rows, m)
-    g_odd, g_even = g[odd], g[even]          # slices give views; copies would round apart
     g2 = g * g
-    je = g_even.shape[0]
     u = np.full(m, step)
     u[-1] = step / 2.0
     if n % 2:
         u[0] = step / 2.0
-    omega = modes.omega
     count = -(-m // _CONTRAST_PANEL_ROWS)
     height = -(-m // count)
-    block = max(1, _CONTRAST_PANEL_ELEMENTS // (max(height, je + 2) * m))
-    panels = []   # (a0, a1, even rows, odd rows, odd columns, weights)
+    block = max(1, _CONTRAST_PANEL_ELEMENTS // (height * max(m, g.shape[0])))
+    panels = []   # (a0, a1, weights)
     for a0 in range(0, m, height):
         a1 = min(a0 + height, m)
         w = u[a0:a1, None] * u[a0:]
         w[:, a1 - a0:] *= 2.0
-        panels.append((a0, a1, g_even[:, a0:a1].T, g_odd[:, a0:a1].T, g_odd[:, a0:],
-                       w.ravel()))
+        panels.append((a0, a1, w.ravel()))
 
-    def values(times: np.ndarray) -> np.ndarray:
+    def values(times) -> np.ndarray:
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        _check_times(times)
         out = np.empty(times.size)
-        nb = min(block, times.size)
-        left = np.empty((nb, height, je + 2))
-        left[..., je] = 1.0
-        right = np.empty((nb, je + 2, m))
-        right[:, :je] = g_even
-        right[:, je + 1] = 1.0
+        bufs = np.empty((3, min(block, times.size) * height * m))
         for start in range(0, times.size, block):
             tt = times[start:start + block]
             k = tt.size
-            amp = modes.coefficient * np.sin(omega[None, :] * tt[:, None]) ** 2 / modes.time_norm
+            amp = modes.coefficient * np.sin(modes.omega * tt[:, None]) ** 2 / modes.time_norm
             amp = np.take(amp, mode, axis=1)            # per row, C-ordered (amp[:, mode] is not)
-            mh = np.matmul(amp[:, None, :], g2)[:, 0] / -2.0            # -h, (k, m)
-            right[:k, je] = mh
-            amp_e, amp_o = amp[:, None, even], amp[:, None, odd]
+            h = np.matmul(amp[:, None, :], g2)[:, 0] / 2.0                # (k, m)
             acc = np.zeros(k)
-            for a0, a1, ge_rows, go_rows, go_cols, w in panels:
-                lt = left[:k, :a1 - a0]
-                np.multiply(amp_e, ge_rows, out=lt[..., :je])
-                lt[..., je + 1] = mh[:, a0:a1]
-                e = np.matmul(lt, right[:k, :, a0:])                    # Ge - h_a - h_b
-                go = np.matmul(amp_o * go_rows, go_cols)
-                s = np.add(e, go)
-                np.exp(s, out=s)
-                e -= go
+            for a0, a1, w in panels:
+                e, o, s = (b[:k * (a1 - a0) * (m - a0)].reshape(k, a1 - a0, -1) for b in bufs)
+                np.matmul(amp[:, None, even] * g[even, a0:a1].T, g[even, a0:], out=e)
+                np.matmul(amp[:, None, odd] * g[odd, a0:a1].T, g[odd, a0:], out=o)
+                e -= h[:, None, a0:]
+                e -= h[:, a0:a1, None]                              # Ge - h_a - h_b
+                np.exp(np.add(e, o, out=s), out=s)
+                e -= o
                 s += np.exp(e, out=e)
                 acc += np.matmul(s.reshape(k, 1, -1), w)[:, 0]
             out[start:start + k] = 2.0 * acc / span**2
@@ -417,9 +407,10 @@ def _contrast_kernel(modes, n: int, step: float):
 def contrast_evaluator(modes, length: float, dz: float | None = None):
     """Evaluator of C^2(t) for an observation window of size L.
 
-    Built once per (modes, window); calling it with an array of times
-    returns C^2 at each of them, and a single-time call is bit-equal to its
-    entry in a bulk call: both geometries run :func:`_contrast_kernel`.
+    Built once per (modes, window); calling it with times (finite and
+    non-negative, else ConfigError) returns C^2 at each of them, and a
+    single-time call is bit-equal to its entry in a bulk call: both
+    geometries run :func:`_contrast_kernel`.
 
     The position grid step defaults to half the healing length (at the
     cloud centre for trapped gases), below which the integral is converged
@@ -439,8 +430,7 @@ def contrast_evaluator(modes, length: float, dz: float | None = None):
     if n < 2:
         raise ConfigError("integration window contains fewer than 2 grid points")
     step = length / (n - 1)
-    kernel = _contrast_kernel(modes, n, step)
-    return lambda times: kernel(np.atleast_1d(np.asarray(times, dtype=float)))
+    return _contrast_kernel(modes, n, step)
 
 
 def contrast_trace(modes, length: float, times) -> np.ndarray:

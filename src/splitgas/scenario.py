@@ -323,11 +323,21 @@ def _build_scenario(doc: dict) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a YAML scenario file."""
+    import re
+
     import yaml   # only scenario files need PyYAML; presets never load it
 
+    class Loader(yaml.SafeLoader):
+        """YAML 1.1 safe loading plus the floats of YAML 1.2 (7e3, 1.5e3, -.5);
+        the added resolver runs after 1.1's, so what 1.1 resolves reads as before."""
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^(?=.*[.eE])[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=Loader)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}") from None
     except OSError as exc:

@@ -70,39 +70,44 @@ class ResultTable:
 
 
 def write_table(table: ResultTable, path: str, json_mirror: bool = False) -> None:
-    """Write the CSV (and optional JSON mirror), then re-validate the file."""
+    """Check the CSV text as :func:`validate_table` checks a file, then write
+    it (and the optional JSON mirror) once."""
     text = table.to_csv()
+    _check(path, *_parse(path, text.splitlines()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     if json_mirror:
         with open(str(path) + ".json", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(table.to_json())
-    validate_table(path)
+
+
+def _parse(path: str, lines):
+    provenance = []
+    columns = None
+    rows = []
+    for line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if ":" not in body:
+                raise ConfigError(f"{path}: malformed provenance line {line!r}")
+            key, value = body.split(":", 1)
+            provenance.append((key.strip(), value.strip()))
+        elif columns is None:
+            columns = line.split(",")
+        else:
+            rows.append([float(x) for x in line.split(",")])
+    if columns is None:
+        raise ConfigError(f"{path}: no header row found")
+    return provenance, columns, rows
 
 
 def read_table(path: str):
     """Parse an emitted CSV back into (provenance, columns, rows)."""
-    provenance = []
-    columns = None
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" not in body:
-                    raise ConfigError(f"{path}: malformed provenance line {line!r}")
-                key, value = body.split(":", 1)
-                provenance.append((key.strip(), value.strip()))
-            elif columns is None:
-                columns = line.split(",")
-            else:
-                rows.append([float(x) for x in line.split(",")])
-    if columns is None:
-        raise ConfigError(f"{path}: no header row found")
-    return provenance, columns, rows
+        return _parse(path, fh)
 
 
 def validate_table(path: str) -> None:
@@ -111,7 +116,10 @@ def validate_table(path: str) -> None:
     Checks: provenance block present, declared column/row counts match the
     payload, every column is named, and every cell parses as a number.
     """
-    provenance, columns, rows = read_table(path)
+    _check(path, *read_table(path))
+
+
+def _check(path: str, provenance, columns, rows) -> None:
     keys = dict(provenance)
     if "columns" not in keys or "rows" not in keys:
         raise ConfigError(f"{path}: provenance must declare column and row counts")

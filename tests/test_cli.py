@@ -459,7 +459,17 @@ def test_contrast_window_longer_than_box_rejected(tmp_path, capsys, command):
     assert "150 um" in err and "100 um" in err
 
 
-def test_contrast_tables_identical_across_threads_and_reruns(tmp_path):
+# CI's smoke runs: each preset's natural command, the box contrast and
+# recurrence, and the oracle's two samplers; all but the box runs have a
+# reference table in perfbench/reference/
+SMOKE_RUNS = ["params-fig4", "squeezing-map-fig1", "pcf-fig2", "pcf-fig3", "front-fig3",
+              "pcf-fig4", "front-fig5", "front-fig6", "recurrence-fig7", "contrast-fig8",
+              "contrast-fig3", "recurrence-fig3", "oracle-fig4", "oracle-fig3"]
+
+
+@pytest.mark.parametrize("name", SMOKE_RUNS)
+def test_preset_tables_identical_across_threads_and_reruns(tmp_path, name):
+    import importlib.util
     import os
     import subprocess
     import sys
@@ -467,21 +477,33 @@ def test_contrast_tables_identical_across_threads_and_reruns(tmp_path):
 
     import splitgas
 
+    root = Path(__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
     src = str(Path(splitgas.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for argv in (["contrast", "--preset", "fig8", "--t-max", "20"],
-                 ["recurrence", "--preset", "fig7"]):
-        tables = []
-        for run, threads in enumerate(["1", "2", "1"]):
-            out = tmp_path / f"{argv[0]}-{run}.csv"
-            subprocess.run([sys.executable, "-m", "splitgas.cli", *argv, "--out", str(out)],
-                           env={**env, "SPLITGAS_THREADS": threads}, cwd=tmp_path,
-                           timeout=300, check=True)
-            tables.append(out.read_bytes())
-        assert tables[0] == tables[1] == tables[2], argv
+    command, preset = name.rsplit("-", 1)
+    seed = 1 if command == "oracle" else None
+    argv = [sys.executable, "-m", "splitgas.cli", command, "--preset", preset,
+            *(["--seed", str(seed)] if seed else [])]
+    # fresh processes at 1 and 2 BLAS threads, and a rerun at 1, side by side
+    runs = [(tmp_path / f"{run}.csv", subprocess.Popen(
+                [*argv, "--out", str(tmp_path / f"{run}.csv")],
+                env={**env, "SPLITGAS_THREADS": threads}, cwd=tmp_path))
+            for run, threads in enumerate(["1", "2", "1"])]
+    try:
+        assert [proc.wait(timeout=300) for _, proc in runs] == [0, 0, 0]
+    finally:
+        for _, proc in runs:
+            proc.kill()
+    tables = [out.read_bytes() for out, _ in runs]
+    assert tables[0] == tables[1] == tables[2]
+    if name not in ("contrast-fig3", "recurrence-fig3"):
+        spec = importlib.util.spec_from_file_location("check", root / "perfbench" / "check.py")
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        assert check.check_table(name, runs[0][0], seed=seed) == []
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig4"])
@@ -533,6 +555,47 @@ def test_json_without_out_refused_before_the_command(monkeypatch, trapped_file, 
     assert main(["params", "--config", trapped_file, "--json"]) == 2
     assert calls == []
     assert "--json requires --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out,refused,reason", [("missing/p.csv", "missing/p.csv", "no directory"),
+                                                ("", "", "it is a directory"),
+                                                ("p.csv", "p.csv.json", "it is a directory")])
+def test_unwritable_out_refused_before_the_command(monkeypatch, tmp_path, capsys, out, refused,
+                                                    reason):
+    import splitgas.cli as cli
+
+    calls = []
+    monkeypatch.setitem(cli._COMMANDS, "params", (lambda sc: calls.append(sc), "", ()))
+    (tmp_path / "p.csv.json").mkdir()             # the --json mirror path of p.csv
+    assert main(["params", "--preset", "fig4", "--out", str(tmp_path / out), "--json"]) == 2
+    assert calls == []
+    assert f"cannot write {tmp_path / refused}: {reason}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv.json"]
+
+
+def test_write_error_exits_2_naming_the_path(monkeypatch, tmp_path, capsys):
+    import splitgas.tables as tables
+
+    out = tmp_path / "p.csv"
+
+    def refused(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(tables, "open", refused, raising=False)
+    assert main(["params", "--preset", "fig4", "--out", str(out)]) == 2
+    assert f"cannot write {out}: Permission denied" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_is_written_once_and_not_read_back(monkeypatch, capsys):
+    import os
+
+    import splitgas.tables as tables
+
+    # os.devnull reads back empty, which the re-read of the written file refused
+    monkeypatch.setattr(tables, "read_table", lambda path: pytest.fail("re-read " + path))
+    assert main(["params", "--preset", "fig4", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_allocation_failure_exits_2_quoting_numpy(monkeypatch, capsys):
@@ -608,6 +671,36 @@ def test_duplicate_atom_number_refused_at_load(tmp_path):
     path.write_text(REF_TRAPPED + "analysis:\n  scan_atom_numbers: [3000, 6000, 3000.0]\n")
     with pytest.raises(ConfigError, match=r"analysis\.scan_atom_numbers: 3000\.0 repeats 3000"):
         load_scenario(str(path))
+
+
+@pytest.mark.parametrize("spelling", ["7e3", "7E3", "7.0e3", "+7e+3", ".7e4"])
+def test_yaml_1_2_float_spellings_read_as_numbers(tmp_path, capsys, spelling):
+    # YAML 1.1 takes a float only with a dot and a signed exponent
+    rows = []
+    for value in ("7000", spelling, f"'{spelling}'"):
+        path = tmp_path / "n.yaml"
+        path.write_text(REF_TRAPPED.replace("7000", value))
+        out = str(tmp_path / "n.csv")
+        code = main(["params", "--config", str(path), "--out", out])
+        rows.append(read_table(out)[2] if code == 0 else code)
+    assert rows[1] == rows[0]
+    assert rows[2] == 2
+    assert f"expected a number, got '{spelling}'" in capsys.readouterr().err
+
+
+def test_scenario_documents_read_as_yaml_1_1_does(tmp_path):
+    import yaml
+    from pathlib import Path
+
+    from splitgas.scenario import load_scenario
+
+    # every scalar YAML 1.1 resolves keeps its value, so config_sha256 holds
+    path = tmp_path / "spellings.yaml"
+    path.write_text(REF_HOMOG + "analysis:\n  fit_window_ms: [0x0, 1_0.5]\n"
+                    "  contrast_lengths_um: [1.5e+1, .5e+2, 020, 1:30.0]\n")
+    reference = Path(__file__).resolve().parents[1] / "scenarios" / "reference.yaml"
+    for scenario in (path, reference):
+        assert load_scenario(str(scenario)).raw == yaml.safe_load(scenario.read_text())
 
 
 def test_directory_as_scenario_file(tmp_path, capsys):

@@ -444,6 +444,16 @@ def test_contrast_evaluator_refuses_bad_arguments(homog_modes, trapped_modes, le
             contrast_evaluator(modes, length, dz=dz)
 
 
+@pytest.mark.parametrize("times", [[math.nan], [math.inf], [-1e-3], [1e-3, math.nan]])
+def test_contrast_evaluator_refuses_bad_times(homog_modes, trapped_modes, times):
+    # variance_field refuses these times; the contrast kernel used to return
+    # nan for nan, nan with a RuntimeWarning for inf, and a value for t < 0
+    for modes in (homog_modes, trapped_modes):
+        evaluate = contrast_evaluator(modes, 20e-6)
+        with pytest.raises(ConfigError, match="evolution times must be finite and non-negative"):
+            evaluate(times)
+
+
 def test_contrast_window_longer_than_box(homog_modes):
     contrast_evaluator(homog_modes, homog_modes.L)      # the whole ring is fine
     with pytest.raises(ConfigError, match="periodic box"):
