@@ -5,13 +5,13 @@ Library layout:
 - :mod:`splitgas.params` - scalar physics of a scenario (coupling, sound
   speed, Luttinger parameter, interferometry criteria).
 - :mod:`splitgas.modes` - the mode basis, and the one home of the mode sums
-  (pointwise variance, variance field) of both geometries.
+  (pointwise variance, variance field) of both geometries and of the
+  correlation function.
 - :mod:`splitgas.homogeneous` - plane-wave modes and phase statistics of
   the boxed gas.
 - :mod:`splitgas.trapped` - density profiles and Legendre modes of the
   harmonically trapped gas.
-- :mod:`splitgas.observables` - correlation functions, light-cone front,
-  contrast and recurrences.
+- :mod:`splitgas.observables` - light-cone front, contrast and recurrences.
 - :mod:`splitgas.oracle` - Monte-Carlo sampling of the same statistics.
 - :mod:`splitgas.cli` - scenario-driven command line front end.
 
@@ -46,7 +46,7 @@ _EXPORTS = {
         "dephasing_times", "derive_params", "multimode_condition",
         "peak_density_from_atom_number", "squeezing_limit", "squeezing_map",
     ),
-    "modes": ("pointwise_variance", "variance_field"),
+    "modes": ("pcf", "pointwise_variance", "variance_field"),
     "homogeneous": (
         "PlaneWaveModeSet", "build_modes", "covariance_rate", "phase_covariance",
         "prethermal_variance", "recurrence_time", "thermal_variance", "variance_rate",
@@ -57,7 +57,7 @@ _EXPORTS = {
     ),
     "observables": (
         "contrast_evaluator", "contrast_trace", "extract_front", "fit_velocity",
-        "pcf", "prethermal_pcf", "recurrence_scan",
+        "prethermal_pcf", "recurrence_scan",
     ),
     "oracle": ("EnsembleSpec", "EnsembleStats", "estimate_pcf", "sample_realization"),
 }

@@ -161,8 +161,7 @@ def _cmd_params(sc):
 def _cmd_pcf(sc):
     import numpy as np
 
-    from .modes import variance_field
-    from .observables import pcf
+    from .modes import pcf, variance_field
     from .scenario import time_column
 
     modes = _modes(sc)
@@ -357,9 +356,7 @@ def _cmd_squeezing_map(sc):
 def _cmd_oracle(sc):
     import numpy as np
 
-    from .homogeneous import recurrence_time
-    from .modes import variance_field
-    from .observables import pcf
+    from .modes import pcf, variance_field
     from .oracle import EnsembleSpec, estimate_pcf
 
     modes = _modes(sc)
@@ -369,6 +366,8 @@ def _cmd_oracle(sc):
         z = modes.radius * np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75])
         times = np.array([1.0, 2.0, 4.0, 6.0, 10.0]) * MS
     else:
+        from .homogeneous import recurrence_time
+
         z = modes.L * np.array([0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20, 0.25])
         times = recurrence_time(modes.L, modes.params.c) * np.array([0.04, 0.08, 0.12, 0.20, 0.30])
     z = sc.oracle_zbar if sc.oracle_zbar is not None else z

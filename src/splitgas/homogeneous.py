@@ -77,7 +77,10 @@ class PlaneWaveModeSet(ModeBasis):
     def pair_terms(self, z, zprime) -> np.ndarray:
         """(1 - cos(k zbar))/k^2 at zbar = |z - z'|, shape (modes, *points)."""
         zbar = np.abs(z - zprime)
-        return np.moveaxis((1.0 - np.cos(self.k * zbar[..., None])) / self.k**2, -1, 0)
+        terms = np.cos(self.k * zbar[..., None])
+        np.subtract(1.0, terms, out=terms)
+        terms /= self.k**2
+        return np.moveaxis(terms, -1, 0)
 
     def pair_functions(self, x):
         """Rows (cos kx, sin kx)/(sqrt(2) k) at x >= 0, each row's mode, even and odd rows:

@@ -11,7 +11,8 @@ PRA 58, 2385 (1998); Petrov, Shlyapnikov & Walraven, PRL 85, 3745 (2000)).
 The pointwise sum and the field with its truncation doubling check are
 written once here against :class:`ModeBasis`; they are the only public
 names of these sums, for both geometries.  The field is a
-:class:`VarianceField`, which keeps the basis that made it.
+:class:`VarianceField`, which keeps the basis that made it; its correlation
+function is the Gaussian exponential C = exp(-variance/2), :func:`pcf`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .params import hbar, k_B
 __all__ = [
     "ModeBasis",
     "VarianceField",
+    "pcf",
     "pointwise_variance",
     "variance_field",
 ]
@@ -57,7 +59,10 @@ class ModeBasis:
 
     def time_factors(self, times: np.ndarray) -> np.ndarray:
         """sin^2(omega_m t) / time_norm_m, shape (times, modes)."""
-        return np.sin(self.omega[None, :] * times[:, None]) ** 2 / self.time_norm
+        s = np.sin(self.omega[None, :] * times[:, None])
+        np.square(s, out=s)
+        s /= self.time_norm
+        return s
 
 
 @dataclass
@@ -124,7 +129,8 @@ def variance_field(
     _check_times(times)
     modes.check_points(np.append(z, zprime))
     terms = modes.pair_terms(z, np.array([zprime]))                   # (M, nz)
-    values = modes.coefficient * (modes.time_factors(times) @ terms)  # (nt, nz)
+    values = modes.time_factors(times) @ terms                        # (nt, nz)
+    values *= modes.coefficient
     dev = None
     if check_convergence:
         fine = variance_field(modes.doubled(), z, times, zprime).values
@@ -135,3 +141,9 @@ def variance_field(
         dev = float(np.max(np.abs(fine - values)[:, mask]) / scale)
     return VarianceField(positions=z, times=times, values=values, doubling_dev=dev, modes=modes)
 
+
+def pcf(variance: VarianceField) -> np.ndarray:
+    """Correlation C = exp(-variance/2), element-wise on the field's grid."""
+    if not np.all(variance.values >= 0):   # NaN included
+        raise ConfigError("variance must be non-negative")
+    return np.exp(-variance.values / 2.0)

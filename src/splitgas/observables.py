@@ -1,6 +1,5 @@
 """Measurable quantities derived from variance fields.
 
-The correlation function is the Gaussian exponential C = exp(-variance/2).
 The correlation front is located per time sample as the peak of the
 smoothed mixed derivative d2<dphi^2>/dt dz (the variance rate switches
 between its inside- and outside-cone plateaus there).  An independent
@@ -20,13 +19,12 @@ import numpy as np
 
 from .errors import ConfigError, DetectionError
 from .homogeneous import PlaneWaveModeSet, recurrence_time
-from .modes import VarianceField, _check_times, variance_field
+from .modes import VarianceField, _check_times, pcf, variance_field
 from .params import _is_finite
 
 __all__ = [
     "FrontTrace",
     "VelocityFit",
-    "pcf",
     "extract_front",
     "fit_velocity",
     "contrast_evaluator",
@@ -52,9 +50,11 @@ _CONTRAST_PANEL_ELEMENTS = 2**16
 # The front detector takes dV/dt, differentiates, smooths and searches the
 # time x position grid this many time rows at a time (dV/dt reads one halo row
 # on each side), for both detectors.  Its temporaries are a few blocks of
-# this many rows, under 3 MB on the largest preset grid whatever its number
+# this many rows, under 2 MB on the largest preset grid whatever its number
 # of rows; every row comes out bit-equal to the whole-grid computation.
-_FRONT_BLOCK_ROWS = 64
+# Fewer rows would leave the peak to the per-row detection lists, which grow
+# with the number of rows.
+_FRONT_BLOCK_ROWS = 40
 # Recurrence refinement stops once the bracket around a peak is this wide (s).
 _REFINE_BRACKET_S = 1e-9
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
@@ -81,13 +81,6 @@ class VelocityFit:
     intercept: float      # m
     residual_rms: float   # m
     n_points: int
-
-
-def pcf(variance: VarianceField) -> np.ndarray:
-    """Correlation C = exp(-variance/2), element-wise on the field's grid."""
-    if not np.all(variance.values >= 0):   # NaN included
-        raise ConfigError("variance must be non-negative")
-    return np.exp(-variance.values / 2.0)
 
 
 def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:

@@ -278,11 +278,20 @@ class Scenario:
         setattr(self, attr, parse(value, where))
 
     def sha256(self) -> str:
-        import hashlib   # loads OpenSSL; only a written table needs the hash
+        return _sha256()(json.dumps(self.raw, sort_keys=True).encode()).hexdigest()
 
-        return hashlib.sha256(
-            json.dumps(self.raw, sort_keys=True).encode()
-        ).hexdigest()
+
+def _sha256():
+    """The interpreter's built-in SHA-256, which hashlib falls back to: the same
+    digest without importing hashlib, which maps OpenSSL (about 3.4 MB of RSS)."""
+    try:
+        from _sha2 import sha256          # CPython >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256    # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 def _build_config(trap: dict) -> TrapConfig:

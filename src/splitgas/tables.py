@@ -98,10 +98,25 @@ def _parse(path: str, lines):
         elif columns is None:
             columns = line.split(",")
         else:
-            rows.append([float(x) for x in line.split(",")])
+            cells = line.split(",")
+            try:
+                rows.append([float(x) for x in cells])
+            except ValueError:
+                j = next(j for j, x in enumerate(cells) if not _is_number(x))
+                column = repr(columns[j]) if j < len(columns) else str(j)
+                raise ConfigError(f"{path}: row {len(rows)}, column {column}: "
+                                  f"{cells[j]!r} is not a number") from None
     if columns is None:
         raise ConfigError(f"{path}: no header row found")
     return provenance, columns, rows
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def read_table(path: str):

@@ -73,8 +73,9 @@ def legendre_f_table(j_max: int, x) -> np.ndarray:
     P[1] = x
     for n in range(1, j_max):
         P[n + 1] = ((2 * n + 1) * x * P[n] - n * P[n - 1]) / (n + 1)
-    norm = np.sqrt(np.arange(1, j_max + 1) + 0.5)
-    return norm[:, None] * P[1:]
+    f = P[1:]
+    f *= np.sqrt(np.arange(1, j_max + 1) + 0.5)[:, None]
+    return f
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,10 @@ class LegendreModeSet(ModeBasis):
         return f.reshape(self.j_max, 1, *points.shape)
 
     def pair_terms(self, z, zprime) -> np.ndarray:
-        """(f_j(z/R) - f_j(z'/R))^2, shape (modes, *points)."""
-        return (self.functions(z)[:, 0] - self.functions(zprime)[:, 0]) ** 2
+        """(f_j(z/R) - f_j(z'/R))^2, shape (modes, *z.shape); z' broadcasts to z."""
+        terms = self.functions(z)[:, 0]
+        terms -= self.functions(zprime)[:, 0]
+        return np.square(terms, out=terms)
 
     def pair_functions(self, x):
         """Rows f_j(x/R) at x >= 0 in j order, each row's mode, even rows j = 2, 4, ...

@@ -5,8 +5,8 @@ import pytest
 
 from splitgas import build_trapped_modes, derive_params
 from splitgas.errors import ConfigError
-from splitgas.modes import VarianceField, pointwise_variance, variance_field
-from splitgas.observables import contrast_evaluator, pcf
+from splitgas.modes import VarianceField, pcf, pointwise_variance, variance_field
+from splitgas.observables import contrast_evaluator
 from splitgas.oracle import EnsembleSpec, estimate_pcf
 from splitgas.trapped import legendre_f_table
 
@@ -134,3 +134,58 @@ def test_homogeneous_lag_path_matches_dense_pair_field(homog_modes, L, n):
     dense = dense_contrast(homog_modes, L, n, TIMES)
     np.testing.assert_allclose(evaluate(TIMES), dense, rtol=1e-12, atol=0)
     assert evaluate(TIMES)[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def _legendre_reference(j_max, x):
+    P = [np.ones_like(x), x]
+    for n in range(1, j_max):
+        P.append(((2 * n + 1) * x * P[n] - n * P[n - 1]) / (n + 1))
+    return np.sqrt(np.arange(1, j_max + 1) + 0.5)[:, None] * np.array(P[1:])
+
+
+@pytest.fixture(scope="module", params=["fig5", "fig3"])
+def front_grid(request):
+    """The front command's basis and (z, t) grid: fig5 at N = 9000, fig3's box."""
+    from dataclasses import replace
+
+    from splitgas.cli import _modes
+    from splitgas.homogeneous import PlaneWaveModeSet, default_rate_step
+    from splitgas.scenario import preset_scenario
+
+    sc = preset_scenario(request.param)
+    config = None
+    if request.param == "fig5":
+        config = replace(sc.config, atom_number_total=9000, peak_density_per_gas=None)
+    modes = _modes(sc, config)
+    dt = default_rate_step(modes)
+    times = np.arange(dt, sc.fit_window[1] + 0.5 * dt, dt)
+    z_hi = 0.45 * modes.L if isinstance(modes, PlaneWaveModeSet) else 0.985 * modes.radius
+    return modes, np.arange(0.0, z_hi, modes.xi_h / 4.0), times
+
+
+def test_in_place_builders_bit_equal_to_the_formulas(front_grid):
+    """Mode tables, time factors and the field are built in their own arrays;
+    each is bit-equal to the out-of-place formula."""
+    modes, z, times = front_grid
+    zprime = np.array([0.0])
+    zz = np.broadcast_arrays(z[::8, None], z[None, ::8])
+    if hasattr(modes, "k"):
+        def reference(a, b):
+            zbar = np.abs(a - b)
+            return np.moveaxis((1.0 - np.cos(modes.k * zbar[..., None])) / modes.k**2, -1, 0)
+    else:
+        assert np.array_equal(legendre_f_table(modes.j_max, z / modes.radius),
+                              _legendre_reference(modes.j_max, z / modes.radius))
+
+        def reference(a, b):
+            x, xp = a.ravel() / modes.radius, b.ravel() / modes.radius
+            f = _legendre_reference(modes.j_max, x).reshape(-1, *a.shape)
+            fp = _legendre_reference(modes.j_max, xp).reshape(-1, *b.shape)
+            return (f - fp) ** 2
+    terms = reference(z, zprime)
+    assert np.array_equal(modes.pair_terms(z, zprime), terms)
+    assert np.array_equal(modes.pair_terms(*zz), reference(*zz))
+    amp = np.sin(modes.omega[None, :] * times[:, None]) ** 2 / modes.time_norm
+    assert np.array_equal(modes.time_factors(times), amp)
+    values = modes.coefficient * (amp @ terms)
+    assert np.array_equal(variance_field(modes, z, times).values, values)

@@ -1,5 +1,7 @@
 """Scenario parsing, unit conversion and result-table round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.constants import pi
@@ -99,6 +101,17 @@ def test_table_round_trip(tmp_path):
 
     mirror = json.loads(open(path + ".json").read())
     assert mirror["columns"] == ["a_um", "b"]
+
+
+@pytest.mark.parametrize("row,message", [
+    ("3,abc", "row 1, column 'b': 'abc' is not a number"),
+    ("3,4,x", "row 1, column 2: 'x' is not a number"),
+])
+def test_unparsable_cell_names_path_row_and_column(tmp_path, row, message):
+    path = tmp_path / "t.csv"
+    path.write_text(f"# columns: 2\n# rows: 2\na,b\n1,2\n{row}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        validate_table(str(path))
 
 
 def test_table_width_mismatch():

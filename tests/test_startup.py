@@ -1,5 +1,5 @@
 """Start-up contract: lazy package exports, PyYAML only for --config, OpenSSL
-only for the table's hash, cell spelling.
+only through the oracle's numpy.random, cell spelling.
 
 Each command runs in a fresh interpreter, so what it imports is part of its
 cost.  ``import splitgas`` loads no submodule; a name is imported on first
@@ -29,13 +29,13 @@ EXPORTS = {
     "params": "RB87 PhysicalParams Regime SpeciesPreset TrapConfig dephasing_times "
               "derive_params multimode_condition peak_density_from_atom_number "
               "squeezing_limit squeezing_map",
-    "modes": "pointwise_variance variance_field",
+    "modes": "pcf pointwise_variance variance_field",
     "homogeneous": "PlaneWaveModeSet build_modes covariance_rate phase_covariance "
                    "prethermal_variance recurrence_time thermal_variance variance_rate",
     "trapped": "DensityProfile LegendreModeSet build_trapped_modes mode_frequency "
                "quasi1d_profile",
     "observables": "contrast_evaluator contrast_trace extract_front fit_velocity "
-                   "pcf prethermal_pcf recurrence_scan",
+                   "prethermal_pcf recurrence_scan",
     "oracle": "EnsembleSpec EnsembleStats estimate_pcf sample_realization",
 }
 HOME = {name: module for module, names in EXPORTS.items() for name in names.split()}
@@ -60,10 +60,10 @@ def _child_modules(code: str, tmp_path) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _command_modules(argv, tmp_path) -> list:
+def _command_modules(argv, tmp_path) -> dict:
     code = ("from splitgas.cli import main\n"
             f"assert main({[*argv, '--out', 'out.csv']!r}) == 0")
-    return _child_modules(code, tmp_path)["modules"]
+    return _child_modules(code, tmp_path)
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
@@ -71,12 +71,13 @@ def test_bare_import_loads_no_submodule(tmp_path):
     assert loaded == {"numpy": False, "openssl": False, "modules": ["splitgas"]}
 
 
-def test_presets_load_no_openssl_until_the_table_is_hashed(tmp_path):
-    # _hashlib maps OpenSSL (~3.6 MB of RSS); only Scenario.sha256 needs it,
-    # when the table is written, after a command's arrays are freed
-    loaded = _child_modules("from splitgas.cli import main\n"
-                            "from splitgas.scenario import preset_scenario\n"
-                            "preset_scenario('fig5')", tmp_path)
+@pytest.mark.parametrize("command,preset", [("params", "fig4"), ("pcf", "fig3"),
+                                            ("front", "fig3"), ("contrast", "fig3")])
+def test_only_the_oracle_loads_openssl(command, preset, tmp_path):
+    # _hashlib maps OpenSSL (about 3.4 MB of RSS).  The table's config_sha256 comes
+    # from the interpreter's built-in SHA-256; the oracle alone loads OpenSSL,
+    # through numpy.random's import of secrets
+    loaded = _command_modules([command, "--preset", preset], tmp_path)
     assert loaded["numpy"] and "splitgas.scenario" in loaded["modules"]
     assert not loaded["openssl"]
 
@@ -97,10 +98,13 @@ def test_no_module_imports_hashlib_at_load():
         assert "hashlib" not in set(_load_time_imports(ast.parse(path.read_text()))), path.name
 
 
-@pytest.mark.parametrize("name,digest", [
+DIGESTS = [
     ("fig3", "6a549e32a07a42a6e398b3a2df9a2db18e9515775e0958f441f5f475f39526d7"),
     ("fig5", "61a2d215d45c56f60cc7a90e30f33e9d1f0923a83bb71eea17929579ab07db7c"),
-])
+]
+
+
+@pytest.mark.parametrize("name,digest", DIGESTS)
 def test_config_hash_is_the_sorted_json_of_the_document(name, digest):
     from splitgas.scenario import preset_scenario
 
@@ -109,18 +113,37 @@ def test_config_hash_is_the_sorted_json_of_the_document(name, digest):
     assert sc.sha256() == expected == digest
 
 
+@pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")],
+                         ids=["builtin", "no_sha2", "hashlib"])
+@pytest.mark.parametrize("name,digest", DIGESTS)
+def test_config_hash_is_the_same_on_every_import_branch(name, digest, blocked, monkeypatch):
+    # _sha2 is CPython >= 3.12's built-in module, _sha256 that of 3.10-3.11;
+    # a None entry in sys.modules makes its import fail
+    from splitgas.scenario import _sha256, preset_scenario
+
+    for module in blocked:
+        monkeypatch.setitem(sys.modules, module, None)
+    constructor = _sha256()
+    if not blocked:
+        assert constructor.__module__ in ("_sha2", "_sha256")
+    if "_sha256" in blocked:
+        assert constructor is hashlib.sha256
+    assert preset_scenario(name).sha256() == digest
+
+
 @pytest.mark.parametrize("argv", [["params", "--preset", "fig4"],
                                   ["squeezing-map", "--preset", "fig1"]])
 def test_light_commands_import_only_what_they_run(argv, tmp_path):
-    loaded = _command_modules(argv, tmp_path)
+    loaded = _command_modules(argv, tmp_path)["modules"]
     assert set(loaded) <= {"splitgas", "splitgas.cli", "splitgas.errors",
                            "splitgas.params", "splitgas.scenario", "splitgas.tables"}
     assert "splitgas.cli" in loaded
 
 
 def test_pcf_preset_imports_no_yaml_and_no_oracle(tmp_path):
-    loaded = _command_modules(["pcf", "--preset", "fig3"], tmp_path)
-    assert "splitgas.observables" in loaded
+    # pcf reads the correlation function from modes; observables stays unloaded
+    loaded = _command_modules(["pcf", "--preset", "fig3"], tmp_path)["modules"]
+    assert "splitgas.modes" in loaded and "splitgas.observables" not in loaded
     assert not any(m == "yaml" or m.startswith("yaml.") for m in loaded)
     assert "splitgas.oracle" not in loaded
 
