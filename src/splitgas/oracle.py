@@ -29,10 +29,15 @@ ordered by mode index; for plane waves the real part of each mode before
 its imaginary part).  The draws are therefore the same however
 realizations are grouped, and reruns at a fixed seed, spec, grid and
 linear-algebra thread count are byte-identical.
+
+numpy.random is imported on the first draw, with OpenSSL's ``_hashlib``
+blocked, so the oracle runs on the interpreter's built-in hashes and does
+not map OpenSSL (about 3.4 MB of RSS); see :func:`_generator`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +110,27 @@ def _rekey(gen: np.random.Generator, seed: int, index: int) -> np.random.Generat
 
 
 def _generator() -> np.random.Generator:
-    """A Philox generator to be positioned by :func:`_rekey`."""
+    """A Philox generator to be positioned by :func:`_rekey`.
+
+    The first call imports numpy.random.  Its seed sequences import
+    ``secrets``, which imports ``hmac`` and ``hashlib``; with
+    ``sys.modules["_hashlib"]`` set to None these fall back to the built-in
+    hashes, as on an interpreter built without OpenSSL.  ``secrets.randbits``
+    reads ``os.urandom`` either way, and keyed Philox streams read no entropy,
+    so no draw changes.  ``hashlib`` and ``hmac`` then leave ``sys.modules``
+    if this import loaded them, so a later ``import hashlib`` gets OpenSSL.
+    A session that already loaded numpy.random, ``hmac`` or ``_hashlib``
+    imports as usual.
+    """
+    if not {"numpy.random", "hmac", "_hashlib"} & sys.modules.keys():
+        fresh = {"hashlib", "hmac"} - sys.modules.keys()
+        sys.modules["_hashlib"] = None
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del sys.modules["_hashlib"]
+            for name in fresh & sys.modules.keys():
+                del sys.modules[name]
     return np.random.Generator(np.random.Philox(0))
 
 

@@ -1,5 +1,5 @@
-"""Start-up contract: lazy package exports, PyYAML only for --config, OpenSSL
-only through the oracle's numpy.random, cell spelling.
+"""Start-up contract: lazy package exports, PyYAML only for --config, numpy.random
+only on the oracle's first draw, OpenSSL in no command, cell spelling.
 
 Each command runs in a fresh interpreter, so what it imports is part of its
 cost.  ``import splitgas`` loads no submodule; a name is imported on first
@@ -42,22 +42,36 @@ HOME = {name: module for module, names in EXPORTS.items() for name in names.spli
 SUBMODULES = "errors homogeneous modes observables oracle params trapped".split()
 
 
+def _run_child(code: str, tmp_path) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout; its stdout."""
+    env = dict(os.environ)
+    src = str(Path(splitgas.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def _child_modules(code: str, tmp_path) -> dict:
-    """Run ``code`` in a fresh interpreter; report whether numpy and OpenSSL's
-    ``_hashlib`` loaded, and which splitgas/yaml modules."""
+    """Run ``code`` in a fresh interpreter; report whether numpy, numpy.random
+    and OpenSSL's ``_hashlib`` loaded, and which splitgas/yaml modules.
+
+    A ``None`` entry for ``_hashlib`` (the oracle's import-time block) left
+    in ``sys.modules`` fails the run."""
     child = (
         "import json, sys\n"
         f"{code}\n"
         "mods = sorted(m for m in sys.modules if m.split('.')[0] in ('splitgas', 'yaml'))\n"
         "print(json.dumps({'numpy': 'numpy' in sys.modules,\n"
-        "                  'openssl': '_hashlib' in sys.modules, 'modules': mods}))\n"
+        "                  'random': 'numpy.random' in sys.modules,\n"
+        "                  'openssl': sys.modules.get('_hashlib') is not None,\n"
+        "                  'placeholder': sys.modules.get('_hashlib', 0) is None,\n"
+        "                  'modules': mods}))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(splitgas.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", child], env=env, cwd=tmp_path,
-                         capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
+    record = json.loads(_run_child(child, tmp_path).splitlines()[-1])
+    assert not record.pop("placeholder"), "a None _hashlib entry was left in sys.modules"
+    return record
 
 
 def _command_modules(argv, tmp_path) -> dict:
@@ -68,18 +82,77 @@ def _command_modules(argv, tmp_path) -> dict:
 
 def test_bare_import_loads_no_submodule(tmp_path):
     loaded = _child_modules("import splitgas", tmp_path)
-    assert loaded == {"numpy": False, "openssl": False, "modules": ["splitgas"]}
+    assert loaded == {"numpy": False, "random": False, "openssl": False,
+                      "modules": ["splitgas"]}
 
 
 @pytest.mark.parametrize("command,preset", [("params", "fig4"), ("pcf", "fig3"),
-                                            ("front", "fig3"), ("contrast", "fig3")])
-def test_only_the_oracle_loads_openssl(command, preset, tmp_path):
+                                            ("front", "fig3"), ("contrast", "fig3"),
+                                            ("oracle", "fig4"), ("oracle", "fig3")])
+def test_no_command_loads_openssl(command, preset, tmp_path):
     # _hashlib maps OpenSSL (about 3.4 MB of RSS).  The table's config_sha256 comes
-    # from the interpreter's built-in SHA-256; the oracle alone loads OpenSSL,
-    # through numpy.random's import of secrets
-    loaded = _command_modules([command, "--preset", preset], tmp_path)
+    # from the interpreter's built-in SHA-256, and the oracle imports numpy.random
+    # (whose secrets imports hmac and hashlib) with _hashlib blocked
+    seed = ["--seed", "1"] if command == "oracle" else []
+    loaded = _command_modules([command, "--preset", preset, *seed], tmp_path)
     assert loaded["numpy"] and "splitgas.scenario" in loaded["modules"]
+    assert loaded["random"] == (command == "oracle")
     assert not loaded["openssl"]
+
+
+def test_importing_the_oracle_and_every_export_loads_no_numpy_random(tmp_path):
+    # numpy.random costs 10-16 ms of start-up; the oracle imports it on its first draw
+    loaded = _child_modules(
+        "import splitgas.oracle\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "import splitgas\n"
+        "for name in splitgas.__all__:\n"
+        "    getattr(splitgas, name)\n", tmp_path)
+    assert loaded["numpy"] and not loaded["random"] and not loaded["openssl"]
+    assert "splitgas.oracle" in loaded["modules"]
+
+
+# A child draws a small ensemble through the library; the test then imports
+# what a later part of the session may want
+_DRAW = """
+import sys
+from splitgas import EnsembleSpec, build_modes, derive_params, estimate_pcf
+from splitgas.scenario import preset_scenario
+sc = preset_scenario('fig3')
+modes = build_modes(derive_params(sc.config), sc.config.system_length)
+estimate_pcf(EnsembleSpec(8, 3), modes, [1e-6, 5e-6], [1e-3])
+assert 'numpy.random' in sys.modules
+"""
+
+
+def test_a_later_import_of_hashlib_gets_openssl_and_seed_sequences_get_entropy(tmp_path):
+    out = _run_child(_DRAW + (
+        "assert not {'hashlib', 'hmac', '_hashlib'} & sys.modules.keys()\n"
+        "import hashlib, hmac\n"
+        "import numpy as np\n"
+        "assert sys.modules.get('_hashlib') is not None\n"
+        "assert hasattr(hashlib, 'pbkdf2_hmac')\n"
+        "print(hmac.new(b'splitgas', b'oracle', 'sha256').hexdigest())\n"
+        "print(np.random.SeedSequence().entropy != np.random.SeedSequence().entropy)\n"
+    ), tmp_path)
+    digest, fresh = out.split()
+    assert digest == "4d4ed0f5c4f299a56b906bb29c601ae3eef37152bbc45da177ac269ca7bcf0fc"
+    assert fresh == "True"
+
+
+def test_hashlib_imported_first_is_kept_and_the_table_is_unchanged(tmp_path):
+    argv = ["oracle", "--preset", "fig4", "--seed", "1", "--out"]
+    _run_child("from splitgas.cli import main\n"
+               f"assert main({[*argv, 'plain.csv']!r}) == 0\n", tmp_path)
+    _run_child(
+        "import hashlib, sys\n"
+        "before = dict(sys.modules)\n"
+        "from splitgas.cli import main\n"
+        f"assert main({[*argv, 'first.csv']!r}) == 0\n"
+        "assert 'numpy.random' in sys.modules\n"
+        "assert all(sys.modules.get(m) is before[m] for m in before), "
+        "[m for m in before if sys.modules.get(m) is not before[m]]\n", tmp_path)
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def _load_time_imports(node):
