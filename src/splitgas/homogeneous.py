@@ -29,7 +29,7 @@ import numpy as np
 from . import modes as basis
 from .errors import ConfigError
 from .modes import ModeBasis
-from .params import PhysicalParams, _check_temperature, _is_finite, _mode_count, hbar, k_B, pi
+from .params import PhysicalParams, _check_positive, _check_temperature, _mode_count, hbar, k_B, pi
 
 __all__ = [
     "PlaneWaveModeSet",
@@ -70,9 +70,9 @@ class PlaneWaveModeSet(ModeBasis):
         return self.params.xi_h
 
     @property
-    def synthesis_scale(self) -> float:
-        """(2/sqrt(L)) / sqrt(2): Re and Im parts each carry half the variance."""
-        return 2.0 / np.sqrt(self.L) / np.sqrt(2.0)
+    def synthesis_scale(self) -> np.ndarray:
+        """Field per unit amplitude on a pair row, 2k/sqrt(L)."""
+        return 2.0 * self.k / np.sqrt(self.L)
 
     def pair_terms(self, z, zprime) -> np.ndarray:
         """(1 - cos(k zbar))/k^2 at zbar = |z - z'|, shape (modes, *points)."""
@@ -83,17 +83,13 @@ class PlaneWaveModeSet(ModeBasis):
         return np.moveaxis(terms, -1, 0)
 
     def pair_functions(self, x):
-        """Rows (cos kx, sin kx)/(sqrt(2) k) at x >= 0, each row's mode, even and odd rows:
-        1 - cos k(a - b) = [(cos ka - cos kb)^2 + (sin ka - sin kb)^2]/2 per mode."""
+        """Rows (cos kx, -sin kx)/(sqrt(2) k) mode by mode, the factors of Re and Im phi_p,
+        each row's mode, even and odd rows: 1 - cos k(a - b) = [(cos ka - cos kb)^2 +
+        (sin ka - sin kb)^2]/2 per mode."""
         kx = self.k[:, None] * x
-        g = np.vstack([np.cos(kx), np.sin(kx)] / (np.sqrt(2.0) * self.k[:, None]))
-        return g, np.tile(np.arange(self.p_max), 2), slice(self.p_max), slice(self.p_max, None)
-
-    def functions(self, points) -> np.ndarray:
-        """(cos kz, -sin kz), shape (modes, 2, points): the factors of Re and Im
-        phi_p in phi(z) = (2/sqrt(L)) sum_p [cos(kz) Re phi_p - sin(kz) Im phi_p]."""
-        kz = self.k[:, None] * points[None, :]
-        return np.stack([np.cos(kz), -np.sin(kz)], axis=1)
+        g = np.stack([np.cos(kx), -np.sin(kx)], axis=1) / (np.sqrt(2.0) * self.k[:, None, None])
+        return g.reshape(2 * self.p_max, -1), np.repeat(np.arange(self.p_max), 2), \
+            slice(0, None, 2), slice(1, None, 2)
 
     def check_points(self, points) -> None:
         if not np.all(np.abs(points) <= self.L):   # NaN included
@@ -135,8 +131,7 @@ def build_modes(params: PhysicalParams, L: float, p_max: int | None = None) -> P
     ``p_max`` defaults to ceil(L/(2*pi*xi_h)), i.e. the phononic cutoff at
     the healing length.
     """
-    if not (_is_finite(L) and L > 0):
-        raise ConfigError(f"box size L must be finite and strictly positive, got {L!r}")
+    _check_positive(L, "box size L")
     p_max = _mode_count(default_p_max(params, L) if p_max is None else p_max, "p_max")
     p = np.arange(1, p_max + 1, dtype=float)
     k = 2.0 * pi * p / L
@@ -184,39 +179,37 @@ def stationary_variance(zbar, modes: PlaneWaveModeSet):
     is lifted, i.e. the infinite-system ramp 2*zbar/l0_eff times a
     finite-size factor (1 - zbar/L).
     """
-    zbar = np.abs(np.asarray(zbar, dtype=float))
-    w = (1.0 - np.cos(modes.k * zbar[..., None])) / modes.k**2
-    out = 0.5 * modes.coefficient * np.sum(w, axis=-1)
+    out = 0.5 * modes.coefficient * np.sum(modes.pair_terms(np.asarray(zbar, float), 0.0), axis=0)
     return out if out.ndim else float(out)
 
 
-def thermal_variance(zbar, temperature: float, modes: PlaneWaveModeSet):
-    """Two-point phase variance of the thermal reference state.
+def thermal_variance(z, temperature: float, modes: ModeBasis):
+    """Two-point phase variance of the thermal reference state, between z and 0.
 
     Thermal occupations equipartition the two quadratures, so the state is
-    stationary and the variance time independent: sum of 2*(1 - cos k zbar)
-    * <|phi_k|^2>_th * 2/L over positive modes, with <|phi_k|^2>_th =
-    2/(lambda_T k^2).  Grows linearly with T and monotonically with |zbar|
-    on [0, L/2].
+    stationary and the variance time independent.  In the box it is the sum
+    of 2*(1 - cos k zbar) * <|phi_k|^2>_th * 2/L over positive modes, with
+    <|phi_k|^2>_th = 2/(lambda_T k^2); it grows linearly with T and
+    monotonically with |zbar| on [0, L/2].
     """
-    return _phase_noise_variance(zbar, modes.thermal_phase_variance(temperature), modes)
+    return _phase_noise_variance(z, modes.thermal_phase_variance(temperature), modes)
 
 
-def initial_phase_variance(zbar, modes: PlaneWaveModeSet):
-    """Variance of the relative phase at t = 0 from splitting shot noise.
+def initial_phase_variance(z, modes: ModeBasis):
+    """Variance of phi(z) - phi(0) at t = 0 from splitting shot noise.
 
     This is the contribution the analytic fields drop; the oracle adds it
     back when ``include_initial_phase_noise`` is set.
     """
-    return _phase_noise_variance(zbar, modes.split_phase_variance(), modes)
+    return _phase_noise_variance(z, modes.split_phase_variance(), modes)
 
 
-def _phase_noise_variance(zbar, var_phi: np.ndarray, modes: PlaneWaveModeSet):
-    """(4/L) * sum_p var_phi_p * (1 - cos k_p zbar): the variance of a
-    stationary state with phase-quadrature variances var_phi."""
-    zbar = np.abs(np.asarray(zbar, dtype=float))
-    w = 1.0 - np.cos(modes.k * zbar[..., None])
-    out = (4.0 / modes.L) * np.sum(var_phi * w, axis=-1)
+def _phase_noise_variance(z, var_phi: np.ndarray, modes: ModeBasis):
+    """sum_m var_phi_m * synthesis_scale_m^2 * pair_terms_m(z, 0): the variance
+    of a stationary state with phase-quadrature variances var_phi."""
+    z = np.asarray(z, dtype=float)
+    terms = modes.pair_terms(z, np.zeros_like(z))
+    out = np.tensordot(var_phi * modes.synthesis_scale**2, terms, axes=1)
     return out if out.ndim else float(out)
 
 
@@ -250,8 +243,8 @@ def _central_rate(f, t, modes: PlaneWaveModeSet, dt: float | None):
     """(f(t + dt) - f(t - dt)) / (2 dt), dt defaulting to :func:`default_rate_step`."""
     if dt is None:
         dt = default_rate_step(modes)
-    elif not (_is_finite(dt) and dt > 0):
-        raise ConfigError(f"dt must be finite and strictly positive, got {dt!r}")
+    else:
+        _check_positive(dt, "dt")
     t = np.asarray(t, dtype=float)
     if not np.all((t >= dt) & (t < np.inf)):
         raise ConfigError("t must be finite and exceed the finite-difference step")
@@ -260,6 +253,6 @@ def _central_rate(f, t, modes: PlaneWaveModeSet, dt: float | None):
 
 def recurrence_time(L: float, c: float) -> float:
     """Full rephasing period L/(2c) of the commensurate spectrum."""
-    if not (_is_finite(L) and L > 0 and _is_finite(c) and c > 0):
-        raise ConfigError(f"L and c must be finite and strictly positive, got {L!r}, {c!r}")
+    _check_positive(L, "L")
+    _check_positive(c, "c")
     return L / (2.0 * c)

@@ -38,11 +38,14 @@ class ModeBasis:
 
     Each geometry supplies ``params``, ``omega``, ``coefficient``,
     ``truncation_name``, ``xi_h``, ``time_norm``, ``synthesis_scale``,
-    ``pair_terms``, ``pair_functions``, ``functions``, ``phi_amplitude``,
-    ``check_points``, ``doubled`` and, for the oracle's initial state,
+    ``pair_terms``, ``pair_functions``, ``phi_amplitude``, ``check_points``,
+    ``doubled`` and, for the oracle's initial state,
     ``split_density_variance``, ``split_phase_variance``,
-    ``thermal_density_variance`` and ``thermal_phase_variance``.  Results
-    keep the basis that made them and read these facts from it.
+    ``thermal_density_variance`` and ``thermal_phase_variance``.
+    ``pair_functions`` is the one table of mode functions: mode m's pair
+    term sums (g_r(z) - g_r(z'))^2 over its rows r, and a unit amplitude on
+    row r adds synthesis_scale_m * g_r to the field.  Results keep the
+    basis that made them and read these facts from it.
     """
 
     @property

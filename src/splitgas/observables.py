@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DetectionError
 from .homogeneous import PlaneWaveModeSet, recurrence_time
 from .modes import VarianceField, _check_times, pcf, variance_field
-from .params import _is_finite
+from .params import _check_positive
 
 __all__ = [
     "FrontTrace",
@@ -411,11 +411,9 @@ def contrast_evaluator(modes, length: float, dz: float | None = None):
     exactly L, with step L/(n - 1).  The window must fit inside the
     periodic box or the cloud.
     """
-    if not (_is_finite(length) and length > 0):
-        raise ConfigError(f"integration length must be finite and strictly positive, "
-                          f"got {length!r}")
-    if dz is not None and not (_is_finite(dz) and dz > 0):
-        raise ConfigError(f"grid step dz must be finite and strictly positive, got {dz!r}")
+    _check_positive(length, "integration length")
+    if dz is not None:
+        _check_positive(dz, "grid step dz")
     homogeneous = isinstance(modes, PlaneWaveModeSet)
     # the box bounds the separations in the window, the cloud its points
     modes.check_points(np.array([length if homogeneous else length / 2.0]))

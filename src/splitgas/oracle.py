@@ -9,11 +9,12 @@ checks the analytic mode sums end to end; the ensemble mean of
 sin(phi - phi') must vanish and is recorded as a sanity channel.
 
 The field is linear in the draws, so each ensemble builds one basis of
-shape (M, nt*nz): row m is the field that a unit value of draw m produces
-on the flattened (t, z) grid, with the draw's standard deviation, its
-harmonic factor sin or cos(omega t) and the mode function folded in.  For
-the estimator the mode functions are differenced against z' inside the
-basis, so the degenerate point z = z' is exactly zero.  Realizations are
+shape (M, nt*nz): row m is the field a unit value of draw m makes on the
+flattened (t, z) grid, a pair row of the mode basis (the rows the contrast
+kernel reads) times its mode's synthesis scale, the draw's standard
+deviation and its harmonic factor sin or cos(omega t).  For the estimator
+the pair rows are differenced against z' inside the basis, so the
+degenerate point z = z' is exactly zero.  Realizations are
 synthesised in blocks of ``_BLOCK``: the block's draws X (B x M) times the
 basis give all its phase differences in one matrix product; the block mean
 and centred sum of squares of cos and sin are then merged into the running
@@ -25,8 +26,8 @@ Randomness is counter-based and splittable: realization ``i`` of an
 ensemble with master seed ``s`` uses a Philox stream keyed by (s, i), and
 draws its M mode amplitudes from that stream in a fixed documented order
 (density quadrature first, then the phase quadrature when present, both
-ordered by mode index; for plane waves the real part of each mode before
-its imaginary part).  The draws are therefore the same however
+in pair-row order: by mode index, for plane waves the real part of each
+mode before its imaginary part).  The draws are therefore the same however
 realizations are grouped, and reruns at a fixed seed, spec, grid and
 linear-algebra thread count are byte-identical.
 
@@ -148,24 +149,21 @@ def _quadrature_sigmas(spec: EnsembleSpec, modes) -> tuple[np.ndarray, np.ndarra
 def _basis(spec: EnsembleSpec, modes, z, times, zprime: float | None = None) -> np.ndarray:
     """Field per unit draw, shape (M, nt*nz), rows in draw order.
 
-    With ``zprime`` every mode function is differenced against its value at
+    With ``zprime`` every pair row is differenced against its value at
     zprime, so the rows synthesise phi(z, t) - phi(zprime, t).
     """
     pts = z if zprime is None else np.concatenate([z, [zprime]])
     _check_times(times)
     modes.check_points(pts)
     sig_n, sig_phi = _quadrature_sigmas(spec, modes)
-    u = modes.functions(pts)                                  # (M, components, npts)
-    omega = modes.omega
-    amp_n = -modes.phi_amplitude() * sig_n * modes.synthesis_scale
-    amp_phi = None if sig_phi is None else sig_phi * modes.synthesis_scale
+    g, mode, _, _ = modes.pair_functions(pts)                 # (rows, npts)
     if zprime is not None:
-        u = u[..., :-1] - u[..., -1:]
-    wt = omega[:, None] * times[None, :]
-    harmonics = [amp_n[:, None] * np.sin(wt)]
-    if amp_phi is not None:
-        harmonics.append(amp_phi[:, None] * np.cos(wt))
-    rows = [h[:, None, :, None] * u[:, :, None, :] for h in harmonics]
+        g = g[:, :-1] - g[:, -1:]
+    wt = modes.omega[mode, None] * times[None, :]
+    harmonics = [(-modes.phi_amplitude() * sig_n * modes.synthesis_scale)[mode, None] * np.sin(wt)]
+    if sig_phi is not None:
+        harmonics.append((sig_phi * modes.synthesis_scale)[mode, None] * np.cos(wt))
+    rows = [h[:, :, None] * g[:, None, :] for h in harmonics]
     return np.concatenate(rows).reshape(-1, times.size * z.size)
 
 

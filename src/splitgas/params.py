@@ -76,6 +76,13 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _check_positive(value, name: str) -> None:
+    """The rule for a physical scalar: a number, not a bool, finite and strictly
+    positive, else a ConfigError that names the argument and its value."""
+    if isinstance(value, bool) or not (_is_finite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and strictly positive, got {value!r}")
+
+
 def _mode_count(value, name: str) -> int:
     """A mode truncation: a whole number of at least 1, as an int."""
     if isinstance(value, bool) or not (_is_finite(value) and value >= 1 and int(value) == value):
@@ -197,8 +204,7 @@ def peak_density_from_atom_number(n_total: float, config: TrapConfig) -> float:
     """
     if not config.regime.trapped:
         raise ConfigError("peak density inversion applies to trapped regimes only")
-    if not (_is_finite(n_total) and n_total > 0):
-        raise ConfigError(f"atom number must be finite and strictly positive, got {n_total!r}")
+    _check_positive(n_total, "atom number")
     g = coupling_1d(config.omega_perp, config.scattering_length)
     m = config.atomic_mass
     base = 3.0 * (n_total / 2.0) * config.omega_long * math.sqrt(m / g) / (4.0 * math.sqrt(2.0))
@@ -250,8 +256,7 @@ def dephasing_times(params: PhysicalParams, length: float) -> tuple[float, float
     time of all other modes.  Both scale as n^(-1/2) at fixed L, so their
     ratio is density independent.
     """
-    if not (_is_finite(length) and length > 0):
-        raise ConfigError(f"length must be finite and strictly positive, got {length!r}")
+    _check_positive(length, "length")
     tau0 = (hbar / params.g) * math.sqrt(length / params.n_peak)
     tau = 8.0 * params.K**2 / (pi**2 * params.n_peak * params.c)
     return tau0, tau
@@ -263,8 +268,8 @@ def multimode_condition(params: PhysicalParams, length: float, xi_n2: float) -> 
     The criterion is l0/xi_n^2 < L/2 with strict inequality; on the exact
     boundary the condition is False.
     """
-    if not all(_is_finite(x) and x > 0 for x in (length, xi_n2)):
-        raise ConfigError("length and squeezing must be finite and strictly positive")
+    _check_positive(length, "length")
+    _check_positive(xi_n2, "squeezing xi_n2")
     return params.l0 / xi_n2 < length / 2.0
 
 
@@ -279,8 +284,9 @@ def squeezing_limit(
 
     which is independent of the linear density.
     """
-    if not all(_is_finite(x) and x > 0 for x in (omega_perp, length, mass, scattering_length)):
-        raise ConfigError("all arguments must be finite and strictly positive")
+    for name, value in (("omega_perp", omega_perp), ("length", length), ("mass", mass),
+                        ("scattering_length", scattering_length)):
+        _check_positive(value, name)
     lim = 2.0 * hbar / (mass * omega_perp * scattering_length * length)
     return lim, 10.0 * math.log10(lim)
 
@@ -301,8 +307,10 @@ def squeezing_map(omega_perp_grid, length_grid, mass: float, scattering_length: 
     if np.any(np.diff(om) <= 0) or np.any(np.diff(ll) <= 0):
         raise ConfigError("grids must be strictly ascending")
     # min and max bound each grid, and a NaN anywhere in it reaches both
-    if not all(_is_finite(x) and x > 0 for x in (om.min(), om.max(), ll.min(), ll.max(),
-                                                  mass, scattering_length)):
-        raise ConfigError("all inputs must be finite and strictly positive")
+    for name, grid in (("omega_perp_grid", om), ("length_grid", ll)):
+        _check_positive(float(grid.min()), f"every {name} value")
+        _check_positive(float(grid.max()), f"every {name} value")
+    _check_positive(mass, "mass")
+    _check_positive(scattering_length, "scattering_length")
     lim = 2.0 * hbar / (mass * scattering_length * np.outer(om, ll))
     return 10.0 * np.log10(lim)

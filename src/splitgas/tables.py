@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -71,14 +72,21 @@ class ResultTable:
 
 def write_table(table: ResultTable, path: str, json_mirror: bool = False) -> None:
     """Check the CSV text as :func:`validate_table` checks a file, then write
-    it (and the optional JSON mirror) once."""
+    it (and the optional JSON mirror) once.  If a write fails, the regular
+    files this call opened are removed before the OSError propagates."""
     text = table.to_csv()
     _check(path, *_parse(path, text.splitlines()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    if json_mirror:
-        with open(str(path) + ".json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table.to_json())
+    files = [(path, text)] + ([(str(path) + ".json", table.to_json())] if json_mirror else [])
+    opened = []
+    try:
+        for name, body in files:
+            with open(name, "w", encoding="utf-8", newline="\n") as fh:
+                opened.append(name)
+                fh.write(body)
+    except OSError:
+        for name in filter(os.path.isfile, opened):   # never a device such as /dev/null
+            os.remove(name)
+        raise
 
 
 def _parse(path: str, lines):

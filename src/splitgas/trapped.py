@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .modes import ModeBasis
-from .params import (PhysicalParams, Regime, TrapConfig, _check_temperature, _is_finite,
+from .params import (PhysicalParams, Regime, TrapConfig, _check_positive, _check_temperature,
                      _mode_count, hbar, k_B, pi)
 
 __all__ = [
@@ -51,8 +51,7 @@ def mode_frequency(j: int, omega: float):
     j_arr = np.asarray(j)
     for value in j_arr.ravel().tolist():
         _mode_count(value, "mode index j")
-    if not (_is_finite(omega) and omega > 0):
-        raise ConfigError(f"omega must be finite and strictly positive, got {omega!r}")
+    _check_positive(omega, "omega")
     out = omega * np.sqrt(j_arr * (j_arr + 1.0) / 2.0)
     return out if out.ndim else float(out)
 
@@ -198,20 +197,15 @@ class LegendreModeSet(ModeBasis):
         """Healing length at the cloud centre."""
         return hbar / (self.profile.mass * self.profile.sound_speed_peak)
 
-    def functions(self, points) -> np.ndarray:
-        """f_j(z/R), shape (modes, 1, *points)."""
-        f = legendre_f_table(self.j_max, points.ravel() / self.radius)
-        return f.reshape(self.j_max, 1, *points.shape)
-
     def pair_terms(self, z, zprime) -> np.ndarray:
         """(f_j(z/R) - f_j(z'/R))^2, shape (modes, *z.shape); z' broadcasts to z."""
-        terms = self.functions(z)[:, 0]
-        terms -= self.functions(zprime)[:, 0]
+        terms = self.pair_functions(z.ravel())[0].reshape(-1, *z.shape)
+        terms -= self.pair_functions(zprime.ravel())[0].reshape(-1, *zprime.shape)
         return np.square(terms, out=terms)
 
     def pair_functions(self, x):
-        """Rows f_j(x/R) at x >= 0 in j order, each row's mode, even rows j = 2, 4, ...
-        and odd rows j = 1, 3, ...: the pair term is the squared row difference."""
+        """Rows f_j(x/R) in j order, each row's mode, even rows j = 2, 4, ... and odd
+        rows j = 1, 3, ...: the pair term is the squared row difference."""
         f = legendre_f_table(self.j_max, x / self.radius)
         return f, np.arange(self.j_max), slice(1, None, 2), slice(0, None, 2)
 
@@ -233,9 +227,9 @@ class LegendreModeSet(ModeBasis):
         return np.full(self.j_max, xi_n2 * self.profile.n_peak / (2.0 * self.radius))
 
     def split_phase_variance(self) -> np.ndarray:
-        """Minimum-uncertainty partner of the density shot noise."""
+        """Minimum-uncertainty partner of the density shot noise, 1/(2*xi_n^2*n_peak*R)."""
         xi_n2 = self.params.squeezing
-        return np.full(self.j_max, self.radius / (2.0 * xi_n2 * self.profile.n_peak))
+        return np.full(self.j_max, 1.0 / (2.0 * xi_n2 * self.profile.n_peak * self.radius))
 
     def thermal_density_variance(self, temperature: float) -> np.ndarray:
         _check_temperature(temperature)

@@ -459,7 +459,7 @@ def test_contrast_window_longer_than_box_rejected(tmp_path, capsys, command):
     assert "150 um" in err and "100 um" in err
 
 
-# CI's smoke runs: each preset's natural command, the box contrast and
+# The smoke runs: each preset's natural command, the box contrast and
 # recurrence, and the oracle's two samplers; all but the box runs have a
 # reference table in perfbench/reference/
 SMOKE_RUNS = ["params-fig4", "squeezing-map-fig1", "pcf-fig2", "pcf-fig3", "front-fig3",
@@ -585,6 +585,15 @@ def test_write_error_exits_2_naming_the_path(monkeypatch, tmp_path, capsys):
     assert main(["params", "--preset", "fig4", "--out", str(out)]) == 2
     assert f"cannot write {out}: Permission denied" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failed_json_mirror_leaves_no_file(tmp_path, capsys):
+    out, mirror = tmp_path / "out.csv", tmp_path / "out.csv.json"
+    mirror.symlink_to(tmp_path / "missing" / "out.csv.json")   # dangling: no such directory
+    assert main(["params", "--preset", "fig4", "--out", str(out), "--json"]) == 2
+    assert f"cannot write {mirror}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv.json"]
+    assert mirror.is_symlink() and not mirror.exists()
 
 
 def test_out_is_written_once_and_not_read_back(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from splitgas.errors import ConfigError
 from splitgas.modes import VarianceField, pcf, pointwise_variance, variance_field
 from splitgas.observables import contrast_evaluator
 from splitgas.oracle import EnsembleSpec, estimate_pcf
+from splitgas.params import hbar, k_B
 from splitgas.trapped import legendre_f_table
 
 from reference import dense_contrast
@@ -49,6 +50,41 @@ def test_convergence_check_is_the_doubled_recomputation(basis):
     mask = np.abs(z - zprime) >= 2.0 * modes.xi_h
     assert dev == float(np.max(np.abs(fine - coarse)[:, mask]) / np.abs(fine).max())
     assert np.array_equal(field.values, coarse)
+
+
+def test_pair_rows_sum_to_the_pair_terms(basis):
+    """Each mode's pair term is the sum over its pair rows of the squared row
+    difference, and mirroring a point flips the sign of the odd rows only."""
+    modes, z, zprime, _ = basis
+    g, mode, even, odd = modes.pair_functions(np.append(z, zprime))
+    summed = np.zeros((modes.truncation, z.size))
+    np.add.at(summed, mode, (g[:, :-1] - g[:, -1:]) ** 2)
+    terms = modes.pair_terms(z, np.array([zprime]))
+    # 1 - cos(k zbar) rounds to 0 where k zbar is a multiple of 2 pi; the rows keep sin^2
+    np.testing.assert_allclose(summed, terms, rtol=1e-12, atol=1e-15 * terms.max())
+    mirrored = modes.pair_functions(-z)[0]
+    np.testing.assert_allclose(mirrored[even], g[even, :-1], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(mirrored[odd], -g[odd, :-1], rtol=1e-14, atol=0)
+
+
+def test_pair_rows_synthesise_the_mode_sum_coefficient(basis):
+    """A unit amplitude on a pair row adds synthesis_scale * g to the field, so the
+    split state's field variance per mode is the mode sum's coefficient/time_norm."""
+    modes = basis[0]
+    per_draw = (modes.split_density_variance() * modes.phi_amplitude() ** 2
+                * modes.synthesis_scale ** 2)
+    np.testing.assert_allclose(modes.coefficient / modes.time_norm, per_draw, rtol=1e-13)
+
+
+@pytest.mark.parametrize("T", [5e-9, 30e-9])
+def test_split_state_is_the_minimum_uncertainty_partner(basis, T):
+    """split_n * split_phi / (thermal_n * thermal_phi) = (hbar omega/(2 k_B T))^2 per
+    mode: the split state has a quarter of the quantum of action the thermal state
+    has k_B T/(hbar omega) of, squared."""
+    modes = basis[0]
+    ratio = (modes.split_density_variance() * modes.split_phase_variance()
+             / (modes.thermal_density_variance(T) * modes.thermal_phase_variance(T)))
+    np.testing.assert_allclose(ratio, (hbar * modes.omega / (2.0 * k_B * T)) ** 2, rtol=1e-12)
 
 
 def test_pair_field_symmetric_and_non_negative(basis):

@@ -205,6 +205,28 @@ def test_initial_phase_noise_channel(homog_modes):
     assert np.all(expected > 0.95)
 
 
+def test_trapped_thermal_ensemble(trapped_modes):
+    T = 10e-9
+    spec = EnsembleSpec(realizations=20000, master_seed=SEED, kind="thermal",
+                        temperature=T)
+    z = trapped_modes.radius * np.array([0.1, 0.3, 0.5])
+    stats = estimate_pcf(spec, trapped_modes, z, np.array([0.0, 4e-3, 9e-3]))
+    analytic = np.exp(-thermal_variance(z, T, trapped_modes) / 2)
+    assert np.all(np.abs((stats.mean - analytic) / stats.stderr) < 3.5)
+
+
+def test_trapped_initial_phase_noise_channel(trapped_modes):
+    spec = EnsembleSpec(realizations=20000, master_seed=SEED,
+                        include_initial_phase_noise=True)
+    z = trapped_modes.radius * np.array([0.1, 0.3, 0.5])
+    stats = estimate_pcf(spec, trapped_modes, z, np.array([0.0]))
+    expected = np.exp(-initial_phase_variance(z, trapped_modes) / 2)
+    zsc = (stats.mean[0] - expected) / stats.stderr[0]
+    assert np.all(np.abs(zsc) < 3.5)
+    # percent level, as in the box: the shot noise's minimum-uncertainty partner
+    assert np.all((expected > 0.95) & (expected < 0.995))
+
+
 def test_realization_index_bounds(homog_modes):
     spec = EnsembleSpec(realizations=4, master_seed=SEED)
     with pytest.raises(ConfigError):

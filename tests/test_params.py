@@ -15,6 +15,7 @@ from splitgas import (
     derive_params,
     multimode_condition,
     peak_density_from_atom_number,
+    recurrence_time,
     squeezing_limit,
     squeezing_map,
 )
@@ -215,6 +216,31 @@ _GRID_ROWS = ("map_omega", "map_length")   # numpy parses a numeric string in a 
 def test_params_functions_refuse_non_finite(trapped_params, trapped_config, call, bad):
     with pytest.raises(ConfigError, match="finite"):
         call(trapped_params, trapped_config, bad)
+
+
+_POSITIVE = "must be finite and strictly positive, got"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p: squeezing_limit(2 * pi * 1400, -1e-4, _M, _A), f"length {_POSITIVE} -0.0001"),
+    (lambda p: squeezing_limit(2 * pi * 1400, 1e-4, _M, math.nan),
+     f"scattering_length {_POSITIVE} nan"),
+    (lambda p: squeezing_map([1e3, math.inf], [2e-5], _M, _A),
+     f"every omega_perp_grid value {_POSITIVE} inf"),
+    (lambda p: squeezing_map([1e3], [-2e-5], _M, _A), f"every length_grid value {_POSITIVE} -2e-05"),
+    (lambda p: squeezing_map([1e3], [2e-5], -_M, _A), f"mass {_POSITIVE} {-_M!r}"),
+    (lambda p: multimode_condition(p, 1e-4, 0.0), f"squeezing xi_n2 {_POSITIVE} 0.0"),
+    (lambda p: multimode_condition(p, "1e-4", 1.0), f"length {_POSITIVE} '1e-4'"),
+    (lambda p: recurrence_time(1e-4, -1.8e-3), f"c {_POSITIVE} -0.0018"),
+    (lambda p: recurrence_time(math.inf, 1.8e-3), f"L {_POSITIVE} inf"),
+    (lambda p: squeezing_limit(True, 1e-4, _M, _A), f"omega_perp {_POSITIVE} True"),
+], ids=["limit_length", "limit_scattering_length", "map_omega_grid", "map_length_grid",
+        "map_mass", "multimode_squeezing", "multimode_length", "recurrence_c", "recurrence_L",
+        "limit_bool"])
+def test_refusal_names_the_argument_and_its_value(trapped_params, call, message):
+    with pytest.raises(ConfigError) as err:
+        call(trapped_params)
+    assert str(err.value) == message
 
 
 def test_effective_temperature_with_squeezing(trapped_config):
