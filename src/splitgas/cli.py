@@ -188,15 +188,14 @@ def _front_for_system(modes, fit_window):
     import numpy as np
 
     from .errors import DetectionError
-    from .homogeneous import PlaneWaveModeSet, default_rate_step
-    from .modes import variance_field
+    from .modes import default_rate_step, variance_field
     from .observables import extract_front, fit_velocity
 
     t_hi = fit_window[1]
     dt = default_rate_step(modes)
     times = np.arange(dt, t_hi + 0.5 * dt, dt)
     xi_h = modes.xi_h
-    if isinstance(modes, PlaneWaveModeSet):
+    if modes.radius is None:
         z_hi = min(0.45 * modes.L, 2.0 * modes.params.c * t_hi * 1.4 + 20.0 * xi_h)
     else:
         z_hi = 0.985 * modes.radius

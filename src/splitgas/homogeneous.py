@@ -28,7 +28,6 @@ import numpy as np
 
 from . import modes as basis
 from .errors import ConfigError
-from .modes import ModeBasis
 from .params import PhysicalParams, _check_positive, _check_temperature, _mode_count, hbar, k_B, pi
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "phase_covariance",
     "prethermal_variance",
     "stationary_variance",
-    "thermal_variance",
-    "initial_phase_variance",
     "variance_rate",
     "covariance_rate",
     "recurrence_time",
@@ -46,7 +43,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PlaneWaveModeSet(ModeBasis):
+class PlaneWaveModeSet(basis.ModeBasis):
     """Discrete plane-wave excitation basis of a box of size L.
 
     Arrays hold the positive-k half of the spectrum; the mirror modes are
@@ -63,6 +60,7 @@ class PlaneWaveModeSet(ModeBasis):
     coefficient: float      # 2*pi^2*n*xi_n^2 / (L*K^2)
 
     truncation_name = "p_max"
+    radius = None           # positions are separations, not points of a cloud
     time_norm = 1.0
 
     @property
@@ -74,20 +72,15 @@ class PlaneWaveModeSet(ModeBasis):
         """Field per unit amplitude on a pair row, 2k/sqrt(L)."""
         return 2.0 * self.k / np.sqrt(self.L)
 
-    def pair_terms(self, z, zprime) -> np.ndarray:
-        """(1 - cos(k zbar))/k^2 at zbar = |z - z'|, shape (modes, *points)."""
-        zbar = np.abs(z - zprime)
-        terms = np.cos(self.k * zbar[..., None])
-        np.subtract(1.0, terms, out=terms)
-        terms /= self.k**2
-        return np.moveaxis(terms, -1, 0)
-
     def pair_functions(self, x):
         """Rows (cos kx, -sin kx)/(sqrt(2) k) mode by mode, the factors of Re and Im phi_p,
         each row's mode, even and odd rows: 1 - cos k(a - b) = [(cos ka - cos kb)^2 +
         (sin ka - sin kb)^2]/2 per mode."""
-        kx = self.k[:, None] * x
-        g = np.stack([np.cos(kx), -np.sin(kx)], axis=1) / (np.sqrt(2.0) * self.k[:, None, None])
+        g = np.empty((self.p_max, 2, np.size(x)))
+        kx = np.multiply(self.k[:, None], x, out=g[:, 0])
+        np.negative(np.sin(kx, out=g[:, 1]), out=g[:, 1])
+        np.cos(kx, out=kx)
+        g /= np.sqrt(2.0) * self.k[:, None, None]
         return g.reshape(2 * self.p_max, -1), np.repeat(np.arange(self.p_max), 2), \
             slice(0, None, 2), slice(1, None, 2)
 
@@ -179,43 +172,9 @@ def stationary_variance(zbar, modes: PlaneWaveModeSet):
     is lifted, i.e. the infinite-system ramp 2*zbar/l0_eff times a
     finite-size factor (1 - zbar/L).
     """
-    out = 0.5 * modes.coefficient * np.sum(modes.pair_terms(np.asarray(zbar, float), 0.0), axis=0)
+    zbar = np.asarray(zbar, dtype=float)
+    out = 0.5 * modes.coefficient * np.sum(modes.pair_terms(zbar, np.zeros_like(zbar)), axis=0)
     return out if out.ndim else float(out)
-
-
-def thermal_variance(z, temperature: float, modes: ModeBasis):
-    """Two-point phase variance of the thermal reference state, between z and 0.
-
-    Thermal occupations equipartition the two quadratures, so the state is
-    stationary and the variance time independent.  In the box it is the sum
-    of 2*(1 - cos k zbar) * <|phi_k|^2>_th * 2/L over positive modes, with
-    <|phi_k|^2>_th = 2/(lambda_T k^2); it grows linearly with T and
-    monotonically with |zbar| on [0, L/2].
-    """
-    return _phase_noise_variance(z, modes.thermal_phase_variance(temperature), modes)
-
-
-def initial_phase_variance(z, modes: ModeBasis):
-    """Variance of phi(z) - phi(0) at t = 0 from splitting shot noise.
-
-    This is the contribution the analytic fields drop; the oracle adds it
-    back when ``include_initial_phase_noise`` is set.
-    """
-    return _phase_noise_variance(z, modes.split_phase_variance(), modes)
-
-
-def _phase_noise_variance(z, var_phi: np.ndarray, modes: ModeBasis):
-    """sum_m var_phi_m * synthesis_scale_m^2 * pair_terms_m(z, 0): the variance
-    of a stationary state with phase-quadrature variances var_phi."""
-    z = np.asarray(z, dtype=float)
-    terms = modes.pair_terms(z, np.zeros_like(z))
-    out = np.tensordot(var_phi * modes.synthesis_scale**2, terms, axes=1)
-    return out if out.ndim else float(out)
-
-
-def default_rate_step(modes: ModeBasis) -> float:
-    """Finite-difference step: one twentieth of the fastest half period."""
-    return (pi / modes.omega_max) / 20.0
 
 
 def variance_rate(zbar, t, modes: PlaneWaveModeSet, dt: float | None = None):
@@ -240,9 +199,9 @@ def covariance_rate(zbar, t, modes: PlaneWaveModeSet, dt: float | None = None):
 
 
 def _central_rate(f, t, modes: PlaneWaveModeSet, dt: float | None):
-    """(f(t + dt) - f(t - dt)) / (2 dt), dt defaulting to :func:`default_rate_step`."""
+    """(f(t + dt) - f(t - dt)) / (2 dt), dt defaulting to ``basis.default_rate_step``."""
     if dt is None:
-        dt = default_rate_step(modes)
+        dt = basis.default_rate_step(modes)
     else:
         _check_positive(dt, "dt")
     t = np.asarray(t, dtype=float)

@@ -4,13 +4,14 @@ Every two-point statistic of both geometries is the mode sum
 
     <dphi(z, z', t)^2> = coef * sum_m sin^2(omega_m t)/time_norm_m * d_m(z, z')
 
-with pair terms d_m >= 0: plane waves, d_p = (1 - cos(k_p (z - z')))/k_p^2
-and time_norm = 1, for the box; Legendre modes f_j(z/R), d_j = (f_j(z/R) -
-f_j(z'/R))^2 and time_norm = omega_j^2, for the trapped cloud (Stringari,
-PRA 58, 2385 (1998); Petrov, Shlyapnikov & Walraven, PRL 85, 3745 (2000)).
-The pointwise sum and the field with its truncation doubling check are
-written once here against :class:`ModeBasis`; they are the only public
-names of these sums, for both geometries.  The field is a
+with pair terms d_m = sum_r (g_r(z) - g_r(z'))^2 over the mode's rows of
+its basis's one table of mode functions: two plane-wave rows per mode, so
+d_p = (1 - cos(k_p (z - z')))/k_p^2, and time_norm = 1, for the box; one
+Legendre row f_j(z/R) per mode and time_norm = omega_j^2 for the trapped
+cloud (Stringari, PRA 58, 2385 (1998); Petrov, Shlyapnikov & Walraven, PRL
+85, 3745 (2000)).  These sums, pointwise, as a field with its truncation
+doubling check and as stationary phase noise, are written once here against
+:class:`ModeBasis`, under the only public names of these sums.  The field is a
 :class:`VarianceField`, which keeps the basis that made it; its correlation
 function is the Gaussian exponential C = exp(-variance/2), :func:`pcf`.
 """
@@ -22,13 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .params import hbar, k_B
+from .params import hbar, k_B, pi
 
 __all__ = [
     "ModeBasis",
     "VarianceField",
+    "initial_phase_variance",
     "pcf",
     "pointwise_variance",
+    "thermal_variance",
     "variance_field",
 ]
 
@@ -37,13 +40,15 @@ class ModeBasis:
     """Shared part of the plane-wave and Legendre mode sets.
 
     Each geometry supplies ``params``, ``omega``, ``coefficient``,
-    ``truncation_name``, ``xi_h``, ``time_norm``, ``synthesis_scale``,
-    ``pair_terms``, ``pair_functions``, ``phi_amplitude``, ``check_points``,
-    ``doubled`` and, for the oracle's initial state,
+    ``truncation_name``, ``radius``, ``xi_h``, ``time_norm``,
+    ``synthesis_scale``, ``pair_functions``, ``phi_amplitude``,
+    ``check_points``, ``doubled`` and, for the oracle's initial state,
     ``split_density_variance``, ``split_phase_variance``,
     ``thermal_density_variance`` and ``thermal_phase_variance``.
-    ``pair_functions`` is the one table of mode functions: mode m's pair
-    term sums (g_r(z) - g_r(z'))^2 over its rows r, and a unit amplitude on
+    ``radius`` is the cloud's, and None for the box, whose positions are
+    separations.  ``pair_functions`` is the one table of mode functions:
+    every mode has the same number of rows, adjacent and in mode order, its
+    pair term sums (g_r(z) - g_r(z'))^2 over them, and a unit amplitude on
     row r adds synthesis_scale_m * g_r to the field.  Results keep the
     basis that made them and read these facts from it.
     """
@@ -59,6 +64,15 @@ class ModeBasis:
     def occupation(self) -> np.ndarray:
         """Mode occupation k_B*T_eff/(hbar*omega_m) imprinted by splitting."""
         return k_B * self.params.T_eff / (hbar * self.omega)
+
+    def pair_terms(self, z, zprime) -> np.ndarray:
+        """sum_r (g_r(z) - g_r(z'))^2 over each mode's rows, shape (modes, *z.shape);
+        z' broadcasts to z."""
+        terms = self.pair_functions(z.ravel())[0].reshape(-1, *z.shape)
+        terms -= self.pair_functions(zprime.ravel())[0].reshape(-1, *zprime.shape)
+        np.square(terms, out=terms)
+        rows = terms.shape[0] // self.truncation
+        return terms if rows == 1 else terms.reshape(-1, rows, *z.shape).sum(axis=1)
 
     def time_factors(self, times: np.ndarray) -> np.ndarray:
         """sin^2(omega_m t) / time_norm_m, shape (times, modes)."""
@@ -143,6 +157,41 @@ def variance_field(
         scale = max(float(np.abs(fine).max()), 1e-300)
         dev = float(np.max(np.abs(fine - values)[:, mask]) / scale)
     return VarianceField(positions=z, times=times, values=values, doubling_dev=dev, modes=modes)
+
+
+def thermal_variance(z, temperature: float, modes: ModeBasis):
+    """Two-point phase variance of the thermal reference state, between z and 0.
+
+    Thermal occupations equipartition the two quadratures, so the state is
+    stationary and the variance time independent.  In the box it is the sum
+    of 2*(1 - cos k zbar) * <|phi_k|^2>_th * 2/L over positive modes, with
+    <|phi_k|^2>_th = 2/(lambda_T k^2); it grows linearly with T and
+    monotonically with |zbar| on [0, L/2].
+    """
+    return _phase_noise_variance(z, modes.thermal_phase_variance(temperature), modes)
+
+
+def initial_phase_variance(z, modes: ModeBasis):
+    """Variance of phi(z) - phi(0) at t = 0 from splitting shot noise.
+
+    This is the contribution the analytic fields drop; the oracle adds it
+    back when ``include_initial_phase_noise`` is set.
+    """
+    return _phase_noise_variance(z, modes.split_phase_variance(), modes)
+
+
+def _phase_noise_variance(z, var_phi: np.ndarray, modes: ModeBasis):
+    """sum_m var_phi_m * synthesis_scale_m^2 * pair_terms_m(z, 0): the variance
+    of a stationary state with phase-quadrature variances var_phi."""
+    z = np.asarray(z, dtype=float)
+    terms = modes.pair_terms(z, np.zeros_like(z))
+    out = np.tensordot(var_phi * modes.synthesis_scale**2, terms, axes=1)
+    return out if out.ndim else float(out)
+
+
+def default_rate_step(modes: ModeBasis) -> float:
+    """Finite-difference step: one twentieth of the fastest half period."""
+    return (pi / modes.omega_max) / 20.0
 
 
 def pcf(variance: VarianceField) -> np.ndarray:

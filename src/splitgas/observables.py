@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DetectionError
-from .homogeneous import PlaneWaveModeSet, recurrence_time
 from .modes import VarianceField, _check_times, pcf, variance_field
 from .params import _check_positive
 
@@ -414,9 +413,8 @@ def contrast_evaluator(modes, length: float, dz: float | None = None):
     _check_positive(length, "integration length")
     if dz is not None:
         _check_positive(dz, "grid step dz")
-    homogeneous = isinstance(modes, PlaneWaveModeSet)
     # the box bounds the separations in the window, the cloud its points
-    modes.check_points(np.array([length if homogeneous else length / 2.0]))
+    modes.check_points(np.array([length if modes.radius is None else length / 2.0]))
     n = int(round(length / (modes.xi_h / 2.0 if dz is None else dz))) + 1
     if n < 2:
         raise ConfigError("integration window contains fewer than 2 grid points")
@@ -528,7 +526,7 @@ def recurrence_scan(times, values, refine_fn) -> list[tuple[float, float]]:
     return results
 
 
-def prethermal_pcf(modes: PlaneWaveModeSet, zbar) -> np.ndarray:
+def prethermal_pcf(modes, zbar) -> np.ndarray:
     """Long-time-averaged correlation function of the dephased state.
 
     Averages C(zbar, t) at 64 times across 0.30-0.45 recurrence periods,
@@ -536,6 +534,8 @@ def prethermal_pcf(modes: PlaneWaveModeSet, zbar) -> np.ndarray:
     requested separation and before rephasing sets in.  Converges to
     exp(-|zbar| xi_n^2/l0) for separations above the phonon cutoff.
     """
+    from .homogeneous import recurrence_time
+
     zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
     t_rev = recurrence_time(modes.L, modes.params.c)
     lo, hi = 0.30, 0.45

@@ -117,25 +117,18 @@ class TrapConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "regime", Regime(self.regime))
-        for name in ("atomic_mass", "scattering_length", "omega_perp", "squeezing",
-                     "omega_long", "system_length", "atom_number_total",
-                     "peak_density_per_gas"):
+        for name in ("omega_long", "system_length"):
             value = getattr(self, name)
-            if value is not None and not _is_finite(value):
-                raise ConfigError(f"TrapConfig.{name} must be finite")
-        for name in ("atomic_mass", "scattering_length", "omega_perp", "squeezing"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"TrapConfig.{name} must be strictly positive")
-        given = [
-            x for x in (self.atom_number_total, self.peak_density_per_gas)
-            if x is not None
-        ]
+            if isinstance(value, bool) or not _is_finite(value):
+                raise ConfigError(f"TrapConfig.{name} must be finite, got {value!r}")
+        given = [name for name in ("atom_number_total", "peak_density_per_gas")
+                 if getattr(self, name) is not None]
         if len(given) != 1:
             raise ConfigError(
                 "exactly one of atom_number_total / peak_density_per_gas must be set"
             )
-        if given[0] <= 0:
-            raise ConfigError("atom number / peak density must be strictly positive")
+        for name in ("atomic_mass", "scattering_length", "omega_perp", "squeezing", *given):
+            _check_positive(getattr(self, name), f"TrapConfig.{name}")
         if self.regime is Regime.HOMOGENEOUS:
             if self.omega_long != 0.0:
                 raise ConfigError("homogeneous regime requires omega_long = 0")

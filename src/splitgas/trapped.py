@@ -197,12 +197,6 @@ class LegendreModeSet(ModeBasis):
         """Healing length at the cloud centre."""
         return hbar / (self.profile.mass * self.profile.sound_speed_peak)
 
-    def pair_terms(self, z, zprime) -> np.ndarray:
-        """(f_j(z/R) - f_j(z'/R))^2, shape (modes, *z.shape); z' broadcasts to z."""
-        terms = self.pair_functions(z.ravel())[0].reshape(-1, *z.shape)
-        terms -= self.pair_functions(zprime.ravel())[0].reshape(-1, *zprime.shape)
-        return np.square(terms, out=terms)
-
     def pair_functions(self, x):
         """Rows f_j(x/R) in j order, each row's mode, even rows j = 2, 4, ... and odd
         rows j = 1, 3, ...: the pair term is the squared row difference."""

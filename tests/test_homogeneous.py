@@ -9,14 +9,13 @@ from scipy.constants import hbar, k as k_B, pi
 from splitgas import ConfigError, build_modes, recurrence_time
 from splitgas.homogeneous import (
     covariance_rate,
-    initial_phase_variance,
     phase_covariance,
     prethermal_variance,
     stationary_variance,
-    thermal_variance,
     variance_rate,
 )
-from splitgas.modes import pointwise_variance, variance_field
+from splitgas.modes import (initial_phase_variance, pointwise_variance, thermal_variance,
+                            variance_field)
 from splitgas.observables import prethermal_pcf
 
 

@@ -219,6 +219,8 @@ def test_params_functions_refuse_non_finite(trapped_params, trapped_config, call
 
 
 _POSITIVE = "must be finite and strictly positive, got"
+_TRAP = dict(atomic_mass=_M, scattering_length=_A, omega_perp=2 * pi * 1400.0,
+             omega_long=2 * pi * 7.0, atom_number_total=7000.0, regime="thomas_fermi")
 
 
 @pytest.mark.parametrize("call,message", [
@@ -234,9 +236,20 @@ _POSITIVE = "must be finite and strictly positive, got"
     (lambda p: recurrence_time(1e-4, -1.8e-3), f"c {_POSITIVE} -0.0018"),
     (lambda p: recurrence_time(math.inf, 1.8e-3), f"L {_POSITIVE} inf"),
     (lambda p: squeezing_limit(True, 1e-4, _M, _A), f"omega_perp {_POSITIVE} True"),
+    (lambda p: TrapConfig(**{**_TRAP, "omega_perp": True}),
+     f"TrapConfig.omega_perp {_POSITIVE} True"),
+    (lambda p: TrapConfig(**{**_TRAP, "atom_number_total": True}),
+     f"TrapConfig.atom_number_total {_POSITIVE} True"),
+    (lambda p: TrapConfig(**{**_TRAP, "squeezing": True}),
+     f"TrapConfig.squeezing {_POSITIVE} True"),
+    (lambda p: TrapConfig(**{**_TRAP, "scattering_length": math.nan}),
+     f"TrapConfig.scattering_length {_POSITIVE} nan"),
+    (lambda p: TrapConfig(**{**_TRAP, "omega_long": True}),
+     "TrapConfig.omega_long must be finite, got True"),
 ], ids=["limit_length", "limit_scattering_length", "map_omega_grid", "map_length_grid",
         "map_mass", "multimode_squeezing", "multimode_length", "recurrence_c", "recurrence_L",
-        "limit_bool"])
+        "limit_bool", "trap_omega_perp_bool", "trap_atom_number_bool", "trap_squeezing_bool",
+        "trap_nan", "trap_omega_long_bool"])
 def test_refusal_names_the_argument_and_its_value(trapped_params, call, message):
     with pytest.raises(ConfigError) as err:
         call(trapped_params)

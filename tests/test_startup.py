@@ -29,9 +29,9 @@ EXPORTS = {
     "params": "RB87 PhysicalParams Regime SpeciesPreset TrapConfig dephasing_times "
               "derive_params multimode_condition peak_density_from_atom_number "
               "squeezing_limit squeezing_map",
-    "modes": "pcf pointwise_variance variance_field",
+    "modes": "pcf pointwise_variance thermal_variance variance_field",
     "homogeneous": "PlaneWaveModeSet build_modes covariance_rate phase_covariance "
-                   "prethermal_variance recurrence_time thermal_variance variance_rate",
+                   "prethermal_variance recurrence_time variance_rate",
     "trapped": "DensityProfile LegendreModeSet build_trapped_modes mode_frequency "
                "quasi1d_profile",
     "observables": "contrast_evaluator contrast_trace extract_front fit_velocity "
@@ -219,6 +219,17 @@ def test_pcf_preset_imports_no_yaml_and_no_oracle(tmp_path):
     assert "splitgas.modes" in loaded and "splitgas.observables" not in loaded
     assert not any(m == "yaml" or m.startswith("yaml.") for m in loaded)
     assert "splitgas.oracle" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["pcf", "--preset", "fig4"], ["front", "--preset", "fig5"],
+                                  ["contrast", "--preset", "fig8"],
+                                  ["recurrence", "--preset", "fig7"],
+                                  ["oracle", "--preset", "fig4", "--seed", "1"]])
+def test_trapped_commands_never_load_the_box(argv, tmp_path):
+    # the box's module is plane waves and their own statistics; a cloud asks its
+    # basis (radius, pair rows, generic sums in modes) and never the box class
+    loaded = _command_modules(argv, tmp_path)["modules"]
+    assert "splitgas.trapped" in loaded and "splitgas.homogeneous" not in loaded
 
 
 def test_public_names_resolve_to_their_defining_modules():
