@@ -5,10 +5,10 @@ Library layout:
 - :mod:`splitgas.params` - scalar physics of a scenario (coupling, sound
   speed, Luttinger parameter, interferometry criteria).
 - :mod:`splitgas.modes` - the mode basis, and the one home of the mode sums
-  (pair terms, pointwise variance, variance field, thermal and initial
-  phase noise) of both geometries and of the correlation function.
-- :mod:`splitgas.homogeneous` - plane-wave modes and the box's own
-  statistics (covariance, light-cone rates, prethermal state, recurrence).
+  (variance, covariance and their light-cone rates, variance field,
+  stationary, thermal and initial phase noise) of both geometries.
+- :mod:`splitgas.homogeneous` - plane-wave modes and the box's own closed
+  forms (prethermal state, recurrence time).
 - :mod:`splitgas.trapped` - density profiles and Legendre modes of the
   harmonically trapped gas.
 - :mod:`splitgas.observables` - light-cone front, contrast and recurrences.
@@ -46,11 +46,11 @@ _EXPORTS = {
         "dephasing_times", "derive_params", "multimode_condition",
         "peak_density_from_atom_number", "squeezing_limit", "squeezing_map",
     ),
-    "modes": ("pcf", "pointwise_variance", "thermal_variance", "variance_field"),
-    "homogeneous": (
-        "PlaneWaveModeSet", "build_modes", "covariance_rate", "phase_covariance",
-        "prethermal_variance", "recurrence_time", "variance_rate",
+    "modes": (
+        "covariance_rate", "pcf", "phase_covariance", "pointwise_variance",
+        "thermal_variance", "variance_field", "variance_rate",
     ),
+    "homogeneous": ("PlaneWaveModeSet", "build_modes", "prethermal_variance", "recurrence_time"),
     "trapped": (
         "DensityProfile", "LegendreModeSet", "build_trapped_modes", "mode_frequency",
         "quasi1d_profile",

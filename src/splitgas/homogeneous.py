@@ -33,11 +33,7 @@ from .params import PhysicalParams, _check_positive, _check_temperature, _mode_c
 __all__ = [
     "PlaneWaveModeSet",
     "build_modes",
-    "phase_covariance",
     "prethermal_variance",
-    "stationary_variance",
-    "variance_rate",
-    "covariance_rate",
     "recurrence_time",
 ]
 
@@ -137,23 +133,6 @@ def build_modes(params: PhysicalParams, L: float, p_max: int | None = None) -> P
     )
 
 
-def phase_covariance(zbar, t, modes: PlaneWaveModeSet):
-    """Two-point phase covariance <phi(z) phi(z')> at separation zbar.
-
-    Complements :func:`splitgas.modes.pointwise_variance`:  variance(zbar) =
-    2*[covariance(0) - covariance(zbar)].  Its time derivative is the
-    light-cone observable: correlations build at rate 2c/l0 * xi_n^2 inside
-    the cone zbar < 2ct and stay put outside (up to O(ct/L) finite-size
-    corrections).
-    """
-    zbar = np.abs(np.asarray(zbar, dtype=float))
-    t = np.asarray(t, dtype=float)
-    s2 = np.sin(modes.omega * t[..., None]) ** 2
-    w = np.cos(modes.k * zbar[..., None]) / modes.k**2
-    out = 0.5 * modes.coefficient * np.sum(s2 * w, axis=-1)
-    return out if out.ndim else float(out)
-
-
 def prethermal_variance(zbar, params: PhysicalParams):
     """Variance in the dephased state: 2*|zbar| / (l0/xi_n^2).
 
@@ -163,51 +142,6 @@ def prethermal_variance(zbar, params: PhysicalParams):
     zbar = np.abs(np.asarray(zbar, dtype=float))
     out = 2.0 * zbar / params.l0_effective
     return out if out.ndim else float(out)
-
-
-def stationary_variance(zbar, modes: PlaneWaveModeSet):
-    """Exact discrete time average of the variance (sin^2 -> 1/2).
-
-    In a finite box this is 2*zbar*(L - zbar)/(l0_eff*L) as the truncation
-    is lifted, i.e. the infinite-system ramp 2*zbar/l0_eff times a
-    finite-size factor (1 - zbar/L).
-    """
-    zbar = np.asarray(zbar, dtype=float)
-    out = 0.5 * modes.coefficient * np.sum(modes.pair_terms(zbar, np.zeros_like(zbar)), axis=0)
-    return out if out.ndim else float(out)
-
-
-def variance_rate(zbar, t, modes: PlaneWaveModeSet, dt: float | None = None):
-    """Central finite difference d<dphi^2>/dt.
-
-    The exact rate is a step: zero inside the light cone (zbar < 2ct,
-    where the variance has saturated at its prethermal value) and
-    4c/l0 * xi_n^2 outside (two not-yet-connected points diffusing
-    independently).
-    """
-    return _central_rate(lambda tt: basis.pointwise_variance(zbar, 0.0, tt, modes), t, modes, dt)
-
-
-def covariance_rate(zbar, t, modes: PlaneWaveModeSet, dt: float | None = None):
-    """Central finite difference d<phi(z) phi(z')>/dt: the light-cone step.
-
-    Equals 2c/l0 * xi_n^2 inside the cone (zbar < 2ct) and vanishes
-    outside, up to truncation ripple and a finite-size droop of relative
-    size 4ct/L.
-    """
-    return _central_rate(lambda tt: phase_covariance(zbar, tt, modes), t, modes, dt)
-
-
-def _central_rate(f, t, modes: PlaneWaveModeSet, dt: float | None):
-    """(f(t + dt) - f(t - dt)) / (2 dt), dt defaulting to ``basis.default_rate_step``."""
-    if dt is None:
-        dt = basis.default_rate_step(modes)
-    else:
-        _check_positive(dt, "dt")
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= dt) & (t < np.inf)):
-        raise ConfigError("t must be finite and exceed the finite-difference step")
-    return (f(t + dt) - f(t - dt)) / (2.0 * dt)
 
 
 def recurrence_time(L: float, c: float) -> float:

@@ -9,8 +9,9 @@ its basis's one table of mode functions: two plane-wave rows per mode, so
 d_p = (1 - cos(k_p (z - z')))/k_p^2, and time_norm = 1, for the box; one
 Legendre row f_j(z/R) per mode and time_norm = omega_j^2 for the trapped
 cloud (Stringari, PRA 58, 2385 (1998); Petrov, Shlyapnikov & Walraven, PRL
-85, 3745 (2000)).  These sums, pointwise, as a field with its truncation
-doubling check and as stationary phase noise, are written once here against
+85, 3745 (2000)); the covariance <phi(z) phi(0)> sums g_r(z) g_r(0) instead.
+These sums, pointwise, as a field with its truncation doubling check, as
+light-cone rates and as stationary phase noise, are written once here against
 :class:`ModeBasis`, under the only public names of these sums.  The field is a
 :class:`VarianceField`, which keeps the basis that made it; its correlation
 function is the Gaussian exponential C = exp(-variance/2), :func:`pcf`.
@@ -23,16 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .params import hbar, k_B, pi
+from .params import _check_positive, hbar, k_B, pi
 
 __all__ = [
     "ModeBasis",
     "VarianceField",
+    "covariance_rate",
     "initial_phase_variance",
     "pcf",
+    "phase_covariance",
     "pointwise_variance",
+    "stationary_variance",
     "thermal_variance",
     "variance_field",
+    "variance_rate",
 ]
 
 
@@ -70,9 +75,14 @@ class ModeBasis:
         z' broadcasts to z."""
         terms = self.pair_functions(z.ravel())[0].reshape(-1, *z.shape)
         terms -= self.pair_functions(zprime.ravel())[0].reshape(-1, *zprime.shape)
-        np.square(terms, out=terms)
-        rows = terms.shape[0] // self.truncation
-        return terms if rows == 1 else terms.reshape(-1, rows, *z.shape).sum(axis=1)
+        return self._sum_rows(np.square(terms, out=terms))
+
+    def _sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Each mode's rows added into its first, in place; shape (modes, ...)."""
+        rows = rows.reshape(self.truncation, -1, *rows.shape[1:])
+        for r in range(1, rows.shape[1]):
+            rows[:, 0] += rows[:, r]
+        return rows[:, 0]
 
     def time_factors(self, times: np.ndarray) -> np.ndarray:
         """sin^2(omega_m t) / time_norm_m, shape (times, modes)."""
@@ -100,9 +110,11 @@ class VarianceField:
             raise ValueError("values must have shape (n_times, n_positions)")
 
 
-def _check_times(t) -> None:
+def _check_times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < np.inf)):
         raise ConfigError("evolution times must be finite and non-negative")
+    return t
 
 
 def pointwise_variance(z, zprime, t, modes: ModeBasis):
@@ -112,12 +124,42 @@ def pointwise_variance(z, zprime, t, modes: ModeBasis):
     separation).  Zero at z = z' and at t = 0; every summand is non-negative.
     """
     z, zprime = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(zprime, dtype=float))
-    t = np.asarray(t, dtype=float)
-    _check_times(t)
+    t = _check_times(t)
     modes.check_points(np.concatenate([z.ravel(), zprime.ravel()]))
-    terms = np.moveaxis(modes.pair_terms(z, zprime), 0, -1)         # (*points, M)
-    amp = modes.time_factors(t.ravel()).reshape(*t.shape, -1)      # (*t, M)
-    out = modes.coefficient * np.sum(amp * terms, axis=-1)
+    return _time_sum(modes.pair_terms(z, zprime), t, modes)
+
+
+def phase_covariance(z, t, modes: ModeBasis):
+    """Two-point phase covariance <phi(z) phi(0)> at time t, z broadcast against t.
+
+    coef * sum_m time_factors_m(t) * sum_r g_r(z) g_r(0) over the pair rows; in the
+    box (z the separation) the variance is 2*(covariance(0) - covariance(z)).
+    """
+    z = np.asarray(z, dtype=float)
+    t = _check_times(t)
+    modes.check_points(np.append(z, 0.0))
+    rows = modes.pair_functions(z.ravel())[0]
+    rows *= modes.pair_functions(np.zeros(1))[0]
+    return _time_sum(modes._sum_rows(rows).reshape(-1, *z.shape), t, modes)
+
+
+def stationary_variance(z, modes: ModeBasis):
+    """Exact discrete time average of the variance between z and 0 (sin^2 -> 1/2).
+
+    In a box it is 2*zbar*(L - zbar)/(l0_eff*L) as the truncation is lifted,
+    the infinite-system ramp 2*zbar/l0_eff times a finite-size factor.
+    """
+    z = np.asarray(z, dtype=float)
+    modes.check_points(np.append(z, 0.0))
+    return _time_sum(modes.pair_terms(z, np.zeros_like(z)), None, modes)
+
+
+def _time_sum(terms, t, modes: ModeBasis):
+    """coef * sum_m s_m * terms_m with t's axes first: s_m = time_factors(t), or their
+    time average 1/(2 time_norm_m) for t = None."""
+    amp = 0.5 / modes.time_norm if t is None else \
+        modes.time_factors(t.ravel()).reshape(*t.shape, -1)
+    out = modes.coefficient * np.sum(amp * np.moveaxis(terms, 0, -1), axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -142,11 +184,9 @@ def variance_field(
     level and falls off as the inverse truncation.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    _check_times(times)
+    times = _check_times(np.atleast_1d(times))
     modes.check_points(np.append(z, zprime))
-    terms = modes.pair_terms(z, np.array([zprime]))                   # (M, nz)
-    values = modes.time_factors(times) @ terms                        # (nt, nz)
+    values = modes.time_factors(times) @ modes.pair_terms(z, np.array([zprime]))  # (nt, nz)
     values *= modes.coefficient
     dev = None
     if check_convergence:
@@ -192,6 +232,31 @@ def _phase_noise_variance(z, var_phi: np.ndarray, modes: ModeBasis):
 def default_rate_step(modes: ModeBasis) -> float:
     """Finite-difference step: one twentieth of the fastest half period."""
     return (pi / modes.omega_max) / 20.0
+
+
+def variance_rate(z, t, modes: ModeBasis, dt: float | None = None):
+    """Central difference d<dphi(z, 0)^2>/dt; in the box 0 inside the cone zbar < 2ct and
+    4c/l0 * xi_n^2 outside."""
+    return _central_rate(lambda tt: pointwise_variance(z, 0.0, tt, modes), t, modes, dt)
+
+
+def covariance_rate(z, t, modes: ModeBasis, dt: float | None = None):
+    """Central difference d<phi(z) phi(0)>/dt, the light-cone step: in the box 2c/l0 *
+    xi_n^2 inside the cone zbar < 2ct and 0 outside; in a Thomas-Fermi cloud the local
+    sound speed c0*sqrt(1 - z^2/R^2) bends the edge to R*sin(2*c0*t/R)."""
+    return _central_rate(lambda tt: phase_covariance(z, tt, modes), t, modes, dt)
+
+
+def _central_rate(f, t, modes: ModeBasis, dt: float | None):
+    """(f(t + dt) - f(t - dt)) / (2 dt), dt defaulting to :func:`default_rate_step`."""
+    if dt is None:
+        dt = default_rate_step(modes)
+    else:
+        _check_positive(dt, "dt")
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= dt) & (t < np.inf)):
+        raise ConfigError("t must be finite and exceed the finite-difference step")
+    return (f(t + dt) - f(t - dt)) / (2.0 * dt)
 
 
 def pcf(variance: VarianceField) -> np.ndarray:

@@ -369,8 +369,7 @@ def _contrast_kernel(modes, n: int, step: float):
         panels.append((a0, a1, w.ravel()))
 
     def values(times) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        _check_times(times)
+        times = _check_times(np.atleast_1d(times))
         out = np.empty(times.size)
         bufs = np.empty((3, min(block, times.size) * height * m))
         for start in range(0, times.size, block):

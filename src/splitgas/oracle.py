@@ -208,16 +208,16 @@ def estimate_pcf(spec: EnsembleSpec, modes, z, times, zprime: float = 0.0) -> En
     mean_cos, m2_cos = np.zeros(cells), np.zeros(cells)
     mean_sin, m2_sin = np.zeros(cells), np.zeros(cells)
     rows = min(_BLOCK, n)
-    draws = np.empty((rows, basis.shape[0]))
-    dphi_buf, cos_buf = np.empty((rows, cells)), np.empty((rows, cells))
+    # a block's cosines overwrite its draws, which its product has consumed
+    buf, dphi_buf = np.empty(rows * max(basis.shape[0], cells)), np.empty((rows, cells))
     gen = _generator()
     for start in range(0, n, _BLOCK):
         b = min(_BLOCK, n - start)
-        x, dphi, cos = draws[:b], dphi_buf[:b], cos_buf[:b]
+        x, dphi = buf[:b * basis.shape[0]].reshape(b, -1), dphi_buf[:b]
         for r in range(b):
             _rekey(gen, spec.master_seed, start + r).standard_normal(out=x[r])
         np.matmul(x, basis, out=dphi)
-        np.cos(dphi, out=cos)
+        cos = np.cos(dphi, out=buf[:b * cells].reshape(b, cells))
         sin = np.sin(dphi, out=dphi)
         _merge(mean_cos, m2_cos, start, cos)
         _merge(mean_sin, m2_sin, start, sin)

@@ -34,7 +34,8 @@ from splitgas import (
     variance_field,
 )
 from splitgas.cli import main
-from splitgas.homogeneous import covariance_rate, default_p_max
+from splitgas.homogeneous import default_p_max
+from splitgas.modes import covariance_rate
 from splitgas.observables import prethermal_pcf
 
 SEED = 20260809

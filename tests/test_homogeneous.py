@@ -7,15 +7,10 @@ import pytest
 from scipy.constants import hbar, k as k_B, pi
 
 from splitgas import ConfigError, build_modes, recurrence_time
-from splitgas.homogeneous import (
-    covariance_rate,
-    phase_covariance,
-    prethermal_variance,
-    stationary_variance,
-    variance_rate,
-)
-from splitgas.modes import (initial_phase_variance, pointwise_variance, thermal_variance,
-                            variance_field)
+from splitgas.homogeneous import prethermal_variance
+from splitgas.modes import (covariance_rate, initial_phase_variance, phase_covariance,
+                            pointwise_variance, stationary_variance, thermal_variance,
+                            variance_field, variance_rate)
 from splitgas.observables import prethermal_pcf
 
 
@@ -136,6 +131,27 @@ def test_covariance_variance_identity(homog_modes):
     lhs = pointwise_variance(zb, 0.0, t, homog_modes)
     rhs = 2 * (phase_covariance(0.0, t, homog_modes) - phase_covariance(zb, t, homog_modes))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-14)
+
+
+def test_phase_covariance_closed_form(homog_modes):
+    # the box's pair rows sum to 1/2 * coef * sum_p sin^2(omega_p t) cos(k_p zbar) / k_p^2
+    m = homog_modes
+    zb = np.array([0.0, 4e-6, -12e-6, 31e-6, 77e-6])
+    t = np.array([[0.4e-3], [2.1e-3], [7.3e-3]])
+    s2 = np.sin(m.omega * t[..., None]) ** 2
+    expected = 0.5 * m.coefficient * np.sum(s2 * np.cos(m.k * zb[:, None]) / m.k**2, axis=-1)
+    np.testing.assert_allclose(phase_covariance(zb, t, m), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda m: phase_covariance(5e-6, float("nan"), m), "evolution times must be finite"),
+    (lambda m: phase_covariance(1.0, -1e-3, m), "evolution times must be finite"),
+    (lambda m: stationary_variance(1.0, m), "exceeds the periodic box"),
+    (lambda m: covariance_rate(1.0, 5e-3, m), "exceeds the periodic box"),
+], ids=["covariance-nan-time", "covariance-negative-time", "stationary-1m", "rate-1m"])
+def test_covariance_sums_refuse_what_pointwise_variance_refuses(homog_modes, call, match):
+    with pytest.raises(ConfigError, match=match):
+        call(homog_modes)
 
 
 def test_rate_step_structure(cone_modes, cone_params):

@@ -14,8 +14,8 @@ from splitgas import (
     recurrence_time,
     sample_realization,
 )
-from splitgas.homogeneous import phase_covariance
-from splitgas.modes import initial_phase_variance, pointwise_variance, thermal_variance
+from splitgas.modes import (initial_phase_variance, phase_covariance, pointwise_variance,
+                            thermal_variance)
 
 
 SEED = 20260809

@@ -29,9 +29,9 @@ EXPORTS = {
     "params": "RB87 PhysicalParams Regime SpeciesPreset TrapConfig dephasing_times "
               "derive_params multimode_condition peak_density_from_atom_number "
               "squeezing_limit squeezing_map",
-    "modes": "pcf pointwise_variance thermal_variance variance_field",
-    "homogeneous": "PlaneWaveModeSet build_modes covariance_rate phase_covariance "
-                   "prethermal_variance recurrence_time variance_rate",
+    "modes": "covariance_rate pcf phase_covariance pointwise_variance thermal_variance "
+             "variance_field variance_rate",
+    "homogeneous": "PlaneWaveModeSet build_modes prethermal_variance recurrence_time",
     "trapped": "DensityProfile LegendreModeSet build_trapped_modes mode_frequency "
                "quasi1d_profile",
     "observables": "contrast_evaluator contrast_trace extract_front fit_velocity "
@@ -252,6 +252,42 @@ def test_geometry_modules_bind_no_mode_sum_of_modes():
         aliases = [name for name, value in vars(module).items()
                    if inspect.isfunction(value) and id(value) in generic]
         assert aliases == [], module.__name__
+
+
+def _trig_of_mode_k(tree) -> set:
+    """Qualified names of the functions that call cos or sin on an expression that
+    reads a ``.k``, or a local name assigned from one."""
+    def reads_k(node, tainted):
+        return any(isinstance(n, ast.Attribute) and n.attr == "k"
+                   or isinstance(n, ast.Name) and n.id in tainted for n in ast.walk(node))
+
+    found = set()
+
+    def visit(node, scope, tainted):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}{child.name}.", set())
+                continue
+            if isinstance(child, ast.Assign) and reads_k(child.value, tainted):
+                tainted |= {n.id for t in child.targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)}
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in ("cos", "sin") and any(reads_k(a, tainted) for a in child.args):
+                    found.add(scope.rstrip("."))
+            visit(child, scope, tainted)
+
+    visit(tree, "", set())
+    return found
+
+
+def test_mode_functions_are_written_only_in_pair_functions():
+    # the box's one table of mode functions: no other sum restates cos/sin(k z)
+    found = set()
+    for path in Path(splitgas.__file__).parent.glob("*.py"):
+        found |= _trig_of_mode_k(ast.parse(path.read_text()))
+    assert found == {"PlaneWaveModeSet.pair_functions"}
 
 
 def test_no_two_exports_name_one_function():

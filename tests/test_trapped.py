@@ -18,7 +18,8 @@ from splitgas import (
     quasi1d_profile,
 )
 from splitgas.homogeneous import build_modes
-from splitgas.modes import pointwise_variance, variance_field
+from splitgas.modes import (covariance_rate, pointwise_variance, stationary_variance,
+                            variance_field)
 from splitgas.trapped import legendre_f_table
 
 
@@ -205,6 +206,28 @@ def test_trapped_convergence_and_fields(trapped_modes):
     fine = build_trapped_modes(trapped_modes.params, 4 * trapped_modes.j_max)
     fine_field = variance_field(fine, z, ts, check_convergence=True)
     assert fine_field.doubling_dev < min(5e-3, dev0)
+
+
+@pytest.mark.parametrize("t", [4e-3, 8e-3, 10e-3, 12e-3, 14e-3])
+def test_trap_slows_the_light_cone(trapped_modes, t):
+    """The covariance rate's edge follows the local-density cone: dz/dt = 2c(z) with
+    c(z) = c0*sqrt(1 - z^2/R^2) gives z(t) = R*sin(2*c0*t/R), behind the box's 2*c0*t."""
+    R, c0 = trapped_modes.radius, trapped_modes.profile.sound_speed_peak
+    z = np.linspace(0.0, 0.98 * R, 981)
+    rate = covariance_rate(z, t, trapped_modes)
+    edge = z[np.argmax(rate < 0.5 * rate[z <= c0 * t].mean())]
+    assert abs(edge - R * math.sin(2 * c0 * t / R)) < 2 * trapped_modes.xi_h
+    if t >= 10e-3:   # the box's cone lies outside twice that band
+        assert edge < 2 * c0 * t - 2e-6
+
+
+def test_stationary_variance_is_the_time_average(trapped_modes):
+    # the cloud's frequencies are incommensurate: a long random sample of times
+    # averages each sin^2(omega_j t) to 1/2
+    z = np.linspace(0.1, 0.9, 5) * trapped_modes.radius
+    times = np.random.default_rng(7).uniform(0.0, 20.0, 4000)
+    mean = variance_field(trapped_modes, z, times).values.mean(axis=0)
+    np.testing.assert_allclose(mean, stationary_variance(z, trapped_modes), rtol=0.02)
 
 
 def test_quasi1d_mode_scale(quasi1d_config):
