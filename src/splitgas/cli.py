@@ -188,7 +188,7 @@ def _front_for_system(modes, fit_window):
     import numpy as np
 
     from .errors import DetectionError
-    from .modes import default_rate_step, variance_field
+    from .modes import VarianceField, default_rate_step
     from .observables import extract_front, fit_velocity
 
     t_hi = fit_window[1]
@@ -199,7 +199,8 @@ def _front_for_system(modes, fit_window):
         z_hi = min(0.45 * modes.L, 2.0 * modes.params.c * t_hi * 1.4 + 20.0 * xi_h)
     else:
         z_hi = 0.985 * modes.radius
-    field = variance_field(modes, np.arange(0.0, z_hi, xi_h / 4.0), times)
+    # streamed: the detector reads the field a block of times at a time
+    field = VarianceField(np.arange(0.0, z_hi, xi_h / 4.0), times, None, modes=modes)
     z = field.positions
     trace = extract_front(field)
     if len(trace) == 0:

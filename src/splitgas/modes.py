@@ -14,7 +14,11 @@ These sums, pointwise, as a field with its truncation doubling check, as
 light-cone rates and as stationary phase noise, are written once here against
 :class:`ModeBasis`, under the only public names of these sums.  The field is a
 :class:`VarianceField`, which keeps the basis that made it; its correlation
-function is the Gaussian exponential C = exp(-variance/2), :func:`pcf`.
+function is the Gaussian exponential C = exp(-variance/2), :func:`pcf`.  Each
+row of the field is its own (1 x modes) @ (modes x nz) product, so a row does
+not depend on the other times of the call; a streamed field (``values`` None)
+holds only the pair terms and computes the rows a reader asks for, which is
+how the front detector reads the grid a block of times at a time.
 """
 
 from __future__ import annotations
@@ -94,20 +98,39 @@ class ModeBasis:
 
 @dataclass
 class VarianceField:
-    """Two-point relative-phase variance on a (time x position) grid."""
+    """Two-point relative-phase variance on a (time x position) grid.
+
+    A field built with ``values=None`` and a basis is streamed: zprime is 0,
+    it holds the basis's pair terms but never the grid, and :meth:`rows`
+    computes the rows it is asked for, each bit-equal to the same row of
+    :func:`variance_field`.
+    """
 
     positions: np.ndarray   # m; z with fixed zprime (separations from it in a box)
     times: np.ndarray       # s
-    values: np.ndarray      # (len(times), len(positions)), dimensionless
+    values: np.ndarray | None   # (len(times), len(positions)), dimensionless; None = streamed
     doubling_dev: float | None = None   # doubling-test deviation, None = not checked
     modes: ModeBasis | None = None      # the basis that made it, None = synthetic
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
         self.times = np.asarray(self.times, dtype=float)
+        if self.values is None:
+            if self.modes is None:
+                raise ValueError("a streamed field needs the basis that computes its rows")
+            self.times = _check_times(self.times)
+            self.modes.check_points(np.append(self.positions, 0.0))
+            self._terms = self.modes.pair_terms(self.positions, np.zeros(1))
+            return
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.times.size, self.positions.size):
             raise ValueError("values must have shape (n_times, n_positions)")
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The variance at times[lo:hi], shape (hi - lo, len(positions))."""
+        if self.values is None:
+            return _variance_rows(self.modes, self._terms, self.times[lo:hi])
+        return self.values[lo:hi]
 
 
 def _check_times(t) -> np.ndarray:
@@ -186,8 +209,7 @@ def variance_field(
     z = np.atleast_1d(np.asarray(z, dtype=float))
     times = _check_times(np.atleast_1d(times))
     modes.check_points(np.append(z, zprime))
-    values = modes.time_factors(times) @ modes.pair_terms(z, np.array([zprime]))  # (nt, nz)
-    values *= modes.coefficient
+    values = _variance_rows(modes, modes.pair_terms(z, np.array([zprime])), times)
     dev = None
     if check_convergence:
         fine = variance_field(modes.doubled(), z, times, zprime).values
@@ -197,6 +219,16 @@ def variance_field(
         scale = max(float(np.abs(fine).max()), 1e-300)
         dev = float(np.max(np.abs(fine - values)[:, mask]) / scale)
     return VarianceField(positions=z, times=times, values=values, doubling_dev=dev, modes=modes)
+
+
+def _variance_rows(modes: ModeBasis, terms: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """coef * time_factors(t) @ terms, shape (times, nz), one (1 x modes) @ (modes x nz)
+    product per time: a row does not depend on the other times of the call, which a
+    single matrix product does not promise (its rows round by their place in the
+    BLAS kernel's tiles)."""
+    rows = np.matmul(modes.time_factors(times)[:, None, :], terms)[:, 0]
+    rows *= modes.coefficient
+    return rows
 
 
 def thermal_variance(z, temperature: float, modes: ModeBasis):
@@ -224,6 +256,7 @@ def _phase_noise_variance(z, var_phi: np.ndarray, modes: ModeBasis):
     """sum_m var_phi_m * synthesis_scale_m^2 * pair_terms_m(z, 0): the variance
     of a stationary state with phase-quadrature variances var_phi."""
     z = np.asarray(z, dtype=float)
+    modes.check_points(np.append(z, 0.0))
     terms = modes.pair_terms(z, np.zeros_like(z))
     out = np.tensordot(var_phi * modes.synthesis_scale**2, terms, axes=1)
     return out if out.ndim else float(out)
@@ -260,7 +293,9 @@ def _central_rate(f, t, modes: ModeBasis, dt: float | None):
 
 
 def pcf(variance: VarianceField) -> np.ndarray:
-    """Correlation C = exp(-variance/2), element-wise on the field's grid."""
-    if not np.all(variance.values >= 0):   # NaN included
+    """Correlation C = exp(-variance/2), element-wise on the field's grid (a
+    streamed field's rows are computed for it)."""
+    values = variance.rows(0, variance.times.size)
+    if not np.all(values >= 0):   # NaN included
         raise ConfigError("variance must be non-negative")
-    return np.exp(-variance.values / 2.0)
+    return np.exp(-values / 2.0)

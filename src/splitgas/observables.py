@@ -2,7 +2,9 @@
 
 The correlation front is located per time sample as the peak of the
 smoothed mixed derivative d2<dphi^2>/dt dz (the variance rate switches
-between its inside- and outside-cone plateaus there).  An independent
+between its inside- and outside-cone plateaus there).  The detector reads
+the variance field a block of times at a time, so the ``front`` command
+hands it a streamed field and never holds the (time x position) grid.  An independent
 half-plateau crossing detector is kept for the tests, which run it as a
 cross-check of the default one.  The mean squared contrast
 double-integrates C over an observation window, and recurrences are
@@ -47,13 +49,16 @@ _CONTRAST_PANEL_ROWS = 48
 # Fewer, larger blocks cut the per-block interpreter work.
 _CONTRAST_PANEL_ELEMENTS = 2**16
 # The front detector takes dV/dt, differentiates, smooths and searches the
-# time x position grid this many time rows at a time (dV/dt reads one halo row
-# on each side), for both detectors.  Its temporaries are a few blocks of
-# this many rows, under 2 MB on the largest preset grid whatever its number
-# of rows; every row comes out bit-equal to the whole-grid computation.
-# Fewer rows would leave the peak to the per-row detection lists, which grow
-# with the number of rows.
-_FRONT_BLOCK_ROWS = 40
+# time x position grid a block of time rows at a time (dV/dt reads one halo
+# row on each side), for both detectors, and reads a streamed field's rows
+# only as each block needs them.  A block has as many rows as fit one
+# (rows x nz) float64 array in this many bytes.  At its peak, inside the peak
+# finder, a block holds about ten such arrays (0.6 MB on fig5's 318 x 636
+# grid at N = 9000), so the detector's memory depends on nz only, never on
+# the number of rows; more bytes buy fewer blocks and less per-block
+# interpreter work.  Every row comes out bit-equal to the whole-grid
+# computation.
+_FRONT_BLOCK_BYTES = 2**16
 # Recurrence refinement stops once the bracket around a peak is this wide (s).
 _REFINE_BRACKET_S = 1e-9
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
@@ -98,8 +103,11 @@ def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:
     n = a.shape[-1]
     p = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(r, r)], mode="edge")
     out = p[..., r:r + n] * w[r]
+    pair = np.empty_like(out)
     for j in range(r, 0, -1):
-        out += (p[..., r - j:r - j + n] + p[..., r + j:r + j + n]) * w[r - j]
+        np.add(p[..., r - j:r - j + n], p[..., r + j:r + j + n], out=pair)
+        pair *= w[r - j]
+        out += pair
     return out
 
 
@@ -180,38 +188,43 @@ def _refine_peak(row: np.ndarray, idx: int, dz: float) -> float:
     return 0.0
 
 
-def _time_derivative_blocks(values: np.ndarray, ts: np.ndarray, rows: int):
-    """Yield (first row, dV/dt) of ``values`` (time x position) ``rows`` time rows at a time.
+def _time_derivative_blocks(field: VarianceField, rows: int):
+    """Yield (first row, V, dV/dt) of ``field`` ``rows`` time rows at a time.
 
-    Each block reads one halo row on each side and is bit-equal to the same
-    rows of ``np.gradient(values, ts, axis=0)``: it uses the whole grid's
-    three-point coefficients, and numpy's uniform-spacing formula only when
-    the whole grid is exactly uniform, as ``np.gradient`` decides on the
-    whole grid (a slice of it may be uniform where the grid is not).
+    Each block reads its rows and one halo row on each side through
+    ``field.rows``, so a streamed field is never held whole.  dV/dt is
+    bit-equal to the same rows of ``np.gradient(values, ts, axis=0)``: it
+    uses the whole grid's three-point coefficients, and numpy's
+    uniform-spacing formula only when the whole grid is exactly uniform, as
+    ``np.gradient`` decides on the whole grid (a slice of it may be uniform
+    where the grid is not).
     """
+    ts = field.times
     dt = np.diff(ts)
     uniform = bool((dt == dt[0]).all())
-    if not uniform:
-        dx1, dx2 = dt[:-1, None], dt[1:, None]
-        a = -(dx2) / (dx1 * (dx1 + dx2))
-        b = (dx2 - dx1) / (dx1 * dx2)
-        c = dx1 / (dx2 * (dx1 + dx2))
     n = ts.size
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
+        first = max(lo - 1, 0)                  # the block's rows start at values[first]
+        values = field.rows(first, min(hi + 1, n))
         i0, i1 = max(lo, 1), min(hi, n - 1)    # the block's interior rows
-        prev, mid, nxt = values[i0 - 1:i1 - 1], values[i0:i1], values[i0 + 1:i1 + 1]
+        m = i1 - i0                            # values[0] is the row before i0
+        prev, mid, nxt = values[:m], values[1:m + 1], values[2:m + 2]
         out = np.empty((hi - lo, values.shape[1]))
         if uniform:
-            out[i0 - lo:i1 - lo] = (nxt - prev) / (2.0 * dt[0])
+            np.subtract(nxt, prev, out=out[i0 - lo:i1 - lo])
+            out[i0 - lo:i1 - lo] /= 2.0 * dt[0]
         else:
-            k = slice(i0 - 1, i1 - 1)
-            out[i0 - lo:i1 - lo] = a[k] * prev + b[k] * mid + c[k] * nxt
+            dx1, dx2 = dt[i0 - 1:i1 - 1, None], dt[i0:i1, None]
+            a = -(dx2) / (dx1 * (dx1 + dx2))
+            b = (dx2 - dx1) / (dx1 * dx2)
+            c = dx1 / (dx2 * (dx1 + dx2))
+            out[i0 - lo:i1 - lo] = a * prev + b * mid + c * nxt
         if lo == 0:
             out[0] = (values[1] - values[0]) / dt[0]
         if hi == n:
             out[-1] = (values[-1] - values[-2]) / dt[-1]
-        yield lo, out
+        yield lo, values[lo - first:hi - first], out
 
 
 def extract_front(field: VarianceField, method: str = "mixed_derivative") -> FrontTrace:
@@ -226,7 +239,9 @@ def extract_front(field: VarianceField, method: str = "mixed_derivative") -> Fro
     clouds (beyond 0.9 R) where the vanishing density dominates the
     derivative; a field without a basis is searched to its last point.
     Undetectable rows are dropped; an entirely empty trace is returned with
-    diagnostics rather than raised.
+    diagnostics rather than raised.  The field is read a block of times at a
+    time, so a streamed field (``values`` None) is never held whole; its
+    trace is bit-equal to that of the same field computed whole.
     """
     z = field.positions
     ts = field.times
@@ -240,11 +255,10 @@ def extract_front(field: VarianceField, method: str = "mixed_derivative") -> Fro
     guard = max(3, int(round(3.0 * sigma_z / dz)))
 
     diagnostics = {"dropped": 0, "search_max": search_max, "guard": guard}
-    positions, times = [], []
-    # absolute floor: rounding dust of a featureless field must not register
-    dt_grid = float(ts[1] - ts[0])
-    vmax = max(field.values.max(), -field.values.min())   # max |V|, no copy
-    deriv_floor = 1e-9 * float(vmax or 1.0) / (dt_grid * dz)
+    # each row's detection and the level its row must lift above the floor
+    positions = np.full(ts.size, np.nan)
+    levels = np.full(ts.size, -np.inf)
+    vmax = 0.0   # max |V| over the blocks read so far
 
     if method == "mixed_derivative":
         sigma = sigma_z / dz
@@ -258,30 +272,31 @@ def extract_front(field: VarianceField, method: str = "mixed_derivative") -> Fro
     else:
         raise ConfigError(f"unknown front detection method: {method!r}")
 
-    blocks = _time_derivative_blocks(field.values, ts, _FRONT_BLOCK_ROWS) if searchable else ()
-    for b, dVdt in blocks:
+    rows = max(1, _FRONT_BLOCK_BYTES // (8 * z.size))
+    blocks = _time_derivative_blocks(field, rows) if searchable else ()
+    for b, V, dVdt in blocks:
+        vmax = np.max((vmax, V.max(), -V.min()))
         if method == "mixed_derivative":
             M = np.gradient(dVdt, z, axis=1)
-            rows = np.abs(_gaussian_smooth(M[:, :ncol], sigma)[:, :imax])
-            seg = rows[:, guard:-guard]
+            smooth = np.abs(_gaussian_smooth(M[:, :ncol], sigma)[:, :imax])
+            seg = smooth[:, guard:-guard]
             rng = seg.max(axis=1) - seg.min(axis=1)
             row, idx, prom = _peak_prominences(seg)
-            ok = (prom >= DEFAULT_PROMINENCE_REL * rng[row]) & (rng[row] > deriv_floor)
+            ok = prom >= DEFAULT_PROMINENCE_REL * rng[row]
             row, idx, prom = row[ok], idx[ok], prom[ok]
             # per row the most prominent peak, the leftmost of equals
             order = np.lexsort((idx, -prom, row))
             lead = np.ones(order.size, dtype=bool)
             lead[1:] = row[order[1:]] != row[order[:-1]]
             for i, j in zip(row[order[lead]], idx[order[lead]] + guard):
-                positions.append(z[j] + _refine_peak(rows[i], j, dz))
-                times.append(ts[b + i])
+                positions[b + i] = z[j] + _refine_peak(smooth[i], j, dz)
+                levels[b + i] = rng[i]
         else:
             for i in range(dVdt.shape[0]):
                 row = np.abs(dVdt[i, guard:imax - guard])
                 inner = float(row[:n_dec].mean())
                 outer = float(row[-n_dec:].mean())
-                if (abs(outer - inner) <= DEFAULT_PROMINENCE_REL * max(outer, inner, 1e-300)
-                        or abs(outer - inner) <= deriv_floor * dz):
+                if abs(outer - inner) <= DEFAULT_PROMINENCE_REL * max(outer, inner, 1e-300):
                     continue
                 thr = 0.5 * (inner + outer)
                 side = row > thr if outer > inner else row < thr
@@ -290,20 +305,28 @@ def extract_front(field: VarianceField, method: str = "mixed_derivative") -> Fro
                     continue
                 j = cross[0]
                 frac = (thr - row[j - 1]) / (row[j] - row[j - 1])
-                positions.append(z[guard + j - 1] + float(np.clip(frac, 0.0, 1.0)) * dz)
-                times.append(ts[b + i])
+                positions[b + i] = z[guard + j - 1] + float(np.clip(frac, 0.0, 1.0)) * dz
+                levels[b + i] = abs(outer - inner)
+    # absolute floor, from the whole field's max |V| once the last block is
+    # read: rounding dust of a featureless field must not register
+    deriv_floor = 1e-9 * float(vmax or 1.0) / (float(ts[1] - ts[0]) * dz)
+    found = levels > (deriv_floor if method == "mixed_derivative" else deriv_floor * dz)
     # every row without a detection is dropped, all of them when the search
     # segment is too narrow to search at all
-    diagnostics["dropped"] = ts.size - len(times)
+    diagnostics["dropped"] = ts.size - int(found.sum())
 
     return FrontTrace(
-        times=np.asarray(times), positions=np.asarray(positions),
+        times=ts[found], positions=positions[found],
         method=method, diagnostics=diagnostics,
     )
 
 
 def fit_velocity(trace: FrontTrace, window: tuple = DEFAULT_FIT_WINDOW) -> VelocityFit:
-    """Least-squares front velocity over detections with t in (t0, t1]."""
+    """Least-squares front velocity over detections with t in (t0, t1].
+
+    The closed-form centred line, slope = sum (t - tbar)(z - zbar) / sum (t - tbar)^2,
+    so fitting needs no LAPACK.
+    """
     t0, t1 = window
     sel = (trace.times > t0) & (trace.times <= t1)
     if int(sel.sum()) < 3:
@@ -312,7 +335,13 @@ def fit_velocity(trace: FrontTrace, window: tuple = DEFAULT_FIT_WINDOW) -> Veloc
             f"got {int(sel.sum())}"
         )
     tt, zz = trace.times[sel], trace.positions[sel]
-    slope, intercept = np.polyfit(tt, zz, 1)
+    dt = tt - tt.mean()
+    spread = np.sum(dt * dt)
+    if not spread > 0.0:
+        raise DetectionError(f"the front detections in ({t0*1e3:g}, {t1*1e3:g}] ms "
+                             "all share one time")
+    slope = np.sum(dt * (zz - zz.mean())) / spread
+    intercept = zz.mean() - slope * tt.mean()
     resid = zz - (slope * tt + intercept)
     return VelocityFit(
         speed=float(slope), intercept=float(intercept),

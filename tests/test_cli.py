@@ -140,12 +140,12 @@ def test_front_homogeneous_velocity(homog_file, tmp_path):
 
 def test_front_without_spreading_is_a_detection_failure(tmp_path, capsys):
     # a single plane-wave mode carries no front: every detection sits at the
-    # same point and the fitted slope is rounding dust (-6.86916e-14 mm/s)
+    # same point and the fitted slope is rounding dust (-6.90054e-14 mm/s)
     path = tmp_path / "pmax1.yaml"
     path.write_text(REF_HOMOG + "truncation:\n  p_max: 1\n")
     out = tmp_path / "front.csv"
     assert main(["front", "--config", str(path), "--out", str(out)]) == 4
-    assert "fitted front velocity -6.86916e-14 mm/s is not positive" in capsys.readouterr().err
+    assert "fitted front velocity -6.90054e-14 mm/s is not positive" in capsys.readouterr().err
     assert not out.exists()
 
 

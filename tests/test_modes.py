@@ -5,7 +5,8 @@ import pytest
 
 from splitgas import build_trapped_modes, derive_params
 from splitgas.errors import ConfigError
-from splitgas.modes import VarianceField, pcf, pointwise_variance, variance_field
+from splitgas.modes import (VarianceField, initial_phase_variance, pcf, pointwise_variance,
+                            thermal_variance, variance_field)
 from splitgas.observables import contrast_evaluator
 from splitgas.oracle import EnsembleSpec, estimate_pcf
 from splitgas.params import hbar, k_B
@@ -137,6 +138,35 @@ def test_check_points_refuses_out_of_domain(basis):
         pointwise_variance(0.0, -outside, 1e-3, modes)
 
 
+PHASE_NOISE = [lambda z, m: thermal_variance(z, 30e-9, m),
+               lambda z, m: initial_phase_variance(z, m)]
+PHASE_NOISE_IDS = ["thermal", "initial"]
+
+
+@pytest.mark.parametrize("variance", PHASE_NOISE, ids=PHASE_NOISE_IDS)
+def test_phase_noise_variances_refuse_a_separation_beyond_the_box(variance):
+    from splitgas.cli import _modes
+    from splitgas.scenario import preset_scenario
+
+    modes = _modes(preset_scenario("fig3"))   # the 100 um box
+    with pytest.raises(ConfigError, match="separation 1e[+]06 um exceeds the periodic box"):
+        variance(1.0, modes)
+
+
+@pytest.mark.parametrize("variance", PHASE_NOISE, ids=PHASE_NOISE_IDS)
+def test_phase_noise_variances_refuse_nan(basis, variance):
+    with pytest.raises(ConfigError):
+        variance(np.array([0.0, NAN]), basis[0])
+
+
+@pytest.mark.parametrize("variance", PHASE_NOISE, ids=PHASE_NOISE_IDS)
+def test_phase_noise_variances_name_a_point_outside_the_cloud(trapped_modes, variance):
+    R = trapped_modes.radius
+    with pytest.raises(ConfigError, match=f"point {1.5 * R / 1e-6:.6g} um lies outside the "
+                                          f"cloud [(]R = {R / 1e-6:.6g} um[)]"):
+        variance(1.5 * R, trapped_modes)
+
+
 @pytest.mark.parametrize("t", [-1e-3, float("nan"), float("inf")])
 def test_variance_field_refuses_bad_times(basis, t):
     modes, z, zprime, _ = basis
@@ -179,8 +209,7 @@ def _legendre_reference(j_max, x):
     return np.sqrt(np.arange(1, j_max + 1) + 0.5)[:, None] * np.array(P[1:])
 
 
-@pytest.fixture(scope="module", params=["fig5", "fig3"])
-def front_grid(request):
+def _front_grid(preset):
     """The front command's basis and (z, t) grid: fig5 at N = 9000, fig3's box."""
     from dataclasses import replace
 
@@ -188,15 +217,70 @@ def front_grid(request):
     from splitgas.modes import default_rate_step
     from splitgas.scenario import preset_scenario
 
-    sc = preset_scenario(request.param)
+    sc = preset_scenario(preset)
     config = None
-    if request.param == "fig5":
+    if preset == "fig5":
         config = replace(sc.config, atom_number_total=9000, peak_density_per_gas=None)
     modes = _modes(sc, config)
     dt = default_rate_step(modes)
     times = np.arange(dt, sc.fit_window[1] + 0.5 * dt, dt)
     z_hi = 0.45 * modes.L if modes.radius is None else 0.985 * modes.radius
     return modes, np.arange(0.0, z_hi, modes.xi_h / 4.0), times
+
+
+@pytest.fixture(scope="module", params=["fig5", "fig3"])
+def front_grid(request):
+    return _front_grid(request.param)
+
+
+def _single_time_rows_are_bulk_rows(modes, z, times) -> bool:
+    """Every single-time variance_field row, and every row of the streamed field
+    read alone, is bit-equal to the same row of the bulk call."""
+    bulk = variance_field(modes, z, times).values
+    streamed = VarianceField(z, times, None, modes=modes)
+    return all(np.array_equal(variance_field(modes, z, times[i:i + 1]).values[0], bulk[i])
+               and np.array_equal(streamed.rows(i, i + 1)[0], bulk[i])
+               for i in range(times.size))
+
+
+def test_single_time_field_rows_are_bulk_rows(front_grid):
+    assert _single_time_rows_are_bulk_rows(*front_grid)
+    modes, z, times = front_grid
+    streamed = VarianceField(z, times[:20], None, modes=modes)
+    assert np.array_equal(pcf(streamed), pcf(variance_field(modes, z, times[:20])))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("preset", ["fig5", "fig3"])
+def test_single_time_field_rows_are_bulk_rows_at_fixed_blas_threads(tmp_path, preset, threads):
+    """A fresh process per BLAS thread count: a row must not depend on how the
+    BLAS splits the other rows' work between threads."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import splitgas
+
+    if not Path("/proc/self/status").exists():
+        pytest.skip("the child's thread count is read from /proc/self/status")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["SPLITGAS_THREADS"] = threads
+    paths = [Path(splitgas.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*map(str, paths), env.get("PYTHONPATH")]))
+    child = (
+        "import splitgas\n"   # caps the BLAS pool before test_modes imports numpy
+        "from test_modes import _front_grid, _single_time_rows_are_bulk_rows\n"
+        f"print(_single_time_rows_are_bulk_rows(*_front_grid({preset!r})))\n"
+        "for line in open('/proc/self/status'):\n"
+        "    if line.startswith('Threads:'):\n"
+        "        print(line.split()[1])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.split() == ["True", threads]
 
 
 def test_in_place_builders_bit_equal_to_the_formulas(front_grid):
@@ -228,5 +312,7 @@ def test_in_place_builders_bit_equal_to_the_formulas(front_grid):
     assert np.array_equal(modes.pair_terms(*zz), reference(*zz))
     amp = np.sin(modes.omega[None, :] * times[:, None]) ** 2 / modes.time_norm
     assert np.array_equal(modes.time_factors(times), amp)
-    values = modes.coefficient * (amp @ terms)
+    # one vector-matrix product per time (a single matrix product rounds a row
+    # by its place in the BLAS kernel's tiles)
+    values = modes.coefficient * np.array([a @ terms for a in amp])
     assert np.array_equal(variance_field(modes, z, times).values, values)

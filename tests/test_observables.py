@@ -24,7 +24,7 @@ from splitgas import (
 from splitgas.modes import VarianceField, variance_field
 from splitgas.observables import (
     _CONTRAST_PANEL_ROWS,
-    _FRONT_BLOCK_ROWS,
+    _FRONT_BLOCK_BYTES,
     FrontTrace,
     _time_derivative_blocks,
     prethermal_pcf,
@@ -142,6 +142,13 @@ def test_fit_velocity_needs_points():
         fit_velocity(trace)
 
 
+def test_fit_velocity_needs_detections_at_distinct_times():
+    trace = FrontTrace(times=np.full(3, 2e-3), positions=np.array([1e-6, 2e-6, 3e-6]),
+                       method="mixed_derivative")
+    with pytest.raises(DetectionError, match="all share one time"):
+        fit_velocity(trace)
+
+
 def test_extract_front_empty_when_featureless():
     z = np.arange(0.0, 30e-6, 0.2e-6)
     ts = np.linspace(1e-3, 5e-3, 30)
@@ -192,20 +199,22 @@ def preset_front_fields(tmp_path_factory):
     return fields
 
 
-def _whole_grid_blocks(values, ts, rows):
-    """The reference for the row blocks: slices of one whole-grid np.gradient."""
-    dVdt = np.gradient(values, ts, axis=0)
-    for lo in range(0, ts.size, rows):
-        yield lo, dVdt[lo:lo + rows]
+def _whole_grid_blocks(field, rows):
+    """The reference for the row blocks: slices of the whole grid and of one np.gradient."""
+    dVdt = np.gradient(field.values, field.times, axis=0)
+    for lo in range(0, field.times.size, rows):
+        yield lo, field.values[lo:lo + rows], dVdt[lo:lo + rows]
 
 
 def _assert_blocks_and_traces_match_whole_grid(field, rows, monkeypatch):
     whole = np.gradient(field.values, field.times, axis=0)
-    blocks = list(_time_derivative_blocks(field.values, field.times, rows))
-    assert [lo for lo, _ in blocks] == list(range(0, field.times.size, rows))
-    assert np.array_equal(np.concatenate([d for _, d in blocks]), whole)
+    blocks = list(_time_derivative_blocks(field, rows))
+    assert [lo for lo, _, _ in blocks] == list(range(0, field.times.size, rows))
+    assert np.array_equal(np.concatenate([v for _, v, _ in blocks]), field.values)
+    assert np.array_equal(np.concatenate([d for _, _, d in blocks]), whole)
 
-    monkeypatch.setattr(observables, "_FRONT_BLOCK_ROWS", rows)
+    # a budget of exactly ``rows`` rows of the grid
+    monkeypatch.setattr(observables, "_FRONT_BLOCK_BYTES", rows * 8 * field.positions.size)
     traces = [extract_front(field, method=m) for m in FRONT_METHODS]
     monkeypatch.setattr(observables, "_time_derivative_blocks", _whole_grid_blocks)
     for method, trace in zip(FRONT_METHODS, traces):
@@ -217,12 +226,32 @@ def _assert_blocks_and_traces_match_whole_grid(field, rows, monkeypatch):
     monkeypatch.undo()
 
 
+def _materialised(field):
+    """The whole grid of a streamed field, as :func:`variance_field` computes it."""
+    return variance_field(field.modes, field.positions, field.times)
+
+
 def test_front_derivative_blocks_bit_equal_on_preset_grids(preset_front_fields, monkeypatch):
     # fig5 scans three atom numbers, fig6 compares three regimes
     assert len(preset_front_fields) == 12
-    for field in preset_front_fields:
-        for rows in (_FRONT_BLOCK_ROWS, 7):
+    for field in map(_materialised, preset_front_fields):
+        default = max(1, _FRONT_BLOCK_BYTES // (8 * field.positions.size))
+        for rows in (default, 7):
             _assert_blocks_and_traces_match_whole_grid(field, rows, monkeypatch)
+
+
+def test_streamed_front_bit_equal_to_materialised_grid(preset_front_fields):
+    """The command's streamed field never holds its grid, yet detects what the grid does."""
+    assert len(preset_front_fields) == 12
+    for field in preset_front_fields:
+        assert field.values is None
+        whole = _materialised(field)
+        for method in FRONT_METHODS:
+            streamed, ref = extract_front(field, method=method), extract_front(whole, method=method)
+            assert len(streamed) > 0
+            assert np.array_equal(streamed.times, ref.times), method
+            assert np.array_equal(streamed.positions, ref.positions), method
+            assert streamed.diagnostics["dropped"] == ref.diagnostics["dropped"], method
 
 
 @pytest.mark.parametrize("grid", ["uniform_block", "uniform"])
@@ -424,6 +453,33 @@ def test_front_memory_does_not_grow_with_the_time_rows(method):
             tracemalloc.stop()
         assert len(trace) > 0.9 * rows
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_front_command_memory_does_not_grow_with_the_time_rows(monkeypatch):
+    """From mode basis to fitted trace, the front never holds its (time x position) grid."""
+    import tracemalloc
+
+    from dataclasses import replace
+
+    from splitgas import modes as mode_sums
+    from splitgas.cli import _front_for_system, _modes
+    from splitgas.scenario import preset_scenario
+
+    sc = preset_scenario("fig5")
+    modes = _modes(sc, replace(sc.config, atom_number_total=9000, peak_density_per_gas=None))
+    step = mode_sums.default_rate_step(modes)
+    peaks = []
+    for refine in (1, 4):   # 318 and 1272 time rows of 636 points; the first grid is 1.6 MB
+        monkeypatch.setattr(mode_sums, "default_rate_step", lambda m: step / refine)
+        tracemalloc.start()
+        try:
+            trace, _ = _front_for_system(modes, sc.fit_window)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 0.9 * 318 * refine
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert max(peaks) < 2e6
 
 
 def test_contrast_window_needs_two_grid_points(homog_modes, trapped_modes):

@@ -151,7 +151,7 @@ def test_front_row_blocks_match_whole_grid_reference(trapped_modes, monkeypatch)
     z = np.arange(0.0, 0.985 * trapped_modes.radius, trapped_modes.xi_h / 4.0)
     ts = np.linspace(0.2e-3, 10e-3, 150)
     field = variance_field(trapped_modes, z, ts)
-    monkeypatch.setattr(observables, "_FRONT_BLOCK_ROWS", 16)
+    monkeypatch.setattr(observables, "_FRONT_BLOCK_BYTES", 16 * 8 * z.size)   # 16 rows
     trace = extract_front(field)
 
     dz = float(z[1] - z[0])

@@ -290,6 +290,37 @@ def test_mode_functions_are_written_only_in_pair_functions():
     assert found == {"PlaneWaveModeSet.pair_functions"}
 
 
+def _lapack_calls(tree) -> set:
+    """Each call to polyfit, lstsq or anything under linalg, and each import of linalg."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func).split(".")
+            if name[-1] in ("polyfit", "lstsq") or "linalg" in name:
+                found.add(ast.unparse(node.func))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("linalg" in name.split(".") for name in names):
+                found.add(ast.unparse(node))
+    return found
+
+
+def test_no_module_calls_lapack():
+    # a LAPACK call makes its kernels resident: np.polyfit in the velocity fit
+    # cost every front command about 1.1 MB of peak RSS
+    for path in Path(splitgas.__file__).parent.glob("*.py"):
+        assert _lapack_calls(ast.parse(path.read_text())) == set(), path.name
+
+
+def test_lapack_guard_sees_each_spelling():
+    source = ("np.polyfit(t, z, 1)\nnumpy.linalg.lstsq(a, b)\nnp.linalg.norm(x)\n"
+              "from numpy.linalg import solve\nimport numpy.linalg\nfrom numpy import linalg\n"
+              "linalg.eigh(a)\nnp.dot(a, b)\n")
+    assert _lapack_calls(ast.parse(source)) == {
+        "np.polyfit", "numpy.linalg.lstsq", "np.linalg.norm", "from numpy.linalg import solve",
+        "import numpy.linalg", "from numpy import linalg", "linalg.eigh"}
+
+
 def test_no_two_exports_name_one_function():
     seen = {}
     for name in splitgas.__all__:
