@@ -9,7 +9,8 @@ two-point phase variance is the mode sum
 
     <dphi(zbar, t)^2> = coef * sum_p sin^2(omega_p t) (1 - cos(k_p zbar)) / k_p^2
 
-with coef = 2*pi^2*n*xi_n^2/(L*K^2); +k and -k are folded into one term.
+with coef = 2*pi^2*n*xi_n^2/(L*K^2), the shot noise times the squared phase
+amplitude and synthesis scale of each mode; +k and -k are folded into one term.
 All mode frequencies are commensurate (omega_p = p * 2*pi*c/L), so the
 variance is exactly periodic with period L/(2c) and vanishes identically
 at multiples of it.
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import modes as basis
 from .errors import ConfigError
-from .params import PhysicalParams, _check_positive, _check_temperature, _mode_count, hbar, k_B, pi
+from .params import PhysicalParams, _check_positive, _check_temperature, _mode_count, k_B, pi
 
 __all__ = [
     "PlaneWaveModeSet",
@@ -43,8 +44,8 @@ class PlaneWaveModeSet(basis.ModeBasis):
     """Discrete plane-wave excitation basis of a box of size L.
 
     Arrays hold the positive-k half of the spectrum; the mirror modes are
-    folded into the coefficient of every mode sum.  Positions are
-    separations zbar = z - z'.
+    folded into the weight of every mode.  Positions are separations
+    zbar = z - z'.
     """
 
     params: PhysicalParams
@@ -52,12 +53,9 @@ class PlaneWaveModeSet(basis.ModeBasis):
     p_max: int
     k: np.ndarray           # (p_max,), 1/m
     omega: np.ndarray       # (p_max,), rad/s, c*k
-    S_k: np.ndarray         # (p_max,), structure factor hbar*k/(2*m*c)
-    coefficient: float      # 2*pi^2*n*xi_n^2 / (L*K^2)
 
     truncation_name = "p_max"
     radius = None           # positions are separations, not points of a cloud
-    time_norm = 1.0
 
     @property
     def xi_h(self) -> float:
@@ -104,10 +102,6 @@ class PlaneWaveModeSet(basis.ModeBasis):
         _check_temperature(temperature)
         return np.full_like(self.k, k_B * temperature / (2.0 * self.params.g))
 
-    def thermal_phase_variance(self, temperature: float) -> np.ndarray:
-        lam = self.params.lambda_T(temperature)
-        return 2.0 / (lam * self.k**2)
-
 
 def default_p_max(params: PhysicalParams, L: float) -> int:
     """Phononic truncation: modes up to k ~ 1/xi_h."""
@@ -124,13 +118,7 @@ def build_modes(params: PhysicalParams, L: float, p_max: int | None = None) -> P
     p_max = _mode_count(default_p_max(params, L) if p_max is None else p_max, "p_max")
     p = np.arange(1, p_max + 1, dtype=float)
     k = 2.0 * pi * p / L
-    omega = params.c * k
-    S_k = hbar * k / (2.0 * params.mass * params.c)
-    coefficient = 2.0 * pi**2 * params.n_peak * params.squeezing / (L * params.K**2)
-    return PlaneWaveModeSet(
-        params=params, L=L, p_max=p_max, k=k, omega=omega,
-        S_k=S_k, coefficient=coefficient,
-    )
+    return PlaneWaveModeSet(params=params, L=L, p_max=p_max, k=k, omega=params.c * k)
 
 
 def prethermal_variance(zbar, params: PhysicalParams):

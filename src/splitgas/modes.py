@@ -2,14 +2,15 @@
 
 Every two-point statistic of both geometries is the mode sum
 
-    <dphi(z, z', t)^2> = coef * sum_m sin^2(omega_m t)/time_norm_m * d_m(z, z')
+    <dphi(z, z', t)^2> = sum_m w_m sin^2(omega_m t) d_m(z, z')
 
 with pair terms d_m = sum_r (g_r(z) - g_r(z'))^2 over the mode's rows of
 its basis's one table of mode functions: two plane-wave rows per mode, so
-d_p = (1 - cos(k_p (z - z')))/k_p^2, and time_norm = 1, for the box; one
-Legendre row f_j(z/R) per mode and time_norm = omega_j^2 for the trapped
-cloud (Stringari, PRA 58, 2385 (1998); Petrov, Shlyapnikov & Walraven, PRL
-85, 3745 (2000)); the covariance <phi(z) phi(0)> sums g_r(z) g_r(0) instead.
+d_p = (1 - cos(k_p (z - z')))/k_p^2, for the box; one Legendre row f_j(z/R)
+per mode for the trapped cloud (Stringari, PRA 58, 2385 (1998); Petrov,
+Shlyapnikov & Walraven, PRL 85, 3745 (2000)); the covariance <phi(z) phi(0)>
+sums g_r(z) g_r(0) instead.  The weight w_m is the split state's density
+shot noise dephased into the field, :meth:`ModeBasis.weights`.
 These sums, pointwise, as a field with its truncation doubling check, as
 light-cone rates and as stationary phase noise, are written once here against
 :class:`ModeBasis`, under the only public names of these sums.  The field is a
@@ -23,12 +24,13 @@ how the front detector reads the grid a block of times at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .params import _check_positive, hbar, k_B, pi
+from .params import _check_positive, pi
 
 __all__ = [
     "ModeBasis",
@@ -44,22 +46,27 @@ __all__ = [
     "variance_rate",
 ]
 
+# largest spacing of doubles at the fastest phase omega_max*t that a mode sum
+# accepts, in rad: each sin^2 term, and the variance relative to its scale,
+# then moves by at most about this much between neighbouring times
+_MAX_PHASE_ERROR = 1e-6
+
 
 class ModeBasis:
     """Shared part of the plane-wave and Legendre mode sets.
 
-    Each geometry supplies ``params``, ``omega``, ``coefficient``,
-    ``truncation_name``, ``radius``, ``xi_h``, ``time_norm``,
-    ``synthesis_scale``, ``pair_functions``, ``phi_amplitude``,
-    ``check_points``, ``doubled`` and, for the oracle's initial state,
-    ``split_density_variance``, ``split_phase_variance``,
-    ``thermal_density_variance`` and ``thermal_phase_variance``.
-    ``radius`` is the cloud's, and None for the box, whose positions are
-    separations.  ``pair_functions`` is the one table of mode functions:
-    every mode has the same number of rows, adjacent and in mode order, its
-    pair term sums (g_r(z) - g_r(z'))^2 over them, and a unit amplitude on
-    row r adds synthesis_scale_m * g_r to the field.  Results keep the
-    basis that made them and read these facts from it.
+    Each geometry supplies ``params``, ``omega``, ``truncation_name``,
+    ``radius``, ``xi_h``, ``synthesis_scale``, ``pair_functions``,
+    ``phi_amplitude``, ``check_points``, ``doubled`` and the quadrature
+    variances of the initial states, ``split_density_variance``,
+    ``split_phase_variance`` and ``thermal_density_variance``; the mode
+    weights of every sum, :meth:`weights`, and the thermal phase variance
+    follow from these.  ``radius`` is the cloud's, and None for the box,
+    whose positions are separations.  ``pair_functions`` is the one table
+    of mode functions: every mode has the same number of rows, adjacent and
+    in mode order, its pair term sums (g_r(z) - g_r(z'))^2 over them, and a
+    unit amplitude on row r adds synthesis_scale_m * g_r to the field.
+    Results keep the basis that made them and read these facts from it.
     """
 
     @property
@@ -70,9 +77,15 @@ class ModeBasis:
     def omega_max(self) -> float:
         return float(self.omega[-1])
 
-    def occupation(self) -> np.ndarray:
-        """Mode occupation k_B*T_eff/(hbar*omega_m) imprinted by splitting."""
-        return k_B * self.params.T_eff / (hbar * self.omega)
+    def weights(self) -> np.ndarray:
+        """Weight w_m = <n_m^2> (phi_amplitude_m synthesis_scale_m)^2 of each mode in
+        every mode sum: the split state's density shot noise dephased into the field
+        through the mode's phase amplitude (Kitagawa et al., NJP 13, 073018 (2011))."""
+        return self.split_density_variance() * (self.phi_amplitude() * self.synthesis_scale) ** 2
+
+    def thermal_phase_variance(self, temperature: float) -> np.ndarray:
+        """Equipartition: phi_amplitude_m^2 times the thermal density variance."""
+        return self.phi_amplitude() ** 2 * self.thermal_density_variance(temperature)
 
     def pair_terms(self, z, zprime) -> np.ndarray:
         """sum_r (g_r(z) - g_r(z'))^2 over each mode's rows, shape (modes, *z.shape);
@@ -88,11 +101,23 @@ class ModeBasis:
             rows[:, 0] += rows[:, r]
         return rows[:, 0]
 
+    def check_phases(self, times: np.ndarray) -> None:
+        """Refuse times at which doubles near omega_max t lie more than
+        ``_MAX_PHASE_ERROR`` rad apart: sin^2(omega_m t) would then carry rounding, not
+        the phase, and the neighbouring double would give another table."""
+        t = float(np.max(np.abs(times), initial=0.0))
+        gap = math.ulp(self.omega_max * t)
+        if not gap <= _MAX_PHASE_ERROR:   # NaN and inf included
+            raise ConfigError(f"evolution time {t / 1e-3:.6g} ms is beyond the mode sums' "
+                              f"resolution: doubles near omega_max*t lie {gap:.3g} rad apart, "
+                              f"more than {_MAX_PHASE_ERROR:g} rad")
+
     def time_factors(self, times: np.ndarray) -> np.ndarray:
-        """sin^2(omega_m t) / time_norm_m, shape (times, modes)."""
+        """w_m sin^2(omega_m t), shape (times, modes); times past :meth:`check_phases`."""
+        self.check_phases(times)
         s = np.sin(self.omega[None, :] * times[:, None])
         np.square(s, out=s)
-        s /= self.time_norm
+        s *= self.weights()
         return s
 
 
@@ -155,7 +180,7 @@ def pointwise_variance(z, zprime, t, modes: ModeBasis):
 def phase_covariance(z, t, modes: ModeBasis):
     """Two-point phase covariance <phi(z) phi(0)> at time t, z broadcast against t.
 
-    coef * sum_m time_factors_m(t) * sum_r g_r(z) g_r(0) over the pair rows; in the
+    sum_m time_factors_m(t) * sum_r g_r(z) g_r(0) over the pair rows; in the
     box (z the separation) the variance is 2*(covariance(0) - covariance(z)).
     """
     z = np.asarray(z, dtype=float)
@@ -172,17 +197,14 @@ def stationary_variance(z, modes: ModeBasis):
     In a box it is 2*zbar*(L - zbar)/(l0_eff*L) as the truncation is lifted,
     the infinite-system ramp 2*zbar/l0_eff times a finite-size factor.
     """
-    z = np.asarray(z, dtype=float)
-    modes.check_points(np.append(z, 0.0))
-    return _time_sum(modes.pair_terms(z, np.zeros_like(z)), None, modes)
+    var_phi = 0.5 * modes.phi_amplitude() ** 2 * modes.split_density_variance()
+    return _phase_noise_variance(z, var_phi, modes)
 
 
 def _time_sum(terms, t, modes: ModeBasis):
-    """coef * sum_m s_m * terms_m with t's axes first: s_m = time_factors(t), or their
-    time average 1/(2 time_norm_m) for t = None."""
-    amp = 0.5 / modes.time_norm if t is None else \
-        modes.time_factors(t.ravel()).reshape(*t.shape, -1)
-    out = modes.coefficient * np.sum(amp * np.moveaxis(terms, 0, -1), axis=-1)
+    """sum_m time_factors_m(t) * terms_m with t's axes first."""
+    amp = modes.time_factors(t.ravel()).reshape(*t.shape, -1)
+    out = np.sum(amp * np.moveaxis(terms, 0, -1), axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -222,13 +244,11 @@ def variance_field(
 
 
 def _variance_rows(modes: ModeBasis, terms: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """coef * time_factors(t) @ terms, shape (times, nz), one (1 x modes) @ (modes x nz)
+    """time_factors(t) @ terms, shape (times, nz), one (1 x modes) @ (modes x nz)
     product per time: a row does not depend on the other times of the call, which a
     single matrix product does not promise (its rows round by their place in the
     BLAS kernel's tiles)."""
-    rows = np.matmul(modes.time_factors(times)[:, None, :], terms)[:, 0]
-    rows *= modes.coefficient
-    return rows
+    return np.matmul(modes.time_factors(times)[:, None, :], terms)[:, 0]
 
 
 def thermal_variance(z, temperature: float, modes: ModeBasis):

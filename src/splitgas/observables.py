@@ -194,7 +194,7 @@ def _time_derivative_blocks(field: VarianceField, rows: int):
     Each block reads its rows and one halo row on each side through
     ``field.rows``, so a streamed field is never held whole.  dV/dt is
     bit-equal to the same rows of ``np.gradient(values, ts, axis=0)``: it
-    uses the whole grid's three-point coefficients, and numpy's
+    uses the whole grid's three-point stencil, and numpy's
     uniform-spacing formula only when the whole grid is exactly uniform, as
     ``np.gradient`` decides on the whole grid (a slice of it may be uniform
     where the grid is not).
@@ -404,8 +404,7 @@ def _contrast_kernel(modes, n: int, step: float):
         for start in range(0, times.size, block):
             tt = times[start:start + block]
             k = tt.size
-            amp = modes.coefficient * np.sin(modes.omega * tt[:, None]) ** 2 / modes.time_norm
-            amp = np.take(amp, mode, axis=1)            # per row, C-ordered (amp[:, mode] is not)
+            amp = np.take(modes.time_factors(tt), mode, axis=1)   # per row, C-ordered
             h = np.matmul(amp[:, None, :], g2)[:, 0] / 2.0                # (k, m)
             acc = np.zeros(k)
             for a0, a1, w in panels:

@@ -153,7 +153,7 @@ def _basis(spec: EnsembleSpec, modes, z, times, zprime: float | None = None) -> 
     zprime, so the rows synthesise phi(z, t) - phi(zprime, t).
     """
     pts = z if zprime is None else np.concatenate([z, [zprime]])
-    _check_times(times)
+    modes.check_phases(_check_times(times))
     modes.check_points(pts)
     sig_n, sig_phi = _quadrature_sigmas(spec, modes)
     g, mode, _, _ = modes.pair_functions(pts)                 # (rows, npts)

@@ -12,7 +12,8 @@ variance
     <dphi(z, z', t)^2> = coef * sum_j sin^2(omega_j t)/omega_j^2
                                 * [f_j(z/R) - f_j(z'/R)]^2,
 
-coef = xi_n^2 * n_peak * pi^2 * v_N^2 / (2R).  The mode frequencies are
+coef = xi_n^2 * n_peak * pi^2 * v_N^2 / (2R), the shot noise times the squared
+phase amplitude pi*v_N/omega_j of each mode.  The mode frequencies are
 mutually incommensurate (ratios like sqrt(3)), so unlike the homogeneous
 box the variance never returns to zero exactly.
 
@@ -179,7 +180,6 @@ class LegendreModeSet(ModeBasis):
     omega_scale: float      # rad/s
     omega: np.ndarray       # (j_max,), rad/s, omega_scale * sqrt(j(j+1)/2)
     v_N: float              # density velocity at the centre, m/s
-    coefficient: float      # xi_n^2 * n_peak * pi^2 * v_N^2 / (2R)
 
     truncation_name = "j_max"
     synthesis_scale = 1.0
@@ -187,10 +187,6 @@ class LegendreModeSet(ModeBasis):
     @property
     def radius(self) -> float:
         return self.profile.radius
-
-    @property
-    def time_norm(self) -> np.ndarray:
-        return self.omega**2
 
     @property
     def xi_h(self) -> float:
@@ -230,10 +226,6 @@ class LegendreModeSet(ModeBasis):
         val = k_B * temperature / (pi * hbar * self.v_N * self.radius)
         return np.full(self.j_max, val)
 
-    def thermal_phase_variance(self, temperature: float) -> np.ndarray:
-        _check_temperature(temperature)
-        return pi * self.v_N * k_B * temperature / (hbar * self.radius * self.omega**2)
-
 
 def default_j_max(mu: float, omega_scale: float) -> int:
     """Largest j with hbar*omega_j <= mu (phononic validity)."""
@@ -262,9 +254,7 @@ def build_trapped_modes(params: PhysicalParams, j_max: int | None = None) -> Leg
     j_max = _mode_count(default_j_max(mu_cap, omega_scale) if j_max is None else j_max,
                         "j_max")
     omega = mode_frequency(np.arange(1, j_max + 1), omega_scale)
-    coefficient = params.squeezing * profile.n_peak * pi**2 * v_N**2 / (2.0 * profile.radius)
     return LegendreModeSet(
         params=params, profile=profile, j_max=j_max,
         omega_scale=omega_scale, omega=omega, v_N=v_N,
-        coefficient=coefficient,
     )

@@ -1,5 +1,7 @@
 """Command line front end: schemas, exit codes, determinism, round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -140,12 +142,17 @@ def test_front_homogeneous_velocity(homog_file, tmp_path):
 
 def test_front_without_spreading_is_a_detection_failure(tmp_path, capsys):
     # a single plane-wave mode carries no front: every detection sits at the
-    # same point and the fitted slope is rounding dust (-6.90054e-14 mm/s)
+    # same point and the fitted slope is rounding dust, whose sign and digits
+    # follow the order of the field's arithmetic; either stand-still guard refuses it
     path = tmp_path / "pmax1.yaml"
     path.write_text(REF_HOMOG + "truncation:\n  p_max: 1\n")
     out = tmp_path / "front.csv"
     assert main(["front", "--config", str(path), "--out", str(out)]) == 4
-    assert "fitted front velocity -6.90054e-14 mm/s is not positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("splitgas: detection failure: fitted front velocity ")
+    assert "is not positive" in err or "less than one grid step" in err
+    speed = float(re.search(r"fitted front velocity (\S+) mm/s", err).group(1))
+    assert abs(speed) < 1e-9
     assert not out.exists()
 
 
@@ -520,6 +527,17 @@ def test_negative_scenario_times_rejected(tmp_path, capsys, base, command, secti
     path.write_text(base + f"{section}:\n  times_ms: [-3, 2]\n")
     assert main([command, "--config", str(path)]) == 2
     assert f"{section}.times_ms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section", [("pcf", "grids"), ("oracle", "oracle")])
+def test_unresolvable_times_rejected(tmp_path, capsys, command, section):
+    # at 1e30 ms doubles near omega_max*t lie 5.6e14 rad apart on the reference
+    # cloud: sin^2(omega t) carries no phase, and the next double gives another table
+    path = tmp_path / "late.yaml"
+    path.write_text(REF_TRAPPED + f"{section}:\n  times_ms: [1.0, 1.0e30]\n")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "evolution time 1e+30 ms is beyond the mode sums' resolution" in err
 
 
 @pytest.mark.parametrize("command,section", [("pcf", "grids"), ("oracle", "oracle")])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.constants import hbar, k as k_B, pi
+from scipy.constants import hbar, pi
 
 from splitgas import ConfigError, build_modes, recurrence_time
 from splitgas.homogeneous import prethermal_variance
@@ -20,22 +20,6 @@ def test_mode_grid(homog_modes, homog_params):
     assert m.k[0] == pytest.approx(2 * pi / m.L, rel=1e-14)
     assert m.k[0] == pytest.approx(0.0628e6, rel=1e-3)
     np.testing.assert_allclose(m.omega, homog_params.c * m.k, rtol=1e-14)
-    # both forms of the structure factor agree mode by mode
-    np.testing.assert_allclose(
-        m.S_k, m.k * homog_params.K / (pi * homog_params.n_peak), rtol=1e-12)
-    # S_k = (k xi_h)/2, so it reaches 1/2 exactly at the healing length
-    np.testing.assert_allclose(m.S_k / m.k, homog_params.xi_h / 2.0, rtol=1e-12)
-
-
-def test_mode_occupations(homog_modes, homog_params):
-    occ = homog_modes.occupation()
-    np.testing.assert_allclose(
-        occ, k_B * homog_params.T_eff / (hbar * homog_modes.omega), rtol=1e-14)
-    # 1/|k| scaling of the equipartitioned occupation numbers
-    np.testing.assert_allclose(occ * homog_modes.k, occ[0] * homog_modes.k[0], rtol=1e-12)
-    expected = (homog_params.n_peak * homog_params.g / 2.0) / (
-        hbar * homog_params.c * homog_modes.k[0])
-    assert occ[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_modes_validation(homog_params):
@@ -135,11 +119,13 @@ def test_covariance_variance_identity(homog_modes):
 
 def test_phase_covariance_closed_form(homog_modes):
     # the box's pair rows sum to 1/2 * coef * sum_p sin^2(omega_p t) cos(k_p zbar) / k_p^2
-    m = homog_modes
+    # with coef = 2 pi^2 n xi_n^2 / (L K^2)
+    m, p = homog_modes, homog_modes.params
+    coef = 2.0 * pi**2 * p.n_peak * p.squeezing / (m.L * p.K**2)
     zb = np.array([0.0, 4e-6, -12e-6, 31e-6, 77e-6])
     t = np.array([[0.4e-3], [2.1e-3], [7.3e-3]])
     s2 = np.sin(m.omega * t[..., None]) ** 2
-    expected = 0.5 * m.coefficient * np.sum(s2 * np.cos(m.k * zb[:, None]) / m.k**2, axis=-1)
+    expected = 0.5 * coef * np.sum(s2 * np.cos(m.k * zb[:, None]) / m.k**2, axis=-1)
     np.testing.assert_allclose(phase_covariance(zb, t, m), expected, rtol=1e-12)
 
 

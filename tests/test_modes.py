@@ -9,7 +9,7 @@ from splitgas.modes import (VarianceField, initial_phase_variance, pcf, pointwis
                             thermal_variance, variance_field)
 from splitgas.observables import contrast_evaluator
 from splitgas.oracle import EnsembleSpec, estimate_pcf
-from splitgas.params import hbar, k_B
+from splitgas.params import hbar, k_B, pi
 from splitgas.trapped import legendre_f_table
 
 from reference import dense_contrast
@@ -68,13 +68,35 @@ def test_pair_rows_sum_to_the_pair_terms(basis):
     np.testing.assert_allclose(mirrored[odd], -g[odd, :-1], rtol=1e-14, atol=0)
 
 
+def _closed_forms(modes, T):
+    """(mode-sum coefficient per mode, thermal phase variance) as each geometry
+    writes them: 2 pi^2 n xi_n^2/(L K^2) and 2/(lambda_T k^2) for the box,
+    xi_n^2 n_peak pi^2 v_N^2/(2 R omega_j^2) and pi v_N k_B T/(hbar R omega_j^2)
+    for the cloud."""
+    p = modes.params
+    if modes.radius is None:
+        coef = 2.0 * pi**2 * p.n_peak * p.squeezing / (modes.L * p.K**2)
+        return np.full(modes.p_max, coef), 2.0 / (p.lambda_T(T) * modes.k**2)
+    R, v_N, omega2 = modes.radius, modes.v_N, modes.omega**2
+    return (p.squeezing * modes.profile.n_peak * pi**2 * v_N**2 / (2.0 * R * omega2),
+            pi * v_N * k_B * T / (hbar * R * omega2))
+
+
 def test_pair_rows_synthesise_the_mode_sum_coefficient(basis):
     """A unit amplitude on a pair row adds synthesis_scale * g to the field, so the
-    split state's field variance per mode is the mode sum's coefficient/time_norm."""
+    split state's field variance per mode, the weight of every mode sum, is the
+    closed-form mode-sum coefficient of each geometry."""
     modes = basis[0]
-    per_draw = (modes.split_density_variance() * modes.phi_amplitude() ** 2
-                * modes.synthesis_scale ** 2)
-    np.testing.assert_allclose(modes.coefficient / modes.time_norm, per_draw, rtol=1e-13)
+    np.testing.assert_allclose(modes.weights(), _closed_forms(modes, 30e-9)[0], rtol=1e-13)
+
+
+@pytest.mark.parametrize("T", [5e-9, 30e-9])
+def test_thermal_phase_variance_is_the_closed_form(basis, T):
+    """Equipartition, phi_amplitude^2 times the thermal density variance, is the
+    thermal phase variance each geometry writes in closed form."""
+    modes = basis[0]
+    np.testing.assert_allclose(modes.thermal_phase_variance(T), _closed_forms(modes, T)[1],
+                               rtol=1e-13)
 
 
 @pytest.mark.parametrize("T", [5e-9, 30e-9])
@@ -122,6 +144,27 @@ def test_thermal_variances_refuse_what_the_ensemble_refuses(basis, method, T):
     # one temperature rule for EnsembleSpec, lambda_T and every thermal method
     with pytest.raises(ConfigError, match="finite positive temperature"):
         getattr(basis[0], method)(T)
+
+
+def test_every_mode_sum_refuses_unresolved_phases(basis):
+    """Doubles near 2**33 rad lie 2**-19 rad apart, more than the 1e-6 rad a mode
+    sum accepts, and 2**-20 rad apart just below it; every path to sin^2(omega t)
+    draws the line there."""
+    modes, z, zprime, _ = basis
+    z = z[:3]
+    near = 2.0**33 / modes.omega_max
+    calls = [
+        lambda t: modes.time_factors(np.array([0.0, t])),
+        lambda t: pointwise_variance(z, zprime, t, modes),
+        lambda t: variance_field(modes, z, [t], zprime).values,
+        lambda t: VarianceField(z, [t], None, modes=modes).rows(0, 1),
+        lambda t: contrast_evaluator(modes, 5e-6)([t]),
+        lambda t: estimate_pcf(EnsembleSpec(10, 1), modes, z, [t], zprime).mean,
+    ]
+    for call in calls:
+        assert np.all(np.isfinite(call(0.99 * near)))
+        with pytest.raises(ConfigError, match="beyond the mode sums' resolution"):
+            call(1.01 * near)
 
 
 def test_check_points_refuses_out_of_domain(basis):
@@ -310,9 +353,11 @@ def test_in_place_builders_bit_equal_to_the_formulas(front_grid):
     terms = reference(z, zprime)
     assert np.array_equal(modes.pair_terms(z, zprime), terms)
     assert np.array_equal(modes.pair_terms(*zz), reference(*zz))
-    amp = np.sin(modes.omega[None, :] * times[:, None]) ** 2 / modes.time_norm
+    weights = modes.split_density_variance() * (modes.phi_amplitude()
+                                                * modes.synthesis_scale) ** 2
+    amp = np.sin(modes.omega[None, :] * times[:, None]) ** 2 * weights
     assert np.array_equal(modes.time_factors(times), amp)
     # one vector-matrix product per time (a single matrix product rounds a row
     # by its place in the BLAS kernel's tiles)
-    values = modes.coefficient * np.array([a @ terms for a in amp])
+    values = np.array([a @ terms for a in amp])
     assert np.array_equal(variance_field(modes, z, times).values, values)

@@ -25,6 +25,7 @@ from splitgas.modes import VarianceField, variance_field
 from splitgas.observables import (
     _CONTRAST_PANEL_ROWS,
     _FRONT_BLOCK_BYTES,
+    _REFINE_BRACKET_S,
     FrontTrace,
     _time_derivative_blocks,
     prethermal_pcf,
@@ -569,7 +570,10 @@ def test_recurrence_rank_ties_on_printed_strength():
 
 
 # fig7's ranked recurrences as golden-section search (bracket 1e-12 relative)
-# found them: (t in s, strength)
+# found them: (t in s, strength).  Brent's times are held to the refinement's
+# bracket, which is also the printed 1e-6 ms: C^2 resolves a peak time only to
+# about sqrt(eps) t (3e-6 ms at 0.2 s), so two searches on the same kernel
+# already differ by 2.2e-7 ms at the 7th recurrence while their strengths agree
 _FIG7_GOLDEN = [
     (0.20210179909502507, 0.8286886614832586),
     (0.29439769383945347, 0.6200469351952781),
@@ -609,7 +613,7 @@ def test_recurrence_refinement_calls_fig7(fig7_refined):
 def test_recurrence_refinement_matches_golden_section_fig7(fig7_refined):
     found, _ = fig7_refined
     for (t, s), (t_gold, s_gold) in zip(found, _FIG7_GOLDEN):
-        assert abs(t - t_gold) * 1e3 <= 2e-7
+        assert abs(t - t_gold) <= _REFINE_BRACKET_S
         assert abs(s - s_gold) <= 1e-12
 
 
@@ -660,10 +664,12 @@ def test_mode_amplitudes(trapped_modes, homog_modes):
     assert t5 == pytest.approx(206.2e-3, abs=0.5e-3)
     j2 = (np.sin(trapped_modes.omega[1] * t5) / trapped_modes.omega[1]) ** 2
     assert j2 < 1e-30
-    # envelope 1/omega_j^2 decreases with j
+    # envelope: the mode weight, proportional to 1/omega_j^2, decreases with j
     peaks = amp.max(axis=1)
     assert np.all(np.diff(peaks) < 0)
-    np.testing.assert_allclose(peaks, 1.0 / trapped_modes.omega**2, rtol=1e-3)
+    weights = trapped_modes.weights()
+    np.testing.assert_allclose(peaks, weights, rtol=1e-3)
+    np.testing.assert_allclose(weights * trapped_modes.omega**2, weights[0] * om**2, rtol=1e-13)
     # homogeneous flavour works off the plane-wave frequencies
     amp_h = homog_modes.time_factors(t[:100]).T
     assert amp_h.shape == (homog_modes.p_max, 100)

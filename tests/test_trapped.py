@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.constants import hbar, k as k_B, pi
+from scipy.constants import hbar, pi
 from scipy.integrate import quad
 from scipy.special import eval_legendre
 
@@ -123,9 +123,6 @@ def test_trapped_mode_set(trapped_modes, trapped_params):
     np.testing.assert_allclose(
         m.split_density_variance(),
         trapped_params.n_peak / (2 * m.radius), rtol=1e-14)
-    # occupations follow the effective temperature
-    np.testing.assert_allclose(
-        m.occupation(), k_B * trapped_params.T_eff / (hbar * m.omega), rtol=1e-14)
 
 
 def test_build_trapped_modes_refuses_fractional_truncation(trapped_modes):
