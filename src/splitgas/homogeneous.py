@@ -1,16 +1,11 @@
 """Plane-wave phonon modes and phase statistics of the homogeneous gas.
 
-The relative phase and density of the split pair are expanded in periodic
-plane waves k = 2*pi*p/L (p = +-1..+-p_max, k = 0 excluded).  Splitting
-loads each density quadrature with shot noise <|n_k|^2> = xi_n^2*n/2 while
-the phase quadrature starts empty; each mode then oscillates harmonically
-at omega_k = c|k|, converting density noise into phase noise.  The
-two-point phase variance is the mode sum
-
-    <dphi(zbar, t)^2> = coef * sum_p sin^2(omega_p t) (1 - cos(k_p zbar)) / k_p^2
-
-with coef = 2*pi^2*n*xi_n^2/(L*K^2), the shot noise times the squared phase
-amplitude and synthesis scale of each mode; +k and -k are folded into one term.
+The relative phase and density of the split pair are expanded in the
+periodic plane waves sqrt(2/L) cos(kz) and sqrt(2/L) sin(kz) of unit norm,
+k = 2*pi*p/L (p = 1..p_max, k = 0 excluded), on the uniform profile n_peak.
+Each mode oscillates harmonically at omega_k = c*k, converting the density
+shot noise of splitting into phase noise; the state and the mode sums are
+those of every basis (:mod:`splitgas.modes`), and every mode weighs the same.
 All mode frequencies are commensurate (omega_p = p * 2*pi*c/L), so the
 variance is exactly periodic with period L/(2c) and vanishes identically
 at multiples of it.
@@ -29,7 +24,7 @@ import numpy as np
 
 from . import modes as basis
 from .errors import ConfigError
-from .params import PhysicalParams, _check_positive, _check_temperature, _mode_count, k_B, pi
+from .params import PhysicalParams, _check_positive, _mode_count, pi
 
 __all__ = [
     "PlaneWaveModeSet",
@@ -49,17 +44,13 @@ class PlaneWaveModeSet(basis.ModeBasis):
     """
 
     params: PhysicalParams
+    profile: basis.DensityProfile   # uniform: n_peak everywhere, no radius
     L: float                # box size, m
     p_max: int
     k: np.ndarray           # (p_max,), 1/m
     omega: np.ndarray       # (p_max,), rad/s, c*k
 
     truncation_name = "p_max"
-    radius = None           # positions are separations, not points of a cloud
-
-    @property
-    def xi_h(self) -> float:
-        return self.params.xi_h
 
     @property
     def synthesis_scale(self) -> np.ndarray:
@@ -86,22 +77,6 @@ class PlaneWaveModeSet(basis.ModeBasis):
     def doubled(self) -> "PlaneWaveModeSet":
         return build_modes(self.params, self.L, 2 * self.p_max)
 
-    def phi_amplitude(self) -> np.ndarray:
-        """|phase amplitude| per unit initial density amplitude, pi/(k*K)."""
-        return pi / (self.k * self.params.K)
-
-    def split_density_variance(self) -> np.ndarray:
-        """<|n_k|^2> right after splitting (local shot noise)."""
-        return np.full_like(self.k, self.params.squeezing * self.params.n_peak / 2.0)
-
-    def split_phase_variance(self) -> np.ndarray:
-        """<|phi_k|^2> right after splitting (minimum-uncertainty partner)."""
-        return np.full_like(self.k, 1.0 / (2.0 * self.params.squeezing * self.params.n_peak))
-
-    def thermal_density_variance(self, temperature: float) -> np.ndarray:
-        _check_temperature(temperature)
-        return np.full_like(self.k, k_B * temperature / (2.0 * self.params.g))
-
 
 def default_p_max(params: PhysicalParams, L: float) -> int:
     """Phononic truncation: modes up to k ~ 1/xi_h."""
@@ -118,7 +93,11 @@ def build_modes(params: PhysicalParams, L: float, p_max: int | None = None) -> P
     p_max = _mode_count(default_p_max(params, L) if p_max is None else p_max, "p_max")
     p = np.arange(1, p_max + 1, dtype=float)
     k = 2.0 * pi * p / L
-    return PlaneWaveModeSet(params=params, L=L, p_max=p_max, k=k, omega=params.c * k)
+    profile = basis.DensityProfile(n_peak=params.n_peak, radius=None, mu=params.mu,
+                                   atoms_per_gas=params.n_peak * L, eos_slope_peak=params.g,
+                                   mass=params.mass)
+    return PlaneWaveModeSet(params=params, profile=profile, L=L, p_max=p_max, k=k,
+                            omega=params.c * k)
 
 
 def prethermal_variance(zbar, params: PhysicalParams):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .params import _check_positive, pi
+from .params import _check_positive, _check_temperature, hbar, k_B, pi
 
 __all__ = [
     "ModeBasis",
@@ -52,22 +52,50 @@ __all__ = [
 _MAX_PHASE_ERROR = 1e-6
 
 
+@dataclass(frozen=True)
+class DensityProfile:
+    """Longitudinal density profile of one gas after splitting."""
+
+    n_peak: float             # atoms/m at the centre (everywhere in a box)
+    radius: float | None      # m, density zero crossing; None for the box
+    mu: float                 # J, global chemical potential
+    atoms_per_gas: float      # N/2
+    eos_slope_peak: float     # dmu/dn at the centre (J m); g for Thomas-Fermi and the box
+    mass: float               # kg
+
+    @property
+    def sound_speed_peak(self) -> float:
+        """Sound speed at the trap centre, c^2 = n * dmu/dn / m."""
+        return math.sqrt(self.n_peak * self.eos_slope_peak / self.mass)
+
+
 class ModeBasis:
     """Shared part of the plane-wave and Legendre mode sets.
 
-    Each geometry supplies ``params``, ``omega``, ``truncation_name``,
-    ``radius``, ``xi_h``, ``synthesis_scale``, ``pair_functions``,
-    ``phi_amplitude``, ``check_points``, ``doubled`` and the quadrature
-    variances of the initial states, ``split_density_variance``,
-    ``split_phase_variance`` and ``thermal_density_variance``; the mode
-    weights of every sum, :meth:`weights`, and the thermal phase variance
-    follow from these.  ``radius`` is the cloud's, and None for the box,
-    whose positions are separations.  ``pair_functions`` is the one table
-    of mode functions: every mode has the same number of rows, adjacent and
-    in mode order, its pair term sums (g_r(z) - g_r(z'))^2 over them, and a
-    unit amplitude on row r adds synthesis_scale_m * g_r to the field.
-    Results keep the basis that made them and read these facts from it.
+    Each geometry supplies ``params``, its density ``profile``, ``omega``,
+    ``truncation_name``, ``synthesis_scale``, ``pair_functions``,
+    ``check_points`` and ``doubled``.  ``pair_functions`` is the one table of
+    mode functions: every mode has the same number of rows, adjacent and in
+    mode order, its pair term sums (g_r(z) - g_r(z'))^2 over them, and a unit
+    amplitude on row r adds synthesis_scale_m * g_r, a function of unit norm
+    in z, to the field.  The state of each mode is local physics at the
+    profile's peak, written once here, as are the mode weights of every sum.
+    ``radius`` is None for the box, whose positions are separations.
     """
+
+    @property
+    def radius(self) -> float | None:
+        return self.profile.radius
+
+    @property
+    def xi_h(self) -> float:
+        """Healing length hbar/(m c) at the density peak."""
+        return hbar / (self.profile.mass * self.profile.sound_speed_peak)
+
+    @property
+    def v_N(self) -> float:
+        """Density velocity 2 dmu/dn/(pi hbar) at the density peak, m/s."""
+        return 2.0 * self.profile.eos_slope_peak / (pi * hbar)
 
     @property
     def truncation(self) -> int:
@@ -76,6 +104,23 @@ class ModeBasis:
     @property
     def omega_max(self) -> float:
         return float(self.omega[-1])
+
+    def phi_amplitude(self) -> np.ndarray:
+        """|phase amplitude| per unit initial density amplitude, pi*v_N/omega_m."""
+        return pi * self.v_N / self.omega
+
+    def split_density_variance(self) -> np.ndarray:
+        """Density quadrature variance right after splitting: shot noise xi_n^2*n_peak/2."""
+        return np.full(self.truncation, self.params.squeezing * self.profile.n_peak / 2.0)
+
+    def split_phase_variance(self) -> np.ndarray:
+        """Its minimum-uncertainty partner, 1/(2*xi_n^2*n_peak)."""
+        return np.full(self.truncation, 1.0 / (2.0 * self.params.squeezing * self.profile.n_peak))
+
+    def thermal_density_variance(self, temperature: float) -> np.ndarray:
+        """Equipartition of the density quadrature, k_B*T/(2 dmu/dn)."""
+        _check_temperature(temperature)
+        return np.full(self.truncation, k_B * temperature / (2.0 * self.profile.eos_slope_peak))
 
     def weights(self) -> np.ndarray:
         """Weight w_m = <n_m^2> (phi_amplitude_m synthesis_scale_m)^2 of each mode in
@@ -109,8 +154,9 @@ class ModeBasis:
         gap = math.ulp(self.omega_max * t)
         if not gap <= _MAX_PHASE_ERROR:   # NaN and inf included
             raise ConfigError(f"evolution time {t / 1e-3:.6g} ms is beyond the mode sums' "
-                              f"resolution: doubles near omega_max*t lie {gap:.3g} rad apart, "
-                              f"more than {_MAX_PHASE_ERROR:g} rad")
+                              f"resolution at {self.truncation_name} = {self.truncation}: doubles "
+                              f"near omega_max*t ({self.omega_max:.6g} rad/s * t) lie {gap:.3g} "
+                              f"rad apart, more than {_MAX_PHASE_ERROR:g} rad")
 
     def time_factors(self, times: np.ndarray) -> np.ndarray:
         """w_m sin^2(omega_m t), shape (times, modes); times past :meth:`check_phases`."""
@@ -234,7 +280,10 @@ def variance_field(
     values = _variance_rows(modes, modes.pair_terms(z, np.array([zprime])), times)
     dev = None
     if check_convergence:
-        fine = variance_field(modes.doubled(), z, times, zprime).values
+        try:   # the doubled basis has about twice omega_max
+            fine = variance_field(modes.doubled(), z, times, zprime).values
+        except ConfigError as exc:
+            raise ConfigError(f"truncation doubling check: {exc}") from None
         mask = np.abs(z - zprime) >= 2.0 * modes.xi_h
         if not mask.any():
             mask = np.ones_like(z, dtype=bool)

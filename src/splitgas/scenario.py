@@ -330,6 +330,22 @@ def _build_scenario(doc: dict) -> Scenario:
     return sc
 
 
+def _refuse_repeated_keys(node, where: str, walked: set) -> None:
+    """Refuse a mapping key given twice under the YAML ``node`` (PyYAML keeps the last),
+    naming its dotted key and both lines; an alias's node is walked once."""
+    if id(node) in walked or not isinstance(node.value, list):   # or a scalar
+        return
+    walked.add(id(node))
+    first = {}
+    for i, item in enumerate(node.value):
+        key, item = item if isinstance(item, tuple) else (None, item)   # mapping pairs
+        name = f"{where}.{key.value}".lstrip(".") if key else f"{where}[{i}]"
+        if key and isinstance(key.value, str) and first.setdefault(key.value, key) is not key:
+            raise ConfigError(f"{name}: repeated key at line {key.start_mark.line + 1} "
+                              f"(first given at line {first[key.value].start_mark.line + 1})")
+        _refuse_repeated_keys(item, name, walked)
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a YAML scenario file."""
     import re
@@ -339,6 +355,10 @@ def load_scenario(path: str) -> Scenario:
     class Loader(yaml.SafeLoader):
         """YAML 1.1 safe loading plus the floats of YAML 1.2 (7e3, 1.5e3, -.5);
         the added resolver runs after 1.1's, so what 1.1 resolves reads as before."""
+
+        def construct_document(self, node):
+            _refuse_repeated_keys(node, "", set())
+            return super().construct_document(node)
 
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",

@@ -5,17 +5,11 @@ phonon wave equation separates in x = z/R with Legendre solutions
 
     f_j(x) = sqrt(j + 1/2) * P_j(x),   omega_j = omega * sqrt(j*(j+1)/2),
 
-orthonormal on [-1, 1].  Splitting loads every mode with the same density
-noise <n_j^2> = xi_n^2 * n_peak/(2R), which dephases into the two-point
-variance
-
-    <dphi(z, z', t)^2> = coef * sum_j sin^2(omega_j t)/omega_j^2
-                                * [f_j(z/R) - f_j(z'/R)]^2,
-
-coef = xi_n^2 * n_peak * pi^2 * v_N^2 / (2R), the shot noise times the squared
-phase amplitude pi*v_N/omega_j of each mode.  The mode frequencies are
-mutually incommensurate (ratios like sqrt(3)), so unlike the homogeneous
-box the variance never returns to zero exactly.
+orthonormal on [-1, 1], so the modes f_j(z/R)/sqrt(R) have unit norm in z.
+On them the split state is the box's, and the weight of mode j in every mode
+sum (:mod:`splitgas.modes`) falls as 1/omega_j^2.  The mode frequencies are
+mutually incommensurate (ratios like sqrt(3)), so unlike the homogeneous box
+the variance never returns to zero exactly.
 
 The quasi-1D regime integrates out the radial cloud profile through the
 equation of state mu_eos(n) = hbar*omega_perp*(sqrt(1 + 4*n*a) - 1); the
@@ -33,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .modes import ModeBasis
-from .params import (PhysicalParams, Regime, TrapConfig, _check_positive, _check_temperature,
-                     _mode_count, hbar, k_B, pi)
+from .modes import DensityProfile, ModeBasis
+from .params import PhysicalParams, Regime, TrapConfig, _check_positive, _mode_count, hbar
 
 __all__ = [
     "mode_frequency",
@@ -78,27 +71,10 @@ def legendre_f_table(j_max: int, x) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    """Longitudinal density profile of one gas after splitting."""
-
-    n_peak: float             # atoms/m at the centre
-    radius: float             # m, density zero crossing
-    mu: float                 # J, global chemical potential
-    atoms_per_gas: float      # N/2
-    eos_slope_peak: float     # dmu/dn at the centre (J m); g for Thomas-Fermi
-    mass: float               # kg
-
-    @property
-    def sound_speed_peak(self) -> float:
-        """Sound speed at the trap centre, c^2 = n * dmu/dn / m."""
-        return math.sqrt(self.n_peak * self.eos_slope_peak / self.mass)
-
-
 def tf_profile(params: PhysicalParams) -> DensityProfile:
     """Inverted-parabola profile n(z) = n_peak*(1 - z^2/R^2)."""
     if not params.config.regime.trapped:
-        raise ConfigError("density profiles exist for trapped regimes only")
+        raise ConfigError("a Thomas-Fermi profile needs a trapped regime")
     return DensityProfile(
         n_peak=params.n_peak, radius=params.R, mu=params.mu,
         atoms_per_gas=(4.0 / 3.0) * params.n_peak * params.R,
@@ -179,29 +155,19 @@ class LegendreModeSet(ModeBasis):
     j_max: int
     omega_scale: float      # rad/s
     omega: np.ndarray       # (j_max,), rad/s, omega_scale * sqrt(j(j+1)/2)
-    v_N: float              # density velocity at the centre, m/s
 
     truncation_name = "j_max"
-    synthesis_scale = 1.0
 
     @property
-    def radius(self) -> float:
-        return self.profile.radius
-
-    @property
-    def xi_h(self) -> float:
-        """Healing length at the cloud centre."""
-        return hbar / (self.profile.mass * self.profile.sound_speed_peak)
+    def synthesis_scale(self) -> float:
+        """Field per unit amplitude on a row, 1/sqrt(R): f_j(z/R)/sqrt(R) has unit norm."""
+        return 1.0 / math.sqrt(self.radius)
 
     def pair_functions(self, x):
         """Rows f_j(x/R) in j order, each row's mode, even rows j = 2, 4, ... and odd
         rows j = 1, 3, ...: the pair term is the squared row difference."""
         f = legendre_f_table(self.j_max, x / self.radius)
         return f, np.arange(self.j_max), slice(1, None, 2), slice(0, None, 2)
-
-    def phi_amplitude(self) -> np.ndarray:
-        """|phase amplitude| per unit initial density amplitude, pi*v_N/omega_j."""
-        return pi * self.v_N / self.omega
 
     def check_points(self, points) -> None:
         if not np.all(np.abs(points) <= self.radius):   # NaN included
@@ -210,21 +176,6 @@ class LegendreModeSet(ModeBasis):
 
     def doubled(self) -> "LegendreModeSet":
         return build_trapped_modes(self.params, 2 * self.j_max)
-
-    def split_density_variance(self) -> np.ndarray:
-        """<n_j^2> right after splitting: uniform xi_n^2*n_peak/(2R)."""
-        xi_n2 = self.params.squeezing
-        return np.full(self.j_max, xi_n2 * self.profile.n_peak / (2.0 * self.radius))
-
-    def split_phase_variance(self) -> np.ndarray:
-        """Minimum-uncertainty partner of the density shot noise, 1/(2*xi_n^2*n_peak*R)."""
-        xi_n2 = self.params.squeezing
-        return np.full(self.j_max, 1.0 / (2.0 * xi_n2 * self.profile.n_peak * self.radius))
-
-    def thermal_density_variance(self, temperature: float) -> np.ndarray:
-        _check_temperature(temperature)
-        val = k_B * temperature / (pi * hbar * self.v_N * self.radius)
-        return np.full(self.j_max, val)
 
 
 def default_j_max(mu: float, omega_scale: float) -> int:
@@ -249,12 +200,9 @@ def build_trapped_modes(params: PhysicalParams, j_max: int | None = None) -> Leg
     else:
         profile = tf_profile(params)
         omega_scale = params.config.omega_long
-    v_N = 2.0 * profile.eos_slope_peak / (pi * hbar)
     mu_cap = profile.n_peak * profile.eos_slope_peak  # = m * c_peak^2
     j_max = _mode_count(default_j_max(mu_cap, omega_scale) if j_max is None else j_max,
                         "j_max")
     omega = mode_frequency(np.arange(1, j_max + 1), omega_scale)
-    return LegendreModeSet(
-        params=params, profile=profile, j_max=j_max,
-        omega_scale=omega_scale, omega=omega, v_N=v_N,
-    )
+    return LegendreModeSet(params=params, profile=profile, j_max=j_max,
+                           omega_scale=omega_scale, omega=omega)

@@ -540,6 +540,17 @@ def test_unresolvable_times_rejected(tmp_path, capsys, command, section):
     assert "evolution time 1e+30 ms is beyond the mode sums' resolution" in err
 
 
+def test_time_refused_by_the_doubling_check_names_it(tmp_path, capsys):
+    # the table's basis (j_max = 135, omega_max = 4214 rad/s) resolves 1.5288e9 ms;
+    # the doubled basis of the pcf doubling check (j_max = 270, 8413 rad/s) does not
+    path = tmp_path / "late.yaml"
+    path.write_text(REF_TRAPPED + "grids:\n  times_ms: [1.5288e9]\n")
+    assert main(["pcf", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "truncation doubling check: evolution time 1.5288e+09 ms" in err
+    assert "at j_max = 270: doubles near omega_max*t (8412.58 rad/s * t)" in err
+
+
 @pytest.mark.parametrize("command,section", [("pcf", "grids"), ("oracle", "oracle")])
 def test_separation_beyond_box_rejected(tmp_path, capsys, command, section):
     # a separation longer than the periodic box would wrap around it
@@ -715,6 +726,20 @@ def test_yaml_1_2_float_spellings_read_as_numbers(tmp_path, capsys, spelling):
     assert f"expected a number, got '{spelling}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,message", [
+    (REF_TRAPPED + REF_TRAPPED.replace("7000", "9000"),
+     "trap: repeated key at line 7 (first given at line 1)"),
+    (REF_TRAPPED + "  atom_number_total: 9000\n",
+     "trap.atom_number_total: repeated key at line 7 (first given at line 6)"),
+], ids=["top_level", "nested"])
+def test_repeated_scenario_key_rejected(tmp_path, capsys, doc, message):
+    # PyYAML keeps the last of two equal keys, and the provenance hash reads the result
+    path = tmp_path / "twice.yaml"
+    path.write_text(doc)
+    assert main(["params", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_scenario_documents_read_as_yaml_1_1_does(tmp_path):
     import yaml
     from pathlib import Path
@@ -754,9 +779,12 @@ def test_missing_scenario_file_message(tmp_path, capsys):
     ("trap.system_length_um", "  system_length_um: false\n"),
 ])
 def test_trap_number_refuses_boolean(tmp_path, capsys, key, line):
-    # false == 0, but it must not read as "no trap" or "no length"
+    # false == 0, but it must not read as "no trap" or "no length"; the line takes
+    # the place of the scenario's own value, as a key given twice is refused
     path = tmp_path / "bool.yaml"
-    path.write_text(REF_TRAPPED + line)
+    kept = [ln for ln in REF_TRAPPED.splitlines(keepends=True)
+            if ln.split(":")[0] != line.split(":")[0]]
+    path.write_text("".join(kept) + line)
     assert main(["params", "--config", str(path)]) == 2
     assert f"{key}: expected a number, got False" in capsys.readouterr().err
 

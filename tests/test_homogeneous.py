@@ -22,6 +22,17 @@ def test_mode_grid(homog_modes, homog_params):
     np.testing.assert_allclose(m.omega, homog_params.c * m.k, rtol=1e-14)
 
 
+def test_box_profile_is_uniform(homog_modes, homog_params):
+    """The box's profile is the uniform gas of params: the peak healing length is
+    params' bit for bit, there is no radius, and the phase amplitude pi*v_N/omega is
+    the box's closed form pi/(k K)."""
+    m = homog_modes
+    assert m.radius is None
+    assert m.xi_h == homog_params.xi_h
+    assert m.profile.atoms_per_gas == homog_params.n_peak * m.L
+    np.testing.assert_allclose(m.phi_amplitude(), pi / (m.k * homog_params.K), rtol=1e-14)
+
+
 def test_build_modes_validation(homog_params):
     with pytest.raises(ConfigError):
         build_modes(homog_params, 100e-6, p_max=0)

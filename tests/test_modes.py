@@ -69,14 +69,16 @@ def test_pair_rows_sum_to_the_pair_terms(basis):
 
 
 def _closed_forms(modes, T):
-    """(mode-sum coefficient per mode, thermal phase variance) as each geometry
-    writes them: 2 pi^2 n xi_n^2/(L K^2) and 2/(lambda_T k^2) for the box,
+    """(mode-sum coefficient per mode, thermal field variance per mode) as each
+    geometry writes them: 2 pi^2 n xi_n^2/(L K^2) and 2/(lambda_T k^2) per plane-wave
+    amplitude, times the squared synthesis scale (2k)^2/L, for the box,
     xi_n^2 n_peak pi^2 v_N^2/(2 R omega_j^2) and pi v_N k_B T/(hbar R omega_j^2)
     for the cloud."""
     p = modes.params
     if modes.radius is None:
         coef = 2.0 * pi**2 * p.n_peak * p.squeezing / (modes.L * p.K**2)
-        return np.full(modes.p_max, coef), 2.0 / (p.lambda_T(T) * modes.k**2)
+        return (np.full(modes.p_max, coef),
+                2.0 / (p.lambda_T(T) * modes.k**2) * (2.0 * modes.k) ** 2 / modes.L)
     R, v_N, omega2 = modes.radius, modes.v_N, modes.omega**2
     return (p.squeezing * modes.profile.n_peak * pi**2 * v_N**2 / (2.0 * R * omega2),
             pi * v_N * k_B * T / (hbar * R * omega2))
@@ -92,11 +94,20 @@ def test_pair_rows_synthesise_the_mode_sum_coefficient(basis):
 
 @pytest.mark.parametrize("T", [5e-9, 30e-9])
 def test_thermal_phase_variance_is_the_closed_form(basis, T):
-    """Equipartition, phi_amplitude^2 times the thermal density variance, is the
-    thermal phase variance each geometry writes in closed form."""
+    """Equipartition, phi_amplitude^2 times the thermal density variance, puts into
+    the field, through each mode's synthesis scale, the thermal phase variance each
+    geometry writes in closed form."""
     modes = basis[0]
-    np.testing.assert_allclose(modes.thermal_phase_variance(T), _closed_forms(modes, T)[1],
-                               rtol=1e-13)
+    np.testing.assert_allclose(modes.thermal_phase_variance(T) * modes.synthesis_scale**2,
+                               _closed_forms(modes, T)[1], rtol=1e-13)
+
+
+def test_split_state_has_a_quarter_quantum_per_mode(basis):
+    """On modes of unit norm the split state's quadrature variances multiply to 1/4
+    in both geometries (the cloud's multiplied to 1/(4 R^2) on modes of norm sqrt(R))."""
+    modes = basis[0]
+    np.testing.assert_allclose(modes.split_density_variance() * modes.split_phase_variance(),
+                               0.25, rtol=1e-14)
 
 
 @pytest.mark.parametrize("T", [5e-9, 30e-9])

@@ -16,6 +16,7 @@ from splitgas import (
 )
 from splitgas.modes import (initial_phase_variance, phase_covariance, pointwise_variance,
                             thermal_variance)
+from splitgas.oracle import _basis, _generator, _rekey
 
 
 SEED = 20260809
@@ -97,12 +98,16 @@ def test_single_mode_quadrature_variance(homog_params):
     # phi1 = -2 Im(phi_k)/sqrt(L)
     z = np.array([0.0, np.pi / (2 * k)])
     t = 4e-3
-    re = np.empty(n_real)
-    im = np.empty(n_real)
-    for i in range(n_real):
-        fld = sample_realization(i, spec, modes, z, [t])
-        re[i] = fld[0, 0] * np.sqrt(L) / 2
-        im[i] = -fld[0, 1] * np.sqrt(L) / 2
+    # sample_realization's synthesis with its basis built once: each realization
+    # draws from its own keyed stream
+    basis = _basis(spec, modes, z, np.array([t]))
+    gen = _generator()
+    fld = np.array([_rekey(gen, SEED, i).standard_normal(basis.shape[0]) @ basis
+                    for i in range(n_real)])
+    for i in range(100):
+        assert np.array_equal(fld[i], sample_realization(i, spec, modes, z, [t])[0])
+    re = fld[:, 0] * np.sqrt(L) / 2
+    im = -fld[:, 1] * np.sqrt(L) / 2
     target = (np.pi / (k * homog_params.K)) ** 2 \
         * homog_params.n_peak / 2 * np.sin(modes.omega[0] * t) ** 2
     # each quadrature carries half the complex variance; chi^2 statistics

@@ -78,7 +78,8 @@ def _per_mode_field(index, spec, modes, z, times):
     if noise:
         xphi = rng.standard_normal(J) * np.sqrt(modes.split_phase_variance())
         phi_t = phi_t + xphi[:, None] * np.cos(wt)
-    return phi_t.T @ legendre_f_table(J, z / modes.radius)
+    # f_j(z/R)/sqrt(R): the Legendre modes of unit norm in z
+    return phi_t.T @ (legendre_f_table(J, z / modes.radius) / np.sqrt(modes.radius))
 
 
 @pytest.mark.parametrize("geometry", ["homog_modes", "trapped_modes"])

@@ -119,9 +119,9 @@ def test_trapped_mode_set(trapped_modes, trapped_params):
     assert m.omega[0] == trapped_params.config.omega_long
     assert hbar * m.omega[-1] <= trapped_params.mu
     assert m.v_N == pytest.approx(2 * trapped_params.g / (pi * hbar), rel=1e-14)
-    # splitting loads every mode with the same density noise n_peak/(2R)
+    # splitting loads every mode of the field with the same density noise n_peak/(2R)
     np.testing.assert_allclose(
-        m.split_density_variance(),
+        m.split_density_variance() * m.synthesis_scale**2,
         trapped_params.n_peak / (2 * m.radius), rtol=1e-14)
 
 
