@@ -52,20 +52,15 @@ class PlaneWaveModeSet(basis.ModeBasis):
 
     truncation_name = "p_max"
 
-    @property
-    def synthesis_scale(self) -> np.ndarray:
-        """Field per unit amplitude on a pair row, 2k/sqrt(L)."""
-        return 2.0 * self.k / np.sqrt(self.L)
-
     def pair_functions(self, x):
-        """Rows (cos kx, -sin kx)/(sqrt(2) k) mode by mode, the factors of Re and Im phi_p,
-        each row's mode, even and odd rows: 1 - cos k(a - b) = [(cos ka - cos kb)^2 +
-        (sin ka - sin kb)^2]/2 per mode."""
+        """Rows sqrt(2/L) (cos kx, -sin kx) mode by mode, the factors of Re and Im phi_p,
+        each row's mode, even and odd rows: (4/L)(1 - cos k(a - b)) = (2/L)[(cos ka -
+        cos kb)^2 + (sin ka - sin kb)^2] per mode."""
         g = np.empty((self.p_max, 2, np.size(x)))
         kx = np.multiply(self.k[:, None], x, out=g[:, 0])
         np.negative(np.sin(kx, out=g[:, 1]), out=g[:, 1])
         np.cos(kx, out=kx)
-        g /= np.sqrt(2.0) * self.k[:, None, None]
+        g *= math.sqrt(2.0 / self.L)
         return g.reshape(2 * self.p_max, -1), np.repeat(np.arange(self.p_max), 2), \
             slice(0, None, 2), slice(1, None, 2)
 
@@ -94,8 +89,7 @@ def build_modes(params: PhysicalParams, L: float, p_max: int | None = None) -> P
     p = np.arange(1, p_max + 1, dtype=float)
     k = 2.0 * pi * p / L
     profile = basis.DensityProfile(n_peak=params.n_peak, radius=None, mu=params.mu,
-                                   atoms_per_gas=params.n_peak * L, eos_slope_peak=params.g,
-                                   mass=params.mass)
+                                   eos_slope_peak=params.g, mass=params.mass)
     return PlaneWaveModeSet(params=params, profile=profile, L=L, p_max=p_max, k=k,
                             omega=params.c * k)
 

@@ -4,22 +4,23 @@ Every two-point statistic of both geometries is the mode sum
 
     <dphi(z, z', t)^2> = sum_m w_m sin^2(omega_m t) d_m(z, z')
 
-with pair terms d_m = sum_r (g_r(z) - g_r(z'))^2 over the mode's rows of
-its basis's one table of mode functions: two plane-wave rows per mode, so
-d_p = (1 - cos(k_p (z - z')))/k_p^2, for the box; one Legendre row f_j(z/R)
-per mode for the trapped cloud (Stringari, PRA 58, 2385 (1998); Petrov,
-Shlyapnikov & Walraven, PRL 85, 3745 (2000)); the covariance <phi(z) phi(0)>
-sums g_r(z) g_r(0) instead.  The weight w_m is the split state's density
-shot noise dephased into the field, :meth:`ModeBasis.weights`.
-These sums, pointwise, as a field with its truncation doubling check, as
-light-cone rates and as stationary phase noise, are written once here against
-:class:`ModeBasis`, under the only public names of these sums.  The field is a
-:class:`VarianceField`, which keeps the basis that made it; its correlation
-function is the Gaussian exponential C = exp(-variance/2), :func:`pcf`.  Each
-row of the field is its own (1 x modes) @ (modes x nz) product, so a row does
-not depend on the other times of the call; a streamed field (``values`` None)
-holds only the pair terms and computes the rows a reader asks for, which is
-how the front detector reads the grid a block of times at a time.
+with pair terms d_m = sum_r (g_r(z) - g_r(z'))^2 over the mode's rows of its
+basis's one table of mode functions, each of unit norm in z: two plane-wave
+rows per mode, so d_p = (4/L)(1 - cos(k_p (z - z'))), for the box; one
+Legendre row f_j(z/R)/sqrt(R) per mode for the trapped cloud (Stringari, PRA
+58, 2385 (1998); Petrov, Shlyapnikov & Walraven, PRL 85, 3745 (2000)); the
+covariance <phi(z) phi(0)> sums g_r(z) g_r(0) instead.  The weight w_m is
+the split state's density shot noise dephased into the field,
+:meth:`ModeBasis.weights`.  These sums, pointwise, as a field with its
+truncation doubling check, as light-cone rates and as stationary phase
+noise, are written once here against :class:`ModeBasis`, under the only
+public names of these sums.  The field is a :class:`VarianceField`, which
+keeps the basis that made it; its correlation function is the Gaussian
+exponential C = exp(-variance/2), :func:`pcf`.  Each row of the field is its
+own (1 x modes) @ (modes x nz) product, so a row does not depend on the
+other times of the call; a streamed field (``values`` None) holds only the
+pair terms and computes the rows a reader asks for, which is how the front
+detector reads the grid a block of times at a time.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class DensityProfile:
     n_peak: float             # atoms/m at the centre (everywhere in a box)
     radius: float | None      # m, density zero crossing; None for the box
     mu: float                 # J, global chemical potential
-    atoms_per_gas: float      # N/2
     eos_slope_peak: float     # dmu/dn at the centre (J m); g for Thomas-Fermi and the box
     mass: float               # kg
 
@@ -73,13 +73,13 @@ class ModeBasis:
     """Shared part of the plane-wave and Legendre mode sets.
 
     Each geometry supplies ``params``, its density ``profile``, ``omega``,
-    ``truncation_name``, ``synthesis_scale``, ``pair_functions``,
-    ``check_points`` and ``doubled``.  ``pair_functions`` is the one table of
-    mode functions: every mode has the same number of rows, adjacent and in
-    mode order, its pair term sums (g_r(z) - g_r(z'))^2 over them, and a unit
-    amplitude on row r adds synthesis_scale_m * g_r, a function of unit norm
-    in z, to the field.  The state of each mode is local physics at the
-    profile's peak, written once here, as are the mode weights of every sum.
+    ``truncation_name``, ``pair_functions``, ``check_points`` and ``doubled``.
+    ``pair_functions`` is the one table of mode functions g_r, each of unit
+    norm in z: every mode has the same number of rows, adjacent and in mode
+    order, its pair term sums (g_r(z) - g_r(z'))^2 over them, and a unit
+    amplitude on row r adds g_r to the field.  The state of each mode is local
+    physics at the profile's peak, written once here, as are the mode weights
+    of every sum.
     ``radius`` is None for the box, whose positions are separations.
     """
 
@@ -123,10 +123,10 @@ class ModeBasis:
         return np.full(self.truncation, k_B * temperature / (2.0 * self.profile.eos_slope_peak))
 
     def weights(self) -> np.ndarray:
-        """Weight w_m = <n_m^2> (phi_amplitude_m synthesis_scale_m)^2 of each mode in
-        every mode sum: the split state's density shot noise dephased into the field
-        through the mode's phase amplitude (Kitagawa et al., NJP 13, 073018 (2011))."""
-        return self.split_density_variance() * (self.phi_amplitude() * self.synthesis_scale) ** 2
+        """Weight w_m = <n_m^2> phi_amplitude_m^2 of each mode in every mode sum: the
+        split state's density shot noise dephased into the field through the mode's
+        phase amplitude (Kitagawa et al., NJP 13, 073018 (2011))."""
+        return self.split_density_variance() * self.phi_amplitude() ** 2
 
     def thermal_phase_variance(self, temperature: float) -> np.ndarray:
         """Equipartition: phi_amplitude_m^2 times the thermal density variance."""
@@ -243,8 +243,7 @@ def stationary_variance(z, modes: ModeBasis):
     In a box it is 2*zbar*(L - zbar)/(l0_eff*L) as the truncation is lifted,
     the infinite-system ramp 2*zbar/l0_eff times a finite-size factor.
     """
-    var_phi = 0.5 * modes.phi_amplitude() ** 2 * modes.split_density_variance()
-    return _phase_noise_variance(z, var_phi, modes)
+    return _phase_noise_variance(z, 0.5 * modes.weights(), modes)
 
 
 def _time_sum(terms, t, modes: ModeBasis):
@@ -322,12 +321,12 @@ def initial_phase_variance(z, modes: ModeBasis):
 
 
 def _phase_noise_variance(z, var_phi: np.ndarray, modes: ModeBasis):
-    """sum_m var_phi_m * synthesis_scale_m^2 * pair_terms_m(z, 0): the variance
-    of a stationary state with phase-quadrature variances var_phi."""
+    """sum_m var_phi_m * pair_terms_m(z, 0): the variance of a stationary state
+    with phase-quadrature variances var_phi."""
     z = np.asarray(z, dtype=float)
     modes.check_points(np.append(z, 0.0))
     terms = modes.pair_terms(z, np.zeros_like(z))
-    out = np.tensordot(var_phi * modes.synthesis_scale**2, terms, axes=1)
+    out = np.tensordot(var_phi, terms, axes=1)
     return out if out.ndim else float(out)
 
 

@@ -160,9 +160,9 @@ def _basis(spec: EnsembleSpec, modes, z, times, zprime: float | None = None) -> 
     if zprime is not None:
         g = g[:, :-1] - g[:, -1:]
     wt = modes.omega[mode, None] * times[None, :]
-    harmonics = [(-modes.phi_amplitude() * sig_n * modes.synthesis_scale)[mode, None] * np.sin(wt)]
+    harmonics = [(-modes.phi_amplitude() * sig_n)[mode, None] * np.sin(wt)]
     if sig_phi is not None:
-        harmonics.append((sig_phi * modes.synthesis_scale)[mode, None] * np.cos(wt))
+        harmonics.append(sig_phi[mode, None] * np.cos(wt))
     rows = [h[:, :, None] * g[:, None, :] for h in harmonics]
     return np.concatenate(rows).reshape(-1, times.size * z.size)
 

@@ -102,7 +102,8 @@ class TrapConfig:
 
     Exactly one of ``atom_number_total`` (atoms before splitting; each gas
     ends up with N/2 on average) or ``peak_density_per_gas`` must be given.
-    ``omega_long`` must be zero if and only if the regime is homogeneous.
+    ``omega_long`` must be zero if and only if the regime is homogeneous, and
+    ``system_length`` if and only if it is trapped.
     """
 
     atomic_mass: float                       # kg
@@ -136,6 +137,9 @@ class TrapConfig:
                 raise ConfigError("homogeneous regime requires system_length > 0")
         elif self.omega_long <= 0:
             raise ConfigError("trapped regimes require omega_long > 0")
+        elif self.system_length != 0.0:
+            raise ConfigError("trapped regimes require system_length = 0: the trap sets "
+                              "the cloud's length")
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,14 @@ def _build_scenario(doc: dict) -> Scenario:
         for key in schema:
             if key in section:
                 sc.override(name, key, section[key], f"{name}.{key}")
+    # a box has plane waves, a cloud Legendre modes and, with compare_regimes, a box twin
+    if config.regime.trapped:
+        unread = None if sc.compare_regimes else "p_max"
+    else:
+        unread = "j_max"
+    if unread and getattr(sc, unread) is not None:
+        raise ConfigError(f"truncation.{unread}: no command reads it for a "
+                          f"{config.regime.value} scenario")
     return sc
 
 
@@ -378,6 +386,8 @@ def load_scenario(path: str) -> Scenario:
             f"at byte {exc.start}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"scenario file is not valid YAML: {exc}") from None
+    except RecursionError:   # PyYAML composes nested collections recursively
+        raise ConfigError(f"scenario file {path} nests collections too deeply") from None
     if doc is None:
         raise ConfigError("scenario file is empty")
     return _build_scenario(doc)

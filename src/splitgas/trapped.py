@@ -75,11 +75,8 @@ def tf_profile(params: PhysicalParams) -> DensityProfile:
     """Inverted-parabola profile n(z) = n_peak*(1 - z^2/R^2)."""
     if not params.config.regime.trapped:
         raise ConfigError("a Thomas-Fermi profile needs a trapped regime")
-    return DensityProfile(
-        n_peak=params.n_peak, radius=params.R, mu=params.mu,
-        atoms_per_gas=(4.0 / 3.0) * params.n_peak * params.R,
-        eos_slope_peak=params.g, mass=params.mass,
-    )
+    return DensityProfile(n_peak=params.n_peak, radius=params.R, mu=params.mu,
+                          eos_slope_peak=params.g, mass=params.mass)
 
 
 def _quasi1d_density(z, mu, config: TrapConfig):
@@ -140,10 +137,7 @@ def quasi1d_profile(params: PhysicalParams) -> DensityProfile:
     # radially integrated EOS slope at the peak density
     slope = config.scattering_length * 2.0 * hbar * config.omega_perp \
         / math.sqrt(1.0 + 4.0 * n_peak_eff * config.scattering_length)
-    return DensityProfile(
-        n_peak=n_peak_eff, radius=R_eff, mu=mu,
-        atoms_per_gas=target, eos_slope_peak=slope, mass=m,
-    )
+    return DensityProfile(n_peak=n_peak_eff, radius=R_eff, mu=mu, eos_slope_peak=slope, mass=m)
 
 
 @dataclass(frozen=True)
@@ -153,20 +147,16 @@ class LegendreModeSet(ModeBasis):
     params: PhysicalParams
     profile: DensityProfile
     j_max: int
-    omega_scale: float      # rad/s
-    omega: np.ndarray       # (j_max,), rad/s, omega_scale * sqrt(j(j+1)/2)
+    omega: np.ndarray       # (j_max,), rad/s, omega_1 * sqrt(j(j+1)/2)
 
     truncation_name = "j_max"
 
-    @property
-    def synthesis_scale(self) -> float:
-        """Field per unit amplitude on a row, 1/sqrt(R): f_j(z/R)/sqrt(R) has unit norm."""
-        return 1.0 / math.sqrt(self.radius)
-
     def pair_functions(self, x):
-        """Rows f_j(x/R) in j order, each row's mode, even rows j = 2, 4, ... and odd
-        rows j = 1, 3, ...: the pair term is the squared row difference."""
+        """Rows f_j(x/R)/sqrt(R), of unit norm in x, in j order, each row's mode, even
+        rows j = 2, 4, ... and odd rows j = 1, 3, ...: the pair term is the squared row
+        difference."""
         f = legendre_f_table(self.j_max, x / self.radius)
+        f /= math.sqrt(self.radius)
         return f, np.arange(self.j_max), slice(1, None, 2), slice(0, None, 2)
 
     def check_points(self, points) -> None:
@@ -178,9 +168,9 @@ class LegendreModeSet(ModeBasis):
         return build_trapped_modes(self.params, 2 * self.j_max)
 
 
-def default_j_max(mu: float, omega_scale: float) -> int:
+def default_j_max(mu: float, omega_1: float) -> int:
     """Largest j with hbar*omega_j <= mu (phononic validity)."""
-    r = mu / (hbar * omega_scale)
+    r = mu / (hbar * omega_1)
     j = int(math.floor((-1.0 + math.sqrt(1.0 + 8.0 * r * r)) / 2.0))
     return max(j, 1)
 
@@ -191,18 +181,17 @@ def build_trapped_modes(params: PhysicalParams, j_max: int | None = None) -> Leg
     A Thomas-Fermi cloud is its own parabola, and its frequency ladder is
     anchored to the trap frequency exactly (omega_1 = omega).  A quasi-1D
     cloud is replaced by its effective parabola, whose scale follows from
-    the wave equation on it, omega_scale = sqrt(2) * c_peak / R_eff with
+    the wave equation on it, omega_1 = sqrt(2) * c_peak / R_eff with
     the EOS sound speed.
     """
     if params.config.regime is Regime.QUASI_1D:
         profile = quasi1d_profile(params)
-        omega_scale = math.sqrt(2.0) * profile.sound_speed_peak / profile.radius
+        omega_1 = math.sqrt(2.0) * profile.sound_speed_peak / profile.radius
     else:
         profile = tf_profile(params)
-        omega_scale = params.config.omega_long
+        omega_1 = params.config.omega_long
     mu_cap = profile.n_peak * profile.eos_slope_peak  # = m * c_peak^2
-    j_max = _mode_count(default_j_max(mu_cap, omega_scale) if j_max is None else j_max,
+    j_max = _mode_count(default_j_max(mu_cap, omega_1) if j_max is None else j_max,
                         "j_max")
-    omega = mode_frequency(np.arange(1, j_max + 1), omega_scale)
-    return LegendreModeSet(params=params, profile=profile, j_max=j_max,
-                           omega_scale=omega_scale, omega=omega)
+    omega = mode_frequency(np.arange(1, j_max + 1), omega_1)
+    return LegendreModeSet(params=params, profile=profile, j_max=j_max, omega=omega)

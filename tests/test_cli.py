@@ -860,3 +860,53 @@ def test_every_flag_overrides_a_scenario_key():
     for name, fn in vars(cli).items():
         if name.startswith("_cmd_"):
             assert list(inspect.signature(fn).parameters) == ["sc"], name
+
+
+@pytest.mark.parametrize("doc,key", [
+    (REF_HOMOG + "truncation:\n  j_max: 5\n", "truncation.j_max"),
+    (REF_TRAPPED + "truncation:\n  p_max: 3\n", "truncation.p_max"),
+    (REF_TRAPPED + "  system_length_um: 123\n", "system_length"),
+], ids=["j_max_on_a_box", "p_max_on_a_cloud", "length_of_a_cloud"])
+def test_key_no_command_reads_for_the_regime_rejected(tmp_path, capsys, doc, key):
+    # the table would be the one without the key, so the key could only mislead
+    path = tmp_path / "unread.yaml"
+    path.write_text(doc)
+    assert main(["params", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_p_max_of_a_cloud_read_by_its_box_twin(tmp_path):
+    from splitgas.scenario import load_scenario
+
+    path = tmp_path / "twin.yaml"
+    path.write_text(REF_TRAPPED + "truncation:\n  p_max: 3\nanalysis:\n  compare_regimes: true\n")
+    assert load_scenario(str(path)).p_max == 3
+
+
+@pytest.mark.parametrize("doc,message", [
+    ("trap: " + "[" * 3000 + "]" * 3000 + "\n", "nests collections too deeply"),
+    (REF_HOMOG.split("grids:")[0] + "grids:\n  zbar_um: " + "[" * 500 + "1.0" + "]" * 500 + "\n",
+     "nests collections too deeply"),
+    # just under PyYAML's recursion limit in a fresh interpreter: parsed, then refused
+    (REF_HOMOG.split("grids:")[0] + "grids:\n  zbar_um: " + "[" * 450 + "1.0" + "]" * 450 + "\n",
+     "grids.zbar_um[0]: expected a number"),
+], ids=["trap_3000_deep", "grid_500_deep", "grid_450_deep"])
+def test_deeply_nested_scenario_exits_2(tmp_path, doc, message):
+    # a fresh interpreter, so the stack the parser starts from is the command's own
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import splitgas
+
+    path = tmp_path / "deep.yaml"
+    path.write_text(doc)
+    env = dict(os.environ)
+    src = str(Path(splitgas.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "splitgas.cli", "params", "--config", str(path)],
+                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr[-300:]
+    assert message in run.stderr
+    assert "Traceback" not in run.stderr

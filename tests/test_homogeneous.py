@@ -29,7 +29,6 @@ def test_box_profile_is_uniform(homog_modes, homog_params):
     m = homog_modes
     assert m.radius is None
     assert m.xi_h == homog_params.xi_h
-    assert m.profile.atoms_per_gas == homog_params.n_peak * m.L
     np.testing.assert_allclose(m.phi_amplitude(), pi / (m.k * homog_params.K), rtol=1e-14)
 
 

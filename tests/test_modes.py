@@ -69,24 +69,25 @@ def test_pair_rows_sum_to_the_pair_terms(basis):
 
 
 def _closed_forms(modes, T):
-    """(mode-sum coefficient per mode, thermal field variance per mode) as each
-    geometry writes them: 2 pi^2 n xi_n^2/(L K^2) and 2/(lambda_T k^2) per plane-wave
-    amplitude, times the squared synthesis scale (2k)^2/L, for the box,
-    xi_n^2 n_peak pi^2 v_N^2/(2 R omega_j^2) and pi v_N k_B T/(hbar R omega_j^2)
-    for the cloud."""
+    """(split field variance per mode, thermal field variance per mode) on mode rows of
+    unit norm, as each geometry writes them: pi^2 n xi_n^2/(2 K^2 k^2) and
+    2/(lambda_T k^2) per plane-wave row sqrt(2/L) cos kz for the box (the coefficient
+    2 pi^2 n xi_n^2/(L K^2) of (1 - cos kz)/k^2 over the 4/L of a row pair),
+    xi_n^2 n_peak pi^2 v_N^2/(2 omega_j^2) and pi v_N k_B T/(hbar omega_j^2) per
+    Legendre row f_j(z/R)/sqrt(R) for the cloud."""
     p = modes.params
     if modes.radius is None:
-        coef = 2.0 * pi**2 * p.n_peak * p.squeezing / (modes.L * p.K**2)
-        return (np.full(modes.p_max, coef),
-                2.0 / (p.lambda_T(T) * modes.k**2) * (2.0 * modes.k) ** 2 / modes.L)
-    R, v_N, omega2 = modes.radius, modes.v_N, modes.omega**2
-    return (p.squeezing * modes.profile.n_peak * pi**2 * v_N**2 / (2.0 * R * omega2),
-            pi * v_N * k_B * T / (hbar * R * omega2))
+        k2 = modes.k**2
+        return (pi**2 * p.n_peak * p.squeezing / (2.0 * p.K**2 * k2),
+                2.0 / (p.lambda_T(T) * k2))
+    v_N, omega2 = modes.v_N, modes.omega**2
+    return (p.squeezing * modes.profile.n_peak * pi**2 * v_N**2 / (2.0 * omega2),
+            pi * v_N * k_B * T / (hbar * omega2))
 
 
 def test_pair_rows_synthesise_the_mode_sum_coefficient(basis):
-    """A unit amplitude on a pair row adds synthesis_scale * g to the field, so the
-    split state's field variance per mode, the weight of every mode sum, is the
+    """A unit amplitude on a pair row adds that row, of unit norm, to the field, so
+    the split state's field variance per mode, the weight of every mode sum, is the
     closed-form mode-sum coefficient of each geometry."""
     modes = basis[0]
     np.testing.assert_allclose(modes.weights(), _closed_forms(modes, 30e-9)[0], rtol=1e-13)
@@ -95,11 +96,27 @@ def test_pair_rows_synthesise_the_mode_sum_coefficient(basis):
 @pytest.mark.parametrize("T", [5e-9, 30e-9])
 def test_thermal_phase_variance_is_the_closed_form(basis, T):
     """Equipartition, phi_amplitude^2 times the thermal density variance, puts into
-    the field, through each mode's synthesis scale, the thermal phase variance each
-    geometry writes in closed form."""
+    the field, on rows of unit norm, the thermal phase variance each geometry writes
+    in closed form."""
     modes = basis[0]
-    np.testing.assert_allclose(modes.thermal_phase_variance(T) * modes.synthesis_scale**2,
-                               _closed_forms(modes, T)[1], rtol=1e-13)
+    np.testing.assert_allclose(modes.thermal_phase_variance(T), _closed_forms(modes, T)[1],
+                               rtol=1e-13)
+
+
+def test_pair_rows_have_unit_norm(basis):
+    """Every pair row is a mode function of unit norm in z: a fine trapezoid of g_r^2
+    over the box [0, L), or over the cloud [-R, R] on nodes z = -R cos(theta) that
+    crowd its edges, where f_j(z/R)^2 is steepest, is 1 to 1e-6."""
+    modes = basis[0]
+    theta = np.linspace(0.0, pi, 30001)
+    if modes.radius is None:
+        z, dz_dtheta = modes.L * theta / pi, modes.L / pi
+    else:
+        z, dz_dtheta = -modes.radius * np.cos(theta), modes.radius * np.sin(theta)
+    g = modes.pair_functions(z)[0]
+    norms = np.trapezoid(np.square(g, out=g) * dz_dtheta, theta, axis=1)
+    assert norms.size == modes.truncation * (2 if modes.radius is None else 1)
+    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-6)
 
 
 def test_split_state_has_a_quarter_quantum_per_mode(basis):
@@ -347,7 +364,7 @@ def test_in_place_builders_bit_equal_to_the_formulas(front_grid):
         def rows(x):
             kx = modes.k[:, None] * x.ravel()
             g = np.stack([np.cos(kx), -np.sin(kx)], axis=1)
-            return (g / (np.sqrt(2.0) * modes.k[:, None, None])).reshape(-1, 2, *x.shape)
+            return (g * np.sqrt(2.0 / modes.L)).reshape(-1, 2, *x.shape)
 
         def reference(a, b):
             d = (rows(a) - rows(b)) ** 2
@@ -358,14 +375,13 @@ def test_in_place_builders_bit_equal_to_the_formulas(front_grid):
 
         def reference(a, b):
             x, xp = a.ravel() / modes.radius, b.ravel() / modes.radius
-            f = _legendre_reference(modes.j_max, x).reshape(-1, *a.shape)
-            fp = _legendre_reference(modes.j_max, xp).reshape(-1, *b.shape)
+            f = (_legendre_reference(modes.j_max, x) / np.sqrt(modes.radius)).reshape(-1, *a.shape)
+            fp = (_legendre_reference(modes.j_max, xp) / np.sqrt(modes.radius)).reshape(-1, *b.shape)
             return (f - fp) ** 2
     terms = reference(z, zprime)
     assert np.array_equal(modes.pair_terms(z, zprime), terms)
     assert np.array_equal(modes.pair_terms(*zz), reference(*zz))
-    weights = modes.split_density_variance() * (modes.phi_amplitude()
-                                                * modes.synthesis_scale) ** 2
+    weights = modes.split_density_variance() * modes.phi_amplitude() ** 2
     amp = np.sin(modes.omega[None, :] * times[:, None]) ** 2 * weights
     assert np.array_equal(modes.time_factors(times), amp)
     # one vector-matrix product per time (a single matrix product rounds a row

@@ -182,11 +182,18 @@ def test_front_row_blocks_match_whole_grid_reference(trapped_modes, monkeypatch)
     {"atom_number_total": 4e5},                           # strongly quasi-1D
 ])
 def test_quasi1d_closed_form_normalisation(quasi1d_config, change):
+    # the profile at the bisected mu holds N/2 atoms, or with a peak density given
+    # the Thomas-Fermi count (4/3) n_peak R of that density
     cfg = dataclasses.replace(quasi1d_config, **change)
-    prof = quasi1d_profile(derive_params(cfg))
+    params = derive_params(cfg)
+    prof = quasi1d_profile(params)
+    if cfg.atom_number_total is not None:
+        target = cfg.atom_number_total / 2.0
+    else:
+        target = (4.0 / 3.0) * cfg.peak_density_per_gas * params.R
     total, _ = quad(lambda z: _quasi1d_density(z, prof.mu, cfg), -prof.radius, prof.radius,
                     epsabs=0.0, epsrel=1e-13, limit=200)
-    assert total == pytest.approx(prof.atoms_per_gas, rel=1e-10, abs=0.0)
+    assert total == pytest.approx(target, rel=1e-10, abs=0.0)
 
 
 CONFIGS = {

@@ -87,7 +87,6 @@ def test_thomas_fermi_profile(trapped_params):
     total, _ = quad(lambda z: trapped_params.n_peak * (1 - (z / prof.radius) ** 2),
                     -prof.radius, prof.radius)
     assert total == pytest.approx(3500.0, rel=1e-9)
-    assert prof.atoms_per_gas == pytest.approx(total, rel=1e-9)
 
 
 def test_quasi1d_profile(quasi1d_config, trapped_params):
@@ -115,14 +114,12 @@ def test_quasi1d_requires_regime(trapped_config):
 
 def test_trapped_mode_set(trapped_modes, trapped_params):
     m = trapped_modes
-    assert m.omega_scale == trapped_params.config.omega_long  # anchored exactly
-    assert m.omega[0] == trapped_params.config.omega_long
+    assert m.omega[0] == trapped_params.config.omega_long  # anchored exactly
     assert hbar * m.omega[-1] <= trapped_params.mu
     assert m.v_N == pytest.approx(2 * trapped_params.g / (pi * hbar), rel=1e-14)
-    # splitting loads every mode of the field with the same density noise n_peak/(2R)
-    np.testing.assert_allclose(
-        m.split_density_variance() * m.synthesis_scale**2,
-        trapped_params.n_peak / (2 * m.radius), rtol=1e-14)
+    # splitting loads every mode of unit norm with the same density noise n_peak/2
+    np.testing.assert_allclose(m.split_density_variance(), trapped_params.n_peak / 2,
+                               rtol=1e-14)
 
 
 def test_build_trapped_modes_refuses_fractional_truncation(trapped_modes):
@@ -233,5 +230,5 @@ def test_quasi1d_mode_scale(quasi1d_config):
     modes = build_trapped_modes(params)
     # frequency ladder follows the EOS sound speed on the effective parabola
     expected = math.sqrt(2.0) * prof.sound_speed_peak / prof.radius
-    assert modes.omega_scale == pytest.approx(expected, rel=1e-12)
-    assert modes.omega_scale < quasi1d_config.omega_long * 1.0  # softer than the trap
+    assert modes.omega[0] == pytest.approx(expected, rel=1e-12)
+    assert modes.omega[0] < quasi1d_config.omega_long * 1.0  # softer than the trap
