@@ -12,14 +12,15 @@ Legendre row f_j(z/R)/sqrt(R) per mode for the trapped cloud (Stringari, PRA
 covariance <phi(z) phi(0)> sums g_r(z) g_r(0) instead.  The weight w_m is
 the split state's density shot noise dephased into the field,
 :meth:`ModeBasis.weights`.  These sums, pointwise, as a field with its
-truncation doubling check, as light-cone rates and as stationary phase
-noise, are written once here against :class:`ModeBasis`, under the only
-public names of these sums.  The field is a :class:`VarianceField`, which
-keeps the basis that made it; its correlation function is the Gaussian
-exponential C = exp(-variance/2), :func:`pcf`.  Each row of the field is its
-own (1 x modes) @ (modes x nz) product, so a row does not depend on the
-other times of the call; a streamed field (``values`` None) holds only the
-pair terms and computes the rows a reader asks for, which is how the front
+truncation doubling check, as exact light-cone rates (each sin^2 term's
+derivative is omega_m sin(2 omega_m t)) and as stationary phase noise, are
+written once here against :class:`ModeBasis`, under the only public names of
+these sums.  The field is a :class:`VarianceField`, which keeps the basis
+that made it; its correlation function is the Gaussian exponential
+C = exp(-variance/2), :func:`pcf`.  Each row of the field is its own
+(1 x modes) @ (modes x nz) product, so a row does not depend on the other
+times of the call; a streamed field (``values`` None) holds only the pair
+terms and computes the rows a reader asks for, which is how the front
 detector reads the grid a block of times at a time.
 """
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .params import _check_positive, _check_temperature, hbar, k_B, pi
+from .params import _check_temperature, hbar, k_B, pi
 
 __all__ = [
     "ModeBasis",
@@ -159,12 +160,17 @@ class ModeBasis:
                               f"rad apart, more than {_MAX_PHASE_ERROR:g} rad")
 
     def time_factors(self, times: np.ndarray) -> np.ndarray:
-        """w_m sin^2(omega_m t), shape (times, modes); times past :meth:`check_phases`."""
+        """w_m sin^2(omega_m t), shape (*times.shape, modes); times past :meth:`check_phases`."""
         self.check_phases(times)
-        s = np.sin(self.omega[None, :] * times[:, None])
+        s = np.sin(self.omega * times[..., None])
         np.square(s, out=s)
         s *= self.weights()
         return s
+
+    def rate_factors(self, times: np.ndarray) -> np.ndarray:
+        """d/dt of :meth:`time_factors`, w_m omega_m sin(2 omega_m t), in its shape."""
+        self.check_phases(times)
+        return np.sin(2.0 * self.omega * times[..., None]) * (self.omega * self.weights())
 
 
 @dataclass
@@ -217,10 +223,7 @@ def pointwise_variance(z, zprime, t, modes: ModeBasis):
     Broadcasts over all three arguments (for the box z - z' is the
     separation).  Zero at z = z' and at t = 0; every summand is non-negative.
     """
-    z, zprime = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(zprime, dtype=float))
-    t = _check_times(t)
-    modes.check_points(np.concatenate([z.ravel(), zprime.ravel()]))
-    return _time_sum(modes.pair_terms(z, zprime), t, modes)
+    return _mode_sum(modes, modes.time_factors(_check_times(t)), z, zprime)
 
 
 def phase_covariance(z, t, modes: ModeBasis):
@@ -229,12 +232,7 @@ def phase_covariance(z, t, modes: ModeBasis):
     sum_m time_factors_m(t) * sum_r g_r(z) g_r(0) over the pair rows; in the
     box (z the separation) the variance is 2*(covariance(0) - covariance(z)).
     """
-    z = np.asarray(z, dtype=float)
-    t = _check_times(t)
-    modes.check_points(np.append(z, 0.0))
-    rows = modes.pair_functions(z.ravel())[0]
-    rows *= modes.pair_functions(np.zeros(1))[0]
-    return _time_sum(modes._sum_rows(rows).reshape(-1, *z.shape), t, modes)
+    return _mode_sum(modes, modes.time_factors(_check_times(t)), z)
 
 
 def stationary_variance(z, modes: ModeBasis):
@@ -243,13 +241,24 @@ def stationary_variance(z, modes: ModeBasis):
     In a box it is 2*zbar*(L - zbar)/(l0_eff*L) as the truncation is lifted,
     the infinite-system ramp 2*zbar/l0_eff times a finite-size factor.
     """
-    return _phase_noise_variance(z, 0.5 * modes.weights(), modes)
+    return _mode_sum(modes, 0.5 * modes.weights(), z, 0.0)
 
 
-def _time_sum(terms, t, modes: ModeBasis):
-    """sum_m time_factors_m(t) * terms_m with t's axes first."""
-    amp = modes.time_factors(t.ravel()).reshape(*t.shape, -1)
-    out = np.sum(amp * np.moveaxis(terms, 0, -1), axis=-1)
+def _mode_sum(modes: ModeBasis, factors: np.ndarray, z, zprime=None):
+    """sum_m factors_m * terms_m with the factors' leading axes first: the pair terms
+    between z and z' (broadcast), or with zprime None the covariance rows
+    sum_r g_r(z) g_r(0)."""
+    z = np.asarray(z, dtype=float)
+    if zprime is None:
+        modes.check_points(np.append(z, 0.0))
+        rows = modes.pair_functions(z.ravel())[0]
+        rows *= modes.pair_functions(np.zeros(1))[0]
+        terms = modes._sum_rows(rows).reshape(-1, *z.shape)
+    else:
+        z, zprime = np.broadcast_arrays(z, np.asarray(zprime, dtype=float))
+        modes.check_points(np.concatenate([z.ravel(), zprime.ravel()]))
+        terms = modes.pair_terms(z, zprime)
+    out = np.sum(factors * np.moveaxis(terms, 0, -1), axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -308,7 +317,7 @@ def thermal_variance(z, temperature: float, modes: ModeBasis):
     <|phi_k|^2>_th = 2/(lambda_T k^2); it grows linearly with T and
     monotonically with |zbar| on [0, L/2].
     """
-    return _phase_noise_variance(z, modes.thermal_phase_variance(temperature), modes)
+    return _mode_sum(modes, modes.thermal_phase_variance(temperature), z, 0.0)
 
 
 def initial_phase_variance(z, modes: ModeBasis):
@@ -317,47 +326,25 @@ def initial_phase_variance(z, modes: ModeBasis):
     This is the contribution the analytic fields drop; the oracle adds it
     back when ``include_initial_phase_noise`` is set.
     """
-    return _phase_noise_variance(z, modes.split_phase_variance(), modes)
-
-
-def _phase_noise_variance(z, var_phi: np.ndarray, modes: ModeBasis):
-    """sum_m var_phi_m * pair_terms_m(z, 0): the variance of a stationary state
-    with phase-quadrature variances var_phi."""
-    z = np.asarray(z, dtype=float)
-    modes.check_points(np.append(z, 0.0))
-    terms = modes.pair_terms(z, np.zeros_like(z))
-    out = np.tensordot(var_phi, terms, axes=1)
-    return out if out.ndim else float(out)
+    return _mode_sum(modes, modes.split_phase_variance(), z, 0.0)
 
 
 def default_rate_step(modes: ModeBasis) -> float:
-    """Finite-difference step: one twentieth of the fastest half period."""
+    """The front's time step: one twentieth of the fastest half period."""
     return (pi / modes.omega_max) / 20.0
 
 
-def variance_rate(z, t, modes: ModeBasis, dt: float | None = None):
-    """Central difference d<dphi(z, 0)^2>/dt; in the box 0 inside the cone zbar < 2ct and
+def variance_rate(z, t, modes: ModeBasis):
+    """d<dphi(z, 0)^2>/dt, exact; in the box 0 inside the cone zbar < 2ct and
     4c/l0 * xi_n^2 outside."""
-    return _central_rate(lambda tt: pointwise_variance(z, 0.0, tt, modes), t, modes, dt)
+    return _mode_sum(modes, modes.rate_factors(_check_times(t)), z, 0.0)
 
 
-def covariance_rate(z, t, modes: ModeBasis, dt: float | None = None):
-    """Central difference d<phi(z) phi(0)>/dt, the light-cone step: in the box 2c/l0 *
-    xi_n^2 inside the cone zbar < 2ct and 0 outside; in a Thomas-Fermi cloud the local
+def covariance_rate(z, t, modes: ModeBasis):
+    """d<phi(z) phi(0)>/dt, exact, the light-cone step: in the box 2c/l0 * xi_n^2
+    inside the cone zbar < 2ct and 0 outside; in a Thomas-Fermi cloud the local
     sound speed c0*sqrt(1 - z^2/R^2) bends the edge to R*sin(2*c0*t/R)."""
-    return _central_rate(lambda tt: phase_covariance(z, tt, modes), t, modes, dt)
-
-
-def _central_rate(f, t, modes: ModeBasis, dt: float | None):
-    """(f(t + dt) - f(t - dt)) / (2 dt), dt defaulting to :func:`default_rate_step`."""
-    if dt is None:
-        dt = default_rate_step(modes)
-    else:
-        _check_positive(dt, "dt")
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= dt) & (t < np.inf)):
-        raise ConfigError("t must be finite and exceed the finite-difference step")
-    return (f(t + dt) - f(t - dt)) / (2.0 * dt)
+    return _mode_sum(modes, modes.rate_factors(_check_times(t)), z)
 
 
 def pcf(variance: VarianceField) -> np.ndarray:

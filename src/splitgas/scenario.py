@@ -32,15 +32,21 @@ MS = 1e-3
 NM = 1e-9
 
 
+def _quote(value) -> str:
+    """repr(value) cut to 60 characters, so refusing a long list or integer stays short."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _require_number(value, where, positive=True, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {_quote(value)}")
     if not _is_finite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{where}: expected a finite number, got {_quote(value)}")
     if integer and int(value) != value:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {_quote(value)}")
     if positive and value <= 0:
-        raise ConfigError(f"{where}: must be strictly positive, got {value!r}")
+        raise ConfigError(f"{where}: must be strictly positive, got {_quote(value)}")
     return float(value)
 
 
@@ -116,7 +122,8 @@ def _refuse_repeats(where, values, names):
     seen = {}
     for v, name in zip(values, names):
         if name in seen:
-            raise ConfigError(f"{where}: {v!r} repeats {seen[name]!r} (duplicate {name})")
+            raise ConfigError(f"{where}: {_quote(v)} repeats {_quote(seen[name])} "
+                              f"(duplicate {name})")
         seen[name] = v
 
 
@@ -144,7 +151,7 @@ def _fit_window(win, where):
 
 def _seed(seed, where):
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"{where}: expected an integer in [0, 2**64), got {seed!r}")
+        raise ConfigError(f"{where}: expected an integer in [0, 2**64), got {_quote(seed)}")
     return seed
 
 
@@ -177,7 +184,7 @@ def _column_times(value, where):
 def _species(value, where) -> SpeciesPreset:
     name = str(value).lower()
     if name not in _SPECIES:
-        raise ConfigError(f"{where}: unknown species {value!r} "
+        raise ConfigError(f"{where}: unknown species {_quote(value)} "
                           f"(available: {', '.join(sorted(_SPECIES))})")
     return _SPECIES[name]
 
@@ -187,7 +194,7 @@ def _regime(value, where) -> Regime:
         return Regime(str(value))
     except ValueError:
         raise ConfigError(f"{where}: expected one of {[r.value for r in Regime]}, "
-                          f"got {value!r}") from None
+                          f"got {_quote(value)}") from None
 
 
 def _zero_or_positive(value, where):
@@ -384,6 +391,8 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(
             f"scenario file {path} is not UTF-8 text: {exc.reason} "
             f"at byte {exc.start}") from None
+    except ValueError as exc:   # an integer past int()'s digit limit, a date past the calendar
+        raise ConfigError(f"scenario file {path}: {str(exc).split(';')[0]}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"scenario file is not valid YAML: {exc}") from None
     except RecursionError:   # PyYAML composes nested collections recursively

@@ -910,3 +910,45 @@ def test_deeply_nested_scenario_exits_2(tmp_path, doc, message):
     assert run.returncode == 2, run.stderr[-300:]
     assert message in run.stderr
     assert "Traceback" not in run.stderr
+    assert len(run.stderr.encode()) < 300
+
+
+# 100,000 numbers as the grid; 1,000 elsewhere (5 kB quoted in full, and PyYAML
+# takes about 3 s to read each 100,000)
+LONG_LIST = "[" + ", ".join(["1.0"] * 100_000) + "]"
+LIST = "[" + ", ".join(["1.0"] * 1_000) + "]"
+BIG_INT = "1" * 4000
+
+
+@pytest.mark.parametrize("doc,message", [
+    (REF_HOMOG.split("grids:")[0] + "grids:\n  zbar_um: [" + LONG_LIST + "]\n",
+     "grids.zbar_um[0]: expected a number, got [1.0, 1.0"),
+    (REF_TRAPPED + "oracle:\n  seed: " + LIST + "\n",
+     "oracle.seed: expected an integer in [0, 2**64), got [1.0, 1.0"),
+    (REF_TRAPPED.replace("thomas_fermi", LIST), "trap.regime: expected one of"),
+    (REF_TRAPPED.replace("rb87", LIST), "trap.species: unknown species [1.0, 1.0"),
+    (REF_TRAPPED.replace("7000", BIG_INT), "trap.atom_number_total: expected a finite number"),
+    (REF_TRAPPED + f"analysis:\n  scan_atom_numbers: [{BIG_INT[:300]}, {BIG_INT[:300]}]\n",
+     "analysis.scan_atom_numbers: 1111"),
+], ids=["grid_100k", "seed_1k", "regime_1k", "species_1k", "atoms_4000_digits",
+        "repeated_300_digits"])
+def test_refusal_quotes_a_bounded_prefix_of_the_value(tmp_path, capsys, doc, message):
+    path = tmp_path / "long.yaml"
+    path.write_text(doc)
+    assert main(["params", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("doc", [
+    REF_TRAPPED.replace("7000", "7" * 5000),
+    REF_TRAPPED + "oracle:\n  seed: " + "7" * 5000 + "\n",
+    REF_TRAPPED + "oracle:\n  seed: 2020-02-30\n",
+], ids=["atom_number_total", "oracle_seed", "date_past_the_calendar"])
+def test_unreadable_value_exits_2(tmp_path, capsys, doc):
+    # PyYAML's int() refuses more than 4300 digits, and its date() a 30 February
+    path = tmp_path / "unreadable.yaml"
+    path.write_text(doc)
+    assert main(["oracle", "--config", str(path)]) == 2
+    assert len(capsys.readouterr().err.encode()) < 300

@@ -144,7 +144,11 @@ def test_phase_covariance_closed_form(homog_modes):
     (lambda m: phase_covariance(1.0, -1e-3, m), "evolution times must be finite"),
     (lambda m: stationary_variance(1.0, m), "exceeds the periodic box"),
     (lambda m: covariance_rate(1.0, 5e-3, m), "exceeds the periodic box"),
-], ids=["covariance-nan-time", "covariance-negative-time", "stationary-1m", "rate-1m"])
+    (lambda m: variance_rate(1.0, 5e-3, m), "exceeds the periodic box"),
+    (lambda m: variance_rate(5e-6, float("nan"), m), "evolution times must be finite"),
+    (lambda m: covariance_rate(5e-6, -1e-3, m), "evolution times must be finite"),
+], ids=["covariance-nan-time", "covariance-negative-time", "stationary-1m", "rate-1m",
+        "variance-rate-1m", "variance-rate-nan-time", "covariance-rate-negative-time"])
 def test_covariance_sums_refuse_what_pointwise_variance_refuses(homog_modes, call, match):
     with pytest.raises(ConfigError, match=match):
         call(homog_modes)
@@ -189,16 +193,10 @@ def test_rate_plateau_flatness(cone_modes, cone_params):
 
 
 def test_rate_requires_valid_time(cone_modes):
-    with pytest.raises(ConfigError):
-        variance_rate(5e-6, 0.0, cone_modes)
-
-
-@pytest.mark.parametrize("rate", [variance_rate, covariance_rate])
-@pytest.mark.parametrize("dt", [0.0, float("nan")])
-def test_rate_refuses_bad_step(cone_modes, rate, dt):
-    # dt = 0 would divide by zero and dt = nan would return nan
-    with pytest.raises(ConfigError, match="dt must be finite and strictly positive"):
-        rate(5e-6, 5e-3, cone_modes, dt=dt)
+    # t = 0 is a valid time (both rates vanish there); before it and NaN are not
+    for t in (-1e-3, float("nan")):
+        with pytest.raises(ConfigError, match="evolution times must be finite"):
+            variance_rate(5e-6, t, cone_modes)
 
 
 def test_build_modes_refuses_fractional_truncation(homog_params):

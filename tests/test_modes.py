@@ -5,8 +5,9 @@ import pytest
 
 from splitgas import build_trapped_modes, derive_params
 from splitgas.errors import ConfigError
-from splitgas.modes import (VarianceField, initial_phase_variance, pcf, pointwise_variance,
-                            thermal_variance, variance_field)
+from splitgas.modes import (VarianceField, covariance_rate, default_rate_step,
+                            initial_phase_variance, pcf, phase_covariance, pointwise_variance,
+                            thermal_variance, variance_field, variance_rate)
 from splitgas.observables import contrast_evaluator
 from splitgas.oracle import EnsembleSpec, estimate_pcf
 from splitgas.params import hbar, k_B, pi
@@ -207,6 +208,27 @@ def test_check_points_refuses_out_of_domain(basis):
         pointwise_variance(outside, 0.0, 1e-3, modes)
     with pytest.raises(ConfigError):
         pointwise_variance(0.0, -outside, 1e-3, modes)
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_rates_are_the_exact_time_derivatives(preset):
+    """Both rates against a Richardson extrapolation, (4 D(h) - D(2h))/3, of the
+    central difference D(h) of the sums they differentiate, at h = dt/32, on the
+    box and the cloud at t = 5 ms; at t = 0 every sin(2 omega_m t) is 0."""
+    from splitgas.cli import _modes
+    from splitgas.scenario import preset_scenario
+
+    modes = _modes(preset_scenario(preset))
+    z = np.linspace(0.0, 0.45 * modes.L if modes.radius is None else 0.95 * modes.radius, 301)
+    t, h = 5e-3, default_rate_step(modes) / 32
+    for rate, value in [(variance_rate, lambda tt: pointwise_variance(z, 0.0, tt, modes)),
+                        (covariance_rate, lambda tt: phase_covariance(z, tt, modes))]:
+        def central(step):
+            return (value(t + step) - value(t - step)) / (2 * step)
+        richardson = (4 * central(h) - central(2 * h)) / 3
+        exact = rate(z, t, modes)
+        assert np.max(np.abs(exact - richardson)) < 1e-9 * np.max(np.abs(exact))
+        assert np.all(rate(z, 0.0, modes) == 0.0)
 
 
 PHASE_NOISE = [lambda z, m: thermal_variance(z, 30e-9, m),
