@@ -56,8 +56,8 @@ _EXPORTS = {
         "quasi1d_profile",
     ),
     "observables": (
-        "contrast_evaluator", "contrast_trace", "extract_front", "fit_velocity",
-        "prethermal_pcf", "recurrence_scan",
+        "contrast_evaluator", "extract_front", "fit_velocity", "prethermal_pcf",
+        "recurrence_scan",
     ),
     "oracle": ("EnsembleSpec", "EnsembleStats", "estimate_pcf", "sample_realization"),
 }

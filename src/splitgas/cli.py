@@ -188,7 +188,7 @@ def _front_for_system(modes, fit_window):
     import numpy as np
 
     from .errors import DetectionError
-    from .modes import VarianceField, default_rate_step
+    from .modes import default_rate_step, variance_field
     from .observables import extract_front, fit_velocity
 
     t_hi = fit_window[1]
@@ -199,8 +199,8 @@ def _front_for_system(modes, fit_window):
         z_hi = min(0.45 * modes.L, 2.0 * modes.params.c * t_hi * 1.4 + 20.0 * xi_h)
     else:
         z_hi = 0.985 * modes.radius
-    # streamed: the detector reads the field a block of times at a time
-    field = VarianceField(np.arange(0.0, z_hi, xi_h / 4.0), times, None, modes=modes)
+    # the detector reads the field's rows a block of times at a time
+    field = variance_field(modes, np.arange(0.0, z_hi, xi_h / 4.0), times)
     z = field.positions
     trace = extract_front(field)
     if len(trace) == 0:
@@ -325,13 +325,13 @@ def _cmd_recurrence(sc):
 
 
 def _cmd_contrast(sc):
-    from .observables import contrast_trace
+    from .observables import contrast_evaluator
     from .scenario import contrast_column
 
     modes = _modes(sc)
     lengths = sc.contrast_lengths
     times = _contrast_times(sc)
-    traces = [contrast_trace(modes, L, times) for L in lengths]
+    traces = [contrast_evaluator(modes, L)(times) for L in lengths]
     columns = ["t_ms"] + [contrast_column(L) for L in lengths]
     rows = [[times[i] / MS] + [tr[i] for tr in traces]
             for i in range(len(times))]

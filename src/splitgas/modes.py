@@ -15,13 +15,13 @@ the split state's density shot noise dephased into the field,
 truncation doubling check, as exact light-cone rates (each sin^2 term's
 derivative is omega_m sin(2 omega_m t)) and as stationary phase noise, are
 written once here against :class:`ModeBasis`, under the only public names of
-these sums.  The field is a :class:`VarianceField`, which keeps the basis
-that made it; its correlation function is the Gaussian exponential
-C = exp(-variance/2), :func:`pcf`.  Each row of the field is its own
-(1 x modes) @ (modes x nz) product, so a row does not depend on the other
-times of the call; a streamed field (``values`` None) holds only the pair
-terms and computes the rows a reader asks for, which is how the front
-detector reads the grid a block of times at a time.
+these sums.  The field is a :class:`VarianceField`, built only by
+:func:`variance_field`: it keeps the basis that made it and its pair terms,
+and :meth:`VarianceField.rows` computes the rows a reader asks for, each its
+own (1 x modes) @ (modes x nz) product, so a row does not depend on the
+other rows read with it.  :func:`pcf` reads them all into the Gaussian
+exponential C = exp(-variance/2); the front detector reads them a block of
+times at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .params import _check_temperature, hbar, k_B, pi
+from .params import _check_positive, hbar, k_B, pi
 
 __all__ = [
     "ModeBasis",
@@ -120,7 +120,7 @@ class ModeBasis:
 
     def thermal_density_variance(self, temperature: float) -> np.ndarray:
         """Equipartition of the density quadrature, k_B*T/(2 dmu/dn)."""
-        _check_temperature(temperature)
+        _check_positive(temperature, "temperature")
         return np.full(self.truncation, k_B * temperature / (2.0 * self.profile.eos_slope_peak))
 
     def weights(self) -> np.ndarray:
@@ -175,39 +175,22 @@ class ModeBasis:
 
 @dataclass
 class VarianceField:
-    """Two-point relative-phase variance on a (time x position) grid.
+    """Two-point relative-phase variance on a (time x position) grid, zprime fixed.
 
-    A field built with ``values=None`` and a basis is streamed: zprime is 0,
-    it holds the basis's pair terms but never the grid, and :meth:`rows`
-    computes the rows it is asked for, each bit-equal to the same row of
-    :func:`variance_field`.
+    It holds the basis and its pair terms, never the grid: :meth:`rows`
+    computes the rows a reader asks for, each its own vector-matrix product,
+    so a row read alone is bit-equal to the same row read with the others.
     """
 
     positions: np.ndarray   # m; z with fixed zprime (separations from it in a box)
     times: np.ndarray       # s
-    values: np.ndarray | None   # (len(times), len(positions)), dimensionless; None = streamed
+    modes: ModeBasis        # the basis that made it
+    terms: np.ndarray       # (modes, len(positions)), the pair terms between z and zprime
     doubling_dev: float | None = None   # doubling-test deviation, None = not checked
-    modes: ModeBasis | None = None      # the basis that made it, None = synthetic
 
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.times = np.asarray(self.times, dtype=float)
-        if self.values is None:
-            if self.modes is None:
-                raise ValueError("a streamed field needs the basis that computes its rows")
-            self.times = _check_times(self.times)
-            self.modes.check_points(np.append(self.positions, 0.0))
-            self._terms = self.modes.pair_terms(self.positions, np.zeros(1))
-            return
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.times.size, self.positions.size):
-            raise ValueError("values must have shape (n_times, n_positions)")
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """The variance at times[lo:hi], shape (hi - lo, len(positions))."""
-        if self.values is None:
-            return _variance_rows(self.modes, self._terms, self.times[lo:hi])
-        return self.values[lo:hi]
+    def rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The variance at times[lo:hi], shape (len(times[lo:hi]), len(positions))."""
+        return _variance_rows(self.modes, self.terms, self.times[lo:hi])
 
 
 def _check_times(t) -> np.ndarray:
@@ -280,24 +263,25 @@ def variance_field(
     cutoff-dominated (each extra mode contributes ~zbar^2), so pointwise
     ratios there measure the physical cutoff, not numerical convergence.
     At the default phononic truncation the deviation is at the percent
-    level and falls off as the inverse truncation.
+    level and falls off as the inverse truncation.  Times, points and phases
+    are refused here; no row is computed until a reader asks for it.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     times = _check_times(np.atleast_1d(times))
     modes.check_points(np.append(z, zprime))
-    values = _variance_rows(modes, modes.pair_terms(z, np.array([zprime])), times)
-    dev = None
+    modes.check_phases(times)
+    field = VarianceField(z, times, modes, modes.pair_terms(z, np.array([zprime])))
     if check_convergence:
         try:   # the doubled basis has about twice omega_max
-            fine = variance_field(modes.doubled(), z, times, zprime).values
+            fine = variance_field(modes.doubled(), z, times, zprime).rows()
         except ConfigError as exc:
             raise ConfigError(f"truncation doubling check: {exc}") from None
         mask = np.abs(z - zprime) >= 2.0 * modes.xi_h
         if not mask.any():
             mask = np.ones_like(z, dtype=bool)
         scale = max(float(np.abs(fine).max()), 1e-300)
-        dev = float(np.max(np.abs(fine - values)[:, mask]) / scale)
-    return VarianceField(positions=z, times=times, values=values, doubling_dev=dev, modes=modes)
+        field.doubling_dev = float(np.max(np.abs(fine - field.rows())[:, mask]) / scale)
+    return field
 
 
 def _variance_rows(modes: ModeBasis, terms: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -348,9 +332,8 @@ def covariance_rate(z, t, modes: ModeBasis):
 
 
 def pcf(variance: VarianceField) -> np.ndarray:
-    """Correlation C = exp(-variance/2), element-wise on the field's grid (a
-    streamed field's rows are computed for it)."""
-    values = variance.rows(0, variance.times.size)
+    """Correlation C = exp(-variance/2), element-wise on the field's rows."""
+    values = variance.rows()
     if not np.all(values >= 0):   # NaN included
         raise ConfigError("variance must be non-negative")
     return np.exp(-values / 2.0)

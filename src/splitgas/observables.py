@@ -3,12 +3,13 @@
 The correlation front is located per time sample as the peak of the
 smoothed mixed derivative d2<dphi^2>/dt dz (the variance rate switches
 between its inside- and outside-cone plateaus there).  The detector reads
-the variance field a block of times at a time, so the ``front`` command
-hands it a streamed field and never holds the (time x position) grid.  An independent
+the variance field's rows a block of times at a time, so the ``front``
+command never holds the (time x position) grid.  An independent
 half-plateau crossing detector is kept for the tests, which run it as a
 cross-check of the default one.  The mean squared contrast
-double-integrates C over an observation window, and recurrences are
-ranked local maxima of that trace.  A detected front comes back as a
+double-integrates C over an observation window, through one entry,
+:func:`contrast_evaluator`, built once per window; recurrences are ranked
+local maxima of its trace.  A detected front comes back as a
 :class:`FrontTrace` and its least-squares slope as a :class:`VelocityFit`.
 """
 
@@ -29,7 +30,6 @@ __all__ = [
     "extract_front",
     "fit_velocity",
     "contrast_evaluator",
-    "contrast_trace",
     "recurrence_scan",
     "prethermal_pcf",
 ]
@@ -50,8 +50,8 @@ _CONTRAST_PANEL_ROWS = 48
 _CONTRAST_PANEL_ELEMENTS = 2**16
 # The front detector takes dV/dt, differentiates, smooths and searches the
 # time x position grid a block of time rows at a time (dV/dt reads one halo
-# row on each side), for both detectors, and reads a streamed field's rows
-# only as each block needs them.  A block has as many rows as fit one
+# row on each side), for both detectors, and reads the field's rows only as
+# each block needs them.  A block has as many rows as fit one
 # (rows x nz) float64 array in this many bytes.  At its peak, inside the peak
 # finder, a block holds about ten such arrays (0.6 MB on fig5's 318 x 636
 # grid at N = 9000), so the detector's memory depends on nz only, never on
@@ -192,7 +192,7 @@ def _time_derivative_blocks(field: VarianceField, rows: int):
     """Yield (first row, V, dV/dt) of ``field`` ``rows`` time rows at a time.
 
     Each block reads its rows and one halo row on each side through
-    ``field.rows``, so a streamed field is never held whole.  dV/dt is
+    ``field.rows``, so the field is never held whole.  dV/dt is
     bit-equal to the same rows of ``np.gradient(values, ts, axis=0)``: it
     uses the whole grid's three-point stencil, and numpy's
     uniform-spacing formula only when the whole grid is exactly uniform, as
@@ -240,8 +240,8 @@ def extract_front(field: VarianceField, method: str = "mixed_derivative") -> Fro
     derivative; a field without a basis is searched to its last point.
     Undetectable rows are dropped; an entirely empty trace is returned with
     diagnostics rather than raised.  The field is read a block of times at a
-    time, so a streamed field (``values`` None) is never held whole; its
-    trace is bit-equal to that of the same field computed whole.
+    time and never held whole; its trace is bit-equal to that of the same
+    rows read at once.
     """
     z = field.positions
     ts = field.times
@@ -447,15 +447,6 @@ def contrast_evaluator(modes, length: float, dz: float | None = None):
         raise ConfigError("integration window contains fewer than 2 grid points")
     step = length / (n - 1)
     return _contrast_kernel(modes, n, step)
-
-
-def contrast_trace(modes, length: float, times) -> np.ndarray:
-    """Mean squared contrast C^2 at each of ``times`` for a window of size L.
-
-    One-shot form of :func:`contrast_evaluator` on its default grid; build
-    the evaluator instead to reuse a window or to choose its grid step.
-    """
-    return contrast_evaluator(modes, length)(times)
 
 
 def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:

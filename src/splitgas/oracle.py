@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .modes import _check_times
-from .params import _check_temperature
+from .params import _check_positive
 
 __all__ = ["EnsembleSpec", "EnsembleStats", "sample_realization", "estimate_pcf"]
 
@@ -75,7 +75,7 @@ class EnsembleSpec:
         if self.kind not in ("split", "thermal"):
             raise ConfigError(f"unknown initial-condition kind: {self.kind!r}")
         if self.kind == "thermal":
-            _check_temperature(self.temperature, "thermal ensembles")
+            _check_positive(self.temperature, "thermal ensemble temperature")
 
 
 @dataclass

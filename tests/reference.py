@@ -1,8 +1,28 @@
-"""Dense reference for the contrast kernels: the 2-D trapezoid rule on the full window grid."""
+"""Test references: the dense 2-D trapezoid contrast on the full window grid, and a
+field of given values for the readers of variance fields."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from splitgas.modes import variance_field
+
+
+@dataclass
+class ArrayField:
+    """A (time x position) grid of given variances, read as a variance field is read.
+
+    ``modes`` None is a field of no basis: the front detector then smooths over 4
+    grid steps and searches to the last point.
+    """
+
+    positions: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
+    modes: object = None
+
+    def rows(self, lo=0, hi=None):
+        return self.values[lo:hi]
 
 
 def window_contrast(C, z):
@@ -13,6 +33,6 @@ def window_contrast(C, z):
 def dense_contrast(modes, L, n, times):
     """C^2(t) on n points spanning [-L/2, L/2]: one variance_field column per z'."""
     z = np.linspace(-L / 2, L / 2, n)
-    var = np.stack([variance_field(modes, z, times, zp).values for zp in z], axis=-1)
+    var = np.stack([variance_field(modes, z, times, zp).rows() for zp in z], axis=-1)
     assert var.min() >= 0.0
     return window_contrast(np.exp(-var / 2.0), z)

@@ -19,7 +19,7 @@ from splitgas import (
     TrapConfig,
     build_modes,
     build_trapped_modes,
-    contrast_trace,
+    contrast_evaluator,
     derive_params,
     estimate_pcf,
     extract_front,
@@ -180,10 +180,11 @@ def test_criterion_6_recurrences():
     params_t = derive_params(_reference_trapped())
     modes_t = build_trapped_modes(params_t)
     times = np.arange(0.0, 0.3 + 1e-9, 0.5e-3)
-    values = contrast_trace(modes_t, 50e-6, times)
+    contrast = contrast_evaluator(modes_t, 50e-6)
+    values = contrast(times)
 
     def refine(t):
-        return float(contrast_trace(modes_t, 50e-6, [t])[0])
+        return float(contrast([t])[0])
 
     found = recurrence_scan(times, values, refine_fn=refine)
     t_best, s_best = found[0]

@@ -77,3 +77,17 @@ def test_stage_copies_tracked_and_untracked_but_not_ignored(bench_pairs, tmp_pat
     assert (dest / ".gitignore").exists()
     assert not (dest / "ignored.txt").exists()
     assert not (dest / "gone.txt").exists()
+
+
+def test_src_lines_is_the_wc_total_of_the_package_modules(bench_pairs, tmp_path):
+    package = tmp_path / "src" / "splitgas"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\nthree\n")
+    (package / "b.py").write_text("one\nno newline at the end")
+    (package / "notes.txt").write_text("not a module\n")
+    (tmp_path / "src" / "other.py").write_text("outside the package\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+    wc = subprocess.run("wc -l src/splitgas/*.py", shell=True, cwd=tmp_path, check=True,
+                        capture_output=True, text=True).stdout
+    assert int(wc.splitlines()[-1].split()[0]) == 4
+    assert bench_pairs.src_lines(ROOT) > 0

@@ -689,7 +689,7 @@ def test_duplicate_contrast_length_refused_before_any_window(tmp_path, monkeypat
     from splitgas import observables
 
     calls = []
-    monkeypatch.setattr(observables, "contrast_trace",
+    monkeypatch.setattr(observables, "contrast_evaluator",
                         lambda *args, **kwargs: calls.append(args))
     path = tmp_path / "twice.yaml"
     path.write_text(REF_TRAPPED + "analysis:\n  contrast_lengths_um: [90, 90.0]\n")
@@ -887,10 +887,13 @@ def test_p_max_of_a_cloud_read_by_its_box_twin(tmp_path):
     ("trap: " + "[" * 3000 + "]" * 3000 + "\n", "nests collections too deeply"),
     (REF_HOMOG.split("grids:")[0] + "grids:\n  zbar_um: " + "[" * 500 + "1.0" + "]" * 500 + "\n",
      "nests collections too deeply"),
+    # far past any recursion limit (a libyaml parser dies of this depth)
+    (REF_HOMOG.split("grids:")[0] + "grids:\n  zbar_um: " + "[" * 200_000 + "1.0"
+     + "]" * 200_000 + "\n", "nests collections too deeply"),
     # just under PyYAML's recursion limit in a fresh interpreter: parsed, then refused
     (REF_HOMOG.split("grids:")[0] + "grids:\n  zbar_um: " + "[" * 450 + "1.0" + "]" * 450 + "\n",
      "grids.zbar_um[0]: expected a number"),
-], ids=["trap_3000_deep", "grid_500_deep", "grid_450_deep"])
+], ids=["trap_3000_deep", "grid_500_deep", "grid_200k_deep", "grid_450_deep"])
 def test_deeply_nested_scenario_exits_2(tmp_path, doc, message):
     # a fresh interpreter, so the stack the parser starts from is the command's own
     import os

@@ -246,7 +246,7 @@ def test_variance_field_and_convergence(homog_modes, homog_params):
     zb = np.linspace(0, 30e-6, 31)
     ts = np.linspace(0, 10e-3, 6)
     fld = variance_field(homog_modes, zb, ts, check_convergence=True)
-    assert fld.values.shape == (6, 31)
+    assert fld.rows().shape == (6, 31)
     assert 5e-3 <= fld.doubling_dev  # physical cutoff sensitivity ~1/p_max
     assert 0 < fld.doubling_dev < 0.05
     # at 4x the default truncation the doubling deviation is inside 0.5%

@@ -5,15 +5,15 @@ import pytest
 
 from splitgas import build_trapped_modes, derive_params
 from splitgas.errors import ConfigError
-from splitgas.modes import (VarianceField, covariance_rate, default_rate_step,
-                            initial_phase_variance, pcf, phase_covariance, pointwise_variance,
-                            thermal_variance, variance_field, variance_rate)
+from splitgas.modes import (covariance_rate, default_rate_step, initial_phase_variance, pcf,
+                            phase_covariance, pointwise_variance, thermal_variance,
+                            variance_field, variance_rate)
 from splitgas.observables import contrast_evaluator
 from splitgas.oracle import EnsembleSpec, estimate_pcf
 from splitgas.params import hbar, k_B, pi
 from splitgas.trapped import legendre_f_table
 
-from reference import dense_contrast
+from reference import ArrayField, dense_contrast
 
 TIMES = np.array([0.0, 1e-3, 4e-3, 7.5e-3])
 
@@ -35,10 +35,10 @@ def basis(request):
 def test_variance_field_equals_pointwise_sum(basis):
     modes, z, zprime, _ = basis
     field = variance_field(modes, z, TIMES, zprime)
-    assert field.values.shape == (TIMES.size, z.size)
+    assert field.rows().shape == (TIMES.size, z.size)
     assert field.modes is modes
     direct = pointwise_variance(z[None, :], zprime, TIMES[:, None], modes)
-    np.testing.assert_allclose(field.values, direct, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(field.rows(), direct, rtol=1e-12, atol=0)
 
 
 def test_convergence_check_is_the_doubled_recomputation(basis):
@@ -47,11 +47,11 @@ def test_convergence_check_is_the_doubled_recomputation(basis):
     assert doubled.truncation == 2 * modes.truncation
     field = variance_field(modes, z, TIMES, zprime, check_convergence=True)
     dev = field.doubling_dev
-    coarse = variance_field(modes, z, TIMES, zprime).values
-    fine = variance_field(doubled, z, TIMES, zprime).values
+    coarse = variance_field(modes, z, TIMES, zprime).rows()
+    fine = variance_field(doubled, z, TIMES, zprime).rows()
     mask = np.abs(z - zprime) >= 2.0 * modes.xi_h
     assert dev == float(np.max(np.abs(fine - coarse)[:, mask]) / np.abs(fine).max())
-    assert np.array_equal(field.values, coarse)
+    assert np.array_equal(field.rows(), coarse)
 
 
 def test_pair_rows_sum_to_the_pair_terms(basis):
@@ -146,7 +146,7 @@ def test_pair_field_symmetric_and_non_negative(basis):
     assert pf.min() >= 0.0
     assert np.all(np.diagonal(pf, axis1=1, axis2=2) == 0.0)
     np.testing.assert_allclose(pf, np.swapaxes(pf, 1, 2), rtol=1e-12, atol=0)
-    column = variance_field(modes, z, TIMES, z[-2]).values
+    column = variance_field(modes, z, TIMES, z[-2]).rows()
     np.testing.assert_allclose(pf[:, :, -2], column, rtol=1e-12, atol=0)
 
 
@@ -158,7 +158,7 @@ NAN = float("nan")
     lambda m: variance_field(m, [0.0], [1e-3], zprime=NAN),
     lambda m: pointwise_variance(NAN, 0.0, 1e-3, m),
     lambda m: estimate_pcf(EnsembleSpec(10, 1), m, [NAN], [1e-3]),
-    lambda m: pcf(VarianceField([0.0], [1e-3], [[NAN]], modes=m)),
+    lambda m: pcf(ArrayField(np.zeros(1), np.array([1e-3]), np.full((1, 1), NAN))),
     lambda m: legendre_f_table(2, NAN),
 ], ids=["field_z", "field_zprime", "pointwise", "oracle", "pcf", "legendre_f"])
 def test_nan_fails_every_domain_check(basis, call):
@@ -171,7 +171,7 @@ def test_nan_fails_every_domain_check(basis, call):
 @pytest.mark.parametrize("T", [NAN, float("inf"), -1e-8, 0.0, True, "1e-8"])
 def test_thermal_variances_refuse_what_the_ensemble_refuses(basis, method, T):
     # one temperature rule for EnsembleSpec, lambda_T and every thermal method
-    with pytest.raises(ConfigError, match="finite positive temperature"):
+    with pytest.raises(ConfigError, match="temperature must be finite and strictly positive"):
         getattr(basis[0], method)(T)
 
 
@@ -185,8 +185,8 @@ def test_every_mode_sum_refuses_unresolved_phases(basis):
     calls = [
         lambda t: modes.time_factors(np.array([0.0, t])),
         lambda t: pointwise_variance(z, zprime, t, modes),
-        lambda t: variance_field(modes, z, [t], zprime).values,
-        lambda t: VarianceField(z, [t], None, modes=modes).rows(0, 1),
+        lambda t: variance_field(modes, z, [t], zprime).terms,   # refused before any row
+        lambda t: variance_field(modes, z, [t], zprime).rows(),
         lambda t: contrast_evaluator(modes, 5e-6)([t]),
         lambda t: estimate_pcf(EnsembleSpec(10, 1), modes, z, [t], zprime).mean,
     ]
@@ -326,21 +326,30 @@ def front_grid(request):
     return _front_grid(request.param)
 
 
-def _single_time_rows_are_bulk_rows(modes, z, times) -> bool:
-    """Every single-time variance_field row, and every row of the streamed field
-    read alone, is bit-equal to the same row of the bulk call."""
-    bulk = variance_field(modes, z, times).values
-    streamed = VarianceField(z, times, None, modes=modes)
-    return all(np.array_equal(variance_field(modes, z, times[i:i + 1]).values[0], bulk[i])
-               and np.array_equal(streamed.rows(i, i + 1)[0], bulk[i])
+def _single_time_rows_are_bulk_rows(modes, z, times, zprime=0.0) -> bool:
+    """Every row of a single-time variance_field, and every row of the field read
+    alone, is bit-equal to the same row of ``rows()``."""
+    field = variance_field(modes, z, times, zprime)
+    bulk = field.rows()
+    return all(np.array_equal(variance_field(modes, z, times[i:i + 1], zprime).rows()[0], bulk[i])
+               and np.array_equal(field.rows(i, i + 1)[0], bulk[i])
                for i in range(times.size))
 
 
 def test_single_time_field_rows_are_bulk_rows(front_grid):
     assert _single_time_rows_are_bulk_rows(*front_grid)
     modes, z, times = front_grid
-    streamed = VarianceField(z, times[:20], None, modes=modes)
-    assert np.array_equal(pcf(streamed), pcf(variance_field(modes, z, times[:20])))
+    assert np.array_equal(pcf(variance_field(modes, z, times[:20])),
+                          pcf(variance_field(modes, z, times))[:20])
+
+
+def test_rows_read_alone_are_bulk_rows_at_any_zprime(basis):
+    # 5 um off the centre on the clouds: the pair terms are taken against zprime
+    modes, z, zprime, _ = basis
+    times = np.linspace(0.0, 12e-3, 37)
+    assert _single_time_rows_are_bulk_rows(modes, z, times, zprime)
+    field = variance_field(modes, z, times, zprime)
+    assert np.array_equal(field.rows(5, 21), field.rows()[5:21])
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -409,4 +418,4 @@ def test_in_place_builders_bit_equal_to_the_formulas(front_grid):
     # one vector-matrix product per time (a single matrix product rounds a row
     # by its place in the BLAS kernel's tiles)
     values = np.array([a @ terms for a in amp])
-    assert np.array_equal(variance_field(modes, z, times).values, values)
+    assert np.array_equal(variance_field(modes, z, times).rows(), values)

@@ -13,7 +13,6 @@ from splitgas import (
     build_modes,
     build_trapped_modes,
     contrast_evaluator,
-    contrast_trace,
     extract_front,
     fit_velocity,
     observables,
@@ -31,7 +30,7 @@ from splitgas.observables import (
     prethermal_pcf,
 )
 
-from reference import dense_contrast, window_contrast
+from reference import ArrayField, dense_contrast, window_contrast
 
 
 # ---------------------------------------------------------------- pcf map
@@ -44,6 +43,7 @@ def test_pcf_values(homog_modes):
     np.testing.assert_allclose(corr[0], 1.0, atol=1e-12)  # t = 0
     assert corr.max() <= 1.0
     # exp map spot values
+    field = ArrayField(zb, ts, field.rows())
     field.values[1, 3] = 2.0
     assert pcf(field)[1, 3] == pytest.approx(math.exp(-1.0), rel=1e-14)
     field.values[1, 3] = -0.1
@@ -55,8 +55,7 @@ def test_pcf_monotone(homog_modes):
     zb = np.linspace(0, 30e-6, 16)
     field = variance_field(homog_modes, zb, [4e-3])
     c1 = pcf(field)
-    field.values = field.values + 0.3
-    c2 = pcf(field)
+    c2 = pcf(ArrayField(zb, field.times, field.rows() + 0.3))
     assert np.all(c2 < c1)
 
 
@@ -73,7 +72,7 @@ def _synthetic_step_field(c, l0, L=100e-6):
     ts = np.arange(0.25e-3, 10.001e-3, 0.05e-3)
     tt, zz = np.meshgrid(ts, z, indexing="ij")
     values = (2 * c / l0) * np.maximum(0.0, tt - zz / (2 * c))
-    return VarianceField(positions=z, times=ts, values=values)
+    return ArrayField(positions=z, times=ts, values=values)
 
 
 def test_velocity_on_synthetic_step():
@@ -154,7 +153,7 @@ def test_extract_front_empty_when_featureless():
     z = np.arange(0.0, 30e-6, 0.2e-6)
     ts = np.linspace(1e-3, 5e-3, 30)
     flat = np.ones((ts.size, z.size))
-    field = VarianceField(positions=z, times=ts, values=flat)
+    field = ArrayField(positions=z, times=ts, values=flat)
     trace = extract_front(field)
     assert len(trace) == 0
     assert trace.diagnostics["dropped"] == ts.size
@@ -202,16 +201,18 @@ def preset_front_fields(tmp_path_factory):
 
 def _whole_grid_blocks(field, rows):
     """The reference for the row blocks: slices of the whole grid and of one np.gradient."""
-    dVdt = np.gradient(field.values, field.times, axis=0)
+    values = field.rows()
+    dVdt = np.gradient(values, field.times, axis=0)
     for lo in range(0, field.times.size, rows):
-        yield lo, field.values[lo:lo + rows], dVdt[lo:lo + rows]
+        yield lo, values[lo:lo + rows], dVdt[lo:lo + rows]
 
 
 def _assert_blocks_and_traces_match_whole_grid(field, rows, monkeypatch):
-    whole = np.gradient(field.values, field.times, axis=0)
+    values = field.rows()
+    whole = np.gradient(values, field.times, axis=0)
     blocks = list(_time_derivative_blocks(field, rows))
     assert [lo for lo, _, _ in blocks] == list(range(0, field.times.size, rows))
-    assert np.array_equal(np.concatenate([v for _, v, _ in blocks]), field.values)
+    assert np.array_equal(np.concatenate([v for _, v, _ in blocks]), values)
     assert np.array_equal(np.concatenate([d for _, _, d in blocks]), whole)
 
     # a budget of exactly ``rows`` rows of the grid
@@ -228,8 +229,8 @@ def _assert_blocks_and_traces_match_whole_grid(field, rows, monkeypatch):
 
 
 def _materialised(field):
-    """The whole grid of a streamed field, as :func:`variance_field` computes it."""
-    return variance_field(field.modes, field.positions, field.times)
+    """The whole grid of a field, all its rows read at once, with its basis."""
+    return ArrayField(field.positions, field.times, field.rows(), field.modes)
 
 
 def test_front_derivative_blocks_bit_equal_on_preset_grids(preset_front_fields, monkeypatch):
@@ -242,10 +243,10 @@ def test_front_derivative_blocks_bit_equal_on_preset_grids(preset_front_fields, 
 
 
 def test_streamed_front_bit_equal_to_materialised_grid(preset_front_fields):
-    """The command's streamed field never holds its grid, yet detects what the grid does."""
+    """The command's field never holds its grid, yet detects what the grid does."""
     assert len(preset_front_fields) == 12
     for field in preset_front_fields:
-        assert field.values is None
+        assert isinstance(field, VarianceField)
         whole = _materialised(field)
         for method in FRONT_METHODS:
             streamed, ref = extract_front(field, method=method), extract_front(whole, method=method)
@@ -273,8 +274,8 @@ def test_front_derivative_blocks_bit_equal_on_a_partly_uniform_grid(
     field = variance_field(cone_modes, z, ts)
     if grid == "uniform_block":
         # the pitfall is live: per-block np.gradient is not the whole grid's
-        naive = np.gradient(field.values[:17], ts[:17], axis=0)[1:16]
-        whole = np.gradient(field.values, ts, axis=0)[1:16]
+        naive = np.gradient(field.rows(0, 17), ts[:17], axis=0)[1:16]
+        whole = np.gradient(field.rows(), ts, axis=0)[1:16]
         assert not np.array_equal(naive, whole)
     _assert_blocks_and_traces_match_whole_grid(field, 16, monkeypatch)
 
@@ -283,7 +284,7 @@ def test_front_derivative_blocks_bit_equal_on_a_partly_uniform_grid(
 
 def test_contrast_t0_is_one(homog_modes, trapped_modes):
     for modes in (homog_modes, trapped_modes):
-        tr = contrast_trace(modes, 20e-6, [0.0, 3e-3])
+        tr = contrast_evaluator(modes, 20e-6)([0.0, 3e-3])
         assert tr[0] == pytest.approx(1.0, abs=1e-12)
         assert tr[1] < 1.0
 
@@ -309,7 +310,7 @@ def test_contrast_matches_prethermal_closed_form(homog_params):
 
 def test_contrast_small_window_limit(homog_modes):
     # L -> 0: the window degenerates to C(0, 0, t) = 1
-    tr = contrast_trace(homog_modes, 1e-6, [5e-3])
+    tr = contrast_evaluator(homog_modes, 1e-6)([5e-3])
     assert tr[0] == pytest.approx(1.0, abs=0.03)
 
 
@@ -324,14 +325,14 @@ def test_contrast_grid_refinement(homog_modes, trapped_modes, homog_params):
 def test_contrast_ordering_in_length(trapped_modes):
     # during initial dephasing more modes fit into a larger window
     ts = [5e-3]
-    vals = [contrast_trace(trapped_modes, L, ts)[0]
+    vals = [contrast_evaluator(trapped_modes, L)(ts)[0]
             for L in (5e-6, 20e-6, 50e-6, 90e-6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_contrast_window_exceeding_cloud(trapped_modes):
     with pytest.raises(ConfigError):
-        contrast_trace(trapped_modes, 2.5 * trapped_modes.radius, [1e-3])
+        contrast_evaluator(trapped_modes, 2.5 * trapped_modes.radius)([1e-3])
 
 
 @pytest.fixture(scope="module")
@@ -383,7 +384,6 @@ def test_contrast_bulk_equals_single_time_calls(trapped_modes, homog_modes, geom
     bulk = evaluate(ts)
     single = np.array([evaluate([t])[0] for t in ts])
     assert np.array_equal(bulk, single)
-    assert np.array_equal(contrast_trace(modes, L, ts), bulk)
 
 
 def test_contrast_memory_bounded_per_window():
@@ -398,7 +398,7 @@ def test_contrast_memory_bounded_per_window():
     assert times.size == 601
     tracemalloc.start()
     try:
-        contrast_trace(modes, 90e-6, times)
+        contrast_evaluator(modes, 90e-6)(times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -419,7 +419,7 @@ def test_front_memory_bounded_on_largest_preset_grid():
     times = np.arange(dt, sc.fit_window[1] + 0.5 * dt, dt)
     field = variance_field(modes, np.arange(0.0, 0.985 * modes.radius, modes.xi_h / 4.0),
                            times)
-    assert field.values.shape == (318, 636)
+    assert field.rows().shape == (318, 636)
     tracemalloc.start()
     try:
         trace = extract_front(field)
@@ -522,10 +522,11 @@ def test_contrast_window_longer_than_box(homog_modes):
 def test_recurrence_scan_homogeneous(homog_modes, homog_params):
     t_rev = recurrence_time(homog_modes.L, homog_params.c)
     times = np.arange(0.0, 90e-3, 0.5e-3)
-    values = contrast_trace(homog_modes, 50e-6, times)
+    contrast = contrast_evaluator(homog_modes, 50e-6)
+    values = contrast(times)
 
     def refine(t):
-        return float(contrast_trace(homog_modes, 50e-6, [t])[0])
+        return float(contrast([t])[0])
 
     found = recurrence_scan(times, values, refine_fn=refine)
     assert len(found) >= 3
@@ -539,10 +540,11 @@ def test_recurrence_scan_homogeneous(homog_modes, homog_params):
 
 def test_recurrence_scan_trapped(trapped_modes):
     times = np.arange(0.0, 0.3 + 1e-9, 0.5e-3)
-    values = contrast_trace(trapped_modes, 50e-6, times)
+    contrast = contrast_evaluator(trapped_modes, 50e-6)
+    values = contrast(times)
 
     def refine(t):
-        return float(contrast_trace(trapped_modes, 50e-6, [t])[0])
+        return float(contrast([t])[0])
 
     found = recurrence_scan(times, values, refine_fn=refine)
     t_best, s_best = found[0]

@@ -16,7 +16,8 @@ from splitgas import (
 )
 from splitgas.modes import (initial_phase_variance, phase_covariance, pointwise_variance,
                             thermal_variance)
-from splitgas.oracle import _basis, _generator, _rekey
+from splitgas.observables import contrast_evaluator
+from splitgas.oracle import _BLOCK, _basis, _generator, _rekey
 
 
 SEED = 20260809
@@ -33,7 +34,7 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, -1e-8, 0.0, True, "3e-8"])
 def test_spec_refuses_a_non_finite_temperature(T):
-    with pytest.raises(ConfigError, match="finite positive temperature"):
+    with pytest.raises(ConfigError, match="temperature must be finite and strictly positive"):
         EnsembleSpec(realizations=10, master_seed=1, kind="thermal", temperature=T)
 
 
@@ -170,6 +171,48 @@ def test_trapped_oracle_agreement(trapped_modes):
         -pointwise_variance(z[None, :], 0.0, ts[:, None], trapped_modes) / 2)
     zscores = (stats.mean - analytic) / stats.stderr
     assert np.mean(np.abs(zscores) < 3.0) >= 0.99
+
+
+def _sampled_contrast(modes, length, times, spec):
+    """<|sum_a w_a exp(i phi_a)|^2> / L^2 and its standard error at each time.
+
+    phi is synthesised from the oracle's undifferenced basis and per-index
+    Philox streams on the contrast kernel's window grid: n = round(L/(xi_h/2))
+    + 1 points, step L/(n - 1), trapezoid weights w.  Nothing here shares the
+    kernel's parity split, its h, or its exp(-V/2).
+    """
+    n = int(round(length / (modes.xi_h / 2.0))) + 1
+    step = length / (n - 1)
+    z = (np.arange(n) - (n - 1) / 2.0) * step
+    w = np.full(n, step)
+    w[[0, -1]] = step / 2.0
+    basis = _basis(spec, modes, z, times)
+    gen = _generator()
+    samples = np.empty((spec.realizations, times.size))
+    for lo in range(0, spec.realizations, _BLOCK):
+        idx = range(lo, min(lo + _BLOCK, spec.realizations))
+        x = np.stack([_rekey(gen, spec.master_seed, i).standard_normal(basis.shape[0])
+                      for i in idx])
+        phi = (x @ basis).reshape(len(idx), times.size, n)
+        samples[lo:lo + len(idx)] = (np.cos(phi) @ w) ** 2 + (np.sin(phi) @ w) ** 2
+    samples /= length**2
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(spec.realizations)
+
+
+@pytest.mark.parametrize("geometry", ["trapped", "homogeneous"])
+def test_contrast_kernel_agrees_with_sampled_phases(trapped_modes, homog_modes, geometry):
+    """The oracle judges the contrast kernel: for Gaussian phases the double
+    integral of exp(-V/2) is the mean squared modulus of the window integral of
+    exp(i phi), which a sampled ensemble estimates directly (Kitagawa et al.,
+    NJP 13, 073018 (2011)).  Odd and even window grids, before the box's first
+    rephasing at about 29 ms."""
+    modes = trapped_modes if geometry == "trapped" else homog_modes
+    spec = EnsembleSpec(realizations=4000, master_seed=SEED)
+    times = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0]) * 1e-3
+    for length in (20e-6, 51e-6, 90e-6):
+        mean, stderr = _sampled_contrast(modes, length, times, spec)
+        zscores = (contrast_evaluator(modes, length)(times) - mean) / stderr
+        assert np.all(np.abs(zscores) < 4.0), (length, zscores)
 
 
 def test_stderr_scaling(homog_modes):

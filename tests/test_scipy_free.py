@@ -105,8 +105,9 @@ def _front_row_loop(field):
     sigma = field.modes.xi_h
     imax = int(np.searchsorted(z, float(z[-1]), side="right"))
     guard = max(3, int(round(3.0 * sigma / dz)))
-    floor = 1e-9 * float(np.abs(field.values).max() or 1.0) / (float(ts[1] - ts[0]) * dz)
-    M = np.gradient(np.gradient(field.values, ts, axis=0), z, axis=1)
+    values = field.rows()
+    floor = 1e-9 * float(np.abs(values).max() or 1.0) / (float(ts[1] - ts[0]) * dz)
+    M = np.gradient(np.gradient(values, ts, axis=0), z, axis=1)
     M = gaussian_filter1d(M, sigma / dz, axis=1, mode="nearest")
     positions, times, dropped = [], [], 0
     for i in range(ts.size):
@@ -159,7 +160,7 @@ def test_front_row_blocks_match_whole_grid_reference(trapped_modes, monkeypatch)
     imax = int(np.searchsorted(z, EDGE_SEARCH_FRACTION * field.modes.radius, side="right"))
     assert imax + int(4.0 * sigma + 0.5) < z.size
     guard = max(3, int(round(3.0 * sigma)))
-    M = np.gradient(np.gradient(field.values, ts, axis=0), z, axis=1)
+    M = np.gradient(np.gradient(field.rows(), ts, axis=0), z, axis=1)
     rows = np.abs(gaussian_filter1d(M, sigma, axis=1, mode="nearest")[:, :imax])
     times, positions = [], []
     for i, row in enumerate(rows):

@@ -34,8 +34,8 @@ EXPORTS = {
     "homogeneous": "PlaneWaveModeSet build_modes prethermal_variance recurrence_time",
     "trapped": "DensityProfile LegendreModeSet build_trapped_modes mode_frequency "
                "quasi1d_profile",
-    "observables": "contrast_evaluator contrast_trace extract_front fit_velocity "
-                   "prethermal_pcf recurrence_scan",
+    "observables": "contrast_evaluator extract_front fit_velocity prethermal_pcf "
+                   "recurrence_scan",
     "oracle": "EnsembleSpec EnsembleStats estimate_pcf sample_realization",
 }
 HOME = {name: module for module, names in EXPORTS.items() for name in names.split()}
@@ -235,7 +235,7 @@ def test_trapped_commands_never_load_the_box(argv, tmp_path):
 def test_public_names_resolve_to_their_defining_modules():
     public = [n for n in dir(splitgas) if not n.startswith("_")]
     assert public == sorted([*HOME, *SUBMODULES])
-    assert len(HOME) == 41
+    assert len(HOME) == 40
     for name, module in HOME.items():
         home = importlib.import_module(f"splitgas.{module}")
         assert getattr(splitgas, name) is getattr(home, name), name

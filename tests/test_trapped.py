@@ -175,7 +175,7 @@ def test_no_exact_recurrence(trapped_modes):
     ts = np.arange(0.5e-3, 0.3, 0.5e-3)
     z = np.linspace(-0.9, 0.9, 41) * trapped_modes.radius
     field = variance_field(trapped_modes, z, ts)
-    worst = field.values.max(axis=1)   # max over positions, per time
+    worst = field.rows().max(axis=1)   # max over positions, per time
     assert worst.min() > 0.05
 
 
@@ -193,7 +193,7 @@ def test_trapped_convergence_and_fields(trapped_modes):
     z = np.linspace(0, 0.98 * R, 41)
     ts = np.linspace(0, 10e-3, 6)
     field = variance_field(trapped_modes, z, ts, check_convergence=True)
-    assert field.values.shape == (6, 41)
+    assert field.rows().shape == (6, 41)
     dev0 = field.doubling_dev
     assert 0 < dev0 < 0.05
     # the doubling deviation keeps falling as the cutoff is raised
@@ -220,7 +220,7 @@ def test_stationary_variance_is_the_time_average(trapped_modes):
     # averages each sin^2(omega_j t) to 1/2
     z = np.linspace(0.1, 0.9, 5) * trapped_modes.radius
     times = np.random.default_rng(7).uniform(0.0, 20.0, 4000)
-    mean = variance_field(trapped_modes, z, times).values.mean(axis=0)
+    mean = variance_field(trapped_modes, z, times).rows().mean(axis=0)
     np.testing.assert_allclose(mean, stationary_variance(z, trapped_modes), rtol=0.02)
 
 

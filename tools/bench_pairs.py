@@ -21,7 +21,8 @@ relative change of the median and the parent's interquartile range, plus
 the seeds, which side ran first in each pair, and the failed/attempted
 command counts.  ``--trace-seed S`` adds one ``--trace 1`` run per side and
 workload, stored as ``trace_<workload>_seed<S>`` with each per-layer
-metric's parent and change value.
+metric's parent and change value.  ``src_lines`` holds each side's
+``wc -l src/splitgas/*.py`` total, counted on the staged trees themselves.
 
 The file is rewritten after every pair, so an interrupted session keeps
 the pairs it finished.
@@ -73,6 +74,11 @@ def stage(dest: Path, root: Path = ROOT) -> None:
         target = dest / os.fsdecode(name)
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy2(src, target, follow_symlinks=False)
+
+
+def src_lines(tree: Path) -> int:
+    """The total of ``wc -l src/splitgas/*.py`` in ``tree``: newlines in the package's modules."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "splitgas").glob("*.py"))
 
 
 def run_bench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -159,7 +165,9 @@ def main(argv=None) -> int:
                           f"pairs and second in odd pairs; quartiles are {QUARTILES} over "
                           "the pairs; change_wins counts pairs where the change's value "
                           "is better"),
-               "host": host(), "workloads": {}}
+               "host": host(),
+               "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+               "workloads": {}}
         seed = args.first_seed
         for workload in args.workload:
             results = []
