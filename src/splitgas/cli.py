@@ -131,6 +131,9 @@ def _modes(sc, config=None):
 
 
 def _cmd_params(sc):
+    import math
+
+    from .errors import ConfigError
     from .params import (dephasing_times, derive_params, multimode_condition,
                          squeezing_limit)
 
@@ -155,6 +158,9 @@ def _cmd_params(sc):
         length / UM, tau0 / MS, tau / MS,
         float(multimode_condition(params, length, xi2)), lim, lim_db,
     ]
+    for name, value in zip(columns, row):
+        if not math.isfinite(value) and name != "R_um":   # a box has no radius
+            raise ConfigError(f"{name}: the trap's numbers put it beyond the range of doubles")
     return columns, [row], [("regime", sc.config.regime.value)]
 
 
@@ -225,19 +231,33 @@ def _cmd_front(sc):
     from dataclasses import replace
 
     from .errors import ConfigError
+    from .params import Regime
     from .scenario import velocity_key
 
     if sc.compare_regimes and sc.scan_atom_numbers:
         raise ConfigError("analysis.scan_atom_numbers and analysis.compare_regimes "
                           "cannot be combined")
+    window = ("fit_window_ms", f"({_fmt_ms(sc.fit_window[0])}, {_fmt_ms(sc.fit_window[1])}]")
     if sc.compare_regimes:
-        return _cmd_front_compare(sc)
-    prov_extra = [("regime", sc.config.regime.value),
-                  ("fit_window_ms",
-                   f"({_fmt_ms(sc.fit_window[0])}, {_fmt_ms(sc.fit_window[1])}]")]
+        base = sc.config
+        modes_tf = _modes(sc, replace(base, system_length=0.0, regime=Regime.THOMAS_FERMI))
+        params_tf = modes_tf.params
+        # homogeneous twin at the trapped peak density, box wide enough for the fit
+        L_box = max(8.0 * params_tf.R, 400e-6)
+        cfg_h = replace(base, omega_long=0.0, atom_number_total=None,
+                        peak_density_per_gas=params_tf.n_peak, system_length=L_box,
+                        regime=Regime.HOMOGENEOUS)
+        cfg_q = replace(base, system_length=0.0, regime=Regime.QUASI_1D)
+        fit_h, fit_tf, fit_q = [_front_for_system(modes, sc.fit_window)[1]
+                                for modes in (_modes(sc, cfg_h), modes_tf, _modes(sc, cfg_q))]
+        columns = ["velocity_homogeneous_mm_per_s", "velocity_thomas_fermi_mm_per_s",
+                   "velocity_quasi_1d_mm_per_s", "sound_speed_mm_per_s"]
+        rows = [[fit_h.speed / 1e-3, fit_tf.speed / 1e-3, fit_q.speed / 1e-3,
+                 params_tf.c / 1e-3]]
+        return columns, rows, [("comparison", "homogeneous vs thomas_fermi vs quasi_1d"),
+                               window]
+    prov_extra = [("regime", sc.config.regime.value), window]
     if sc.scan_atom_numbers:
-        if not sc.config.regime.trapped:
-            raise ConfigError("analysis.scan_atom_numbers requires a trapped regime")
         columns = ["atom_number", "t_ms", "zc_um", "R_half_um"]
         rows = []
         for n_total in sc.scan_atom_numbers:
@@ -263,37 +283,6 @@ def _cmd_front(sc):
         ("detector", trace.method),
     ])
     return columns, rows, prov_extra
-
-
-def _cmd_front_compare(sc):
-    from dataclasses import replace
-
-    from .errors import ConfigError
-    from .params import Regime
-
-    if not sc.config.regime.trapped:
-        raise ConfigError("analysis.compare_regimes requires a trapped scenario")
-    base = sc.config
-    modes_tf = _modes(sc, replace(base, system_length=0.0, regime=Regime.THOMAS_FERMI))
-    params_tf = modes_tf.params
-    # homogeneous twin at the trapped peak density, box wide enough for the fit
-    L_box = max(8.0 * params_tf.R, 400e-6)
-    cfg_h = replace(base, omega_long=0.0, atom_number_total=None,
-                    peak_density_per_gas=params_tf.n_peak, system_length=L_box,
-                    regime=Regime.HOMOGENEOUS)
-    cfg_q = replace(base, system_length=0.0, regime=Regime.QUASI_1D)
-    fit_h, fit_tf, fit_q = [_front_for_system(modes, sc.fit_window)[1]
-                            for modes in (_modes(sc, cfg_h), modes_tf, _modes(sc, cfg_q))]
-
-    columns = ["velocity_homogeneous_mm_per_s", "velocity_thomas_fermi_mm_per_s",
-               "velocity_quasi_1d_mm_per_s", "sound_speed_mm_per_s"]
-    rows = [[fit_h.speed / 1e-3, fit_tf.speed / 1e-3, fit_q.speed / 1e-3,
-             params_tf.c / 1e-3]]
-    return columns, rows, [
-        ("comparison", "homogeneous vs thomas_fermi vs quasi_1d"),
-        ("fit_window_ms",
-         f"({_fmt_ms(sc.fit_window[0])}, {_fmt_ms(sc.fit_window[1])}]"),
-    ]
 
 
 def _contrast_times(sc):

@@ -233,11 +233,11 @@ def extract_front(field: VarianceField, method: str = "mixed_derivative") -> Fro
     ``mixed_derivative`` (default): per time sample, the front is the most
     prominent peak of |d2 V/dt dz| after Gaussian smoothing of width
     sigma_z along the position axis (always the healing length of the
-    field's mode basis, 4 grid steps for a field without one).
+    field's mode basis).
     ``half_plateau``: the position where |dV/dt| crosses midway between its
     inner and outer plateau levels.  Both ignore the outer edge of trapped
     clouds (beyond 0.9 R) where the vanishing density dominates the
-    derivative; a field without a basis is searched to its last point.
+    derivative; a box is searched to its last point.
     Undetectable rows are dropped; an entirely empty trace is returned with
     diagnostics rather than raised.  The field is read a block of times at a
     time and never held whole; its trace is bit-equal to that of the same
@@ -248,8 +248,8 @@ def extract_front(field: VarianceField, method: str = "mixed_derivative") -> Fro
     if z.size < 8 or ts.size < 3:
         raise ConfigError("front extraction needs a dense (position x time) grid")
     dz = float(z[1] - z[0])
-    sigma_z = getattr(field.modes, "xi_h", 4.0 * dz)
-    radius = getattr(field.modes, "radius", None)   # the box has none
+    sigma_z = field.modes.xi_h
+    radius = field.modes.radius   # the box has none
     search_max = float(z[-1]) if radius is None else EDGE_SEARCH_FRACTION * radius
     imax = int(np.searchsorted(z, search_max, side="right"))
     guard = max(3, int(round(3.0 * sigma_z / dz)))

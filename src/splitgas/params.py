@@ -210,33 +210,42 @@ def derive_params(config: TrapConfig) -> PhysicalParams:
     derived at the Thomas-Fermi level here; the corrected effective profile
     lives in :func:`splitgas.trapped.quasi1d_profile`.
     """
-    g = coupling_1d(config.omega_perp, config.scattering_length)
-    m = config.atomic_mass
+    try:   # in-range inputs whose products leave the doubles
+        g = coupling_1d(config.omega_perp, config.scattering_length)
+        m = config.atomic_mass
 
-    if config.peak_density_per_gas is not None:
-        n_peak = config.peak_density_per_gas
-    elif config.regime.trapped:
-        n_peak = peak_density_from_atom_number(config.atom_number_total, config)
-    else:
-        n_peak = (config.atom_number_total / 2.0) / config.system_length
+        if config.peak_density_per_gas is not None:
+            n_peak = config.peak_density_per_gas
+        elif config.regime.trapped:
+            n_peak = peak_density_from_atom_number(config.atom_number_total, config)
+        else:
+            n_peak = (config.atom_number_total / 2.0) / config.system_length
 
-    c = math.sqrt(g * n_peak / m)
-    K = (hbar * pi / 2.0) * math.sqrt(n_peak / (m * g))
-    R = math.sqrt(2.0) * c / config.omega_long if config.regime.trapped else None
-    return PhysicalParams(
-        config=config,
-        g=g,
-        n_peak=n_peak,
-        c=c,
-        K=K,
-        mu=g * n_peak,
-        xi_h=hbar / (m * c),
-        l0=2.0 * hbar**2 / (m * g),
-        T_eff=config.squeezing * n_peak * g / (2.0 * k_B),
-        v_N=c / K,
-        v_J=c * K,
-        R=R,
-    )
+        c = math.sqrt(g * n_peak / m)
+        K = (hbar * pi / 2.0) * math.sqrt(n_peak / (m * g))
+        R = math.sqrt(2.0) * c / config.omega_long if config.regime.trapped else None
+        params = PhysicalParams(
+            config=config,
+            g=g,
+            n_peak=n_peak,
+            c=c,
+            K=K,
+            mu=g * n_peak,
+            xi_h=hbar / (m * c),
+            l0=2.0 * hbar**2 / (m * g),
+            T_eff=config.squeezing * n_peak * g / (2.0 * k_B),
+            v_N=c / K,
+            v_J=c * K,
+            R=R,
+        )
+    except (ZeroDivisionError, OverflowError):
+        raise ConfigError("the trap's numbers put a derived scalar beyond the range "
+                          "of doubles") from None
+    for name in ("g", "n_peak", "c", "K", "mu", "xi_h", "l0", "T_eff", "v_N", "v_J", "R"):
+        value = getattr(params, name)
+        if value is not None:   # R of a box
+            _check_positive(value, f"derived {name}")
+    return params
 
 
 def dephasing_times(params: PhysicalParams, length: float) -> tuple[float, float]:
@@ -278,7 +287,10 @@ def squeezing_limit(
     for name, value in (("omega_perp", omega_perp), ("length", length), ("mass", mass),
                         ("scattering_length", scattering_length)):
         _check_positive(value, name)
-    lim = 2.0 * hbar / (mass * omega_perp * scattering_length * length)
+    product = mass * omega_perp * scattering_length * length
+    _check_positive(product, "mass * omega_perp * scattering_length * length")
+    lim = 2.0 * hbar / product
+    _check_positive(lim, "xi2_lim")
     return lim, 10.0 * math.log10(lim)
 
 

@@ -334,14 +334,16 @@ def _build_scenario(doc: dict) -> Scenario:
         for key in schema:
             if key in section:
                 sc.override(name, key, section[key], f"{name}.{key}")
-    # a box has plane waves, a cloud Legendre modes and, with compare_regimes, a box twin
+    # a box has plane waves and one atom number and regime; a cloud has Legendre
+    # modes and, with compare_regimes, a box twin
     if config.regime.trapped:
-        unread = None if sc.compare_regimes else "p_max"
+        unread = [] if sc.compare_regimes else ["truncation.p_max"]
     else:
-        unread = "j_max"
-    if unread and getattr(sc, unread) is not None:
-        raise ConfigError(f"truncation.{unread}: no command reads it for a "
-                          f"{config.regime.value} scenario")
+        unread = ["truncation.j_max", "analysis.scan_atom_numbers", "analysis.compare_regimes"]
+    for name, key in (dotted.split(".") for dotted in unread):
+        if key in (doc.get(name) or {}):
+            raise ConfigError(f"{name}.{key}: no command reads it for a "
+                              f"{config.regime.value} scenario")
     return sc
 
 

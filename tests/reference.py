@@ -2,6 +2,7 @@
 field of given values for the readers of variance fields."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -12,8 +13,8 @@ from splitgas.modes import variance_field
 class ArrayField:
     """A (time x position) grid of given variances, read as a variance field is read.
 
-    ``modes`` None is a field of no basis: the front detector then smooths over 4
-    grid steps and searches to the last point.
+    ``modes`` None suits the readers that never look at the basis (``pcf``); the
+    front detector reads its ``xi_h`` and ``radius``, which ``grid_basis`` stubs.
     """
 
     positions: np.ndarray
@@ -23,6 +24,12 @@ class ArrayField:
 
     def rows(self, lo=0, hi=None):
         return self.values[lo:hi]
+
+
+def grid_basis(positions):
+    """A stub basis for a synthetic field: a healing length of 4 grid steps and, as a
+    box has, no radius, so the front detector searches to the last point."""
+    return SimpleNamespace(xi_h=4.0 * float(positions[1] - positions[0]), radius=None)
 
 
 def window_contrast(C, z):

@@ -466,12 +466,12 @@ def test_contrast_window_longer_than_box_rejected(tmp_path, capsys, command):
     assert "150 um" in err and "100 um" in err
 
 
-# The smoke runs: each preset's natural command, the box contrast and
-# recurrence, and the oracle's two samplers; all but the box runs have a
-# reference table in perfbench/reference/
+# The smoke runs: each preset's natural command, the single trapped front, the
+# box contrast and recurrence, and the oracle's two samplers; all but the
+# trapped front and the box runs have a reference table in perfbench/reference/
 SMOKE_RUNS = ["params-fig4", "squeezing-map-fig1", "pcf-fig2", "pcf-fig3", "front-fig3",
-              "pcf-fig4", "front-fig5", "front-fig6", "recurrence-fig7", "contrast-fig8",
-              "contrast-fig3", "recurrence-fig3", "oracle-fig4", "oracle-fig3"]
+              "pcf-fig4", "front-fig4", "front-fig5", "front-fig6", "recurrence-fig7",
+              "contrast-fig8", "contrast-fig3", "recurrence-fig3", "oracle-fig4", "oracle-fig3"]
 
 
 @pytest.mark.parametrize("name", SMOKE_RUNS)
@@ -506,7 +506,7 @@ def test_preset_tables_identical_across_threads_and_reruns(tmp_path, name):
             proc.kill()
     tables = [out.read_bytes() for out, _ in runs]
     assert tables[0] == tables[1] == tables[2]
-    if name not in ("contrast-fig3", "recurrence-fig3"):
+    if name not in ("front-fig4", "contrast-fig3", "recurrence-fig3"):
         spec = importlib.util.spec_from_file_location("check", root / "perfbench" / "check.py")
         check = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(check)
@@ -866,13 +866,58 @@ def test_every_flag_overrides_a_scenario_key():
     (REF_HOMOG + "truncation:\n  j_max: 5\n", "truncation.j_max"),
     (REF_TRAPPED + "truncation:\n  p_max: 3\n", "truncation.p_max"),
     (REF_TRAPPED + "  system_length_um: 123\n", "system_length"),
-], ids=["j_max_on_a_box", "p_max_on_a_cloud", "length_of_a_cloud"])
+    (REF_HOMOG + "analysis:\n  scan_atom_numbers: [3000]\n", "analysis.scan_atom_numbers"),
+    (REF_HOMOG + "analysis:\n  compare_regimes: true\n", "analysis.compare_regimes"),
+], ids=["j_max_on_a_box", "p_max_on_a_cloud", "length_of_a_cloud", "scan_on_a_box",
+        "comparison_on_a_box"])
 def test_key_no_command_reads_for_the_regime_rejected(tmp_path, capsys, doc, key):
     # the table would be the one without the key, so the key could only mislead
     path = tmp_path / "unread.yaml"
     path.write_text(doc)
     assert main(["params", "--config", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("analysis", ["scan_atom_numbers: [3000]", "compare_regimes: true"],
+                         ids=["scan", "comparison"])
+def test_front_on_a_box_refuses_the_cloud_keys_before_any_basis(tmp_path, monkeypatch, capsys,
+                                                                 analysis):
+    monkeypatch.setattr("splitgas.cli._modes", lambda *args: pytest.fail("mode basis built"))
+    path = tmp_path / "box.yaml"
+    path.write_text(REF_HOMOG + f"analysis:\n  {analysis}\n")
+    assert main(["front", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    key = analysis.split(":")[0]
+    assert f"analysis.{key}: no command reads it for a homogeneous scenario" in err
+
+
+BOX_TRAP = REF_HOMOG.split("grids:")[0]
+
+
+@pytest.mark.parametrize("doc,message", [
+    (BOX_TRAP + "  mass_kg: 1.0e-300\n",
+     "the trap's numbers put a derived scalar beyond the range of doubles"),
+    (BOX_TRAP + "  squeezing: 5.0e-324\n",
+     "derived T_eff must be finite and strictly positive, got 0.0"),
+    (BOX_TRAP + "  scattering_length_nm: 1.7e308\n",
+     "T_eff_nK: the trap's numbers put it beyond the range of doubles"),
+    (REF_TRAPPED.replace("nu_long_hz: 7.0", "nu_long_hz: 1.0e-300"),
+     "tau0_ms: the trap's numbers put it beyond the range of doubles"),
+    (BOX_TRAP.replace("system_length_um: 100.0", "system_length_um: 1.0e-300"),
+     "mass * omega_perp * scattering_length * length must be finite and strictly "
+     "positive, got 0.0"),
+], ids=["derivation_divides_by_zero", "derived_scalar_underflows", "cell_overflows",
+        "dephasing_time_overflows", "squeezing_limit_divides_by_zero"])
+def test_params_beyond_the_range_of_doubles_exits_2(tmp_path, capsys, doc, message):
+    # in-range inputs whose products leave the doubles: a traceback, or an inf
+    # cell in a table that exited 0, before they were refused
+    path = tmp_path / "extreme.yaml"
+    path.write_text(doc)
+    assert main(["params", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"splitgas: configuration error: {message}\n"
 
 
 def test_p_max_of_a_cloud_read_by_its_box_twin(tmp_path):

@@ -30,7 +30,7 @@ from splitgas.observables import (
     prethermal_pcf,
 )
 
-from reference import ArrayField, dense_contrast, window_contrast
+from reference import ArrayField, dense_contrast, grid_basis, window_contrast
 
 
 # ---------------------------------------------------------------- pcf map
@@ -72,7 +72,7 @@ def _synthetic_step_field(c, l0, L=100e-6):
     ts = np.arange(0.25e-3, 10.001e-3, 0.05e-3)
     tt, zz = np.meshgrid(ts, z, indexing="ij")
     values = (2 * c / l0) * np.maximum(0.0, tt - zz / (2 * c))
-    return ArrayField(positions=z, times=ts, values=values)
+    return ArrayField(positions=z, times=ts, values=values, modes=grid_basis(z))
 
 
 def test_velocity_on_synthetic_step():
@@ -153,7 +153,7 @@ def test_extract_front_empty_when_featureless():
     z = np.arange(0.0, 30e-6, 0.2e-6)
     ts = np.linspace(1e-3, 5e-3, 30)
     flat = np.ones((ts.size, z.size))
-    field = ArrayField(positions=z, times=ts, values=flat)
+    field = ArrayField(positions=z, times=ts, values=flat, modes=grid_basis(z))
     trace = extract_front(field)
     assert len(trace) == 0
     assert trace.diagnostics["dropped"] == ts.size

@@ -1,6 +1,7 @@
 """Scalar parameter derivations and interferometry criteria."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,17 @@ def test_squeezing_limit_invariant():
         L = rng.uniform(10, 500) * 1e-6
         lim, _ = squeezing_limit(om, L, RB87.mass, RB87.scattering_length)
         assert lim * om * L == pytest.approx(const, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega,length,name", [
+    (1e-200, 1e-200, "mass * omega_perp * scattering_length * length"),   # a product of 0
+    (1e150, 1e150, "xi2_lim"),                                            # a limit of 0
+])
+def test_squeezing_limit_refuses_what_leaves_the_doubles(omega, length, name):
+    # a ZeroDivisionError and a log10 domain error before
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite and strictly "
+                                                    "positive, got 0.0")):
+        squeezing_limit(omega, length, 1.0, 1.0)
 
 
 def test_squeezing_map():
