@@ -5,8 +5,8 @@ Library layout:
 - :mod:`splitgas.params` - scalar physics of a scenario (coupling, sound
   speed, Luttinger parameter, interferometry criteria).
 - :mod:`splitgas.modes` - the mode basis, and the one home of the mode sums
-  (variance, covariance and their light-cone rates, variance field,
-  stationary, thermal and initial phase noise) of both geometries.
+  (variance, covariance and its light-cone rate, variance field, initial
+  phase noise) of both geometries.
 - :mod:`splitgas.homogeneous` - plane-wave modes and the box's own closed
   forms (prethermal state, recurrence time).
 - :mod:`splitgas.trapped` - density profiles and Legendre modes of the
@@ -47,8 +47,7 @@ _EXPORTS = {
         "peak_density_from_atom_number", "squeezing_limit", "squeezing_map",
     ),
     "modes": (
-        "covariance_rate", "pcf", "phase_covariance", "pointwise_variance",
-        "thermal_variance", "variance_field", "variance_rate",
+        "covariance_rate", "pcf", "phase_covariance", "pointwise_variance", "variance_field",
     ),
     "homogeneous": ("PlaneWaveModeSet", "build_modes", "prethermal_variance", "recurrence_time"),
     "trapped": (
@@ -59,7 +58,7 @@ _EXPORTS = {
         "contrast_evaluator", "extract_front", "fit_velocity", "prethermal_pcf",
         "recurrence_scan",
     ),
-    "oracle": ("EnsembleSpec", "EnsembleStats", "estimate_pcf", "sample_realization"),
+    "oracle": ("EnsembleSpec", "EnsembleStats", "estimate_pcf"),
 }
 _SUBMODULES = ("errors", "homogeneous", "modes", "observables", "oracle", "params",
                "trapped")

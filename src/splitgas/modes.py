@@ -12,16 +12,16 @@ Legendre row f_j(z/R)/sqrt(R) per mode for the trapped cloud (Stringari, PRA
 covariance <phi(z) phi(0)> sums g_r(z) g_r(0) instead.  The weight w_m is
 the split state's density shot noise dephased into the field,
 :meth:`ModeBasis.weights`.  These sums, pointwise, as a field with its
-truncation doubling check, as exact light-cone rates (each sin^2 term's
-derivative is omega_m sin(2 omega_m t)) and as stationary phase noise, are
-written once here against :class:`ModeBasis`, under the only public names of
-these sums.  The field is a :class:`VarianceField`, built only by
-:func:`variance_field`: it keeps the basis that made it and its pair terms,
-and :meth:`VarianceField.rows` computes the rows a reader asks for, each its
-own (1 x modes) @ (modes x nz) product, so a row does not depend on the
-other rows read with it.  :func:`pcf` reads them all into the Gaussian
-exponential C = exp(-variance/2); the front detector reads them a block of
-times at a time.
+truncation doubling check, as the covariance's exact light-cone rate (each
+sin^2 term's derivative is omega_m sin(2 omega_m t)) and as the split
+state's initial phase noise, are written once here against
+:class:`ModeBasis`, under the only public names of these sums.  The field
+is a :class:`VarianceField`, built only by :func:`variance_field`: it keeps
+the basis that made it and its pair terms, and :meth:`VarianceField.rows`
+computes the rows a reader asks for, each its own (1 x modes) @ (modes x nz)
+product, so a row does not depend on the other rows read with it.
+:func:`pcf` reads them all into the Gaussian exponential C = exp(-variance/2);
+the front detector reads them a block of times at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .params import _check_positive, hbar, k_B, pi
+from .params import hbar, pi
 
 __all__ = [
     "ModeBasis",
@@ -42,10 +42,7 @@ __all__ = [
     "pcf",
     "phase_covariance",
     "pointwise_variance",
-    "stationary_variance",
-    "thermal_variance",
     "variance_field",
-    "variance_rate",
 ]
 
 # largest spacing of doubles at the fastest phase omega_max*t that a mode sum
@@ -118,20 +115,11 @@ class ModeBasis:
         """Its minimum-uncertainty partner, 1/(2*xi_n^2*n_peak)."""
         return np.full(self.truncation, 1.0 / (2.0 * self.params.squeezing * self.profile.n_peak))
 
-    def thermal_density_variance(self, temperature: float) -> np.ndarray:
-        """Equipartition of the density quadrature, k_B*T/(2 dmu/dn)."""
-        _check_positive(temperature, "temperature")
-        return np.full(self.truncation, k_B * temperature / (2.0 * self.profile.eos_slope_peak))
-
     def weights(self) -> np.ndarray:
         """Weight w_m = <n_m^2> phi_amplitude_m^2 of each mode in every mode sum: the
         split state's density shot noise dephased into the field through the mode's
         phase amplitude (Kitagawa et al., NJP 13, 073018 (2011))."""
         return self.split_density_variance() * self.phi_amplitude() ** 2
-
-    def thermal_phase_variance(self, temperature: float) -> np.ndarray:
-        """Equipartition: phi_amplitude_m^2 times the thermal density variance."""
-        return self.phi_amplitude() ** 2 * self.thermal_density_variance(temperature)
 
     def pair_terms(self, z, zprime) -> np.ndarray:
         """sum_r (g_r(z) - g_r(z'))^2 over each mode's rows, shape (modes, *z.shape);
@@ -218,15 +206,6 @@ def phase_covariance(z, t, modes: ModeBasis):
     return _mode_sum(modes, modes.time_factors(_check_times(t)), z)
 
 
-def stationary_variance(z, modes: ModeBasis):
-    """Exact discrete time average of the variance between z and 0 (sin^2 -> 1/2).
-
-    In a box it is 2*zbar*(L - zbar)/(l0_eff*L) as the truncation is lifted,
-    the infinite-system ramp 2*zbar/l0_eff times a finite-size factor.
-    """
-    return _mode_sum(modes, 0.5 * modes.weights(), z, 0.0)
-
-
 def _mode_sum(modes: ModeBasis, factors: np.ndarray, z, zprime=None):
     """sum_m factors_m * terms_m with the factors' leading axes first: the pair terms
     between z and z' (broadcast), or with zprime None the covariance rows
@@ -292,18 +271,6 @@ def _variance_rows(modes: ModeBasis, terms: np.ndarray, times: np.ndarray) -> np
     return np.matmul(modes.time_factors(times)[:, None, :], terms)[:, 0]
 
 
-def thermal_variance(z, temperature: float, modes: ModeBasis):
-    """Two-point phase variance of the thermal reference state, between z and 0.
-
-    Thermal occupations equipartition the two quadratures, so the state is
-    stationary and the variance time independent.  In the box it is the sum
-    of 2*(1 - cos k zbar) * <|phi_k|^2>_th * 2/L over positive modes, with
-    <|phi_k|^2>_th = 2/(lambda_T k^2); it grows linearly with T and
-    monotonically with |zbar| on [0, L/2].
-    """
-    return _mode_sum(modes, modes.thermal_phase_variance(temperature), z, 0.0)
-
-
 def initial_phase_variance(z, modes: ModeBasis):
     """Variance of phi(z) - phi(0) at t = 0 from splitting shot noise.
 
@@ -316,12 +283,6 @@ def initial_phase_variance(z, modes: ModeBasis):
 def default_rate_step(modes: ModeBasis) -> float:
     """The front's time step: one twentieth of the fastest half period."""
     return (pi / modes.omega_max) / 20.0
-
-
-def variance_rate(z, t, modes: ModeBasis):
-    """d<dphi(z, 0)^2>/dt, exact; in the box 0 inside the cone zbar < 2ct and
-    4c/l0 * xi_n^2 outside."""
-    return _mode_sum(modes, modes.rate_factors(_check_times(t)), z, 0.0)
 
 
 def covariance_rate(z, t, modes: ModeBasis):

@@ -1,26 +1,24 @@
 """Monte-Carlo validation of the analytic phase statistics.
 
-Each realization draws Gaussian mode amplitudes from the stated initial
-conditions (splitting shot noise or a thermal state), evolves every mode
-harmonically, synthesises the relative-phase field on the requested grid
-and estimates the correlation function as <cos(phi(z) - phi(z'))>.  For
-Gaussian phases this expectation equals exp(-variance/2), so the estimator
-checks the analytic mode sums end to end; the ensemble mean of
-sin(phi - phi') must vanish and is recorded as a sanity channel.
+Each realization draws Gaussian mode amplitudes from the split state's
+shot noise, evolves every mode harmonically, synthesises the
+relative-phase field on the requested grid and estimates the correlation
+function as <cos(phi(z) - phi(z'))>.  For Gaussian phases this expectation
+equals exp(-variance/2), so the estimator checks the analytic mode sums end
+to end; the ensemble mean of sin(phi - phi') must vanish and is recorded as
+a sanity channel.
 
 The field is linear in the draws, so each ensemble builds one basis of
 shape (M, nt*nz): row m is the field a unit value of draw m makes on the
-flattened (t, z) grid, a pair row of the mode basis (the rows the contrast
-kernel reads) times its mode's synthesis scale, the draw's standard
-deviation and its harmonic factor sin or cos(omega t).  For the estimator
-the pair rows are differenced against z' inside the basis, so the
-degenerate point z = z' is exactly zero.  Realizations are
-synthesised in blocks of ``_BLOCK``: the block's draws X (B x M) times the
-basis give all its phase differences in one matrix product; the block mean
-and centred sum of squares of cos and sin are then merged into the running
-totals in index order with the pairwise update of Chan, Golub & LeVeque
-(1983).  ``sample_realization`` is one row of the same synthesis against
-the undifferenced basis.
+flattened (t, z) grid, a pair row of the mode basis (the unit-norm mode
+functions the contrast kernel reads) times the draw's standard deviation
+and its harmonic factor sin or cos(omega t).  For the estimator the pair
+rows are differenced against z' inside the basis, so the degenerate point
+z = z' is exactly zero.  Realizations are synthesised in blocks of
+``_BLOCK``: the block's draws X (B x M) times the basis give all its phase
+differences in one matrix product; the block mean and centred sum of
+squares of cos and sin are then merged into the running totals in index
+order with the pairwise update of Chan, Golub & LeVeque (1983).
 
 Randomness is counter-based and splittable: realization ``i`` of an
 ensemble with master seed ``s`` uses a Philox stream keyed by (s, i), and
@@ -45,9 +43,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .modes import _check_times
-from .params import _check_positive
 
-__all__ = ["EnsembleSpec", "EnsembleStats", "sample_realization", "estimate_pcf"]
+__all__ = ["EnsembleSpec", "EnsembleStats", "estimate_pcf"]
 
 _BLOCK = 256
 _SEED_END = 2**64   # Philox keys are unsigned 64-bit words
@@ -55,12 +52,10 @@ _SEED_END = 2**64   # Philox keys are unsigned 64-bit words
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """What to sample: ensemble size, seed and initial conditions."""
+    """What to sample: ensemble size, seed and the split state's phase noise."""
 
     realizations: int
     master_seed: int
-    kind: str = "split"                    # "split" or "thermal"
-    temperature: float | None = None       # K, thermal kind only
     include_initial_phase_noise: bool = False
 
     def __post_init__(self):
@@ -72,10 +67,6 @@ class EnsembleSpec:
                 or not 0 <= seed < _SEED_END):
             raise ConfigError(
                 f"master seed must be an integer in [0, 2**64), got {seed!r}")
-        if self.kind not in ("split", "thermal"):
-            raise ConfigError(f"unknown initial-condition kind: {self.kind!r}")
-        if self.kind == "thermal":
-            _check_positive(self.temperature, "thermal ensemble temperature")
 
 
 @dataclass
@@ -135,17 +126,6 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
-def _quadrature_sigmas(spec: EnsembleSpec, modes) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-mode standard deviations of the initial (density, phase) amplitudes."""
-    if spec.kind == "split":
-        var_n = modes.split_density_variance()
-        var_phi = modes.split_phase_variance() if spec.include_initial_phase_noise else None
-    else:
-        var_n = modes.thermal_density_variance(spec.temperature)
-        var_phi = modes.thermal_phase_variance(spec.temperature)
-    return np.sqrt(var_n), None if var_phi is None else np.sqrt(var_phi)
-
-
 def _basis(spec: EnsembleSpec, modes, z, times, zprime: float | None = None) -> np.ndarray:
     """Field per unit draw, shape (M, nt*nz), rows in draw order.
 
@@ -155,27 +135,17 @@ def _basis(spec: EnsembleSpec, modes, z, times, zprime: float | None = None) -> 
     pts = z if zprime is None else np.concatenate([z, [zprime]])
     modes.check_phases(_check_times(times))
     modes.check_points(pts)
-    sig_n, sig_phi = _quadrature_sigmas(spec, modes)
     g, mode, _, _ = modes.pair_functions(pts)                 # (rows, npts)
     if zprime is not None:
         g = g[:, :-1] - g[:, -1:]
     wt = modes.omega[mode, None] * times[None, :]
+    # the split state's standard deviations of the initial density and phase amplitudes
+    sig_n = np.sqrt(modes.split_density_variance())
     harmonics = [(-modes.phi_amplitude() * sig_n)[mode, None] * np.sin(wt)]
-    if sig_phi is not None:
-        harmonics.append(sig_phi[mode, None] * np.cos(wt))
+    if spec.include_initial_phase_noise:
+        harmonics.append(np.sqrt(modes.split_phase_variance())[mode, None] * np.cos(wt))
     rows = [h[:, :, None] * g[:, None, :] for h in harmonics]
     return np.concatenate(rows).reshape(-1, times.size * z.size)
-
-
-def sample_realization(index: int, spec: EnsembleSpec, modes, z, times) -> np.ndarray:
-    """Relative-phase field phi(z, t) of one realization, shape (nt, nz)."""
-    if not 0 <= index < spec.realizations:
-        raise ConfigError("realization index out of range")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    basis = _basis(spec, modes, z, times)
-    draws = _rekey(_generator(), spec.master_seed, index).standard_normal(basis.shape[0])
-    return (draws @ basis).reshape(times.size, z.size)
 
 
 def _merge(mean: np.ndarray, m2: np.ndarray, n_a: int, block: np.ndarray) -> None:

@@ -172,11 +172,6 @@ class PhysicalParams:
         """Decay length of the dephased correlation function, l0/xi_n^2."""
         return self.l0 / self.config.squeezing
 
-    def lambda_T(self, temperature: float) -> float:
-        """Thermal phase-coherence length hbar^2*n/(m*k_B*T)."""
-        _check_positive(temperature, "temperature")
-        return hbar**2 * self.n_peak / (self.mass * k_B * temperature)
-
 
 def coupling_1d(omega_perp: float, scattering_length: float) -> float:
     """1D interaction strength g = 2*hbar*omega_perp*a."""
@@ -315,5 +310,9 @@ def squeezing_map(omega_perp_grid, length_grid, mass: float, scattering_length: 
         _check_positive(float(grid.max()), f"every {name} value")
     _check_positive(mass, "mass")
     _check_positive(scattering_length, "scattering_length")
+    for i in (0, -1):   # both grids ascend, so the corners bound the product and the limit
+        product = mass * scattering_length * (float(om[i]) * float(ll[i]))
+        _check_positive(product, "mass * omega_perp * scattering_length * length")
+        _check_positive(2.0 * hbar / product, "xi2_lim")
     lim = 2.0 * hbar / (mass * scattering_length * np.outer(om, ll))
     return 10.0 * np.log10(lim)

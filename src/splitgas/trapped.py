@@ -170,8 +170,12 @@ class LegendreModeSet(ModeBasis):
 
 def default_j_max(mu: float, omega_1: float) -> int:
     """Largest j with hbar*omega_j <= mu (phononic validity)."""
-    r = mu / (hbar * omega_1)
-    j = int(math.floor((-1.0 + math.sqrt(1.0 + 8.0 * r * r)) / 2.0))
+    try:   # an underflowed hbar * omega_1, or a quotient whose square overflows
+        r = mu / (hbar * omega_1)
+        j = int(math.floor((-1.0 + math.sqrt(1.0 + 8.0 * r * r)) / 2.0))
+    except (ZeroDivisionError, OverflowError):
+        raise ConfigError("the trap's numbers put the mode cutoff's quotient "
+                          "mu / (hbar * omega_1) beyond the range of doubles") from None
     return max(j, 1)
 
 

@@ -920,6 +920,29 @@ def test_params_beyond_the_range_of_doubles_exits_2(tmp_path, capsys, doc, messa
     assert err == f"splitgas: configuration error: {message}\n"
 
 
+@pytest.mark.parametrize("command,doc,message", [
+    ("pcf", REF_TRAPPED.replace("thomas_fermi", "quasi_1d") + "  scattering_length_nm: 1.0e-30\n",
+     "the trap's numbers put the mode cutoff's quotient mu / (hbar * omega_1) beyond the "
+     "range of doubles"),
+    ("pcf", REF_TRAPPED.replace("nu_long_hz: 7.0", "nu_long_hz: 1.0e-300"),
+     "the trap's numbers put the mode cutoff's quotient mu / (hbar * omega_1) beyond the "
+     "range of doubles"),
+    ("squeezing-map", BOX_TRAP + "squeezing_map:\n  length_um: [1.0e-300, 1.0]\n",
+     "mass * omega_perp * scattering_length * length must be finite and strictly positive, "
+     "got 0.0"),
+], ids=["quasi1d_mode_cutoff_divides_by_zero", "tf_mode_cutoff_divides_by_zero",
+        "squeezing_map_product_underflows"])
+def test_commands_beyond_the_range_of_doubles_exit_2(tmp_path, capsys, command, doc, message):
+    # params accepts these traps: pcf ended in a ZeroDivisionError (exit 1), and
+    # squeezing-map exited 0 with inf in the first length's rows
+    path = tmp_path / "extreme.yaml"
+    path.write_text(doc)
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"splitgas: configuration error: {message}\n"
+
+
 def test_p_max_of_a_cloud_read_by_its_box_twin(tmp_path):
     from splitgas.scenario import load_scenario
 

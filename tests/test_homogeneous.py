@@ -9,8 +9,7 @@ from scipy.constants import hbar, pi
 from splitgas import ConfigError, build_modes, recurrence_time
 from splitgas.homogeneous import prethermal_variance
 from splitgas.modes import (covariance_rate, initial_phase_variance, phase_covariance,
-                            pointwise_variance, stationary_variance, thermal_variance,
-                            variance_field, variance_rate)
+                            pointwise_variance, variance_field)
 from splitgas.observables import prethermal_pcf
 
 
@@ -109,16 +108,6 @@ def test_prethermal_matches_windowed_average(homog_modes, homog_params):
     np.testing.assert_allclose(np.exp(-var_avg / 2), np.exp(-target / 2), rtol=0.02)
 
 
-def test_stationary_variance_closed_form(homog_params):
-    # sin^2 -> 1/2 average of the infinite sum is 2 zbar (L - zbar) / (l0 L);
-    # verified at 16x the default truncation where the tail is negligible
-    L = homog_params.config.system_length
-    modes = build_modes(homog_params, L, 32 * 39)
-    zb = np.array([10e-6, 25e-6, 40e-6])
-    expected = 2 * zb * (L - zb) / (homog_params.l0_effective * L)
-    np.testing.assert_allclose(stationary_variance(zb, modes), expected, rtol=2e-3)
-
-
 def test_covariance_variance_identity(homog_modes):
     zb = np.array([4e-6, 12e-6, 31e-6])
     t = 7.3e-3
@@ -142,24 +131,18 @@ def test_phase_covariance_closed_form(homog_modes):
 @pytest.mark.parametrize("call,match", [
     (lambda m: phase_covariance(5e-6, float("nan"), m), "evolution times must be finite"),
     (lambda m: phase_covariance(1.0, -1e-3, m), "evolution times must be finite"),
-    (lambda m: stationary_variance(1.0, m), "exceeds the periodic box"),
     (lambda m: covariance_rate(1.0, 5e-3, m), "exceeds the periodic box"),
-    (lambda m: variance_rate(1.0, 5e-3, m), "exceeds the periodic box"),
-    (lambda m: variance_rate(5e-6, float("nan"), m), "evolution times must be finite"),
     (lambda m: covariance_rate(5e-6, -1e-3, m), "evolution times must be finite"),
-], ids=["covariance-nan-time", "covariance-negative-time", "stationary-1m", "rate-1m",
-        "variance-rate-1m", "variance-rate-nan-time", "covariance-rate-negative-time"])
+], ids=["covariance-nan-time", "covariance-negative-time", "rate-1m",
+        "covariance-rate-negative-time"])
 def test_covariance_sums_refuse_what_pointwise_variance_refuses(homog_modes, call, match):
     with pytest.raises(ConfigError, match=match):
         call(homog_modes)
 
 
 def test_rate_step_structure(cone_modes, cone_params):
-    """Light-cone rates at c = 1 mm/s, t = 5 ms in a wide box.
-
-    d<dphi^2>/dt vanishes inside the cone and is 4c/l0 outside; the
-    covariance rate is the complementary step 2c/l0 inside, zero outside.
-    """
+    """The light-cone rate at c = 1 mm/s, t = 5 ms in a wide box: the covariance
+    rate is the step 2c/l0 inside the cone and zero outside."""
     p = cone_params
     t = 5e-3
     xi = p.xi_h
@@ -167,10 +150,6 @@ def test_rate_step_structure(cone_modes, cone_params):
     rate0 = 2 * p.c / p.l0
     inside = np.linspace(2 * xi, cone - 3 * xi, 25)
     outside = np.linspace(cone + 3 * xi, 35e-6, 25)
-    v_in = variance_rate(inside, t, cone_modes)
-    v_out = variance_rate(outside, t, cone_modes)
-    assert np.all(np.abs(v_in) < 0.05 * 2 * rate0)
-    np.testing.assert_allclose(v_out, 2 * rate0, rtol=0.05)
     c_in = covariance_rate(inside, t, cone_modes)
     c_out = covariance_rate(outside, t, cone_modes)
     np.testing.assert_allclose(c_in, rate0, rtol=0.05)
@@ -193,10 +172,10 @@ def test_rate_plateau_flatness(cone_modes, cone_params):
 
 
 def test_rate_requires_valid_time(cone_modes):
-    # t = 0 is a valid time (both rates vanish there); before it and NaN are not
+    # t = 0 is a valid time (the rate vanishes there); before it and NaN are not
     for t in (-1e-3, float("nan")):
         with pytest.raises(ConfigError, match="evolution times must be finite"):
-            variance_rate(5e-6, t, cone_modes)
+            covariance_rate(5e-6, t, cone_modes)
 
 
 def test_build_modes_refuses_fractional_truncation(homog_params):
@@ -208,21 +187,6 @@ def test_build_modes_refuses_fractional_truncation(homog_params):
 def test_build_modes_refuses_nonfinite_box(homog_params):
     with pytest.raises(ConfigError, match="box size L must be finite"):
         build_modes(homog_params, float("nan"))
-
-
-def test_thermal_variance(homog_modes, homog_params):
-    assert thermal_variance(0.0, 30e-9, homog_modes) == 0.0
-    zb = np.linspace(0, homog_modes.L / 2, 64)
-    v1 = thermal_variance(zb, 15e-9, homog_modes)
-    v2 = thermal_variance(zb, 30e-9, homog_modes)
-    np.testing.assert_allclose(v2, 2 * v1, rtol=1e-12)  # linear in T
-    assert np.all(np.diff(v1) >= -1e-15)                # monotone on [0, L/2]
-    # finite-box closed form at high truncation: 2 zbar (L - zbar) / (lambda_T L)
-    fine = build_modes(homog_params, homog_modes.L, 16 * homog_modes.p_max)
-    lam = homog_params.lambda_T(30e-9)
-    zb2 = np.array([5e-6, 20e-6, 45e-6])
-    expected = 2 * zb2 * (homog_modes.L - zb2) / (lam * homog_modes.L)
-    np.testing.assert_allclose(thermal_variance(zb2, 30e-9, fine), expected, rtol=5e-3)
 
 
 def test_recurrence_time(homog_params):

@@ -186,6 +186,18 @@ def test_squeezing_limit_refuses_what_leaves_the_doubles(omega, length, name):
         squeezing_limit(omega, length, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("grid,name,got", [
+    ([1e-200, 1.0], "mass * omega_perp * scattering_length * length", "0.0"),   # a product of 0
+    ([1.0, 1e200], "mass * omega_perp * scattering_length * length", "inf"),   # of inf
+    ([1.0, 1e150], "xi2_lim", "0.0"),                                         # a limit of 0
+], ids=["product_underflows", "product_overflows", "limit_underflows"])
+def test_squeezing_map_refuses_what_leaves_the_doubles(grid, name, got):
+    # an inf or 0 limit in an exit-0 table before, and a divide-by-zero warning
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite and strictly "
+                                                    f"positive, got {got}")):
+        squeezing_map(grid, grid, 1.0, 1.0)
+
+
 def test_squeezing_map():
     om = 2 * pi * np.linspace(500, 2000, 7)
     ll = np.linspace(20e-6, 200e-6, 9)
@@ -213,7 +225,6 @@ _NON_FINITE_CALLS = {
     "limit_omega": lambda p, cfg, x: squeezing_limit(x, 100e-6, _M, _A),
     "limit_mass": lambda p, cfg, x: squeezing_limit(2 * pi * 1400, 100e-6, x, _A),
     "peak_density": lambda p, cfg, x: peak_density_from_atom_number(x, cfg),
-    "lambda_T": lambda p, cfg, x: p.lambda_T(x),
     "map_omega": lambda p, cfg, x: squeezing_map([x], [100e-6], _M, _A),
     "map_length": lambda p, cfg, x: squeezing_map([1e3], [20e-6, x], _M, _A),
     "map_scattering_length": lambda p, cfg, x: squeezing_map([1e3], [20e-6], _M, x),
@@ -275,17 +286,6 @@ def test_effective_temperature_with_squeezing(trapped_config):
     p2 = derive_params(dataclasses.replace(trapped_config, squeezing=0.5))
     assert p2.T_eff == pytest.approx(0.5 * p1.T_eff, rel=1e-12)
     assert p1.T_eff == pytest.approx(p1.config.squeezing * p1.n_peak * p1.g / (2 * k_B), rel=1e-14)
-
-
-def test_lambda_T(homog_params):
-    lam = homog_params.lambda_T(30e-9)
-    assert lam == pytest.approx(
-        hbar**2 * homog_params.n_peak / (homog_params.mass * k_B * 30e-9), rel=1e-14)
-    # at the effective temperature the thermal length equals l0/xi_n^2
-    lam_eff = homog_params.lambda_T(homog_params.T_eff)
-    assert lam_eff == pytest.approx(homog_params.l0_effective, rel=1e-12)
-    with pytest.raises(ConfigError):
-        homog_params.lambda_T(0.0)
 
 
 def test_config_validation():

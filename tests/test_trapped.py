@@ -18,8 +18,7 @@ from splitgas import (
     quasi1d_profile,
 )
 from splitgas.homogeneous import build_modes
-from splitgas.modes import (covariance_rate, pointwise_variance, stationary_variance,
-                            variance_field)
+from splitgas.modes import covariance_rate, pointwise_variance, variance_field
 from splitgas.trapped import legendre_f_table
 
 
@@ -213,15 +212,6 @@ def test_trap_slows_the_light_cone(trapped_modes, t):
     assert abs(edge - R * math.sin(2 * c0 * t / R)) < 2 * trapped_modes.xi_h
     if t >= 10e-3:   # the box's cone lies outside twice that band
         assert edge < 2 * c0 * t - 2e-6
-
-
-def test_stationary_variance_is_the_time_average(trapped_modes):
-    # the cloud's frequencies are incommensurate: a long random sample of times
-    # averages each sin^2(omega_j t) to 1/2
-    z = np.linspace(0.1, 0.9, 5) * trapped_modes.radius
-    times = np.random.default_rng(7).uniform(0.0, 20.0, 4000)
-    mean = variance_field(trapped_modes, z, times).rows().mean(axis=0)
-    np.testing.assert_allclose(mean, stationary_variance(z, trapped_modes), rtol=0.02)
 
 
 def test_quasi1d_mode_scale(quasi1d_config):
