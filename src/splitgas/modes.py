@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .params import hbar, pi
+from .params import _check_positive, hbar, k_B, pi
 
 __all__ = [
     "ModeBasis",
@@ -115,11 +115,20 @@ class ModeBasis:
         """Its minimum-uncertainty partner, 1/(2*xi_n^2*n_peak)."""
         return np.full(self.truncation, 1.0 / (2.0 * self.params.squeezing * self.profile.n_peak))
 
+    def thermal_density_variance(self, temperature: float) -> np.ndarray:
+        """Equipartition of the density quadrature, k_B*T/(2 dmu/dn)."""
+        _check_positive(temperature, "temperature")
+        return np.full(self.truncation, k_B * temperature / (2.0 * self.profile.eos_slope_peak))
+
     def weights(self) -> np.ndarray:
         """Weight w_m = <n_m^2> phi_amplitude_m^2 of each mode in every mode sum: the
         split state's density shot noise dephased into the field through the mode's
         phase amplitude (Kitagawa et al., NJP 13, 073018 (2011))."""
         return self.split_density_variance() * self.phi_amplitude() ** 2
+
+    def thermal_phase_variance(self, temperature: float) -> np.ndarray:
+        """Equipartition: phi_amplitude_m^2 times the thermal density variance."""
+        return self.phi_amplitude() ** 2 * self.thermal_density_variance(temperature)
 
     def pair_terms(self, z, zprime) -> np.ndarray:
         """sum_r (g_r(z) - g_r(z'))^2 over each mode's rows, shape (modes, *z.shape);
