@@ -1,7 +1,7 @@
 """Measurable quantities derived from variance fields.
 
-The correlation front is located per time sample as the peak of the
-smoothed mixed derivative d2<dphi^2>/dt dz (the variance rate switches
+The correlation front is located per time sample as the tallest peak of
+the smoothed mixed derivative d2<dphi^2>/dt dz (the variance rate switches
 between its inside- and outside-cone plateaus there).  The detector reads
 the variance field's rows a block of times at a time, so the ``front``
 command never holds the (time x position) grid.  An independent
@@ -52,8 +52,8 @@ _CONTRAST_PANEL_ELEMENTS = 2**16
 # time x position grid a block of time rows at a time (dV/dt reads one halo
 # row on each side), for both detectors, and reads the field's rows only as
 # each block needs them.  A block has as many rows as fit one
-# (rows x nz) float64 array in this many bytes.  At its peak, inside the peak
-# finder, a block holds about ten such arrays (0.6 MB on fig5's 318 x 636
+# (rows x nz) float64 array in this many bytes.  At its peak, while
+# smoothing, a block holds about five such arrays (0.3 MB on fig5's 318 x 636
 # grid at N = 9000), so the detector's memory depends on nz only, never on
 # the number of rows; more bytes buy fewer blocks and less per-block
 # interpreter work.  Every row comes out bit-equal to the whole-grid
@@ -111,27 +111,13 @@ def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def _peak_prominences(x: np.ndarray):
-    """Local maxima of every row of a 2-D array, with their prominences.
+def _peaks(x: np.ndarray):
+    """Local maxima of every row of a 2-D array, as flat (row, index) arrays.
 
     A peak is a run of equal samples with a strictly lower sample on each
-    side, reported at the middle index (start + end) // 2 of the run.  Its
-    prominence is its height above the higher of two minima: on each side,
-    the lowest sample between the peak and the nearest strictly higher
-    sample (or the end of the row).  These are the usual signal-processing
-    definitions, and the tests require bit-equal results with the
-    reference peak finder.
-
-    Each row is compressed to its turning points: the runs that are peaks or
-    valleys, plus the first and last run.  Samples in between lie on a
-    monotone stretch, so they can be neither the nearest higher sample nor
-    a minimum.  The turning points of all rows form one sequence, with +inf
-    before, between and after the rows, so every search stops at the ends
-    of its row.  Windowed maxima and minima of that sequence over lengths
-    2**j (a sparse table) then give every peak's two stops by binary
-    lifting and its two minima by two overlapping windows, for all peaks
-    at once.  Returns flat arrays (row, index, prominence) in row-major
-    order.
+    side, reported at the middle index (start + end) // 2 of the run: the
+    usual signal-processing definition, which the tests hold bit-equal to
+    the reference peak finder.  The peaks come in row-major order.
     """
     nrow, n = x.shape
     start = np.ones((nrow, n), dtype=bool)
@@ -139,44 +125,30 @@ def _peak_prominences(x: np.ndarray):
     flat = np.flatnonzero(start)               # run starts, row-major flat index
     v = x.ravel()[flat]
     first = flat % n == 0
-    last = np.roll(first, -1)
-    lower_before = np.zeros(v.size, dtype=bool)
-    lower_before[1:] = v[:-1] < v[1:]
-    lower_after = np.zeros(v.size, dtype=bool)
-    lower_after[:-1] = v[1:] < v[:-1]
-    inner = ~first & ~last
-    peak = inner & lower_before & lower_after
-    keep = first | last | peak | (inner & ~lower_before & ~lower_after)
-
-    row = flat[keep] // n
-    pos = np.arange(1, row.size + 1) + row     # one sentinel per row boundary
-    seq = np.full(pos.size + nrow + 1, np.inf)
-    seq[pos] = v[keep]
-    levels = max(int(np.bincount(row).max(initial=1)).bit_length(), 1)
-    top = np.full((levels, seq.size), np.inf)   # top[j, i] = max(seq[i:i + 2**j])
-    bottom = top.copy()                         # bottom[j, i] = min(seq[i:i + 2**j])
-    top[0] = bottom[0] = seq
-    for j in range(1, levels):
-        w = 1 << (j - 1)
-        top[j, :-w] = np.maximum(top[j - 1, :-w], top[j - 1, w:])
-        bottom[j, :-w] = np.minimum(bottom[j - 1, :-w], bottom[j - 1, w:])
-
-    q = pos[peak[keep]]
-    h = seq[q]
-    left, right = q.copy(), q + 1               # seq[left:right] <= h
-    for j in reversed(range(levels)):
-        w = 1 << j
-        left -= w * (top[j, np.maximum(left - w, 0)] <= h)
-        right += w * (top[j, right] <= h)
-
-    def window_min(a, b):
-        j = np.frexp(b - a)[1] - 1              # floor(log2(b - a))
-        return np.minimum(bottom[j, a], bottom[j, b - (1 << j)])
-
-    prom = h - np.maximum(window_min(left, q + 1), window_min(q, right))
+    peak = ~first & ~np.roll(first, -1)        # neither the first nor the last run
+    peak[1:] &= v[:-1] < v[1:]
+    peak[:-1] &= v[1:] < v[:-1]
     head = np.flatnonzero(peak)
     mid = (flat[head] + flat[head + 1] - 1) // 2   # a peak run never ends its row
-    return mid // n, mid % n, prom
+    return mid // n, mid % n
+
+
+def _prominences(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The prominence of the peak at ``idx[i]`` of each row ``x[i]``.
+
+    Its height above the higher of two minima: on each side, the lowest
+    sample between the peak and the nearest strictly higher sample (or the
+    end of the row).  Bit-equal to the reference prominences.
+    """
+    j = np.arange(x.shape[1])
+    at = idx[:, None]
+    h = x[np.arange(x.shape[0]), idx][:, None]
+    higher = x > h
+    left = np.where(higher & (j < at), j, -1).max(axis=1)[:, None]
+    right = np.where(higher & (j > at), j, x.shape[1]).min(axis=1)[:, None]
+    low_left = np.where((j > left) & (j <= at), x, np.inf).min(axis=1)
+    low_right = np.where((j >= at) & (j < right), x, np.inf).min(axis=1)
+    return h[:, 0] - np.maximum(low_left, low_right)
 
 
 def _refine_peak(row: np.ndarray, idx: int, dz: float) -> float:
@@ -230,10 +202,11 @@ def _time_derivative_blocks(field: VarianceField, rows: int):
 def extract_front(field: VarianceField, method: str = "mixed_derivative") -> FrontTrace:
     """Locate the correlation front z_c(t) on a regular (position x time) grid.
 
-    ``mixed_derivative`` (default): per time sample, the front is the most
-    prominent peak of |d2 V/dt dz| after Gaussian smoothing of width
-    sigma_z along the position axis (always the healing length of the
-    field's mode basis).
+    ``mixed_derivative`` (default): per time sample, the front is the
+    tallest peak of |d2 V/dt dz| after Gaussian smoothing of width sigma_z
+    along the position axis (always the healing length of the field's mode
+    basis), the leftmost of equals, kept only if its prominence reaches
+    ``DEFAULT_PROMINENCE_REL`` times the range of the searched row.
     ``half_plateau``: the position where |dV/dt| crosses midway between its
     inner and outer plateau levels.  Both ignore the outer edge of trapped
     clouds (beyond 0.9 R) where the vanishing density dominates the
@@ -281,14 +254,13 @@ def extract_front(field: VarianceField, method: str = "mixed_derivative") -> Fro
             smooth = np.abs(_gaussian_smooth(M[:, :ncol], sigma)[:, :imax])
             seg = smooth[:, guard:-guard]
             rng = seg.max(axis=1) - seg.min(axis=1)
-            row, idx, prom = _peak_prominences(seg)
-            ok = prom >= DEFAULT_PROMINENCE_REL * rng[row]
-            row, idx, prom = row[ok], idx[ok], prom[ok]
-            # per row the most prominent peak, the leftmost of equals
-            order = np.lexsort((idx, -prom, row))
-            lead = np.ones(order.size, dtype=bool)
-            lead[1:] = row[order[1:]] != row[order[:-1]]
-            for i, j in zip(row[order[lead]], idx[order[lead]] + guard):
+            row, idx = _peaks(seg)
+            tall = np.full(seg.shape, -np.inf)   # each row's peaks, -inf elsewhere
+            tall[row, idx] = seg[row, idx]
+            row = np.flatnonzero(tall.max(axis=1) > -np.inf)   # the rows with a peak
+            idx = tall[row].argmax(axis=1)       # the tallest peak, the leftmost of equals
+            ok = _prominences(seg[row], idx) >= DEFAULT_PROMINENCE_REL * rng[row]
+            for i, j in zip(row[ok], idx[ok] + guard):
                 positions[b + i] = z[j] + _refine_peak(smooth[i], j, dz)
                 levels[b + i] = rng[i]
         else:
@@ -527,8 +499,9 @@ def recurrence_scan(times, values, refine_fn) -> list[tuple[float, float]]:
     if turn.size == 0:
         return []
     imin = int(turn[0])
-    _, peaks, prom = _peak_prominences(vals[None, imin:])
-    peaks = peaks[prom >= 1e-3] + imin
+    tail = vals[None, imin:]
+    peaks = [p + imin for p in _peaks(tail)[1]
+             if _prominences(tail, np.array([p]))[0] >= 1e-3]
     results = []
     for idx in peaks:
         t_pk, s_pk = float(ts[idx]), float(vals[idx])

@@ -83,10 +83,18 @@ def _check_positive(value, name: str) -> None:
         raise ConfigError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
+# The most modes a basis may have.  A basis's arrays grow as modes x points, so
+# 10,000 modes on a 600-point grid take 48 MB per array; the presets and tests
+# ask for at most 1,396 (a 698-mode box, doubled by the truncation check).
+_MAX_MODES = 10_000
+
+
 def _mode_count(value, name: str) -> int:
-    """A mode truncation: a whole number of at least 1, as an int."""
+    """A mode truncation: a whole number from 1 to ``_MAX_MODES``, as an int."""
     if isinstance(value, bool) or not (_is_finite(value) and value >= 1 and int(value) == value):
         raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+    if value > _MAX_MODES:
+        raise ConfigError(f"{name} = {value:.6g} exceeds the ceiling of {_MAX_MODES} modes")
     return int(value)
 
 

@@ -943,6 +943,31 @@ def test_commands_beyond_the_range_of_doubles_exit_2(tmp_path, capsys, command, 
     assert err == f"splitgas: configuration error: {message}\n"
 
 
+@pytest.mark.parametrize("doc,message", [
+    (BOX_TRAP.replace("system_length_um: 100.0", "system_length_um: 1.0e30"),
+     "p_max = 3.81934e+29 exceeds the ceiling of 10000 modes"),
+    (BOX_TRAP + "truncation:\n  p_max: 1.0e20\n",
+     "p_max = 1e+20 exceeds the ceiling of 10000 modes"),
+    (REF_TRAPPED + "truncation:\n  j_max: 1.0e20\n",
+     "j_max = 1e+20 exceeds the ceiling of 10000 modes"),
+    (REF_TRAPPED.replace("nu_long_hz: 7.0", "nu_long_hz: 1.0e-200"),
+     "j_max = 1.21108e+69 exceeds the ceiling of 10000 modes"),
+], ids=["box_length", "box_p_max", "cloud_j_max", "cloud_trap_frequency"])
+def test_mode_count_beyond_the_ceiling_exits_2(tmp_path, capsys, doc, message):
+    # numpy refused each of these mode ladders (ValueError: Maximum allowed size
+    # exceeded, exit 1); the refusal comes before any mode array is allocated
+    import time
+
+    path = tmp_path / "many_modes.yaml"
+    path.write_text(doc)
+    start = time.perf_counter()
+    assert main(["pcf", "--config", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"splitgas: configuration error: {message}\n"
+
+
 def test_p_max_of_a_cloud_read_by_its_box_twin(tmp_path):
     from splitgas.scenario import load_scenario
 

@@ -159,6 +159,52 @@ def test_extract_front_empty_when_featureless():
     assert trace.diagnostics["dropped"] == ts.size
 
 
+def test_front_is_the_tallest_peak_or_none():
+    """A row whose tallest peak fails the prominence gate is dropped, even when a
+    lower peak of the row is prominent enough to pass it."""
+    from scipy.signal import find_peaks
+
+    dz = 0.1e-6
+    z = np.arange(200) * dz
+    ts = np.linspace(1e-3, 5e-3, 5)
+
+    def bump(at):
+        return np.exp(-0.5 * ((z - at) / 1e-6) ** 2)
+
+    # d2V/dt dz: a lone peak of 1.0, then a pedestal of 1.0 to the row's end
+    # with the tallest peak, 1.2, on it, whose prominence is only about 0.2
+    profile = bump(6e-6) + 1.0 / (1.0 + np.exp(-(z - 11e-6) / 0.3e-6)) + 0.2 * bump(15e-6)
+    dVdt = np.cumsum(profile) * dz
+    field = ArrayField(positions=z, times=ts, values=ts[:, None] * dVdt, modes=grid_basis(z))
+    trace = extract_front(field)
+    assert len(trace) == 0
+    assert trace.diagnostics["dropped"] == ts.size
+
+    # the lower peak is the row's most prominent one and passes the gate
+    guard = trace.diagnostics["guard"]
+    seg = np.abs(observables._gaussian_smooth(np.gradient(dVdt, z), 4.0))[guard:-guard]
+    peaks, props = find_peaks(seg, prominence=(None, None))
+    lower = peaks[np.argmax(props["prominences"])]
+    assert seg[lower] < seg[peaks].max()
+    assert props["prominences"].max() >= observables.DEFAULT_PROMINENCE_REL * np.ptp(seg)
+
+
+def test_front_between_equal_peaks_is_the_leftmost():
+    # integers on power-of-two steps: dV/dt, d2V/dt dz and the smoothing are exact
+    # or round alike around both bumps, so the two smoothed peaks tie exactly
+    dz = 2.0**-20
+    z = np.arange(200) * dz
+    ts = np.arange(1, 6) * 2.0**-10
+    profile = np.zeros(z.size)
+    for at in (60, 120):
+        profile[at - 3:at + 3] = [1, 3, 6, 6, 3, 1]
+    dVdt = np.cumsum(profile)
+    field = ArrayField(positions=z, times=ts, values=ts[:, None] * dVdt, modes=grid_basis(z))
+    trace = extract_front(field)
+    assert len(trace) == ts.size
+    assert np.all(np.abs(trace.positions - z[60]) < 2 * dz)
+
+
 @pytest.mark.parametrize("method", ["mixed_derivative", "half_plateau"])
 def test_extract_front_counts_rows_dropped_by_a_narrow_search(method):
     from splitgas.cli import _modes

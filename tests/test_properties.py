@@ -61,8 +61,8 @@ EDGE = st.one_of(
     st.floats(-1.0e3, -1.0e-3),
 )
 
-# the ends of the doubles: drawn for params only, since no guard yet bounds the mode
-# count that they give a front
+# the ends of the doubles: drawn for params only, since no guard yet bounds the time
+# and position grids that they give a front (the mode count has a ceiling)
 EXTREME = st.sampled_from([5e-324, 1e-300, 1e-30, 1e30, 1e300, 1.7e308, 2 ** 70])
 
 

@@ -1,9 +1,13 @@
 """The runtime path imports only numpy and PyYAML.
 
-scipy is the reference here: the numpy peak finder and Gaussian smoother
-must reproduce scipy.signal.find_peaks and scipy.ndimage.gaussian_filter1d
-bit for bit, and the closed-form quasi-1D normalisation must agree with a
-quadrature of the returned density.  A subprocess runs every command and
+scipy is the reference here: the numpy peaks and prominences and the
+Gaussian smoother must reproduce scipy.signal.find_peaks and
+scipy.ndimage.gaussian_filter1d bit for bit, and the closed-form quasi-1D
+normalisation must agree with a quadrature of the returned density.  The
+front detector keeps each row's tallest peak where find_peaks ranks by
+prominence; the two row-loop references below keep scipy's most prominent
+peak, and the detector matches them on the cone and trapped fields they
+build, where both rules detect the same peaks.  A subprocess runs every command and
 checks that scipy was never imported.
 """
 
@@ -25,7 +29,8 @@ from splitgas.modes import variance_field
 from splitgas.observables import (
     DEFAULT_PROMINENCE_REL,
     _gaussian_smooth,
-    _peak_prominences,
+    _peaks,
+    _prominences,
     _refine_peak,
     extract_front,
 )
@@ -43,6 +48,16 @@ def _random_rows(seed, count):
         if i % 5 == 0:
             x = np.cumsum(x)      # long monotone stretches and far-away higher peaks
         yield rng, x
+
+
+def _peak_prominences(x):
+    """Every peak of every row of ``x`` and its prominence, as ``find_peaks`` lists them.
+
+    Each peak gets its own copy of its row, so one ``_prominences`` call
+    takes all of them, as the front detector's calls take a block of rows.
+    """
+    row, idx = _peaks(x)
+    return row, idx, _prominences(x[row], idx)
 
 
 def test_peak_prominences_match_reference():

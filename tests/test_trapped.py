@@ -62,6 +62,14 @@ def test_mode_index_must_be_a_whole_number_of_at_least_1(call, name, j):
         call(j, 0.5)
 
 
+def test_mode_count_ceiling_is_inclusive():
+    from splitgas.params import _MAX_MODES, _mode_count
+
+    assert _mode_count(float(_MAX_MODES), "j_max") == _MAX_MODES
+    with pytest.raises(ConfigError, match=f"j_max = 10001 exceeds the ceiling of {_MAX_MODES}"):
+        _mode_count(_MAX_MODES + 1, "j_max")
+
+
 def test_legendre_against_scipy():
     x = np.linspace(-1, 1, 201)
     table = legendre_f_table(40, x)
