@@ -7,9 +7,9 @@
 Each of --times, --t-max, --realizations and --seed overrides one scenario
 key (see ``_FLAGS``) and is parsed by that key's rule, so every command
 is a pure function of (scenario, tool version): rerunning writes
-byte-identical artifacts.  Exit codes: 0 success, 2 configuration error,
-3 numerical non-convergence, 4 detection failure.  Set SPLITGAS_THREADS to
-cap the linear-algebra thread pool.
+byte-identical artifacts.  Exit codes: 0 success, else the error type's
+``exit_code`` (2 configuration error, 3 non-convergence, 4 detection failure).
+Set SPLITGAS_THREADS to cap the linear-algebra thread pool.
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_CONVERGENCE = 3
-EXIT_DETECTION = 4
 
 UM = 1e-6
 MS = 1e-3
@@ -224,19 +219,23 @@ def _front_for_system(modes, fit_window):
         raise DetectionError(
             f"{fitted}: the detected front moves {travel / UM:.3g} um over the fit "
             f"window, less than one grid step ({(z[1] - z[0]) / UM:.3g} um)")
+    # a peak within guard samples of the searched segment's end may be the edge's, not the front's
+    guard = trace.diagnostics["guard"]
+    edge = trace.diagnostics["search_max"] - 2 * guard * (z[1] - z[0])
+    late = trace.positions[sel] >= edge
+    if late.any():
+        raise DetectionError(
+            f"{fitted}: the detected front reaches {edge / UM:.4g} um, within {guard} samples "
+            f"of the end of its search range, at t = {trace.times[sel][late][0] / MS:.6g} ms")
     return trace, fit
 
 
 def _cmd_front(sc):
     from dataclasses import replace
 
-    from .errors import ConfigError
     from .params import Regime
     from .scenario import velocity_key
 
-    if sc.compare_regimes and sc.scan_atom_numbers:
-        raise ConfigError("analysis.scan_atom_numbers and analysis.compare_regimes "
-                          "cannot be combined")
     window = ("fit_window_ms", f"({_fmt_ms(sc.fit_window[0])}, {_fmt_ms(sc.fit_window[1])}]")
     if sc.compare_regimes:
         base = sc.config
@@ -398,7 +397,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    from .errors import ConfigError, ConvergenceError, DetectionError
+    from .errors import ConfigError, SplitGasError
 
     try:
         if args.json and not args.out:
@@ -407,20 +406,14 @@ def main(argv=None) -> int:
             _check_out(args.out, args.json)
         sc = _load_scenario(args)
         _write(sc, args, *_COMMANDS[args.command][0](sc))
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"splitgas: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"splitgas: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except DetectionError as exc:
-        print(f"splitgas: detection failure: {exc}", file=sys.stderr)
-        return EXIT_DETECTION
+        return 0
+    except SplitGasError as exc:
+        print(f"splitgas: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError as exc:
-        print(f"splitgas: configuration error: the scenario's grids are too large "
+        print(f"splitgas: {ConfigError.label}: the scenario's grids are too large "
               f"to allocate ({exc})", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

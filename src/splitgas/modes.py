@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .params import _check_positive, hbar, k_B, pi
+from .params import hbar, pi
 
 __all__ = [
     "ModeBasis",
@@ -115,20 +115,11 @@ class ModeBasis:
         """Its minimum-uncertainty partner, 1/(2*xi_n^2*n_peak)."""
         return np.full(self.truncation, 1.0 / (2.0 * self.params.squeezing * self.profile.n_peak))
 
-    def thermal_density_variance(self, temperature: float) -> np.ndarray:
-        """Equipartition of the density quadrature, k_B*T/(2 dmu/dn)."""
-        _check_positive(temperature, "temperature")
-        return np.full(self.truncation, k_B * temperature / (2.0 * self.profile.eos_slope_peak))
-
     def weights(self) -> np.ndarray:
         """Weight w_m = <n_m^2> phi_amplitude_m^2 of each mode in every mode sum: the
         split state's density shot noise dephased into the field through the mode's
         phase amplitude (Kitagawa et al., NJP 13, 073018 (2011))."""
         return self.split_density_variance() * self.phi_amplitude() ** 2
-
-    def thermal_phase_variance(self, temperature: float) -> np.ndarray:
-        """Equipartition: phi_amplitude_m^2 times the thermal density variance."""
-        return self.phi_amplitude() ** 2 * self.thermal_density_variance(temperature)
 
     def pair_terms(self, z, zprime) -> np.ndarray:
         """sum_r (g_r(z) - g_r(z'))^2 over each mode's rows, shape (modes, *z.shape);
@@ -186,8 +177,12 @@ class VarianceField:
     doubling_dev: float | None = None   # doubling-test deviation, None = not checked
 
     def rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """The variance at times[lo:hi], shape (len(times[lo:hi]), len(positions))."""
-        return _variance_rows(self.modes, self.terms, self.times[lo:hi])
+        """The variance at times[lo:hi], shape (len(times[lo:hi]), len(positions)): one
+        (1 x modes) @ (modes x nz) product per time, so a row does not depend on the other
+        times of the call, which a single matrix product does not promise (its rows round
+        by their place in the BLAS kernel's tiles)."""
+        factors = self.modes.time_factors(self.times[lo:hi])
+        return np.matmul(factors[:, None, :], self.terms)[:, 0]
 
 
 def _check_times(t) -> np.ndarray:
@@ -270,14 +265,6 @@ def variance_field(
         scale = max(float(np.abs(fine).max()), 1e-300)
         field.doubling_dev = float(np.max(np.abs(fine - field.rows())[:, mask]) / scale)
     return field
-
-
-def _variance_rows(modes: ModeBasis, terms: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """time_factors(t) @ terms, shape (times, nz), one (1 x modes) @ (modes x nz)
-    product per time: a row does not depend on the other times of the call, which a
-    single matrix product does not promise (its rows round by their place in the
-    BLAS kernel's tiles)."""
-    return np.matmul(modes.time_factors(times)[:, None, :], terms)[:, 0]
 
 
 def initial_phase_variance(z, modes: ModeBasis):

@@ -335,15 +335,17 @@ def _build_scenario(doc: dict) -> Scenario:
             if key in section:
                 sc.override(name, key, section[key], f"{name}.{key}")
     # a box has plane waves and one atom number and regime; a cloud has Legendre
-    # modes and, with compare_regimes, a box twin
-    if config.regime.trapped:
-        unread = [] if sc.compare_regimes else ["truncation.p_max"]
-    else:
+    # modes and, with compare_regimes, a box twin and no atom-number scan
+    where = f"a {config.regime.value} scenario"
+    if not config.regime.trapped:
         unread = ["truncation.j_max", "analysis.scan_atom_numbers", "analysis.compare_regimes"]
+    elif sc.compare_regimes:
+        unread, where = ["analysis.scan_atom_numbers"], f"{where} with analysis.compare_regimes"
+    else:
+        unread = ["truncation.p_max"]
     for name, key in (dotted.split(".") for dotted in unread):
         if key in (doc.get(name) or {}):
-            raise ConfigError(f"{name}.{key}: no command reads it for a "
-                              f"{config.regime.value} scenario")
+            raise ConfigError(f"{name}.{key}: no command reads it for {where}")
     return sc
 
 

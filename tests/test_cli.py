@@ -173,6 +173,24 @@ def test_front_moving_less_than_a_grid_step_is_a_detection_failure(
     assert "fitted front velocity 0.00" in err and "less than one grid step" in err
 
 
+@pytest.mark.parametrize("doc,edge_um", [
+    (REF_TRAPPED.replace("nu_long_hz: 7.0", "nu_long_hz: 20")
+     + "analysis:\n  scan_atom_numbers: [1005]\n", 9.898),
+    (REF_HOMOG.split("grids:")[0].replace("length_um: 100.0", "length_um: 71.0"), 29.38),
+], ids=["small_cloud", "short_box"])
+def test_front_leaving_its_search_range_is_a_detection_failure(tmp_path, capsys, doc, edge_um):
+    # the detections climb to the end of the searched segment and fall back: the
+    # fit window then holds the edge's peak, not the front's
+    path = tmp_path / "edge.yaml"
+    path.write_text(doc)
+    out = tmp_path / "front.csv"
+    assert main(["front", "--config", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("splitgas: detection failure: fitted front velocity ")
+    assert f"reaches {edge_um:.4g} um" in err and "end of its search range, at t = " in err
+    assert not out.exists()
+
+
 def test_front_atom_number_scan(tmp_path):
     doc = REF_TRAPPED + "analysis:\n  scan_atom_numbers: [3000, 6000, 9000]\n"
     cfg = tmp_path / "scan.yaml"
@@ -868,8 +886,11 @@ def test_every_flag_overrides_a_scenario_key():
     (REF_TRAPPED + "  system_length_um: 123\n", "system_length"),
     (REF_HOMOG + "analysis:\n  scan_atom_numbers: [3000]\n", "analysis.scan_atom_numbers"),
     (REF_HOMOG + "analysis:\n  compare_regimes: true\n", "analysis.compare_regimes"),
+    (REF_TRAPPED + "analysis:\n  scan_atom_numbers: [3000]\n  compare_regimes: true\n",
+     "analysis.scan_atom_numbers: no command reads it for a thomas_fermi scenario with "
+     "analysis.compare_regimes"),
 ], ids=["j_max_on_a_box", "p_max_on_a_cloud", "length_of_a_cloud", "scan_on_a_box",
-        "comparison_on_a_box"])
+        "comparison_on_a_box", "scan_with_comparison_on_a_cloud"])
 def test_key_no_command_reads_for_the_regime_rejected(tmp_path, capsys, doc, key):
     # the table would be the one without the key, so the key could only mislead
     path = tmp_path / "unread.yaml"

@@ -9,7 +9,7 @@ from splitgas.modes import (covariance_rate, default_rate_step, initial_phase_va
                             phase_covariance, pointwise_variance, variance_field)
 from splitgas.observables import contrast_evaluator
 from splitgas.oracle import EnsembleSpec, estimate_pcf
-from splitgas.params import hbar, k_B, pi
+from splitgas.params import pi
 from splitgas.trapped import legendre_f_table
 
 from reference import ArrayField, dense_contrast
@@ -68,22 +68,16 @@ def test_pair_rows_sum_to_the_pair_terms(basis):
     np.testing.assert_allclose(mirrored[odd], -g[odd, :-1], rtol=1e-14, atol=0)
 
 
-def _closed_forms(modes, T):
-    """(split field variance per mode, thermal field variance per mode) on mode rows of
-    unit norm, as each geometry writes them: pi^2 n xi_n^2/(2 K^2 k^2) and
-    2/(lambda_T k^2), lambda_T = hbar^2 n/(m k_B T), per plane-wave row sqrt(2/L) cos kz
-    for the box (the coefficient 2 pi^2 n xi_n^2/(L K^2) of (1 - cos kz)/k^2 over the
-    4/L of a row pair), xi_n^2 n_peak pi^2 v_N^2/(2 omega_j^2) and
-    pi v_N k_B T/(hbar omega_j^2) per Legendre row f_j(z/R)/sqrt(R) for the cloud."""
+def _closed_form(modes):
+    """The split field variance per mode on mode rows of unit norm, as each geometry
+    writes it: pi^2 n xi_n^2/(2 K^2 k^2) per plane-wave row sqrt(2/L) cos kz for the
+    box (the coefficient 2 pi^2 n xi_n^2/(L K^2) of (1 - cos kz)/k^2 over the 4/L of a
+    row pair), xi_n^2 n_peak pi^2 v_N^2/(2 omega_j^2) per Legendre row f_j(z/R)/sqrt(R)
+    for the cloud."""
     p = modes.params
     if modes.radius is None:
-        k2 = modes.k**2
-        lambda_T = hbar**2 * p.n_peak / (p.mass * k_B * T)
-        return (pi**2 * p.n_peak * p.squeezing / (2.0 * p.K**2 * k2),
-                2.0 / (lambda_T * k2))
-    v_N, omega2 = modes.v_N, modes.omega**2
-    return (p.squeezing * modes.profile.n_peak * pi**2 * v_N**2 / (2.0 * omega2),
-            pi * v_N * k_B * T / (hbar * omega2))
+        return pi**2 * p.n_peak * p.squeezing / (2.0 * p.K**2 * modes.k**2)
+    return p.squeezing * modes.profile.n_peak * pi**2 * modes.v_N**2 / (2.0 * modes.omega**2)
 
 
 def test_pair_rows_synthesise_the_mode_sum_coefficient(basis):
@@ -91,17 +85,7 @@ def test_pair_rows_synthesise_the_mode_sum_coefficient(basis):
     the split state's field variance per mode, the weight of every mode sum, is the
     closed-form mode-sum coefficient of each geometry."""
     modes = basis[0]
-    np.testing.assert_allclose(modes.weights(), _closed_forms(modes, 30e-9)[0], rtol=1e-13)
-
-
-@pytest.mark.parametrize("T", [5e-9, 30e-9])
-def test_thermal_phase_variance_is_the_closed_form(basis, T):
-    """Equipartition, phi_amplitude^2 times the thermal density variance, puts into
-    the field, on rows of unit norm, the thermal phase variance each geometry writes
-    in closed form."""
-    modes = basis[0]
-    np.testing.assert_allclose(modes.thermal_phase_variance(T), _closed_forms(modes, T)[1],
-                               rtol=1e-13)
+    np.testing.assert_allclose(modes.weights(), _closed_form(modes), rtol=1e-13)
 
 
 def test_pair_rows_have_unit_norm(basis):
@@ -126,17 +110,6 @@ def test_split_state_has_a_quarter_quantum_per_mode(basis):
     modes = basis[0]
     np.testing.assert_allclose(modes.split_density_variance() * modes.split_phase_variance(),
                                0.25, rtol=1e-14)
-
-
-@pytest.mark.parametrize("T", [5e-9, 30e-9])
-def test_split_state_is_the_minimum_uncertainty_partner(basis, T):
-    """split_n * split_phi / (thermal_n * thermal_phi) = (hbar omega/(2 k_B T))^2 per
-    mode: the split state has a quarter of the quantum of action the thermal state
-    has k_B T/(hbar omega) of, squared."""
-    modes = basis[0]
-    ratio = (modes.split_density_variance() * modes.split_phase_variance()
-             / (modes.thermal_density_variance(T) * modes.thermal_phase_variance(T)))
-    np.testing.assert_allclose(ratio, (hbar * modes.omega / (2.0 * k_B * T)) ** 2, rtol=1e-12)
 
 
 def test_pair_field_symmetric_and_non_negative(basis):
@@ -165,14 +138,6 @@ def test_nan_fails_every_domain_check(basis, call):
     # every domain check is written so that NaN fails it, as "outside" does
     with pytest.raises(ConfigError):
         call(basis[0])
-
-
-@pytest.mark.parametrize("method", ["thermal_density_variance", "thermal_phase_variance"])
-@pytest.mark.parametrize("T", [NAN, float("inf"), -1e-8, 0.0, True, "1e-8"])
-def test_thermal_variances_refuse_what_the_ensemble_refuses(basis, method, T):
-    # one temperature rule for both thermal quadratures
-    with pytest.raises(ConfigError, match="temperature must be finite and strictly positive"):
-        getattr(basis[0], method)(T)
 
 
 def test_every_mode_sum_refuses_unresolved_phases(basis):

@@ -96,7 +96,9 @@ def cases(draw):
     edges = (EDGE, EXTREME) if command == "params" else (EDGE,)
     regime = draw(st.sampled_from(sorted(BASES)))
     trap, valid = dict(BASES[regime]), _valid(regime)
-    for key in draw(st.sets(st.sampled_from(sorted(_TRAP)), max_size=3)):
+    # a set of strings iterates in the order of PYTHONHASHSEED; sorted, every process
+    # draws the same values for the same keys
+    for key in sorted(draw(st.sets(st.sampled_from(sorted(_TRAP)), max_size=3))):
         if draw(st.integers(0, 3)):
             trap[key] = draw(_value(valid[key], edges))
         else:
@@ -119,6 +121,45 @@ def _run(argv):
     with contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+def _drawn(count):
+    """The first ``count`` cases that a derandomized run draws."""
+    seen = []
+
+    @settings(max_examples=count, derandomize=True, database=None, deadline=None)
+    @given(case=cases())
+    def collect(case):
+        seen.append(case)
+
+    collect()
+    return seen
+
+
+def test_cases_are_drawn_alike_under_every_hash_seed(tmp_path):
+    # a derandomized run must replay in every process, whatever its string hashes; each
+    # child gets an empty Hypothesis directory, since the constants Hypothesis caches
+    # there from the source also steer what it draws
+    import os
+    import subprocess
+    import sys
+
+    import splitgas
+
+    paths = [Path(splitgas.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*map(str, paths), env.get("PYTHONPATH")]))
+    child = "from test_properties import _drawn\nprint(repr(_drawn(30)))\n"
+    drawn = []
+    for seed in ("1", "2"):
+        home = tmp_path / seed
+        home.mkdir()
+        drawn.append(subprocess.run(
+            [sys.executable, "-c", child], cwd=home, capture_output=True, text=True,
+            env={**env, "PYTHONHASHSEED": seed, "HYPOTHESIS_STORAGE_DIRECTORY": str(home)},
+            timeout=300, check=True).stdout)
+    assert drawn[0].count("{'trap'") == 30
+    assert drawn[0] == drawn[1]
 
 
 def test_every_trap_key_is_drawn():

@@ -30,3 +30,15 @@ def test_value_flag_bullets_match_the_command_table():
         assert (section, key) == _FLAGS[flag][:2], flag
         takers = sorted(name for name, (_, _, flags) in _COMMANDS.items() if flag in flags)
         assert sorted(re.findall(r"`([\w-]+)`", commands)) == takers, flag
+
+
+def test_exit_code_sentence_matches_the_error_types():
+    # "Exit codes: 0 success, 2 configuration error, ..." lists each error type's
+    # exit_code and label, the pair cli.main prints and returns
+    from splitgas.errors import SplitGasError
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Exit codes: ([^.]*)\.", text).group(1)
+    types = sorted(SplitGasError.__subclasses__(), key=lambda cls: cls.exit_code)
+    assert sentence.split(", ") == ["0 success", *(f"{cls.exit_code} {cls.label}"
+                                                     for cls in types)]
