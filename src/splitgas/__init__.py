@@ -44,7 +44,7 @@ _EXPORTS = {
     "params": (
         "RB87", "PhysicalParams", "Regime", "SpeciesPreset", "TrapConfig",
         "dephasing_times", "derive_params", "multimode_condition",
-        "peak_density_from_atom_number", "squeezing_limit", "squeezing_map",
+        "peak_density_from_atom_number", "squeezing_limit",
     ),
     "modes": (
         "covariance_rate", "pcf", "phase_covariance", "pointwise_variance", "variance_field",

@@ -204,9 +204,6 @@ def _front_for_system(modes, fit_window):
     field = variance_field(modes, np.arange(0.0, z_hi, xi_h / 4.0), times)
     z = field.positions
     trace = extract_front(field)
-    if len(trace) == 0:
-        raise DetectionError("no correlation front detected "
-                             f"(diagnostics: {trace.diagnostics})")
     fit = fit_velocity(trace, fit_window)
     # a front that stands still (e.g. a truncation too coarse to carry one)
     # fits a rounding-level slope; report it instead of a velocity
@@ -319,7 +316,8 @@ def _cmd_contrast(sc):
     modes = _modes(sc)
     lengths = sc.contrast_lengths
     times = _contrast_times(sc)
-    traces = [contrast_evaluator(modes, L)(times) for L in lengths]
+    evaluators = [contrast_evaluator(modes, L) for L in lengths]   # each window refused first
+    traces = [contrast(times) for contrast in evaluators]
     columns = ["t_ms"] + [contrast_column(L) for L in lengths]
     rows = [[times[i] / MS] + [tr[i] for tr in traces]
             for i in range(len(times))]
@@ -327,18 +325,13 @@ def _cmd_contrast(sc):
 
 
 def _cmd_squeezing_map(sc):
-    from .params import pi, squeezing_map
+    from .params import pi, squeezing_limit
 
-    omegas, lengths = sc.map_nu_perp, sc.map_lengths
-    db = squeezing_map(omegas, lengths, sc.config.atomic_mass,
-                       sc.config.scattering_length)
-    lin = 10.0 ** (db / 10.0)
-    columns = ["nu_perp_hz", "length_um", "xi2_lim", "xi2_lim_db"]
-    rows = []
-    for i, om in enumerate(omegas):
-        for j, L in enumerate(lengths):
-            rows.append([om / (2.0 * pi), L / UM, lin[i, j], db[i, j]])
-    return columns, rows, []
+    mass, a = sc.config.atomic_mass, sc.config.scattering_length
+    # Python floats, so that a refusal quotes 0.0, not np.float64(0.0)
+    rows = [[om / (2.0 * pi), L / UM, *squeezing_limit(om, L, mass, a)]
+            for om in sc.map_nu_perp.tolist() for L in sc.map_lengths.tolist()]
+    return ["nu_perp_hz", "length_um", "xi2_lim", "xi2_lim_db"], rows, []
 
 
 def _cmd_oracle(sc):

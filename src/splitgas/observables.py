@@ -59,6 +59,10 @@ _CONTRAST_PANEL_ELEMENTS = 2**16
 # interpreter work.  Every row comes out bit-equal to the whole-grid
 # computation.
 _FRONT_BLOCK_BYTES = 2**16
+# largest spacing of doubles at the window's largest point variance that the
+# contrast kernel accepts: its exponent G - h_a - h_b cancels to order one from
+# terms of that size, so C^2 then moves by about this much (relative) from rounding
+_MAX_EXPONENT_ERROR = 1e-6
 # Recurrence refinement stops once the bracket around a peak is this wide (s).
 _REFINE_BRACKET_S = 1e-9
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
@@ -355,6 +359,14 @@ def _contrast_kernel(modes, n: int, step: float):
     x = (np.arange(m) + (1 - n % 2) / 2.0) * step
     g, mode, even, odd = modes.pair_functions(x)                   # (rows, m)
     g2 = g * g
+    # the point variance D = sum_r a_r g_r^2 peaks below its time-free bound sum_r w_r g_r^2
+    variance = float(np.max(modes.weights()[mode] @ g2))
+    gap = math.ulp(variance)
+    if not gap <= _MAX_EXPONENT_ERROR:   # NaN and inf included
+        raise ConfigError(f"C^2 over the {span / 1e-6:.6g} um window is beyond the resolution "
+                          f"of doubles at squeezing {modes.params.squeezing:.6g}: the phase "
+                          f"variance at a point reaches up to {variance:.3g}, where doubles lie "
+                          f"{gap:.3g} apart, more than {_MAX_EXPONENT_ERROR:g}")
     u = np.full(m, step)
     u[-1] = step / 2.0
     if n % 2:
@@ -407,7 +419,8 @@ def contrast_evaluator(modes, length: float, dz: float | None = None):
     cloud centre for trapped gases), below which the integral is converged
     at the 0.2% level.  The grid has n = round(L/dz) + 1 points and spans
     exactly L, with step L/(n - 1).  The window must fit inside the
-    periodic box or the cloud.
+    periodic box or the cloud, and its point phase variances must stay
+    where doubles lie at most ``_MAX_EXPONENT_ERROR`` apart; else ConfigError.
     """
     _check_positive(length, "integration length")
     if dz is not None:
@@ -524,9 +537,13 @@ def prethermal_pcf(modes, zbar) -> np.ndarray:
     inside the prethermal plateau: after the cone has passed the largest
     requested separation and before rephasing sets in.  Converges to
     exp(-|zbar| xi_n^2/l0) for separations above the phonon cutoff.
+    A trapped cloud has no recurrence period to average over: ConfigError.
     """
     from .homogeneous import recurrence_time
 
+    if modes.radius is not None:
+        raise ConfigError("the prethermal average spans the box's recurrence period, "
+                          "which a trapped cloud does not have")
     zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
     t_rev = recurrence_time(modes.L, modes.params.c)
     lo, hi = 0.30, 0.45

@@ -32,7 +32,6 @@ __all__ = [
     "dephasing_times",
     "multimode_condition",
     "squeezing_limit",
-    "squeezing_map",
 ]
 
 
@@ -296,31 +295,3 @@ def squeezing_limit(
     _check_positive(lim, "xi2_lim")
     return lim, 10.0 * math.log10(lim)
 
-
-def squeezing_map(omega_perp_grid, length_grid, mass: float, scattering_length: float):
-    """Squeezing requirement in dB on an (omega_perp x L) grid.
-
-    Element [i, j] is ``squeezing_limit(omega_perp_grid[i], length_grid[j])``
-    in dB; both axes must be non-empty and strictly ascending, and the map
-    is strictly decreasing along each axis.
-    """
-    import numpy as np
-
-    om = np.asarray(omega_perp_grid, dtype=float)
-    ll = np.asarray(length_grid, dtype=float)
-    if om.size == 0 or ll.size == 0:
-        raise ConfigError("grids must be non-empty")
-    if np.any(np.diff(om) <= 0) or np.any(np.diff(ll) <= 0):
-        raise ConfigError("grids must be strictly ascending")
-    # min and max bound each grid, and a NaN anywhere in it reaches both
-    for name, grid in (("omega_perp_grid", om), ("length_grid", ll)):
-        _check_positive(float(grid.min()), f"every {name} value")
-        _check_positive(float(grid.max()), f"every {name} value")
-    _check_positive(mass, "mass")
-    _check_positive(scattering_length, "scattering_length")
-    for i in (0, -1):   # both grids ascend, so the corners bound the product and the limit
-        product = mass * scattering_length * (float(om[i]) * float(ll[i]))
-        _check_positive(product, "mass * omega_perp * scattering_length * length")
-        _check_positive(2.0 * hbar / product, "xi2_lim")
-    lim = 2.0 * hbar / (mass * scattering_length * np.outer(om, ll))
-    return 10.0 * np.log10(lim)

@@ -156,6 +156,18 @@ def test_front_without_spreading_is_a_detection_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_front_with_too_few_detections_is_refused_by_the_fit(tmp_path, capsys):
+    # one Legendre mode carries no front; the fit names the window and the count,
+    # where the command printed the detector's diagnostics in SI metres
+    path = tmp_path / "jmax1.yaml"
+    path.write_text(REF_TRAPPED + "truncation:\n  j_max: 1\n")
+    assert main(["front", "--config", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("splitgas: detection failure: need at least 3 front detections "
+                   "in (0, 10] ms, got 0\n")
+
+
 def test_front_moving_less_than_a_grid_step_is_a_detection_failure(
         homog_file, monkeypatch, capsys):
     import splitgas.observables as observables
@@ -962,6 +974,31 @@ def test_commands_beyond_the_range_of_doubles_exit_2(tmp_path, capsys, command, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"splitgas: configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["contrast", "recurrence"])
+@pytest.mark.parametrize("trap,squeezing,variance,gap", [
+    (BOX_TRAP, "1e+16", "2.05e+16", "4"),
+    (BOX_TRAP, "1e+18", "2.05e+18", "256"),
+    (REF_TRAPPED, "1e+16", "4.24e+16", "8"),
+    (REF_TRAPPED, "1e+18", "4.24e+18", "512"),
+], ids=["box_1e16", "box_1e18", "cloud_1e16", "cloud_1e18"])
+def test_contrast_beyond_the_resolution_of_doubles_exits_2(tmp_path, monkeypatch, capsys,
+                                                           command, trap, squeezing, variance,
+                                                           gap):
+    # the kernel's exponent G - h_a - h_b cancelled from terms of this size: both
+    # commands exited 0 with C^2 far above 1 at 1e16, and overflowed exp at 1e18
+    monkeypatch.setattr("splitgas.modes.ModeBasis.time_factors",
+                        lambda *args: pytest.fail("a time was evaluated"))
+    path = tmp_path / "squeezed.yaml"
+    path.write_text(trap + f"  squeezing: {squeezing}\n")
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"splitgas: configuration error: C^2 over the 50 um window is beyond the "
+                   f"resolution of doubles at squeezing {squeezing}: the phase variance at a "
+                   f"point reaches up to {variance}, where doubles lie {gap} apart, more "
+                   f"than 1e-06\n")
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -64,6 +64,12 @@ def test_prethermal_pcf_window_guard(homog_modes):
         prethermal_pcf(homog_modes, [45e-6])  # cone cannot reach in the window
 
 
+def test_prethermal_pcf_refuses_a_cloud(trapped_modes):
+    # it read the box's length, an AttributeError on a Legendre basis
+    with pytest.raises(ConfigError, match="recurrence period, which a trapped cloud does not"):
+        prethermal_pcf(trapped_modes, [5e-6])
+
+
 # ---------------------------------------------------------- front + velocity
 
 def _synthetic_step_field(c, l0, L=100e-6):

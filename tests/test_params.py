@@ -18,7 +18,6 @@ from splitgas import (
     peak_density_from_atom_number,
     recurrence_time,
     squeezing_limit,
-    squeezing_map,
 )
 
 
@@ -175,44 +174,21 @@ def test_squeezing_limit_invariant():
         assert lim * om * L == pytest.approx(const, rel=1e-12)
 
 
-@pytest.mark.parametrize("omega,length,name", [
-    (1e-200, 1e-200, "mass * omega_perp * scattering_length * length"),   # a product of 0
-    (1e150, 1e150, "xi2_lim"),                                            # a limit of 0
-])
-def test_squeezing_limit_refuses_what_leaves_the_doubles(omega, length, name):
+_PRODUCT = "mass * omega_perp * scattering_length * length"
+_OUT_OF_RANGE = [
+    (1e-200, 1e-200, _PRODUCT, "0.0"),   # a product of 0
+    (1e200, 1e200, _PRODUCT, "inf"),     # of inf
+    (1e150, 1e150, "xi2_lim", "0.0"),    # a limit of 0
+]
+
+
+@pytest.mark.parametrize("omega,length,name,got", _OUT_OF_RANGE,
+                         ids=[f"{o}-{l}-{n}" for o, l, n, _ in _OUT_OF_RANGE])
+def test_squeezing_limit_refuses_what_leaves_the_doubles(omega, length, name, got):
     # a ZeroDivisionError and a log10 domain error before
     with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite and strictly "
-                                                    "positive, got 0.0")):
-        squeezing_limit(omega, length, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("grid,name,got", [
-    ([1e-200, 1.0], "mass * omega_perp * scattering_length * length", "0.0"),   # a product of 0
-    ([1.0, 1e200], "mass * omega_perp * scattering_length * length", "inf"),   # of inf
-    ([1.0, 1e150], "xi2_lim", "0.0"),                                         # a limit of 0
-], ids=["product_underflows", "product_overflows", "limit_underflows"])
-def test_squeezing_map_refuses_what_leaves_the_doubles(grid, name, got):
-    # an inf or 0 limit in an exit-0 table before, and a divide-by-zero warning
-    with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite and strictly "
                                                     f"positive, got {got}")):
-        squeezing_map(grid, grid, 1.0, 1.0)
-
-
-def test_squeezing_map():
-    om = 2 * pi * np.linspace(500, 2000, 7)
-    ll = np.linspace(20e-6, 200e-6, 9)
-    db = squeezing_map(om, ll, RB87.mass, RB87.scattering_length)
-    assert db.shape == (7, 9)
-    assert np.all(np.diff(db, axis=0) < 0)
-    assert np.all(np.diff(db, axis=1) < 0)
-    # degenerate 1x1 grid reduces to the scalar operation, bit for bit
-    lone = squeezing_map([om[3]], [ll[4]], RB87.mass, RB87.scattering_length)
-    _, db_ref = squeezing_limit(om[3], ll[4], RB87.mass, RB87.scattering_length)
-    assert lone[0, 0] == db_ref
-    with pytest.raises(ConfigError):
-        squeezing_map([], ll, RB87.mass, RB87.scattering_length)
-    with pytest.raises(ConfigError):
-        squeezing_map(om[::-1], ll, RB87.mass, RB87.scattering_length)
+        squeezing_limit(omega, length, 1.0, 1.0)
 
 
 _M, _A = RB87.mass, RB87.scattering_length
@@ -225,17 +201,12 @@ _NON_FINITE_CALLS = {
     "limit_omega": lambda p, cfg, x: squeezing_limit(x, 100e-6, _M, _A),
     "limit_mass": lambda p, cfg, x: squeezing_limit(2 * pi * 1400, 100e-6, x, _A),
     "peak_density": lambda p, cfg, x: peak_density_from_atom_number(x, cfg),
-    "map_omega": lambda p, cfg, x: squeezing_map([x], [100e-6], _M, _A),
-    "map_length": lambda p, cfg, x: squeezing_map([1e3], [20e-6, x], _M, _A),
-    "map_scattering_length": lambda p, cfg, x: squeezing_map([1e3], [20e-6], _M, x),
 }
-_GRID_ROWS = ("map_omega", "map_length")   # numpy parses a numeric string in a grid
 
 
 @pytest.mark.parametrize("call,bad", [
     pytest.param(call, bad, id=f"{name}-{bad}")
-    for name, call in _NON_FINITE_CALLS.items() for bad in (math.nan, math.inf, "1e-4")
-    if not (isinstance(bad, str) and name in _GRID_ROWS)])
+    for name, call in _NON_FINITE_CALLS.items() for bad in (math.nan, math.inf, "1e-4")])
 def test_params_functions_refuse_non_finite(trapped_params, trapped_config, call, bad):
     with pytest.raises(ConfigError, match="finite"):
         call(trapped_params, trapped_config, bad)
@@ -250,10 +221,7 @@ _TRAP = dict(atomic_mass=_M, scattering_length=_A, omega_perp=2 * pi * 1400.0,
     (lambda p: squeezing_limit(2 * pi * 1400, -1e-4, _M, _A), f"length {_POSITIVE} -0.0001"),
     (lambda p: squeezing_limit(2 * pi * 1400, 1e-4, _M, math.nan),
      f"scattering_length {_POSITIVE} nan"),
-    (lambda p: squeezing_map([1e3, math.inf], [2e-5], _M, _A),
-     f"every omega_perp_grid value {_POSITIVE} inf"),
-    (lambda p: squeezing_map([1e3], [-2e-5], _M, _A), f"every length_grid value {_POSITIVE} -2e-05"),
-    (lambda p: squeezing_map([1e3], [2e-5], -_M, _A), f"mass {_POSITIVE} {-_M!r}"),
+    (lambda p: squeezing_limit(2 * pi * 1400, 1e-4, -_M, _A), f"mass {_POSITIVE} {-_M!r}"),
     (lambda p: multimode_condition(p, 1e-4, 0.0), f"squeezing xi_n2 {_POSITIVE} 0.0"),
     (lambda p: multimode_condition(p, "1e-4", 1.0), f"length {_POSITIVE} '1e-4'"),
     (lambda p: recurrence_time(1e-4, -1.8e-3), f"c {_POSITIVE} -0.0018"),
@@ -269,10 +237,9 @@ _TRAP = dict(atomic_mass=_M, scattering_length=_A, omega_perp=2 * pi * 1400.0,
      f"TrapConfig.scattering_length {_POSITIVE} nan"),
     (lambda p: TrapConfig(**{**_TRAP, "omega_long": True}),
      "TrapConfig.omega_long must be finite, got True"),
-], ids=["limit_length", "limit_scattering_length", "map_omega_grid", "map_length_grid",
-        "map_mass", "multimode_squeezing", "multimode_length", "recurrence_c", "recurrence_L",
-        "limit_bool", "trap_omega_perp_bool", "trap_atom_number_bool", "trap_squeezing_bool",
-        "trap_nan", "trap_omega_long_bool"])
+], ids=["limit_length", "limit_scattering_length", "limit_mass", "multimode_squeezing",
+        "multimode_length", "recurrence_c", "recurrence_L", "limit_bool", "trap_omega_perp_bool",
+        "trap_atom_number_bool", "trap_squeezing_bool", "trap_nan", "trap_omega_long_bool"])
 def test_refusal_names_the_argument_and_its_value(trapped_params, call, message):
     with pytest.raises(ConfigError) as err:
         call(trapped_params)

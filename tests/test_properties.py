@@ -11,19 +11,30 @@ values are capped (fit windows to 5 ms, N to 2e4, three scan entries, boxes to
 200 um), so that no example computes for long.
 """
 
+import atexit
 import contextlib
 import io
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from splitgas.cli import main
 from splitgas.scenario import _TRAP
 from splitgas.tables import read_table
+
+# Hypothesis caches constants it reads from the source in its home directory, and
+# they steer what a derandomized run draws: a warm .hypothesis draws other cases
+# than a fresh checkout.  Each process gets an empty home of its own, so every tree
+# draws what a fresh checkout draws.
+_HOME = tempfile.mkdtemp(prefix="splitgas-hypothesis-")
+set_hypothesis_home_dir(_HOME)
+atexit.register(shutil.rmtree, _HOME, ignore_errors=True)
 
 BASES = {
     "homogeneous": {"species": "rb87", "nu_perp_hz": 1400.0, "regime": "homogeneous",
@@ -137,9 +148,9 @@ def _drawn(count):
 
 
 def test_cases_are_drawn_alike_under_every_hash_seed(tmp_path):
-    # a derandomized run must replay in every process, whatever its string hashes; each
-    # child gets an empty Hypothesis directory, since the constants Hypothesis caches
-    # there from the source also steer what it draws
+    # a derandomized run must replay in every process, whatever its string hashes and
+    # whatever an earlier run left in its directory: the third child runs where the
+    # second ran
     import os
     import subprocess
     import sys
@@ -151,15 +162,14 @@ def test_cases_are_drawn_alike_under_every_hash_seed(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [*map(str, paths), env.get("PYTHONPATH")]))
     child = "from test_properties import _drawn\nprint(repr(_drawn(30)))\n"
     drawn = []
-    for seed in ("1", "2"):
-        home = tmp_path / seed
-        home.mkdir()
+    for seed in ("1", "2", "2"):
+        cwd = tmp_path / seed
+        cwd.mkdir(exist_ok=True)
         drawn.append(subprocess.run(
-            [sys.executable, "-c", child], cwd=home, capture_output=True, text=True,
-            env={**env, "PYTHONHASHSEED": seed, "HYPOTHESIS_STORAGE_DIRECTORY": str(home)},
-            timeout=300, check=True).stdout)
+            [sys.executable, "-c", child], cwd=cwd, capture_output=True, text=True,
+            env={**env, "PYTHONHASHSEED": seed}, timeout=300, check=True).stdout)
     assert drawn[0].count("{'trap'") == 30
-    assert drawn[0] == drawn[1]
+    assert drawn[0] == drawn[1] == drawn[2]
 
 
 def test_every_trap_key_is_drawn():

@@ -28,7 +28,7 @@ EXPORTS = {
     "errors": "ConfigError ConvergenceError DetectionError SplitGasError",
     "params": "RB87 PhysicalParams Regime SpeciesPreset TrapConfig dephasing_times "
               "derive_params multimode_condition peak_density_from_atom_number "
-              "squeezing_limit squeezing_map",
+              "squeezing_limit",
     "modes": "covariance_rate pcf phase_covariance pointwise_variance variance_field",
     "homogeneous": "PlaneWaveModeSet build_modes prethermal_variance recurrence_time",
     "trapped": "DensityProfile LegendreModeSet build_trapped_modes mode_frequency "
@@ -234,7 +234,7 @@ def test_trapped_commands_never_load_the_box(argv, tmp_path):
 def test_public_names_resolve_to_their_defining_modules():
     public = [n for n in dir(splitgas) if not n.startswith("_")]
     assert public == sorted([*HOME, *SUBMODULES])
-    assert len(HOME) == 37
+    assert len(HOME) == 36
     for name, module in HOME.items():
         home = importlib.import_module(f"splitgas.{module}")
         assert getattr(splitgas, name) is getattr(home, name), name
